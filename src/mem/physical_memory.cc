@@ -380,6 +380,7 @@ PhysicalMemory::allocPt(SocketId socket, int level, ProcId owner)
     ++st.ptPages;
     ++ptLive[static_cast<std::size_t>(socket)][static_cast<std::size_t>(
         level)];
+    ++ptEpoch_;
     return pfn;
 }
 
@@ -394,6 +395,7 @@ PhysicalMemory::freePt(Pfn pfn)
     auto &st = perSocket[static_cast<std::size_t>(s)];
     --st.ptPages;
     --ptLive[static_cast<std::size_t>(s)][m.level];
+    ++ptEpoch_;
 
     releaseTableSlot(s, m.tableSlot);
     m.tableSlot = NoTableSlot;
@@ -458,6 +460,7 @@ PhysicalMemory::linkReplica(Pfn base, Pfn added)
                    "linkReplica: page already in a list");
     am.replicaNext = bm.replicaNext;
     bm.replicaNext = added;
+    ++ptEpoch_;
 }
 
 void
@@ -472,6 +475,7 @@ PhysicalMemory::unlinkReplica(Pfn pfn)
         prev = meta(prev).replicaNext;
     meta(prev).replicaNext = m.replicaNext;
     m.replicaNext = pfn;
+    ++ptEpoch_;
 }
 
 Pfn
@@ -732,6 +736,7 @@ PhysicalMemory::cloneStateFrom(const PhysicalMemory &src)
     tableSlotRecycles_ = src.tableSlotRecycles_;
     retired_.clear();
     retiredTables_.clear();
+    ++ptEpoch_;
 }
 
 } // namespace mitosim::mem

@@ -196,6 +196,15 @@ class PhysicalMemory
     /** Host telemetry: this instance's table-arena activity. */
     TableArenaStats tableArenaStats() const;
 
+    /**
+     * Page-table structure epoch: bumped by every allocPt, freePt,
+     * linkReplica, unlinkReplica and cloneStateFrom. While it is
+     * unchanged no PT frame was created or freed and no replica ring
+     * changed, which is what lets PageTableOps::map4K reuse a
+     * remembered descent.
+     */
+    std::uint64_t ptEpoch() const { return ptEpoch_; }
+
     /// @}
     /// @name Replica circular list (Figure 8)
     /// @{
@@ -387,6 +396,8 @@ class PhysicalMemory
 
     // Page-table storage arenas, one per socket.
     std::vector<TableArena> tableArenas;
+
+    std::uint64_t ptEpoch_ = 0; //!< see ptEpoch()
 
     // Host telemetry (never simulated state).
     std::uint64_t tableChunkDetaches_ = 0;

@@ -27,6 +27,9 @@ Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend,
     mFaultProtection = &mr.counter("kernel_faults", {{"kind", "protection"}});
     mFaultCycles = &mr.histogram("kernel_fault_cycles");
     mShootdowns = &mr.counter("kernel_tlb_shootdowns");
+    ops.attachDescentCounters(
+        &mr.counter("kernel_pt_descents", {{"path", "cursor"}}),
+        &mr.counter("kernel_pt_descents", {{"path", "full"}}));
 
     sched.attachBackend(backend);
     mach.setFaultHandler(
@@ -712,16 +715,19 @@ Kernel::faultIn(Process &proc, CoreId core, VirtAddr va, KernelCost &cost,
     // promoted by khugepaged's collapse, never by the fault handler,
     // which would otherwise orphan the live leaf table (and its data
     // frames) and leave stale PWC entries pointing into it.
+    // The probe is uncharged, so it runs only where its answer is used.
     VirtAddr huge_base = alignDown(va, LargePageSize);
-    bool slot_vacant = true;
-    if (Pfn dir = ops.tableFor(proc.roots(), huge_base, 2);
-        dir != InvalidPfn) {
-        pt::Pte slot{
-            mach.physmem().table(dir)[ptIndex(huge_base, PtLevel::L2)]};
-        slot_vacant = !slot.present();
+    bool huge_fits = vma->thpEnabled && huge_base >= vma->start &&
+                     huge_base + LargePageSize <= vma->end;
+    if (huge_fits) {
+        if (Pfn dir = ops.tableFor(proc.roots(), huge_base, 2);
+            dir != InvalidPfn) {
+            pt::Pte slot{
+                physmem.tableView(dir)[ptIndex(huge_base, PtLevel::L2)]};
+            huge_fits = !slot.present();
+        }
     }
-    if (vma->thpEnabled && slot_vacant && huge_base >= vma->start &&
-        huge_base + LargePageSize <= vma->end) {
+    if (huge_fits) {
         SocketId target = chooseDataSocket(proc, huge_base,
                                            faulting_socket, true);
         if (auto head = physmem.allocDataLarge(target, proc.id())) {

@@ -92,15 +92,73 @@ PageTableOps::descend(const RootSet &roots, VirtAddr va,
     return table;
 }
 
+Pfn
+PageTableOps::cursorLeaf(const RootSet &roots, VirtAddr va,
+                         pvops::KernelCost *cost)
+{
+    const LeafCursor &c = cursor_;
+    if (c.region != (va >> LargePageShift) || c.epoch != mem.ptEpoch() ||
+        c.path[0] != roots.primaryRoot)
+        return InvalidPfn;
+    // An unchanged epoch already rules out a path table being freed,
+    // reused or replicated; re-reading the path entries (raw, like
+    // walk()) also catches a rewrite of an entry in place.
+    for (int level = 4; level >= 2; --level) {
+        Pte entry{mem.tableView(c.path[4 - level])[ptIndex(
+            va, ptLevel(level))]};
+        if (!entry.present() || entry.huge() ||
+            entry.pfn() != c.path[5 - level])
+            return InvalidPfn;
+    }
+    if (cost)
+        cost->charge(c.readCycles);
+    if (mDescentCursor)
+        mDescentCursor->inc();
+    return c.path[3];
+}
+
+void
+PageTableOps::rememberDescent(const RootSet &roots, VirtAddr va, Pfn leaf,
+                              Cycles cycles)
+{
+    const mem::PhysicalMemory &pm = mem;
+    LeafCursor c;
+    c.path[0] = roots.primaryRoot;
+    for (int level = 4; level >= 2; --level) {
+        Pfn table = c.path[4 - level];
+        // A replicated table's readPte also ORs A/D bits across its
+        // ring and counts adMergedReads: not reproducible from cycles.
+        if (pm.meta(table).replicaNext != table)
+            return;
+        c.path[5 - level] =
+            Pte{pm.tableView(table)[ptIndex(va, ptLevel(level))]}.pfn();
+    }
+    MITOSIM_ASSERT(c.path[3] == leaf, "rememberDescent: path mismatch");
+    c.region = va >> LargePageShift;
+    c.epoch = pm.ptEpoch();
+    c.readCycles = cycles;
+    cursor_ = c;
+}
+
 bool
 PageTableOps::map4K(RootSet &roots, ProcId owner, VirtAddr va, Pfn data_pfn,
                     std::uint64_t flags, PtPlacementPolicy &pt_policy,
                     SocketId faulting_socket, pvops::KernelCost *cost)
 {
-    Pfn leaf_table = descendAlloc(roots, owner, va, 1, pt_policy,
+    Pfn leaf_table = cursorLeaf(roots, va, cost);
+    if (leaf_table == InvalidPfn) {
+        std::uint64_t epoch = mem.ptEpoch();
+        Cycles before = cost ? cost->cycles : 0;
+        leaf_table = descendAlloc(roots, owner, va, 1, pt_policy,
                                   faulting_socket, cost);
-    if (leaf_table == InvalidPfn)
-        return false;
+        if (leaf_table == InvalidPfn)
+            return false;
+        if (mDescentFull)
+            mDescentFull->inc();
+        // Nothing allocated: the descent charged its three reads only.
+        if (cost && mem.ptEpoch() == epoch)
+            rememberDescent(roots, va, leaf_table, cost->cycles - before);
+    }
     unsigned idx = ptIndex(va, PtLevel::L1);
     Pte value = Pte::make(data_pfn, flags | PtePresent);
     pv->setPte(roots, PteLoc{leaf_table, idx}, value, 1, cost);

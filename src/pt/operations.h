@@ -12,10 +12,12 @@
 #ifndef MITOSIM_PT_OPERATIONS_H
 #define MITOSIM_PT_OPERATIONS_H
 
+#include <array>
 #include <cstdint>
 #include <functional>
 
 #include "src/mem/physical_memory.h"
+#include "src/obs/metrics.h"
 #include "src/pt/pte.h"
 #include "src/pt/root_set.h"
 #include "src/pvops/pvops.h"
@@ -68,7 +70,10 @@ struct PtPlacementPolicy
 
 /**
  * Page-table operations bound to a physical memory and a PV-Ops backend.
- * Stateless per-process: all per-process state lives in RootSet.
+ * All per-process state lives in RootSet. The one piece of state kept
+ * here is map4K's leaf-table cursor: a memo of the last full descent,
+ * re-validated on every use, that never changes what an operation
+ * does or charges.
  */
 class PageTableOps
 {
@@ -78,10 +83,32 @@ class PageTableOps
     {
     }
 
-    /** Swap the PV-Ops backend (native <-> mitosis). */
-    void setBackend(pvops::PvOps &backend) { pv = &backend; }
+    /**
+     * Swap the PV-Ops backend (native <-> mitosis). Drops the map4K
+     * cursor: the read charges it recorded are the old backend's.
+     */
+    void
+    setBackend(pvops::PvOps &backend)
+    {
+        pv = &backend;
+        cursor_ = LeafCursor{};
+    }
     pvops::PvOps &backend() { return *pv; }
     const pvops::PvOps &backend() const { return *pv; }
+
+    /**
+     * Count every map4K descent into @p cursor (the leaf-table cursor
+     * served it) or @p full (walked from the root). Null: no counting.
+     */
+    void
+    attachDescentCounters(obs::Counter *cursor, obs::Counter *full)
+    {
+        mDescentCursor = cursor;
+        mDescentFull = full;
+    }
+
+    /** Test hook: forget the map4K cursor; the next map4K re-descends. */
+    void dropCursorForTest() { cursor_ = LeafCursor{}; }
 
     /**
      * Create the root (L4) table for a new process.
@@ -93,6 +120,14 @@ class PageTableOps
     /**
      * Map @p va -> @p data_pfn as a 4 KB page, allocating intermediate
      * tables as needed via the placement policy.
+     *
+     * Consecutive faults into one 2 MB region skip the re-descent: the
+     * leaf table of the last full descent is reused once its three
+     * upper path entries read back unchanged, and the cycles that
+     * descent's readPte calls charged are charged again. Only a descent
+     * that allocated nothing, through path tables that are all
+     * unreplicated, is remembered. Such a descent's reads charge cycles
+     * alone (no A/D merge, no MitosisStats), so the reuse is exact.
      */
     bool map4K(RootSet &roots, ProcId owner, VirtAddr va, Pfn data_pfn,
                std::uint64_t flags, PtPlacementPolicy &pt_policy,
@@ -105,7 +140,7 @@ class PageTableOps
 
     /**
      * Software walk of the *primary* tree (used by the OS; the hardware
-     * walker in pt/walker.h walks per-socket replicas with timing).
+     * walker in sim/walker.h walks per-socket replicas with timing).
      * A/D bits in the result are OR-ed across replicas by the backend.
      */
     WalkResult walk(const RootSet &roots, VirtAddr va) const;
@@ -323,8 +358,37 @@ class PageTableOps
     void destroyLevel(RootSet &roots, Pfn table, int level,
                       pvops::KernelCost *cost);
 
+    /**
+     * The last full map4K descent worth reusing: the tables on its
+     * path (root, L3, L2, leaf), the 2 MB region it served, the
+     * PT-structure epoch it was taken at, and the cycles its three
+     * readPte calls charged. The default value matches no region.
+     */
+    struct LeafCursor
+    {
+        std::array<Pfn, 4> path{InvalidPfn, InvalidPfn, InvalidPfn,
+                                InvalidPfn};
+        VirtAddr region = ~VirtAddr{0};
+        std::uint64_t epoch = 0;
+        Cycles readCycles = 0;
+    };
+
+    /**
+     * The cursor's leaf table if it serves @p va (charging the reads it
+     * stands for into @p cost), else InvalidPfn.
+     */
+    Pfn cursorLeaf(const RootSet &roots, VirtAddr va,
+                   pvops::KernelCost *cost);
+
+    /** Remember a full descent for @p va whose reads cost @p cycles. */
+    void rememberDescent(const RootSet &roots, VirtAddr va, Pfn leaf,
+                         Cycles cycles);
+
     mem::PhysicalMemory &mem;
     pvops::PvOps *pv;
+    LeafCursor cursor_;
+    obs::Counter *mDescentCursor = nullptr;
+    obs::Counter *mDescentFull = nullptr;
 };
 
 } // namespace mitosim::pt

@@ -140,32 +140,20 @@ class Core
         ++pc.accesses;
         bool in_window = sinceSwitch_ < PostSwitchWindow;
         ++sinceSwitch_;
-        Cycles total = 0;
 
+        auto look = tlb_.lookup(va);
+        Cycles total = look.latency;
         // A fault may need several service rounds (e.g. NUMA hint then
-        // a normal re-walk); bound retries to catch livelock bugs.
-        for (int attempt = 0; attempt < 8; ++attempt) {
-            auto look = tlb_.lookup(va);
-            total += look.latency;
+        // a normal re-walk); bound them to catch livelock bugs.
+        int attempt = 0;
 
-            if (look.hit) {
-                if (look.hitLevel == 1)
-                    ++pc.tlbL1Hits;
-                else
-                    ++pc.tlbL2Hits;
+        if (look.hit) {
+            if (look.hitLevel == 1)
+                ++pc.tlbL1Hits;
+            else
+                ++pc.tlbL2Hits;
 
-                if (is_write && !look.entry.writable) {
-                    // Stale or read-only: raise a protection fault.
-                    tlb_.invalidatePage(va);
-                    Cycles kc = faultFn_(
-                        faultCtx_, coreId,
-                        FaultRequest{va, is_write,
-                                     WalkFault::Protection});
-                    pc.kernelCycles += kc;
-                    total += kc;
-                    continue;
-                }
-
+            if (!is_write || look.entry.writable) {
                 std::uint64_t offset_mask =
                     (look.entry.size == PageSizeKind::Large2M)
                         ? (LargePageSize - 1)
@@ -181,6 +169,21 @@ class Core
                 return total;
             }
 
+            // Stale or read-only: raise a protection fault.
+            tlb_.invalidatePage(va);
+            Cycles kc = faultFn_(
+                faultCtx_, coreId,
+                FaultRequest{va, is_write, WalkFault::Protection});
+            pc.kernelCycles += kc;
+            total += kc;
+            ++attempt;
+            total += tlb_.lookupKnownMiss(va);
+        }
+
+        // Every retry re-probes a TLB that nothing has filled since the
+        // miss (or the invalidation above): the fault handler never
+        // inserts translations, so each retry is a known miss.
+        for (;;) {
             ++pc.tlbMisses;
             auto out = walker.walk(coreId, cr3_, va, is_write, pwc_, &pc);
             pc.walkCycles += out.latency;
@@ -212,9 +215,11 @@ class Core
                 FaultRequest{va, is_write, out.fault});
             pc.kernelCycles += kc;
             total += kc;
+            if (++attempt == 8)
+                panic("core %d: unresolved fault at va=0x%llx", coreId,
+                      (unsigned long long)va);
+            total += tlb_.lookupKnownMiss(va);
         }
-        panic("core %d: unresolved fault at va=0x%llx", coreId,
-              (unsigned long long)va);
     }
 
     /**

@@ -25,6 +25,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/base/logging.h"
 #include "src/base/types.h"
 
 namespace mitosim::tlb
@@ -217,6 +218,28 @@ class TwoLevelTlb
         res.hit = false;
         res.latency = cfg.l2HitLatency; // paid the full probe before missing
         return res;
+    }
+
+    /**
+     * lookup() of @p va where the caller knows it misses: nothing has
+     * been inserted since @p va last missed or was invalidated (the
+     * retry after a serviced fault). A miss changes no state besides
+     * the miss counter, so charging it directly is exact; the same
+     * licence as the guaranteed-miss skips inside lookup(). Debug
+     * builds run the real probe and assert that it missed.
+     */
+    Cycles
+    lookupKnownMiss(VirtAddr va)
+    {
+#ifndef NDEBUG
+        TlbLookupResult res = lookup(va);
+        MITOSIM_ASSERT(!res.hit, "known-miss TLB lookup hit");
+        return res.latency;
+#else
+        (void)va;
+        ++stats_.misses;
+        return cfg.l2HitLatency;
+#endif
     }
 
     /** Install a translation after a walk (fills L1 and L2). */

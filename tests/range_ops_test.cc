@@ -19,7 +19,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <vector>
 
 #include "src/analysis/pt_dump.h"
 #include "src/base/logging.h"
@@ -259,13 +262,16 @@ enum class BackendKind
 struct Side
 {
     explicit Side(BackendKind kind, DataPolicy data_policy,
-                  pt::PtPlacement pt_placement)
+                  pt::PtPlacement pt_placement,
+                  const KernelConfig &kernel_cfg = KernelConfig{})
         : machine(sim::MachineConfig::tiny()),
           native(machine.physmem()),
           mitosis(machine.physmem()),
-          kernel(machine, kind == BackendKind::Native
-                              ? static_cast<pvops::PvOps &>(native)
-                              : static_cast<pvops::PvOps &>(mitosis)),
+          kernel(machine,
+                 kind == BackendKind::Native
+                     ? static_cast<pvops::PvOps &>(native)
+                     : static_cast<pvops::PvOps &>(mitosis),
+                 kernel_cfg),
           proc(kernel.createProcess("prop", 0))
     {
         kernel.setDataPolicy(proc, data_policy);
@@ -483,6 +489,173 @@ TEST(RangeOpsProperty, MitosisMoreSeeds)
     for (std::uint64_t seed = 10; seed < 13; ++seed) {
         runProperty(BackendKind::Mitosis, DataPolicy::FirstTouch,
                     pt::PtPlacement::FirstTouch, seed);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+std::uint64_t
+descents(Side &side, const char *path)
+{
+    return side.machine.metrics()
+        .counter("kernel_pt_descents", {{"path", path}})
+        .value;
+}
+
+/**
+ * map4K's leaf-table cursor against a reference kernel that drops the
+ * cursor before every access, so each of its demand faults re-descends
+ * from the root. Faults come from real Core::access calls (so the
+ * known-miss TLB retry after each serviced fault runs too), interleaved
+ * with munmap, mprotect, madvise splits, khugepaged collapses,
+ * page-table migration, replication-mask flips and backend swaps.
+ * Every access must cost the same, and the page tables, memory
+ * accounting and MitosisStats must stay identical.
+ */
+void
+runCursorProperty(std::uint64_t seed)
+{
+    KernelConfig kcfg;
+    kcfg.thp.khugepaged = true;
+    Side cur(BackendKind::Mitosis, DataPolicy::FirstTouch,
+             pt::PtPlacement::FirstTouch, kcfg);
+    Side ref(BackendKind::Mitosis, DataPolicy::FirstTouch,
+             pt::PtPlacement::FirstTouch, kcfg);
+    std::vector<Side *> sides{&cur, &ref};
+    auto both = [&](auto &&op) {
+        for (Side *s : sides)
+            op(*s);
+    };
+    int cores = cur.machine.numCores();
+    both([&](Side &s) {
+        for (CoreId c = 0; c < cores; ++c)
+            s.kernel.spawnThread(s.proc, c);
+    });
+    sim::PerfCounters pc_cur;
+    sim::PerfCounters pc_ref;
+    Rng rng(seed);
+
+    struct Region
+    {
+        VirtAddr start;
+        std::uint64_t pages; //!< 4 KB units
+        bool thp;
+        std::uint64_t prot = ProtRead | ProtWrite;
+    };
+    std::vector<Region> regions;
+    for (int i = 0; i < 4; ++i) {
+        bool thp = (i == 3);
+        regions.push_back(Region{
+            0x10000000000ull + static_cast<VirtAddr>(i) * (64ull << 20),
+            thp ? 3 * FramesPerLargePage : 1 + rng.below(1024), thp});
+    }
+    // Nothing is populated: every page arrives through a demand fault.
+    auto mapFresh = [&](const Region &r, VirtAddr start,
+                        std::uint64_t len) {
+        both([&](Side &s) {
+            s.kernel.mmapFixed(s.proc, start, len,
+                               MmapOptions{.thp = r.thp, .prot = r.prot});
+        });
+    };
+    for (const Region &r : regions)
+        mapFresh(r, r.start, r.pages * PageSize);
+
+    bool on_native = false;
+    for (int step = 0; step < 240; ++step) {
+        std::string what = "step " + std::to_string(step);
+        Region &r = regions[rng.below(regions.size())];
+        std::uint64_t page0 = rng.below(r.pages);
+        std::uint64_t len = (1 + rng.below(r.pages - page0)) * PageSize;
+        VirtAddr start = r.start + page0 * PageSize;
+        bool replicated = cur.proc.roots().replicated();
+
+        switch (rng.below(12)) {
+          case 0: { // munmap a subrange, then map it back unpopulated
+            KernelCost ca;
+            KernelCost cb;
+            cur.kernel.munmap(cur.proc, start, len, &ca);
+            ref.kernel.munmap(ref.proc, start, len, &cb);
+            expectCostEq(ca, cb, what + " munmap");
+            mapFresh(r, start, len);
+            break;
+          }
+          case 1: // flip the protection of the whole region
+            r.prot = (r.prot & ProtWrite) ? std::uint64_t{ProtRead}
+                                          : ProtRead | ProtWrite;
+            both([&](Side &s) {
+                s.kernel.mprotect(s.proc, r.start, r.pages * PageSize,
+                                  r.prot);
+            });
+            break;
+          case 2: { // madvise a subrange (splits straddling huge pages)
+            Madvise advice =
+                rng.chance(0.5) ? Madvise::Huge : Madvise::NoHuge;
+            both([&](Side &s) {
+                s.kernel.madvise(s.proc, start, len, advice);
+            });
+            break;
+          }
+          case 3: // khugepaged collapses
+            both([&](Side &s) { s.kernel.thpTick(); });
+            break;
+          case 4: // replication flip, page-table migration or backend swap
+            if (on_native || (!replicated && rng.chance(0.3))) {
+                on_native = !on_native;
+                both([&](Side &s) {
+                    s.kernel.ptOps().setBackend(
+                        on_native ? static_cast<pvops::PvOps &>(s.native)
+                                  : static_cast<pvops::PvOps &>(s.mitosis));
+                });
+            } else if (!replicated && rng.chance(0.5)) {
+                SocketId target = static_cast<SocketId>(rng.below(2));
+                both([&](Side &s) {
+                    EXPECT_TRUE(s.mitosis.migratePageTables(
+                        s.proc.roots(), s.proc.id(), target));
+                    s.kernel.reloadContexts(s.proc);
+                });
+            } else {
+                SocketMask mask =
+                    replicated ? SocketMask::none() : SocketMask::all(2);
+                both([&](Side &s) {
+                    EXPECT_TRUE(s.mitosis.setReplicationMask(
+                        s.proc.roots(), s.proc.id(), mask));
+                    s.kernel.reloadContexts(s.proc);
+                });
+            }
+            break;
+          default: { // a burst of accesses from one core
+            CoreId core = static_cast<CoreId>(rng.below(cores));
+            bool write = (r.prot & ProtWrite) && rng.chance(0.5);
+            std::uint64_t n = std::min<std::uint64_t>(1 + rng.below(48),
+                                                      len / PageSize);
+            for (std::uint64_t k = 0; k < n; ++k) {
+                VirtAddr va = start + k * PageSize;
+                ref.kernel.ptOps().dropCursorForTest();
+                Cycles a = cur.machine.core(core).access(va, write, pc_cur);
+                Cycles b = ref.machine.core(core).access(va, write, pc_ref);
+                EXPECT_EQ(a, b) << what << " va=" << va;
+            }
+            EXPECT_EQ(0, std::memcmp(&pc_cur, &pc_ref, sizeof pc_cur))
+                << what;
+            break;
+          }
+        }
+        if (step % 12 == 0)
+            expectSidesEq(cur, ref, what);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+    expectSidesEq(cur, ref, "final");
+    EXPECT_GT(descents(cur, "cursor"), 0u);
+    EXPECT_EQ(descents(ref, "cursor"), 0u);
+    EXPECT_GT(descents(ref, "full"), descents(cur, "full"));
+}
+
+TEST(RangeOpsProperty, FaultCursorMatchesFullDescent)
+{
+    for (std::uint64_t seed = 20; seed < 24; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        runCursorProperty(seed);
         if (::testing::Test::HasFailure())
             return;
     }
