@@ -29,6 +29,14 @@ FrameAllocator::setSlot(std::uint64_t block, unsigned slot)
 {
     blocks[block].used[slot >> 6] |= 1ull << (slot & 63);
     ++usedCounts[block];
+    if (targetValid_) {
+        // A block that fills leaves the partial set; any other block
+        // only gained a frame and may overtake the target.
+        if (block == target_ && usedCounts[block] == framesPerBlock)
+            targetValid_ = false;
+        else
+            retarget(block);
+    }
 }
 
 void
@@ -36,6 +44,15 @@ FrameAllocator::clearSlot(std::uint64_t block, unsigned slot)
 {
     blocks[block].used[slot >> 6] &= ~(1ull << (slot & 63));
     --usedCounts[block];
+    if (targetValid_) {
+        // The target losing a frame may hand the lead to any block;
+        // another block losing one can only overtake it by rejoining
+        // the partial set from full.
+        if (block == target_)
+            targetValid_ = false;
+        else
+            retarget(block);
+    }
 }
 
 int
@@ -114,6 +131,7 @@ FrameAllocator::allocLargeBlock()
             w = ~0ull;
         usedCounts[bi] = framesPerBlock;
         freeCount -= framesPerBlock;
+        targetValid_ = false;
         return basePfn + bi * 512ull;
     }
     // Rebuild in case frees made blocks fully free without stack entries.
@@ -158,6 +176,7 @@ FrameAllocator::freeLargeBlock(Pfn head)
         w = 0;
     usedCounts[bi] = 0;
     freeCount += framesPerBlock;
+    targetValid_ = false;
     fullyFreeStack.push_back(static_cast<std::uint32_t>(bi));
 }
 
@@ -187,25 +206,47 @@ FrameAllocator::blockUsedCount(std::uint64_t index) const
     return usedCounts[index];
 }
 
-std::optional<Pfn>
-FrameAllocator::allocFrameForCompaction(Pfn avoid)
+std::uint64_t
+FrameAllocator::fullestPartialExcept(std::uint64_t avoid) const
 {
-    MITOSIM_ASSERT(owns(avoid));
-    std::uint64_t avoid_block = blockOf(avoid);
     // The fullest partial block packs relocated frames densest, which
     // is what turns scattered occupancy back into free 2 MB blocks.
-    // Same decision as the old AoS scan: strict > keeps the lowest
-    // index on ties, avoid/empty/full blocks are skipped.
+    // Strict > keeps the lowest index on ties; avoid/empty/full blocks
+    // are skipped.
     std::uint64_t best = blocks.size();
     std::uint32_t best_used = 0;
     for (std::uint64_t i = 0; i < usedCounts.size(); ++i) {
         std::uint32_t used = usedCounts[i];
-        if (i == avoid_block || used == 0 || used >= framesPerBlock)
+        if (i == avoid || used == 0 || used >= framesPerBlock)
             continue;
         if (used > best_used) {
             best = i;
             best_used = used;
         }
+    }
+    return best;
+}
+
+std::optional<Pfn>
+FrameAllocator::allocFrameForCompaction(Pfn avoid)
+{
+    MITOSIM_ASSERT(owns(avoid));
+    std::uint64_t avoid_block = blockOf(avoid);
+    std::uint64_t best;
+    if (targetValid_ && target_ != avoid_block) {
+        // The socket-wide argmax is not @p avoid's block, so it is
+        // also the argmax over every other block.
+        best = target_;
+        MITOSIM_DASSERT(best == fullestPartialExcept(avoid_block),
+                        "allocFrameForCompaction: stale cached target");
+    } else {
+        best = fullestPartialExcept(avoid_block);
+        // Re-seed the cache: the socket-wide argmax is the scan's
+        // answer unless the skipped block beats it.
+        target_ = best;
+        if (isPartial(avoid_block) && fullerThan(avoid_block, best))
+            target_ = avoid_block;
+        targetValid_ = true;
     }
     if (best == blocks.size())
         return std::nullopt;

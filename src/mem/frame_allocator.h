@@ -83,9 +83,14 @@ class FrameAllocator
 
     /**
      * Compaction destination: allocate one frame from the *fullest*
-     * partially-used block other than @p avoid's block. Never splits a
-     * fully-free block — compaction must consume fragmentation, not
-     * create it. nullopt when no other partial block has room.
+     * partially-used block other than @p avoid's block (lowest index
+     * on ties). Never splits a fully-free block — compaction must
+     * consume fragmentation, not create it. nullopt when no other
+     * partial block has room.
+     *
+     * O(1) while the cached target (see target_) is valid and is not
+     * @p avoid's block; otherwise one scan of the used counts, which
+     * re-seeds the cache.
      */
     std::optional<Pfn> allocFrameForCompaction(Pfn avoid);
 
@@ -115,7 +120,7 @@ class FrameAllocator
     /**
      * One cache line of bitmap per block. The per-block allocated
      * count lives in the separate usedCounts vector (struct of
-     * arrays): kcompactd's fullest-partial-block scan in
+     * arrays): the fullest-partial-block scan behind
      * allocFrameForCompaction reads only the counts, and packing them
      * 16-per-line instead of 1-per-72-byte-struct makes that O(blocks)
      * scan stream instead of stride.
@@ -136,6 +141,33 @@ class FrameAllocator
     void clearSlot(std::uint64_t block, unsigned slot);
     int findFreeSlot(const Block &b) const;
 
+    bool
+    isPartial(std::uint64_t block) const
+    {
+        return usedCounts[block] != 0 && usedCounts[block] < framesPerBlock;
+    }
+
+    /** Is partial @p a a better compaction target than @p b (or than
+     *  none, when @p b is blocks.size())? Fuller wins, then lower. */
+    bool
+    fullerThan(std::uint64_t a, std::uint64_t b) const
+    {
+        return b == blocks.size() || usedCounts[a] > usedCounts[b] ||
+               (usedCounts[a] == usedCounts[b] && a < b);
+    }
+
+    /** The fullest partial block other than @p avoid, by linear scan;
+     *  blocks.size() when there is none. */
+    std::uint64_t fullestPartialExcept(std::uint64_t avoid) const;
+
+    /** Partial @p block's count changed: does it now beat target_? */
+    void
+    retarget(std::uint64_t block)
+    {
+        if (isPartial(block) && fullerThan(block, target_))
+            target_ = block;
+    }
+
     Pfn basePfn;
     std::uint64_t numFrames;
     std::uint64_t freeCount;
@@ -146,6 +178,17 @@ class FrameAllocator
     // stale; pop verifies against the block's actual state.
     std::vector<std::uint32_t> fullyFreeStack;
     std::vector<std::uint32_t> partialStack;
+
+    /**
+     * Cached compaction target: the fullest partial block of the whole
+     * socket (blocks.size() when none is partial), valid while
+     * targetValid_. setSlot/clearSlot keep it current; it goes invalid
+     * when the cached block fills or loses a frame, and on
+     * allocLargeBlock/freeLargeBlock, which write counts directly.
+     * While it is invalid the populate path pays one branch.
+     */
+    std::uint64_t target_ = 0;
+    bool targetValid_ = false;
 };
 
 } // namespace mitosim::mem

@@ -28,6 +28,8 @@ ThpManager::ensureObs()
     mSplits = &mr.counter("thp_splits");
     mPagesMoved = &mr.counter("thp_compaction_pages_moved");
     mBlocksReclaimed = &mr.counter("thp_compaction_blocks_reclaimed");
+    mRmapBuilds = &mr.counter("thp_compaction_rmap_builds");
+    mRmapEntries = &mr.counter("thp_compaction_rmap_entries");
 }
 
 void

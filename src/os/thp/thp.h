@@ -157,6 +157,13 @@ class ThpManager
     const ThpStats &stats() const { return stats_; }
     void resetStats() { stats_ = ThpStats{}; }
 
+    /**
+     * kcompactd reverse-map lookups that Debug builds checked against
+     * a full tick-start rebuild. Always 0 under NDEBUG, where the
+     * check is compiled out.
+     */
+    std::uint64_t rmapCrossChecks() const { return rmapCrossChecks_; }
+
     /** Drop per-process daemon state (Kernel::destroyProcess). */
     void
     onProcessDestroyed(ProcId pid)
@@ -202,7 +209,11 @@ class ThpManager
     obs::Counter *mSplits = nullptr;
     obs::Counter *mPagesMoved = nullptr;
     obs::Counter *mBlocksReclaimed = nullptr;
+    obs::Counter *mRmapBuilds = nullptr;
+    obs::Counter *mRmapEntries = nullptr;
     /// @}
+
+    std::uint64_t rmapCrossChecks_ = 0;
 
     /** khugepaged resume addresses, per pid (Linux's scan cursor). */
     std::map<ProcId, VirtAddr> scanCursor;

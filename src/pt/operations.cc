@@ -84,7 +84,7 @@ PageTableOps::descend(const RootSet &roots, VirtAddr va,
     Pfn table = roots.primaryRoot;
     for (int level = 4; level > target_level; --level) {
         unsigned idx = ptIndex(va, ptLevel(level));
-        Pte entry{mem.table(table)[idx]};
+        Pte entry{mem.tableView(table)[idx]};
         if (!entry.present() || entry.huge())
             return InvalidPfn;
         table = entry.pfn();
@@ -193,7 +193,7 @@ PageTableOps::walk(const RootSet &roots, VirtAddr va) const
     Pfn table = roots.primaryRoot;
     for (int level = 4; level >= 1; --level) {
         unsigned idx = ptIndex(va, ptLevel(level));
-        Pte entry{mem.table(table)[idx]};
+        Pte entry{mem.tableView(table)[idx]};
         ++res.depth;
         if (!entry.present())
             return res;
@@ -248,7 +248,7 @@ PageTableOps::forEachLeafRun(
     const std::function<void(Pfn, int, VirtAddr, unsigned, unsigned)> &fn)
     const
 {
-    const std::uint64_t *tbl = mem.table(table);
+    const std::uint64_t *tbl = mem.tableView(table);
     std::uint64_t span = bytesPerEntry(ptLevel(level));
     unsigned i = firstSlotInRange(base, span, start);
     while (i < PtEntriesPerPage && base + i * span < end) {
@@ -261,13 +261,17 @@ PageTableOps::forEachLeafRun(
             forEachLeafRun(entry.pfn(), level - 1, base + i * span,
                            start, end, fn);
             ++i;
-            continue;
+        } else {
+            unsigned run_start = i;
+            while (i < PtEntriesPerPage && base + i * span < end &&
+                   isLeafAt(Pte{tbl[i]}, level))
+                ++i;
+            fn(table, level, base, run_start, i - run_start);
         }
-        unsigned run_start = i;
-        while (i < PtEntriesPerPage && base + i * span < end &&
-               isLeafAt(Pte{tbl[i]}, level))
-            ++i;
-        fn(table, level, base, run_start, i - run_start);
+        // unmapRange/protectRange store through the backend, which
+        // may detach this table's shared arena chunk: read on from
+        // the current copy.
+        tbl = mem.tableView(table);
     }
 }
 
@@ -283,7 +287,7 @@ PageTableOps::forRange(
         roots.primaryRoot, 4, 0, start, end,
         [&](Pfn table, int level, VirtAddr base, unsigned first,
             unsigned n) {
-            const std::uint64_t *tbl = mem.table(table);
+            const std::uint64_t *tbl = mem.tableView(table);
             std::uint64_t span = bytesPerEntry(ptLevel(level));
             for (unsigned k = first; k < first + n; ++k) {
                 fn(base + k * span, PteLoc{table, k}, Pte{tbl[k]},
@@ -322,7 +326,7 @@ PageTableOps::mapRange4K(RootSet &roots, ProcId owner, VirtAddr start,
         for (int level = 4; level >= 2; --level) {
             unsigned idx = ptIndex(va, ptLevel(level));
             path[4 - level] = PteLoc{table, idx};
-            Pte entry{mem.table(table)[idx]};
+            Pte entry{mem.tableView(table)[idx]};
             if (!entry.present()) {
                 missing_level = level - 1;
                 break;
@@ -354,7 +358,7 @@ PageTableOps::mapRange4K(RootSet &roots, ProcId owner, VirtAddr start,
         for (; va < chunk_end; va += PageSize) {
             unsigned idx = ptIndex(va, PtLevel::L1);
             if (leaf_table != InvalidPfn &&
-                Pte{mem.table(leaf_table)[idx]}.present()) {
+                Pte{mem.tableView(leaf_table)[idx]}.present()) {
                 flushRun();
                 continue;
             }
@@ -427,7 +431,7 @@ PageTableOps::unmapRange(
         roots.primaryRoot, 4, 0, start, end,
         [&](Pfn table, int level, VirtAddr base, unsigned first,
             unsigned n) {
-            const std::uint64_t *tbl = mem.table(table);
+            const std::uint64_t *tbl = mem.tableView(table);
             std::uint64_t span = bytesPerEntry(ptLevel(level));
             PageSizeKind size = level == 1 ? PageSizeKind::Base4K
                                            : PageSizeKind::Large2M;
@@ -498,7 +502,7 @@ PageTableOps::collapse2M(RootSet &roots, VirtAddr va, Pte huge,
     if (dir_table == InvalidPfn)
         return false;
     unsigned idx = ptIndex(va, PtLevel::L2);
-    Pte entry{mem.table(dir_table)[idx]};
+    Pte entry{mem.tableView(dir_table)[idx]};
     if (!entry.present() || entry.huge())
         return false; // nothing to collapse (hole, or already huge)
     pv->collapseRange(roots, PteLoc{dir_table, idx}, huge, entry.pfn(),
@@ -516,7 +520,7 @@ PageTableOps::split2M(RootSet &roots, ProcId owner, VirtAddr va,
     if (dir_table == InvalidPfn)
         return false;
     unsigned idx = ptIndex(base, PtLevel::L2);
-    Pte huge{mem.table(dir_table)[idx]};
+    Pte huge{mem.tableView(dir_table)[idx]};
     if (!huge.present() || !huge.huge())
         return false;
 
@@ -575,7 +579,7 @@ PageTableOps::forEachTable(const RootSet &roots,
         fn(f.table, f.level);
         if (f.level == 1)
             continue;
-        const std::uint64_t *tbl = mem.table(f.table);
+        const std::uint64_t *tbl = mem.tableView(f.table);
         for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
             Pte entry{tbl[i]};
             if (entry.present() && !(f.level == 2 && entry.huge()))

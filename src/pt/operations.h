@@ -298,7 +298,7 @@ class PageTableOps
         while (!stack.empty()) {
             Frame f = stack.back();
             stack.pop_back();
-            const std::uint64_t *tbl = mem.table(f.table);
+            const std::uint64_t *tbl = mem.tableView(f.table);
             std::uint64_t span = bytesPerEntry(ptLevel(f.level));
             for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
                 Pte entry{tbl[i]};

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -300,6 +301,108 @@ TEST_P(FrameAllocatorProperty, RandomOpsConserveFrames)
         a.freeLargeBlock(p);
     EXPECT_EQ(a.freeFrames(), total);
     EXPECT_EQ(a.freeLargeBlocks(), 8u);
+}
+
+/**
+ * The compaction target by linear scan: the fullest partially-used
+ * block other than @p avoid_block, lowest index on ties; nullopt when
+ * there is none.
+ */
+std::optional<std::uint64_t>
+referenceTarget(const FrameAllocator &a, std::uint64_t avoid_block)
+{
+    std::optional<std::uint64_t> best;
+    std::uint32_t best_used = 0;
+    for (std::uint64_t b = 0; b < a.numBlocks(); ++b) {
+        std::uint32_t used = a.blockUsedCount(b);
+        if (b == avoid_block || used == 0 || used >= FramesPerBlock)
+            continue;
+        if (used > best_used) {
+            best = b;
+            best_used = used;
+        }
+    }
+    return best;
+}
+
+TEST_P(FrameAllocatorProperty, CompactionTargetMatchesLinearScan)
+{
+    const std::uint64_t blocks = 8;
+    FrameAllocator a(0, blocks * FramesPerBlock);
+    Rng rng(static_cast<std::uint64_t>(GetParam()));
+    std::vector<Pfn> small;
+    std::vector<Pfn> large;
+    std::uint64_t avoided_target = 0;
+
+    auto freeSmall = [&] {
+        std::size_t i = rng.below(small.size());
+        a.freeFrame(small[i]);
+        small[i] = small.back();
+        small.pop_back();
+    };
+
+    for (int step = 0; step < 4000; ++step) {
+        switch (rng.below(8)) {
+          case 0:
+          case 1:
+            if (auto p = a.allocFrame())
+                small.push_back(*p);
+            break;
+          case 2:
+            if (auto p = a.allocLargeBlock())
+                large.push_back(*p);
+            break;
+          case 3:
+            if (!large.empty()) {
+                std::size_t i = rng.below(large.size());
+                a.freeLargeBlock(large[i]);
+                large[i] = large.back();
+                large.pop_back();
+            }
+            break;
+          case 4:
+            if (rng.chance(0.1)) {
+                for (Pfn p : a.fragment(0.5, rng))
+                    small.push_back(p);
+            }
+            break;
+          default:
+            for (unsigned n = 0; n < 2 && !small.empty(); ++n)
+                freeSmall();
+            break;
+        }
+
+        // Probe the compaction target after every op. Half the probes
+        // avoid the current argmax block itself (the cached target, if
+        // the cache is valid), the rest a random block.
+        std::optional<std::uint64_t> global =
+            referenceTarget(a, blocks);
+        std::uint64_t avoid_block = rng.below(blocks);
+        if (global && rng.chance(0.5)) {
+            avoid_block = *global;
+            ++avoided_target;
+        }
+        std::optional<std::uint64_t> want =
+            referenceTarget(a, avoid_block);
+        std::uint64_t free_before = a.freeFrames();
+        auto got = a.allocFrameForCompaction(
+            avoid_block * FramesPerBlock + rng.below(FramesPerBlock));
+        ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+        if (!got)
+            continue;
+        ASSERT_EQ(*got / FramesPerBlock, *want) << "step " << step;
+        ASSERT_TRUE(a.isAllocated(*got));
+        ASSERT_EQ(a.freeFrames(), free_before - 1);
+        small.push_back(*got);
+    }
+    EXPECT_GT(avoided_target, 100u);
+
+    for (Pfn p : small)
+        a.freeFrame(p);
+    for (Pfn p : large)
+        a.freeLargeBlock(p);
+    EXPECT_EQ(a.freeFrames(), blocks * FramesPerBlock);
+    EXPECT_EQ(a.freeLargeBlocks(), blocks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FrameAllocatorProperty,

@@ -161,6 +161,45 @@ TEST(SnapshotTest, ForkAfterCollapseSplitRecyclesTableSlots)
     sibling->finalize();
 }
 
+TEST(SnapshotTest, ReadOnlyPageTableSweepsNeverDetach)
+{
+    // A fork shares its donor's page-table arena chunks copy-on-write.
+    // Reading the tree (both THP daemons sweep every leaf per tick)
+    // must not copy a chunk; only a PTE store may.
+    auto u = bench::preparePopulated(testSpec("xsbench",
+                                              BackendKind::Mitosis));
+    mem::PhysicalMemory &pm = u->machine.physmem();
+    pt::PageTableOps &ops = u->kernel.ptOps();
+    const pt::RootSet &roots = u->proc->roots();
+    const std::uint64_t detaches = pm.tableArenaStats().detaches;
+
+    std::uint64_t leaves = 0;
+    VirtAddr first = 0;
+    ops.forEachLeaf(roots, [&](VirtAddr va, pt::PteLoc, pt::Pte pte,
+                               PageSizeKind size) {
+        if (!leaves++)
+            first = va;
+        pt::WalkResult res = ops.walk(roots, va);
+        EXPECT_TRUE(res.mapped);
+        EXPECT_EQ(res.leaf.pfn(), pte.pfn());
+        EXPECT_EQ(res.size, size);
+    });
+    std::uint64_t ranged = 0;
+    ops.forRange(roots, 0, VirtAddr{1} << 48,
+                 [&](VirtAddr, pt::PteLoc, pt::Pte, PageSizeKind) {
+                     ++ranged;
+                 });
+    ASSERT_GT(leaves, 0u);
+    EXPECT_EQ(ranged, leaves);
+    EXPECT_NE(ops.tableFor(roots, first, 1), InvalidPfn);
+    EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+
+    // The chunks really were shared: the first store detaches one.
+    u->kernel.mprotect(*u->proc, first, PageSize, os::ProtRead);
+    EXPECT_GT(pm.tableArenaStats().detaches, detaches);
+    u->finalize();
+}
+
 TEST(SnapshotTest, FinalizeIsIdempotentAndDtorSafe)
 {
     auto spec = testSpec("gups", BackendKind::Native);

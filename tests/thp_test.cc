@@ -10,8 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
+#include <vector>
+
 #include "src/analysis/pt_dump.h"
 #include "src/base/logging.h"
+#include "src/check/vmcheck.h"
 #include "src/core/lazy_backend.h"
 #include "src/core/mitosis.h"
 #include "src/os/exec_context.h"
@@ -541,6 +546,165 @@ TEST(ThpMitosis, CollapseAndSplitKeepEveryReplicaCoherent)
         EXPECT_EQ(pm.socketOf(l2.pfn()), s) << s;
     }
     f.kernel.destroyProcess(f.proc);
+}
+
+/**
+ * kcompactd's data-move path: nearly-free blocks holding the mapped
+ * 4 KB frames of two processes, compacted over three ticks that are
+ * interleaved with munmap/mprotect. After each tick every surviving
+ * page keeps its VA and flags in every replica tree, frames are
+ * conserved, every candidate block made only of such frames was
+ * drained, and the tick's reverse map was built (and, in Debug
+ * builds, cross-checked against a full rebuild).
+ */
+void
+compactMixedOwners(Fixture::Backend kind)
+{
+    thp::ThpConfig cfg;
+    cfg.kcompactd = true;
+    Fixture f(kind, cfg);
+    auto &pm = f.machine.physmem();
+    auto &ops = f.kernel.ptOps();
+    Process &other = f.kernel.createProcess("thp2", 0);
+    if (kind == Fixture::Backend::Mitosis) {
+        f.mitosis.setReplicationMask(other.roots(), other.id(),
+                                     SocketMask::all(2));
+    }
+    Process *const owners[2] = {&f.proc, &other};
+    const obs::Counter &builds =
+        f.machine.metrics().counter("thp_compaction_rmap_builds");
+    const obs::Counter &entries =
+        f.machine.metrics().counter("thp_compaction_rmap_entries");
+    check::Checker checker(f.kernel, check::CheckConfig{});
+
+    constexpr std::uint64_t Pages = 1024; // per owner, per round
+    constexpr std::uint64_t Chunk = 8;    // pages per mmap
+    constexpr std::uint64_t Stride = 32;  // one survivor per stride
+    constexpr std::uint64_t NoAd = ~(pt::PtePfnMask | pt::PteAdMask);
+
+    struct Page
+    {
+        Process *owner;
+        VirtAddr va;
+    };
+    std::vector<Page> kept;
+    std::uint64_t checks = 0;
+
+    for (unsigned round = 0; round < 3; ++round) {
+        // Alternate the owners chunk by chunk so every data block
+        // holds frames of both, then thin to one page per stride:
+        // nearly-free blocks are kcompactd's candidates.
+        const VirtAddr base = Base + round * 4 * LargePageSize;
+        for (std::uint64_t i = 0; i < Pages; i += Chunk) {
+            for (Process *p : owners) {
+                f.kernel.mmapFixed(*p, base + i * PageSize,
+                                   Chunk * PageSize,
+                                   MmapOptions{.populate = true});
+            }
+        }
+        for (Process *p : owners) {
+            for (std::uint64_t i = 0; i < Pages; i += Stride) {
+                f.kernel.munmap(*p, base + (i + 1) * PageSize,
+                                (Stride - 1) * PageSize);
+                if ((i / Stride) % 2)
+                    f.kernel.mprotect(*p, base + i * PageSize, PageSize,
+                                      ProtRead);
+                kept.push_back({p, base + i * PageSize});
+            }
+        }
+        // Earlier survivors have moved: unmap some, re-protect others.
+        if (round > 0) {
+            for (int n = 0; n < 4; ++n) {
+                f.kernel.munmap(*kept.front().owner, kept.front().va,
+                                PageSize);
+                kept.erase(kept.begin());
+            }
+            f.kernel.mprotect(*kept[1].owner, kept[1].va, PageSize,
+                              ProtRead | ProtWrite);
+        }
+
+        std::vector<pt::Pte> before;
+        std::set<Pfn> mapped;
+        for (const Page &pg : kept) {
+            pt::WalkResult res = ops.walk(pg.owner->roots(), pg.va);
+            ASSERT_TRUE(res.mapped);
+            before.push_back(res.leaf);
+            mapped.insert(res.leaf.pfn());
+        }
+        // Candidate blocks that only pins and our pages occupy: the
+        // tick must drain every one of them.
+        std::vector<std::pair<SocketId, std::uint64_t>> drainable;
+        for (SocketId s = 0; s < 2; ++s) {
+            const mem::FrameAllocator &alloc = pm.allocator(s);
+            for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
+                std::uint32_t used = alloc.blockUsedCount(b);
+                if (used == 0 || used > cfg.compactMaxUsed)
+                    continue;
+                bool ours = true;
+                alloc.forEachAllocatedInBlock(b, [&](Pfn p) {
+                    ours = ours && (pm.isFragPinned(p) || mapped.count(p));
+                });
+                if (ours)
+                    drainable.emplace_back(s, b);
+            }
+        }
+        ASSERT_FALSE(drainable.empty()) << round;
+        const std::uint64_t free_before = pm.freeFrames(0) +
+                                          pm.freeFrames(1);
+
+        f.kernel.thpTick();
+
+        EXPECT_EQ(checker.runAll("kcompactd data moves"), 0u) << round;
+        EXPECT_EQ(pm.freeFrames(0) + pm.freeFrames(1), free_before)
+            << round;
+        for (const auto &[s, b] : drainable)
+            EXPECT_EQ(pm.allocator(s).blockUsedCount(b), 0u)
+                << "round " << round << " socket " << s << " block " << b;
+        bool moved[2] = {false, false};
+        for (std::size_t i = 0; i < kept.size(); ++i) {
+            const Page &pg = kept[i];
+            pt::WalkResult res = ops.walk(pg.owner->roots(), pg.va);
+            ASSERT_TRUE(res.mapped) << round << " " << i;
+            ASSERT_EQ(res.size, PageSizeKind::Base4K);
+            EXPECT_EQ(res.leaf.raw() & ~pt::PtePfnMask,
+                      before[i].raw() & ~pt::PtePfnMask)
+                << round << " " << i;
+            const mem::PageMeta &m = pm.meta(res.leaf.pfn());
+            EXPECT_EQ(m.type, mem::FrameType::Data);
+            EXPECT_EQ(m.owner, pg.owner->id());
+            for (SocketId s = 0; s < 2; ++s) {
+                PageSizeKind size = PageSizeKind::Large2M;
+                pt::Pte leaf = walkReplica(
+                    pm, pg.owner->roots().rootFor(s), pg.va, &size);
+                EXPECT_EQ(size, PageSizeKind::Base4K);
+                EXPECT_EQ(leaf.pfn(), res.leaf.pfn()) << s;
+                EXPECT_EQ(leaf.raw() & NoAd, res.leaf.raw() & NoAd) << s;
+            }
+            if (res.leaf.pfn() != before[i].pfn())
+                moved[pg.owner == &other] = true;
+        }
+        EXPECT_TRUE(moved[0] && moved[1]) << round;
+        EXPECT_GT(builds.value, 0u);
+        EXPECT_GT(entries.value, 0u);
+#ifdef NDEBUG
+        EXPECT_EQ(f.kernel.thp().rmapCrossChecks(), checks); // stays 0
+#else
+        EXPECT_GT(f.kernel.thp().rmapCrossChecks(), checks) << round;
+#endif
+        checks = f.kernel.thp().rmapCrossChecks();
+    }
+    f.kernel.destroyProcess(other);
+    f.kernel.destroyProcess(f.proc);
+}
+
+TEST(ThpCompaction, MovesDataOfTwoOwnersNative)
+{
+    compactMixedOwners(Fixture::Backend::Native);
+}
+
+TEST(ThpCompaction, MovesDataOfTwoOwnersMitosis)
+{
+    compactMixedOwners(Fixture::Backend::Mitosis);
 }
 
 TEST(ThpLazy, CollapseIsEagerAndSplitDrainsAtFaultTime)
