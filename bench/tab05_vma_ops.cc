@@ -114,9 +114,10 @@ measureLarge(bool thp, LargeBackend kind)
                     &protect_cost);
     pvops::KernelCost unmap_cost;
     kernel.munmap(proc, r.start, r.length, &unmap_cost);
-    kernel.finalizeProcess(proc);
 
     driver::JobResult result;
+    recordCheckStats(kernel, result);
+    kernel.finalizeProcess(proc);
     result.value("mmap_cycles", static_cast<double>(mmap_cost.cycles));
     result.value("mprotect_cycles",
                  static_cast<double>(protect_cost.cycles));
@@ -166,9 +167,10 @@ measure(bool replicated, std::uint64_t region_bytes)
         kernel.munmap(proc, r.start, r.length, &unmap_cost);
         munmap_cycles += unmap_cost.cycles;
     }
-    kernel.finalizeProcess(proc);
 
     driver::JobResult result;
+    recordCheckStats(kernel, result);
+    kernel.finalizeProcess(proc);
     result.value("mmap_cycles",
                  static_cast<double>(mmap_cycles / Iterations));
     result.value("mprotect_cycles",

@@ -21,7 +21,7 @@ LazyMitosisBackend::propagateToReplica(Pfn replica, unsigned index,
 {
     // Installs are deferred as messages; changes to a present entry
     // must stay eager (see header).
-    pt::Pte existing{mem.table(replica)[index]};
+    pt::Pte existing{mem.tableView(replica)[index]};
     if (!existing.present() && value.present()) {
         auto &q = queues[static_cast<std::size_t>(mem.socketOf(replica))];
         q.push_back(Update{replica, index, value, level});
@@ -44,18 +44,18 @@ LazyMitosisBackend::setPte(pt::RootSet &roots, pt::PteLoc loc,
                            pvops::KernelCost *cost)
 {
     // Unreplicated pages: nothing to defer.
-    if (mem.meta(loc.ptPfn).replicaNext == loc.ptPfn) {
+    if (nextReplica(loc.ptPfn) == loc.ptPfn) {
         MitosisBackend::setPte(roots, loc, value, level, cost);
         return;
     }
 
     writePrimaryEntry(loc, value, level, cost);
 
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    Pfn p = nextReplica(loc.ptPfn);
     while (p != loc.ptPfn) {
         propagateToReplica(p, loc.index, value, level,
                            /*charge_hop=*/true, cost);
-        p = mem.meta(p).replicaNext;
+        p = nextReplica(p);
     }
 }
 
@@ -64,7 +64,7 @@ LazyMitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
                             const pt::Pte *values, unsigned count,
                             int level, pvops::KernelCost *cost)
 {
-    if (mem.meta(loc.ptPfn).replicaNext == loc.ptPfn) {
+    if (nextReplica(loc.ptPfn) == loc.ptPfn) {
         MitosisBackend::setPtes(roots, loc, values, count, level, cost);
         return;
     }
@@ -74,7 +74,7 @@ LazyMitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
         writePrimaryEntry(pt::PteLoc{loc.ptPfn, loc.index + k}, values[k],
                           level, cost);
 
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    Pfn p = nextReplica(loc.ptPfn);
     while (p != loc.ptPfn) {
         if (batched && cost) {
             cost->charge(pvops::ReplicaHopCost);
@@ -83,7 +83,7 @@ LazyMitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
         for (unsigned k = 0; k < count; ++k)
             propagateToReplica(p, loc.index + k, values[k], level,
                                /*charge_hop=*/!batched, cost);
-        p = mem.meta(p).replicaNext;
+        p = nextReplica(p);
     }
 }
 

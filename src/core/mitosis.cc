@@ -1,5 +1,6 @@
 #include "mitosis.h"
 
+#include <utility>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -209,7 +210,7 @@ MitosisBackend::localizedValue(Pfn table, pt::Pte value, int level) const
     // must never leave its socket when a local child exists).
     bool non_leaf = value.present() && level > 1 &&
                     !(level == 2 && value.huge());
-    if (non_leaf && mem.meta(value.pfn()).isPageTable()) {
+    if (non_leaf && std::as_const(mem).meta(value.pfn()).isPageTable()) {
         Pfn local_child =
             mem.replicaOnSocket(value.pfn(), mem.socketOf(table));
         if (local_child != InvalidPfn)
@@ -241,11 +242,11 @@ MitosisBackend::setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value,
     writePrimaryEntry(loc, value, level, cost);
 
     // Eager propagation along the circular list (Figure 8).
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    Pfn p = nextReplica(loc.ptPfn);
     while (p != loc.ptPfn) {
         chargeLocate(cost);
         writeReplicaEntry(p, loc.index, value, level, cost);
-        p = mem.meta(p).replicaNext;
+        p = nextReplica(p);
     }
 }
 
@@ -271,7 +272,7 @@ MitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
     // streamed. Under the default modes the locate is still charged per
     // entry (metric parity with the per-entry path); Batched charges it
     // once per (replica, table) — the range-op amortization.
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    Pfn p = nextReplica(loc.ptPfn);
     while (p != loc.ptPfn) {
         if (cost) {
             unsigned locates = batched ? 1 : count;
@@ -292,7 +293,7 @@ MitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
         stats_.eagerUpdates += count;
         stats_.replicaRefsOnUpdate += count;
         bump(mEagerUpdates, count);
-        p = mem.meta(p).replicaNext;
+        p = nextReplica(p);
     }
 }
 
@@ -325,20 +326,20 @@ MitosisBackend::readPte(const pt::RootSet &roots, pt::PteLoc loc,
     if (cost)
         cost->charge(IndirectionCost + pvops::PteReadCost);
 
-    std::uint64_t raw = mem.table(loc.ptPfn)[loc.index];
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    std::uint64_t raw = mem.tableView(loc.ptPfn)[loc.index];
+    Pfn p = nextReplica(loc.ptPfn);
     if (p != loc.ptPfn) {
         // OR the hardware-written bits across every replica (§5.4).
         auto *self = const_cast<MitosisBackend *>(this);
         ++self->stats_.adMergedReads;
         while (p != loc.ptPfn) {
-            raw |= mem.table(p)[loc.index] & pt::PteAdMask;
+            raw |= mem.tableView(p)[loc.index] & pt::PteAdMask;
             // The ring pointer shares the struct-page line with other
             // metadata the read path already touched; charge only the
             // PTE load itself.
             if (cost)
                 cost->charge(pvops::PteReadCost);
-            p = mem.meta(p).replicaNext;
+            p = nextReplica(p);
         }
     }
     return pt::Pte{raw};
@@ -354,16 +355,16 @@ MitosisBackend::readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
     if (cost)
         cost->charge((IndirectionCost + pvops::PteReadCost) * n);
 
-    std::uint64_t raw = mem.table(loc.ptPfn)[loc.index];
-    Pfn p = mem.meta(loc.ptPfn).replicaNext;
+    std::uint64_t raw = mem.tableView(loc.ptPfn)[loc.index];
+    Pfn p = nextReplica(loc.ptPfn);
     if (p != loc.ptPfn) {
         auto *self = const_cast<MitosisBackend *>(this);
         self->stats_.adMergedReads += n;
         while (p != loc.ptPfn) {
-            raw |= mem.table(p)[loc.index] & pt::PteAdMask;
+            raw |= mem.tableView(p)[loc.index] & pt::PteAdMask;
             if (cost)
                 cost->charge(pvops::PteReadCost * n);
-            p = mem.meta(p).replicaNext;
+            p = nextReplica(p);
         }
     }
     return pt::Pte{raw};
@@ -383,7 +384,7 @@ MitosisBackend::clearAccessedDirty(pt::RootSet &roots, pt::PteLoc loc,
             cost->charge(pvops::PteWriteCost);
             ++cost->pteWrites;
         }
-        p = mem.meta(p).replicaNext;
+        p = nextReplica(p);
     } while (p != loc.ptPfn);
 }
 
@@ -422,7 +423,7 @@ MitosisBackend::replicateSubtree(Pfn src, int level, SocketId target,
         }
     }
 
-    const std::uint64_t *src_tbl = mem.table(src);
+    const std::uint64_t *src_tbl = mem.tableView(src);
     std::uint64_t *dst_tbl = mem.table(dst);
     for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
         pt::Pte entry{src_tbl[i]};
@@ -533,7 +534,7 @@ MitosisBackend::collectReplicasOn(pt::RootSet &roots, SocketId socket,
             out.push_back(replica);
         if (f.level == 1)
             continue;
-        const std::uint64_t *tbl = mem.table(f.table);
+        const std::uint64_t *tbl = mem.tableView(f.table);
         for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
             pt::Pte entry{tbl[i]};
             if (entry.present() && !(f.level == 2 && entry.huge()))
@@ -604,7 +605,7 @@ MitosisBackend::migratePageTables(pt::RootSet &roots, ProcId owner,
             Frame f = stack.back();
             stack.pop_back();
             if (f.level > 1) {
-                const std::uint64_t *tbl = mem.table(f.table);
+                const std::uint64_t *tbl = mem.tableView(f.table);
                 for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
                     pt::Pte entry{tbl[i]};
                     if (entry.present() &&

@@ -26,6 +26,7 @@
 #define MITOSIM_CORE_MITOSIS_H
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/base/socket_mask.h"
@@ -260,6 +261,17 @@ class MitosisBackend : public pvops::PvOps
     /** Write @p value into replica page @p replica, fixing child links. */
     void writeReplicaEntry(Pfn replica, unsigned index, pt::Pte value,
                            int level, pvops::KernelCost *cost);
+
+    /**
+     * Next page in @p pfn's replica ring. A read, so through the const
+     * meta(): on a snapshot fork the mutable one would copy a shared
+     * metadata chunk.
+     */
+    Pfn
+    nextReplica(Pfn pfn) const
+    {
+        return std::as_const(mem).meta(pfn).replicaNext;
+    }
 
     /** Charge the per-replica locate cost for the configured mode. */
     void chargeLocate(pvops::KernelCost *cost) const;

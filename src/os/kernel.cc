@@ -1,6 +1,7 @@
 #include "kernel.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "src/base/logging.h"
 #include "src/pvops/costs.h"
@@ -30,6 +31,9 @@ Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend,
     ops.attachDescentCounters(
         &mr.counter("kernel_pt_descents", {{"path", "cursor"}}),
         &mr.counter("kernel_pt_descents", {{"path", "full"}}));
+    mPopulateStream =
+        &mr.counter("kernel_populate_pages", {{"path", "stream"}});
+    mPopulateFault = &mr.counter("kernel_populate_pages", {{"path", "fault"}});
 
     sched.attachBackend(backend);
     mach.setFaultHandler(
@@ -227,54 +231,62 @@ void
 Kernel::populateVmaRange(Process &proc, const Vma &vma, VirtAddr start,
                          VirtAddr end, CoreId core, KernelCost &cost)
 {
-    if (vma.thpEnabled) {
-        // THP ranges keep the per-page fault path: each page decides
-        // between a 2 MB and a 4 KB mapping against the current
-        // fragmentation state, exactly like the demand-fault handler
-        // (one faultIn per 2 MB in the common case).
-        VirtAddr va = start;
-        while (va < end) {
-            pt::WalkResult existing = ops.walk(proc.roots(), va);
-            PageSizeKind size = existing.size;
-            if (!existing.mapped) {
-                if (!faultIn(proc, core, va, cost, &size))
-                    fatal("populate: out of memory at va=0x%llx",
-                          (unsigned long long)va);
-            }
-            va += (size == PageSizeKind::Large2M)
-                      ? LargePageSize - (va & (LargePageSize - 1))
-                      : PageSize;
-        }
-        return;
-    }
-
-    // 4 KB ranges go through the leaf-table cursor: one descent per
+    // 4 KB pages go through the leaf-table cursor: one descent per
     // table instead of three per page, with the mapping streamed
-    // through the backend's batched hook.
+    // through the backend's batched hook. The fill reproduces faultIn's
+    // 4 KB branch (charges, data frame before missing tables, counters).
     SocketId faulting_socket = mach.topology().socketOfCore(core);
     auto &physmem = mach.physmem();
     std::uint64_t flags = pt::PteUser;
     if (vma.prot & ProtWrite)
         flags |= pt::PteWrite;
+    const std::function<pt::Pte(VirtAddr)> fill = [&](VirtAddr va) {
+        cost.charge(pvops::FaultFixedCost);
+        SocketId target = chooseDataSocket(proc, va, faulting_socket, false);
+        auto pfn = physmem.allocData(target, proc.id());
+        if (!pfn)
+            pfn = physmem.allocDataAny(target, proc.id());
+        if (!pfn)
+            fatal("populate: out of memory at va=0x%llx",
+                  (unsigned long long)va);
+        cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
+        ++proc.residentPages;
+        return pt::Pte::make(*pfn, flags | pt::PtePresent);
+    };
+    auto stream = [&](VirtAddr from, VirtAddr to) {
+        mPopulateStream->inc(ops.mapRange4K(proc.roots(), proc.id(), from,
+                                            to, proc.ptPolicy,
+                                            faulting_socket, fill, &cost));
+    };
 
-    ops.mapRange4K(
-        proc.roots(), proc.id(), start, end, proc.ptPolicy,
-        faulting_socket,
-        [&](VirtAddr va) {
-            cost.charge(pvops::FaultFixedCost);
-            SocketId target =
-                chooseDataSocket(proc, va, faulting_socket, false);
-            auto pfn = physmem.allocData(target, proc.id());
-            if (!pfn)
-                pfn = physmem.allocDataAny(target, proc.id());
-            if (!pfn)
+    if (!vma.thpEnabled) {
+        stream(start, end);
+        return;
+    }
+
+    // THP ranges decide once per 2 MB chunk. A chunk that can take a
+    // huge page (hugeFits: nothing in it is mapped yet) faults its
+    // first page in, exactly as the per-page fault path would. If that
+    // installs 2 MB the chunk is done. Otherwise the attempt failed
+    // (fragmentation) and the head took a 4 KB page; every later page
+    // of the chunk would then take faultIn's 4 KB branch, which is what
+    // the stream reproduces. Chunks that cannot take a huge page at all
+    // stream whole.
+    for (VirtAddr va = start; va < end;) {
+        VirtAddr chunk_end =
+            std::min(end, alignDown(va, LargePageSize) + LargePageSize);
+        if (hugeFits(proc, vma, va)) {
+            PageSizeKind size;
+            if (!faultIn(proc, core, va, cost, &size))
                 fatal("populate: out of memory at va=0x%llx",
                       (unsigned long long)va);
-            cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
-            ++proc.residentPages;
-            return pt::Pte::make(*pfn, flags | pt::PtePresent);
-        },
-        &cost);
+            mPopulateFault->inc();
+            va = size == PageSizeKind::Large2M ? chunk_end : va + PageSize;
+        }
+        if (va < chunk_end)
+            stream(va, chunk_end);
+        va = chunk_end;
+    }
 }
 
 void
@@ -690,6 +702,27 @@ Kernel::chooseDataSocket(Process &proc, VirtAddr va,
 }
 
 bool
+Kernel::hugeFits(const Process &proc, const Vma &vma, VirtAddr va) const
+{
+    // The aligned block must lie inside a THP-eligible VMA, and Linux's
+    // pmd_none rule applies: the L2 slot must be *vacant* — a range
+    // already holding 4 KB mappings is promoted by khugepaged's
+    // collapse, never by the fault handler, which would otherwise
+    // orphan the live leaf table (and its data frames) and leave stale
+    // PWC entries pointing into it. The probe is uncharged, so it runs
+    // only where its answer is used.
+    VirtAddr huge_base = alignDown(va, LargePageSize);
+    if (!vma.thpEnabled || huge_base < vma.start ||
+        huge_base + LargePageSize > vma.end)
+        return false;
+    Pfn dir = ops.tableFor(proc.roots(), huge_base, 2);
+    return dir == InvalidPfn ||
+           !pt::Pte{mach.physmem().tableView(
+                        dir)[ptIndex(huge_base, PtLevel::L2)]}
+                .present();
+}
+
+bool
 Kernel::faultIn(Process &proc, CoreId core, VirtAddr va, KernelCost &cost,
                 PageSizeKind *mapped_size)
 {
@@ -708,26 +741,10 @@ Kernel::faultIn(Process &proc, CoreId core, VirtAddr va, KernelCost &cost,
     if (vma->prot & ProtWrite)
         flags |= pt::PteWrite;
 
-    // THP path: map a whole 2 MB page when the aligned block fits the VMA
-    // and a contiguous run is available (falls back under fragmentation,
-    // the Figure 11 effect). Linux's pmd_none rule applies: the L2 slot
-    // must be *vacant* — a range already holding 4 KB mappings is
-    // promoted by khugepaged's collapse, never by the fault handler,
-    // which would otherwise orphan the live leaf table (and its data
-    // frames) and leave stale PWC entries pointing into it.
-    // The probe is uncharged, so it runs only where its answer is used.
+    // THP path: map a whole 2 MB page when one fits (falls back under
+    // fragmentation, the Figure 11 effect).
     VirtAddr huge_base = alignDown(va, LargePageSize);
-    bool huge_fits = vma->thpEnabled && huge_base >= vma->start &&
-                     huge_base + LargePageSize <= vma->end;
-    if (huge_fits) {
-        if (Pfn dir = ops.tableFor(proc.roots(), huge_base, 2);
-            dir != InvalidPfn) {
-            pt::Pte slot{
-                physmem.tableView(dir)[ptIndex(huge_base, PtLevel::L2)]};
-            huge_fits = !slot.present();
-        }
-    }
-    if (huge_fits) {
+    if (hugeFits(proc, *vma, va)) {
         SocketId target = chooseDataSocket(proc, huge_base,
                                            faulting_socket, true);
         if (auto head = physmem.allocDataLarge(target, proc.id())) {

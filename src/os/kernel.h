@@ -341,7 +341,21 @@ class Kernel
                  pvops::KernelCost &cost,
                  PageSizeKind *mapped_size = nullptr);
 
-    /** Populate one VMA-covered subrange of a populate() request. */
+    /**
+     * Can a fault at @p va install a 2 MB page? The aligned block must
+     * lie inside the THP-eligible @p vma and its L2 slot must be vacant
+     * (pmd_none), so nothing in the block is mapped yet. Uncharged.
+     */
+    bool hugeFits(const Process &proc, const Vma &vma, VirtAddr va) const;
+
+    /**
+     * Populate one VMA-covered subrange of a populate() request. 4 KB
+     * pages stream through PageTableOps::mapRange4K; in a THP-eligible
+     * VMA each 2 MB chunk that hugeFits() first faults its head page in
+     * (one faultIn per 2 MB when huge pages are available) and streams
+     * the rest only if that fell back to 4 KB. Charges, allocation
+     * order and counters equal one faultIn per page.
+     */
     void populateVmaRange(Process &proc, const Vma &vma, VirtAddr start,
                           VirtAddr end, CoreId core,
                           pvops::KernelCost &cost);
@@ -404,6 +418,8 @@ class Kernel
     obs::Counter *mFaultProtection = nullptr;
     obs::Histogram *mFaultCycles = nullptr;
     obs::Counter *mShootdowns = nullptr;
+    obs::Counter *mPopulateStream = nullptr; //!< leaves via mapRange4K
+    obs::Counter *mPopulateFault = nullptr;  //!< leaves via faultIn
     /// @}
 
     std::vector<std::unique_ptr<Process>> procs;

@@ -74,7 +74,7 @@ NativeBackend::readPte(const pt::RootSet &roots, pt::PteLoc loc,
     (void)roots;
     if (cost)
         cost->charge(PteReadCost);
-    return pt::Pte{mem.table(loc.ptPfn)[loc.index]};
+    return pt::Pte{mem.tableView(loc.ptPfn)[loc.index]};
 }
 
 pt::Pte
@@ -84,7 +84,7 @@ NativeBackend::readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
     (void)roots;
     if (cost)
         cost->charge(PteReadCost * n);
-    return pt::Pte{mem.table(loc.ptPfn)[loc.index]};
+    return pt::Pte{mem.tableView(loc.ptPfn)[loc.index]};
 }
 
 void

@@ -169,6 +169,10 @@ class RefExecutor
         p.protectVmaRange(start, end, prot);
     }
 
+    /// 2 MB fault attempts that mapped a huge page / fell back to 4 KB.
+    std::uint64_t hugeMapped = 0;
+    std::uint64_t hugeFellBack = 0;
+
   private:
     /** The seed kernel's faultIn, via public APIs. */
     bool
@@ -205,11 +209,13 @@ class RefExecutor
                 if (k.ptOps().map2M(p.roots(), p.id(), huge_base, *head,
                                     flags, p.ptPolicy, fs, &cost)) {
                     p.residentPages += FramesPerLargePage;
+                    ++hugeMapped;
                     return true;
                 }
                 pm.freeDataLarge(*head);
                 return false;
             }
+            ++hugeFellBack;
         }
 
         SocketId target = chooseDataSocket(va, fs, false);
@@ -338,15 +344,28 @@ expectSidesEq(Side &range, Side &ref, const std::string &what)
 /**
  * Random VMA layouts + operation sequences; after every operation both
  * sides must agree on cost, and at checkpoints on the whole state.
+ *
+ * A nonzero @p frag fragments every socket of both machines the same
+ * way first, so some 2 MB fault attempts fail and fall back to 4 KB
+ * (populate's head-page fallback then streams the rest of the chunk).
+ * It also adds a second THP region and gives both unaligned bounds.
  */
 void
 runProperty(BackendKind kind, DataPolicy data_policy,
-            pt::PtPlacement pt_placement, std::uint64_t seed)
+            pt::PtPlacement pt_placement, std::uint64_t seed,
+            double frag = 0.0)
 {
     Side range(kind, data_policy, pt_placement);
     Side ref(kind, data_policy, pt_placement);
     RefExecutor refx(ref.kernel, ref.proc);
     Rng rng(seed);
+    if (frag > 0.0) {
+        for (Side *side : {&range, &ref}) {
+            Rng frag_rng(seed);
+            for (SocketId s = 0; s < side->machine.numSockets(); ++s)
+                side->machine.physmem().fragment(s, frag, frag_rng);
+        }
+    }
 
     // Layout: a handful of regions at fixed slots, mixed THP.
     struct Region
@@ -361,9 +380,13 @@ runProperty(BackendKind kind, DataPolicy data_policy,
         Region r;
         r.start = 0x10000000000ull +
                   static_cast<VirtAddr>(i) * (64ull << 20);
-        r.thp = (i == 3); // one THP region
+        r.thp = (i == 3) || (frag > 0.0 && i == 2);
         r.pages = r.thp ? 3 * FramesPerLargePage
                         : 1 + rng.below(96);
+        if (frag > 0.0 && r.thp) {
+            r.start += (1 + rng.below(FramesPerLargePage - 1)) * PageSize;
+            r.pages += rng.below(FramesPerLargePage);
+        }
         regions.push_back(r);
     }
 
@@ -455,6 +478,12 @@ runProperty(BackendKind kind, DataPolicy data_policy,
     }
     expectCostEq(ca, cb, "teardown");
     expectSidesEq(range, ref, "after teardown");
+    if (frag > 0.0) {
+        // Both outcomes of a 2 MB attempt occurred, or the variant
+        // degenerated into one of the unfragmented ones.
+        EXPECT_GT(refx.hugeMapped, 0u);
+        EXPECT_GT(refx.hugeFellBack, 0u);
+    }
 
     range.kernel.destroyProcess(range.proc);
     ref.kernel.destroyProcess(ref.proc);
@@ -489,6 +518,17 @@ TEST(RangeOpsProperty, MitosisMoreSeeds)
     for (std::uint64_t seed = 10; seed < 13; ++seed) {
         runProperty(BackendKind::Mitosis, DataPolicy::FirstTouch,
                     pt::PtPlacement::FirstTouch, seed);
+        if (::testing::Test::HasFailure())
+            return;
+    }
+}
+
+TEST(RangeOpsProperty, MitosisInterleaveFragmented)
+{
+    for (std::uint64_t seed = 30; seed < 34; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        runProperty(BackendKind::Mitosis, DataPolicy::Interleave,
+                    pt::PtPlacement::Interleave, seed, 0.95);
         if (::testing::Test::HasFailure())
             return;
     }

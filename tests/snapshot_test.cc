@@ -200,6 +200,53 @@ TEST(SnapshotTest, ReadOnlyPageTableSweepsNeverDetach)
     u->finalize();
 }
 
+TEST(SnapshotTest, BackendPteReadsNeverDetach)
+{
+    // The backends' PTE reads must leave a fork's shared page-table
+    // arena chunks shared too. The Mitosis fork is taken from a
+    // replicated universe, so its reads cross the replica rings, and
+    // dropping the replicas sweeps the (read-only) primary tree.
+    for (BackendKind backend :
+         {BackendKind::Native, BackendKind::Mitosis}) {
+        SCOPED_TRACE(backend == BackendKind::Native ? "native" : "mitosis");
+        bench::PopulateSpec spec = testSpec("xsbench", backend);
+        auto donor = bench::preparePopulated(spec);
+        if (backend == BackendKind::Mitosis) {
+            ASSERT_TRUE(donor->mitosis().setReplicationMask(
+                donor->proc->roots(), donor->proc->id(),
+                SocketMask::all(donor->machine.numSockets())));
+            donor->kernel.reloadContexts(*donor->proc);
+        }
+        auto u = donor->fork(spec.kernelCfg);
+        mem::PhysicalMemory &pm = u->machine.physmem();
+        pvops::PvOps &pv = u->kernel.backend();
+        pt::RootSet &roots = u->proc->roots();
+        const std::uint64_t detaches = pm.tableArenaStats().detaches;
+
+        std::vector<pt::PteLoc> locs;
+        u->kernel.ptOps().forEachLeaf(
+            roots, [&](VirtAddr, pt::PteLoc loc, pt::Pte, PageSizeKind) {
+                if (locs.size() < 64)
+                    locs.push_back(loc);
+            });
+        ASSERT_EQ(locs.size(), 64u);
+        pvops::KernelCost cost;
+        for (const pt::PteLoc &loc : locs) {
+            EXPECT_TRUE(pv.readPte(roots, loc, &cost).present());
+            EXPECT_TRUE(pv.readPteMany(roots, loc, 3, &cost).present());
+        }
+        EXPECT_GT(cost.cycles, 0u);
+        if (backend == BackendKind::Mitosis) {
+            ASSERT_TRUE(u->mitosis().setReplicationMask(
+                roots, u->proc->id(), SocketMask::none()));
+            u->kernel.reloadContexts(*u->proc);
+        }
+        EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+        u->finalize();
+        donor->finalize();
+    }
+}
+
 TEST(SnapshotTest, FinalizeIsIdempotentAndDtorSafe)
 {
     auto spec = testSpec("gups", BackendKind::Native);
