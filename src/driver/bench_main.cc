@@ -9,7 +9,6 @@
 
 #include "src/base/logging.h"
 #include "src/driver/runner.h"
-#include "src/sim/sharded.h"
 
 namespace mitosim::driver
 {
@@ -33,10 +32,6 @@ printUsage(std::FILE *to, const char *prog)
         "                    table\n"
         "  --jobs=N          worker threads (default: $MITOSIM_JOBS,\n"
         "                    else hardware concurrency)\n"
-        "  --sim-threads=N   host threads sharding each job's\n"
-        "                    simulation (default:\n"
-        "                    $MITOSIM_SIM_THREADS, else 1 = serial);\n"
-        "                    results are byte-identical at any value\n"
         "  --help            this message\n"
         "\n"
         "Jobs are independent config points (each simulates a private\n"
@@ -139,16 +134,6 @@ parseBenchArgs(int argc, char *const *argv, std::string &error)
                 return std::nullopt;
             }
             opts.jobs = static_cast<unsigned>(n);
-        } else if (!std::strncmp(arg, "--sim-threads=", 14)) {
-            char *end = nullptr;
-            long n = std::strtol(arg + 14, &end, 10);
-            if (!end || *end != '\0' || n <= 0) {
-                error = format("--sim-threads wants a positive "
-                               "integer, got '%s'",
-                               arg + 14);
-                return std::nullopt;
-            }
-            opts.simThreads = static_cast<unsigned>(n);
         } else {
             error = format("unknown option '%s'", arg);
             return std::nullopt;
@@ -172,15 +157,6 @@ benchMain(int argc, char **argv, const BenchSpec &spec)
         printUsage(stdout, prog);
         return 0;
     }
-
-    unsigned sim_threads = opts->simThreads;
-    if (!sim_threads) {
-        if (const char *env = std::getenv("MITOSIM_SIM_THREADS"))
-            if (long n = std::strtol(env, nullptr, 10); n > 0)
-                sim_threads = static_cast<unsigned>(n);
-    }
-    if (sim_threads)
-        sim::setSimThreads(static_cast<int>(sim_threads));
 
     setInformEnabled(false);
     try {

@@ -62,13 +62,6 @@ struct BenchOptions
     bool list = false;
     std::string filter;
     unsigned jobs = 0; //!< 0 = defaultThreads()
-    /**
-     * Host threads sharding each job's simulation (sim::setSimThreads).
-     * 0 = unset: $MITOSIM_SIM_THREADS, else 1 (serial). Deliberately
-     * not recorded in the report config — results are byte-identical
-     * at any value, and CI diffs reports across values to prove it.
-     */
-    unsigned simThreads = 0;
 };
 
 /** nullopt + @p error message on a malformed command line. */

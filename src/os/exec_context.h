@@ -29,20 +29,6 @@ namespace mitosim::os
 {
 
 /**
- * One recorded workload action (sharded simulation, phase A): either a
- * memory access or a compute charge by logical thread @p tid. The
- * index of an op in the trace is the global serial order.
- */
-struct TraceOp
-{
-    VirtAddr va = 0;
-    Cycles cycles = 0; //!< compute ops: the charged amount
-    std::int32_t tid = 0;
-    bool isWrite = false;
-    bool isCompute = false;
-};
-
-/**
  * One pre-generated workload operation for the batched stepping path:
  * workloads emit short runs of these into a per-thread buffer
  * (Workload::stepBatch) and ExecContext::runBatch consumes the run in
@@ -113,12 +99,6 @@ class ExecContext
     Cycles
     access(int tid, VirtAddr va, bool is_write)
     {
-        if (trace_) {
-            // Recording (sharded phase A): log the op, touch nothing.
-            // No workload consumes the returned latency, so 0 is safe.
-            trace_->push_back(TraceOp{va, 0, tid, is_write, false});
-            return 0;
-        }
         auto &pc = counters[static_cast<std::size_t>(tid)];
         Scheduler &sched = k.scheduler();
         Cycles c;
@@ -141,10 +121,6 @@ class ExecContext
     void
     compute(int tid, Cycles c)
     {
-        if (trace_) {
-            trace_->push_back(TraceOp{0, c, tid, false, true});
-            return;
-        }
         auto &pc = counters[static_cast<std::size_t>(tid)];
         Scheduler &sched = k.scheduler();
         if (sched.timeShared()) {
@@ -161,13 +137,14 @@ class ExecContext
      * Replay @p n pre-generated ops for thread @p tid.
      *
      * Semantically identical to calling access()/compute() once per op
-     * in order — and when tracing or time-sharing it literally does
-     * that, so TraceOp recording and scheduler dispatch points stay
-     * byte-identical. In the pinned steady state it instead hoists the
-     * per-op mode checks, the counter lookup and the core lookup out
-     * of the loop: nothing hoisted can change mid-batch there (threads
-     * never migrate cores in pinned mode, and fault handlers do not
-     * flip scheduler modes), so the simulated outcome is unchanged.
+     * in order — and when time-sharing or event tracing it literally
+     * does that, so scheduler dispatch points and the tracer's event
+     * stream stay byte-identical. In the pinned steady state it
+     * instead hoists the per-op mode checks, the counter lookup and
+     * the core lookup out of the loop: nothing hoisted can change
+     * mid-batch there (threads never migrate cores in pinned mode, and
+     * fault handlers do not flip scheduler modes), so the simulated
+     * outcome is unchanged.
      *
      * Pinned runs with THP ticks active fuse too: each accessRun call
      * gets the cycles remaining until the next daemon tick as a budget
@@ -179,7 +156,7 @@ class ExecContext
     void
     runBatch(int tid, const BatchOp *ops, std::size_t n)
     {
-        if (trace_ || k.scheduler().timeShared() ||
+        if (k.scheduler().timeShared() ||
             k.machine().tracer().enabled() ||
             (thpTickPeriod != 0 && !sim::fuseEnabled())) {
             for (std::size_t i = 0; i < n; ++i) {
@@ -301,20 +278,6 @@ class ExecContext
             pc = sim::PerfCounters{};
     }
 
-    /**
-     * Route access()/compute() into @p sink instead of the machine
-     * (sharded phase A). The caller owns the vector and must call
-     * endTrace() before any real simulation resumes.
-     */
-    void beginTrace(std::vector<TraceOp> *sink) { trace_ = sink; }
-    void endTrace() { trace_ = nullptr; }
-    bool tracing() const { return trace_ != nullptr; }
-
-    /** Are THP daemon ticks tied to this context's clock? (Such runs
-     *  are ineligible for sharding: ticks mutate shared state at
-     *  cycle-dependent points.) */
-    bool thpTicksEnabled() const { return thpTickPeriod != 0; }
-
     Kernel &kernel() { return k; }
     Process &process() { return proc_; }
 
@@ -336,7 +299,6 @@ class ExecContext
     std::vector<sim::PerfCounters> counters;
     Cycles thpTickPeriod = 0; //!< 0 = no daemon ticks from this context
     Cycles thpTickCredit = 0;
-    std::vector<TraceOp> *trace_ = nullptr; //!< non-null: recording
 };
 
 } // namespace mitosim::os

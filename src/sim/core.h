@@ -339,95 +339,6 @@ class Core
     /** Host telemetry: repeats absorbed by fused runs. */
     std::uint64_t fusedOps() const { return fusedOps_; }
 
-    /**
-     * Sharded (phase B) access: the core-private half of access().
-     * Evolves this core's TLB / PWC / L1D and charges the private
-     * latency portions into @p pc; every shared-state effect (L3 and
-     * DRAM references, A/D-bit stores) is deferred into @p sink tagged
-     * with the global trace order @p seq for the serial phase C.
-     * Returns false on any fault — including a protection fault on a
-     * TLB hit — without running the handler: the segment aborts, the
-     * caller restores the saved pre-segment state and replays the
-     * trace serially with fault servicing active.
-     */
-    bool
-    accessSharded(VirtAddr va, bool is_write, PerfCounters &pc,
-                  std::vector<SharedOp> &sink, std::uint64_t seq)
-    {
-        MITOSIM_DASSERT(hasContext(), "access on a core with no CR3");
-        ++pc.accesses;
-        bool in_window = sinceSwitch_ < PostSwitchWindow;
-        ++sinceSwitch_;
-        Cycles total = 0;
-
-        auto look = tlb_.lookup(va);
-        total += look.latency;
-
-        tlb::TlbEntry entry;
-        if (look.hit) {
-            if (look.hitLevel == 1)
-                ++pc.tlbL1Hits;
-            else
-                ++pc.tlbL2Hits;
-            if (is_write && !look.entry.writable)
-                return false;
-            entry = look.entry;
-        } else {
-            ++pc.tlbMisses;
-            auto out = walker.walkSharded(coreId, cr3_, va, is_write,
-                                          pwc_, &pc, sink, seq,
-                                          in_window);
-            pc.walkCycles += out.latency;
-            if (in_window) {
-                ++pc.postSwitchTlbMisses;
-                pc.postSwitchWalkCycles += out.latency;
-            }
-            total += out.latency;
-            if (out.fault != WalkFault::None)
-                return false;
-            tlb_.insert(va, out.entry);
-            entry = out.entry;
-        }
-
-        std::uint64_t offset_mask =
-            (entry.size == PageSizeKind::Large2M) ? (LargePageSize - 1)
-                                                  : (PageSize - 1);
-        PhysAddr pa = pfnToAddr(entry.pfn) + (va & offset_mask);
-        if (hier.l1ProbeInsert(coreId, pa))
-            ++pc.l1dHits;
-        else
-            sink.push_back(SharedOp{seq, pa, coreId, SharedOp::L3Data,
-                                    in_window, 0});
-        Cycles dl = hier.config().l1dHitLatency;
-        pc.dataStallCycles += dl;
-        total += dl;
-        pc.cycles += total;
-        return true;
-    }
-
-    /** Architectural state accessSharded can change: a segment abort
-     *  restores exactly this (plus the L1D, saved by the engine). */
-    struct ShardBackup
-    {
-        tlb::TwoLevelTlb tlb;
-        tlb::PagingStructureCache pwc;
-        std::uint64_t sinceSwitch = 0;
-    };
-
-    ShardBackup
-    saveShardState() const
-    {
-        return ShardBackup{tlb_, pwc_, sinceSwitch_};
-    }
-
-    void
-    restoreShardState(ShardBackup &&b)
-    {
-        tlb_ = std::move(b.tlb);
-        pwc_ = std::move(b.pwc);
-        sinceSwitch_ = b.sinceSwitch;
-    }
-
     /** OS hook for fault servicing; validity checked here, once. */
     void setFaultHandler(FaultHandler fn, void *ctx)
     {

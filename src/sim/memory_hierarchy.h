@@ -88,11 +88,36 @@ class MemoryHierarchy
     }
 
     /**
+     * Drop all cached lines of frame @p pfn everywhere (page freed or
+     * page-table page torn down).
+     */
+    void invalidateFrame(Pfn pfn);
+
+    /**
+     * Snapshot restore: adopt every cache line (all L1Ds, all L3s) of
+     * @p src, which must model the same topology and sizing.
+     */
+    void
+    cloneStateFrom(const MemoryHierarchy &src)
+    {
+        MITOSIM_ASSERT(l1d.size() == src.l1d.size() &&
+                           l3.size() == src.l3.size(),
+                       "cloneStateFrom: hierarchy shape mismatch");
+        l1d = src.l1d;
+        l3 = src.l3;
+    }
+
+    cache::SetAssocCache &l3Of(SocketId socket);
+    cache::SetAssocCache &l1dOf(CoreId core);
+    const HierarchyConfig &config() const { return cfg; }
+    numa::Topology &topology() { return topo; }
+
+  private:
+    /**
      * The shared part of an access: everything below the private L1D
      * (local L3, remote-L3 probe, DRAM). Touches only per-socket and
-     * global state, never the per-core L1 — the sharded simulator
-     * resolves these in global order on one thread while per-core L1
-     * probes run privately. Latency excludes the L1 charge.
+     * global state, never the per-core L1. Latency excludes the L1
+     * charge.
      */
     Cycles
     accessBelowL1(CoreId core, PhysAddr pa, AccessKind kind,
@@ -145,44 +170,6 @@ class MemoryHierarchy
         return cfg.l3HitLatency + dram;
     }
 
-    /**
-     * The private part of an access: probe+fill @p core's L1D only, no
-     * counters, no latency. The sharded simulator runs this on the
-     * owning shard thread (each core's L1 is touched by exactly one
-     * thread) and defers the below-L1 resolution of misses.
-     */
-    bool
-    l1ProbeInsert(CoreId core, PhysAddr pa)
-    {
-        return l1d[static_cast<std::size_t>(core)].probeInsert(pa);
-    }
-
-    /**
-     * Drop all cached lines of frame @p pfn everywhere (page freed or
-     * page-table page torn down).
-     */
-    void invalidateFrame(Pfn pfn);
-
-    /**
-     * Snapshot restore: adopt every cache line (all L1Ds, all L3s) of
-     * @p src, which must model the same topology and sizing.
-     */
-    void
-    cloneStateFrom(const MemoryHierarchy &src)
-    {
-        MITOSIM_ASSERT(l1d.size() == src.l1d.size() &&
-                           l3.size() == src.l3.size(),
-                       "cloneStateFrom: hierarchy shape mismatch");
-        l1d = src.l1d;
-        l3 = src.l3;
-    }
-
-    cache::SetAssocCache &l3Of(SocketId socket);
-    cache::SetAssocCache &l1dOf(CoreId core);
-    const HierarchyConfig &config() const { return cfg; }
-    numa::Topology &topology() { return topo; }
-
-  private:
     numa::Topology &topo;
     HierarchyConfig cfg;
     std::vector<cache::SetAssocCache> l1d; //!< per core

@@ -14,14 +14,11 @@
 #ifndef MITOSIM_SIM_WALKER_H
 #define MITOSIM_SIM_WALKER_H
 
-#include <vector>
-
 #include "src/base/logging.h"
 #include "src/mem/physical_memory.h"
 #include "src/pt/pte.h"
 #include "src/sim/memory_hierarchy.h"
 #include "src/sim/perf_counters.h"
-#include "src/sim/sharded.h"
 #include "src/tlb/paging_structure_cache.h"
 #include "src/tlb/tlb.h"
 
@@ -147,111 +144,6 @@ class PageWalker
             }
 
             // Descend; cache the pointer we just resolved.
-            pwc.fill(cr3, va, level - 1, entry.pfn());
-            table = entry.pfn();
-            --level;
-        }
-    }
-
-    /**
-     * Sharded (phase B) walk: the identical descent to walk(), but
-     * touching only core-private state — the PWC, this core's L1D, and
-     * a *const* view of physical memory — so concurrent walks of
-     * different cores never race. @p out.latency carries the private
-     * L1 portion of every PT reference (plus nothing for A/D stores);
-     * the below-L1 resolution of L1 misses and the A/D-bit stores are
-     * appended to @p sink as deferred ops tagged @p seq / @p in_window
-     * for the serial phase C. Page-table contents are stable during a
-     * sharded segment (nothing maps, unmaps or migrates), so reading
-     * the segment-start PTE values is exact; the only PTE bits another
-     * core can set concurrently are A/D, which never change the
-     * descent. A fault outcome aborts the whole segment — the caller
-     * restores the pre-segment state and replays serially.
-     */
-    WalkOutcome
-    walkSharded(CoreId core, Pfn cr3, VirtAddr va, bool is_write,
-                tlb::PagingStructureCache &pwc, PerfCounters *pc,
-                std::vector<SharedOp> &sink, std::uint64_t seq,
-                bool in_window)
-    {
-        WalkOutcome out;
-        MITOSIM_DASSERT(cr3 != InvalidPfn, "walk with no CR3 loaded");
-        const mem::PhysicalMemory &cmem = mem;
-        const numa::Topology &topo = hier.topology();
-        const SocketId here = topo.socketOfCore(core);
-
-        auto probe = pwc.lookup(cr3, va);
-        Pfn table = probe.tablePfn;
-        int level = probe.startLevel;
-
-        while (true) {
-            unsigned idx = ptIndex(va, ptLevel(level));
-            PhysAddr pte_addr =
-                pfnToAddr(table) + idx * sizeof(std::uint64_t);
-            const int remote = topo.socketOfPfn(table) != here;
-            if (hier.l1ProbeInsert(core, pte_addr)) {
-                if (pc)
-                    ++pc->l1dHits;
-            } else {
-                // Phase C attributes the below-L1 latency using the
-                // level recorded on the deferred op.
-                sink.push_back(SharedOp{seq, pte_addr, core,
-                                        SharedOp::L3Pt, in_window, 0,
-                                        static_cast<std::uint8_t>(level)});
-            }
-            out.latency += hier.config().l1dHitLatency;
-            if (pc)
-                pc->walkCyclesAttr[level - 1][remote] +=
-                    hier.config().l1dHitLatency;
-            ++out.memRefs;
-
-            pt::Pte entry{cmem.tableView(table)[idx]};
-
-            if (!entry.present()) {
-                out.fault = entry.numaHint() ? WalkFault::NumaHint
-                                             : WalkFault::NotPresent;
-                return out;
-            }
-
-            bool is_leaf = (level == 1) || (level == 2 && entry.huge());
-
-            if (is_leaf && entry.numaHint()) {
-                out.fault = WalkFault::NumaHint;
-                return out;
-            }
-            if (is_leaf && is_write && !entry.writable()) {
-                out.fault = WalkFault::Protection;
-                return out;
-            }
-
-            std::uint64_t want = pt::PteAccessed;
-            if (is_leaf && is_write)
-                want |= pt::PteDirty;
-            // Bits already set at segment start were set at serial
-            // time too (nothing clears A/D inside a segment): the
-            // serial walk would charge nothing, so skip the op. Bits
-            // missing here may still have been set by an *earlier*
-            // access of the serial order — phase C re-checks the live
-            // slot before charging the +1 store.
-            if ((entry.raw() & want) != want) {
-                sink.push_back(
-                    SharedOp{seq, pte_addr, core, SharedOp::AdSet,
-                             in_window, static_cast<std::uint8_t>(want),
-                             static_cast<std::uint8_t>(level)});
-            }
-
-            if (is_leaf) {
-                out.entry.pfn = entry.pfn();
-                out.entry.writable = entry.writable();
-                out.entry.size = (level == 2) ? PageSizeKind::Large2M
-                                              : PageSizeKind::Base4K;
-                if (pc) {
-                    ++pc->walks;
-                    pc->walkMemRefs += out.memRefs;
-                }
-                return out;
-            }
-
             pwc.fill(cr3, va, level - 1, entry.pfn());
             table = entry.pfn();
             --level;

@@ -4,8 +4,6 @@
 #include <vector>
 
 #include "src/base/logging.h"
-#include "src/sim/sharded.h"
-#include "src/workloads/sharded_engine.h"
 #include "src/workloads/btree.h"
 #include "src/workloads/canneal.h"
 #include "src/workloads/graph500.h"
@@ -47,14 +45,6 @@ setBatchEnabledForTest(int enabled)
     batchOverride = enabled;
 }
 
-namespace
-{
-
-/** Pages emitted per runBatch() call while populating. */
-constexpr std::uint64_t PopulateBatch = 4096;
-
-} // namespace
-
 void
 Workload::populateRegion(os::ExecContext &ctx, VirtAddr start,
                          std::uint64_t length, InitMode mode) const
@@ -64,27 +54,9 @@ Workload::populateRegion(os::ExecContext &ctx, VirtAddr start,
     std::uint64_t granule = prm.thp ? LargePageSize : PageSize;
     std::uint64_t pages = (length + granule - 1) / granule;
 
-    // First-touch writes by one thread over a contiguous range batch
-    // trivially: same ops, same order, replayed per-thread through
-    // runBatch. (Shuffled cannot: its *cross-thread* touch order is
-    // what decides first-touch placement, and runBatch is per-thread.)
     auto touch_range = [&](int t, std::uint64_t lo, std::uint64_t hi) {
-        if (!batchEnabled()) {
-            for (std::uint64_t p = lo; p < hi; ++p)
-                ctx.access(t, start + p * granule, true);
-            return;
-        }
-        std::vector<os::BatchOp> buf;
-        buf.reserve(static_cast<std::size_t>(
-            std::min(hi - lo, PopulateBatch)));
-        for (std::uint64_t p = lo; p < hi;) {
-            std::uint64_t end = std::min(hi, p + PopulateBatch);
-            buf.clear();
-            for (; p < end; ++p)
-                buf.push_back(
-                    os::BatchOp{start + p * granule, 0, true, false});
-            ctx.runBatch(t, buf.data(), buf.size());
-        }
+        for (std::uint64_t p = lo; p < hi; ++p)
+            ctx.access(t, start + p * granule, true);
     };
 
     switch (mode) {
@@ -126,15 +98,6 @@ runInterleaved(os::ExecContext &ctx, Workload &w,
 {
     int threads = ctx.numThreads();
     MITOSIM_ASSERT(threads > 0, "runInterleaved with no threads");
-
-    // --sim-threads > 1: shard the simulation across host threads when
-    // the run is eligible (byte-identical by construction). A context
-    // already recording is mid-phase-A of an outer sharded call.
-    int nshards = sim::simThreads();
-    if (nshards > 1 && !ctx.tracing() && shardedEligible(ctx)) {
-        runInterleavedSharded(ctx, w, ops_per_thread, chunk, nshards);
-        return;
-    }
 
     // Batched hot path: each chunk is generated into a per-call buffer
     // by one virtual stepBatch() call and replayed by runBatch() with

@@ -156,11 +156,13 @@ class Workload
 };
 
 /**
- * Host-side toggle for the batched hot path (generate a short run of
- * ops with Workload::stepBatch, replay through ExecContext::runBatch).
- * On by default; MITOSIM_BATCH=0 forces the per-op reference path so
- * CI can diff the two for byte-identical reports. Read once from the
- * environment: flipping it mid-run is not a supported mode.
+ * Host-side toggle for batched replay in runInterleaved (generate a
+ * short run of ops with Workload::stepBatch, replay through
+ * ExecContext::runBatch). On by default; MITOSIM_BATCH=0 forces the
+ * per-op reference loop so CI can diff the two for byte-identical
+ * reports. Replay only: populateRegion always touches per op. Read
+ * once from the environment: flipping it mid-run is not a supported
+ * mode.
  */
 bool batchEnabled();
 

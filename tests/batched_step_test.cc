@@ -8,9 +8,9 @@
  * path specializes for: {gups, memcached, btree} x {native, mitosis}
  * x {4 KB, THP} x {pinned, time-shared}.
  *
- * Mirrors sharded_sim_test.cc: the serial continuation after the
- * compared phase proves machine-state convergence (divergent cache or
- * TLB contents would split the continuations' counters), and a
+ * Machine-state convergence is proved by a per-op continuation after
+ * the compared phase, run identically on both machines: divergent
+ * cache or TLB contents would split the continuations' counters. A
  * Figure 3-style page-table dump pins down PTE placement exactly.
  */
 

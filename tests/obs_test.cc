@@ -6,14 +6,13 @@
  * the overwritten ones), deterministic per-category sampling, the
  * trace-identity contract (an enabled tracer forces the per-op
  * simulation path, so the exported JSON is byte-identical across
- * MITOSIM_FUSE={0,1} and --sim-threads values), and the walk-cycle
+ * MITOSIM_FUSE={0,1} and MITOSIM_BATCH={0,1}), and the walk-cycle
  * attribution invariant (the per-level x local/remote buckets sum
- * exactly to walkCycles, serial and sharded, native and mitosis).
+ * exactly to walkCycles, native and mitosis).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/batch_op.h"
-#include "src/sim/sharded.h"
 #include "src/workloads/workload.h"
 
 namespace mitosim
@@ -157,10 +155,13 @@ struct FuseModeGuard
     ~FuseModeGuard() { sim::setFuseEnabledForTest(-1); }
 };
 
-struct SimThreadsGuard
+struct BatchModeGuard
 {
-    explicit SimThreadsGuard(int n) { sim::setSimThreads(n); }
-    ~SimThreadsGuard() { sim::setSimThreads(1); }
+    explicit BatchModeGuard(int mode)
+    {
+        workloads::setBatchEnabledForTest(mode);
+    }
+    ~BatchModeGuard() { workloads::setBatchEnabledForTest(-1); }
 };
 
 bench::PopulateSpec
@@ -217,7 +218,7 @@ TEST(TraceTest, ExportIsByteIdenticalAcrossFuseAndSimThreads)
         EXPECT_EQ(ref, tracedRun(spec));
     }
     {
-        SimThreadsGuard threads(3);
+        BatchModeGuard batch(0);
         EXPECT_EQ(ref, tracedRun(spec));
     }
 }
@@ -233,36 +234,20 @@ expectAttrSumsToWalkCycles(const sim::PerfCounters &pc)
     EXPECT_GT(pc.walkCycles, 0u);
 }
 
-TEST(AttributionTest, BucketsSumToWalkCyclesSerialAndSharded)
+TEST(AttributionTest, BucketsSumToWalkCycles)
 {
     for (bool mitosis : {false, true}) {
         SCOPED_TRACE(mitosis ? "mitosis" : "native");
-        auto spec = testSpec("gups", mitosis, false);
-
-        auto run = [&spec, mitosis]() {
-            auto u = bench::preparePopulated(spec);
-            if (mitosis) {
-                u->mitosis().setReplicationMask(
-                    u->proc->roots(), u->proc->id(),
-                    SocketMask::all(u->machine.numSockets()));
-                u->kernel.reloadContexts(*u->proc);
-            }
-            workloads::runInterleaved(*u->ctx, *u->workload, 800);
-            sim::PerfCounters totals = u->ctx->totals();
-            u->finalize();
-            return totals;
-        };
-
-        sim::PerfCounters serial = run();
-        expectAttrSumsToWalkCycles(serial);
-
-        sim::PerfCounters sharded;
-        {
-            SimThreadsGuard threads(3);
-            sharded = run();
+        auto u = bench::preparePopulated(testSpec("gups", mitosis, false));
+        if (mitosis) {
+            u->mitosis().setReplicationMask(
+                u->proc->roots(), u->proc->id(),
+                SocketMask::all(u->machine.numSockets()));
+            u->kernel.reloadContexts(*u->proc);
         }
-        expectAttrSumsToWalkCycles(sharded);
-        EXPECT_EQ(std::memcmp(&serial, &sharded, sizeof serial), 0);
+        workloads::runInterleaved(*u->ctx, *u->workload, 800);
+        expectAttrSumsToWalkCycles(u->ctx->totals());
+        u->finalize();
     }
 }
 

@@ -14,7 +14,6 @@
 
 #include "bench/harness.h"
 #include "src/check/vmcheck.h"
-#include "src/sim/sharded.h"
 #include "src/workloads/workload.h"
 
 namespace mitosim::snapshot

@@ -2,17 +2,17 @@
 """Diff two bench reports, ignoring host telemetry.
 
 The simulated metrics in a BENCH_<name>.json report are deterministic:
-they must be byte-identical across --sim-threads values, across
-MITOSIM_SNAPSHOTS={0,1}, across --jobs values, and (unless the model
-changed) across commits. Only diagnostic surfaces are allowed to
+they must be byte-identical across MITOSIM_SNAPSHOTS={0,1}, across
+MITOSIM_BATCH={0,1} and MITOSIM_FUSE={0,1}, across --jobs values, and
+(unless the model changed) across commits. Only diagnostic surfaces are allowed to
 differ: the top-level "wall_ms", "check" and "metrics" (src/obs
 registry flatten — an observability surface free to grow richer
 between PRs) sections, and per-run metric keys prefixed "wall_" or
 "check_".
 
 This tool strips exactly those and requires everything else to be
-equal. CI uses it as the determinism wall for the sharded simulation
-engine and the populate snapshot cache.
+equal. CI uses it as the determinism wall for the populate snapshot
+cache and the batched and fused replay paths.
 
 Usage:
   tools/cmp_reports.py A.json B.json   # exit 1 + unified diff on drift
