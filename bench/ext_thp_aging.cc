@@ -15,8 +15,8 @@
  *   {native, mitosis} x {daemon off, on}  per workload
  *
  * reporting per-phase 2 MB coverage, per-phase walk cycles, final
- * free-2MB-block capacity per socket, and the lifecycle counters in
- * the report's "thp" section.
+ * free-2MB-block capacity per socket, and the lifecycle counters as
+ * the report's thp_* metrics.
  *
  * Expected shape: with the daemons on, coverage climbs from ~0 toward
  * full and walk cycles fall back to the unfragmented level (recovering
@@ -193,7 +193,7 @@ run(const std::string &workload, bool use_mitosis, bool daemon)
 
     recordWalkAttribution(res, proc.id(), out.totals);
     u->finalize();
-    recordJobStats(kernel, res, {.thp = true});
+    recordJobStats(kernel, res);
     phases.stamp(res);
     return res;
 }

@@ -700,6 +700,15 @@ recordPlacement(BenchReport &report, const std::string &label,
     return run;
 }
 
+namespace
+{
+
+/**
+ * Host-side hot-path telemetry: fused replay activity summed over cores
+ * (Core::fusedRuns / fusedOps) and table-arena slab/chunk counters
+ * (PhysicalMemory). Host throughput context like host_ops_per_sec, it
+ * varies legitimately with MITOSIM_FUSE and snapshot donor reuse.
+ */
 void
 recordHostStats(sim::Machine &machine, driver::JobResult &res)
 {
@@ -727,6 +736,12 @@ recordHostStats(sim::Machine &machine, driver::JobResult &res)
                                      pool.tableRecycles));
 }
 
+/**
+ * Run the kernel's end-of-run vmcheck battery and copy the checker's
+ * counters in as check_* metrics; a no-op without a checker. The
+ * counters stay out of the machine registry because a standalone
+ * Checker (built outside a kernel) has no registry to feed.
+ */
 void
 recordCheckStats(os::Kernel &kernel, driver::JobResult &res)
 {
@@ -738,54 +753,27 @@ recordCheckStats(os::Kernel &kernel, driver::JobResult &res)
     // here, so the stats below only ever describe a passing run.
     chk->atEndOfRun();
     const check::CheckStats &s = chk->stats();
-    res.checkStat("checkpoints", static_cast<double>(s.checkpoints));
-    res.checkStat("checks_run", static_cast<double>(s.checksRun));
-    res.checkStat("violations", static_cast<double>(s.violations));
-    res.checkStat("replica_tables_compared",
-                  static_cast<double>(s.replicaTablesCompared));
-    res.checkStat("leaves_checked", static_cast<double>(s.leavesChecked));
-    res.checkStat("frames_accounted",
-                  static_cast<double>(s.framesAccounted));
+    res.metricStat("check_checkpoints", static_cast<double>(s.checkpoints));
+    res.metricStat("check_checks_run", static_cast<double>(s.checksRun));
+    res.metricStat("check_violations", static_cast<double>(s.violations));
+    res.metricStat("check_replica_tables_compared",
+                   static_cast<double>(s.replicaTablesCompared));
+    res.metricStat("check_leaves_checked",
+                   static_cast<double>(s.leavesChecked));
+    res.metricStat("check_frames_accounted",
+                   static_cast<double>(s.framesAccounted));
 }
 
+} // namespace
+
 void
-recordJobStats(os::Kernel &kernel, driver::JobResult &res,
-               const JobStatsOptions &opts)
+recordJobStats(os::Kernel &kernel, driver::JobResult &res)
 {
-    if (opts.sched) {
-        const os::SchedulerStats &ss = kernel.scheduler().stats();
-        res.schedStat("context_switches",
-                      static_cast<double>(ss.contextSwitches));
-        res.schedStat("preemptions",
-                      static_cast<double>(ss.preemptions));
-        res.schedStat("migrations", static_cast<double>(ss.migrations));
-        res.schedStat("asid_recycle_flushes",
-                      static_cast<double>(ss.asidRecycleFlushes));
-        res.schedStat("enqueues", static_cast<double>(ss.enqueues));
-    }
-    if (opts.thp) {
-        const os::thp::ThpStats &ts = kernel.thp().stats();
-        res.thpStat("collapses", static_cast<double>(ts.collapses));
-        res.thpStat("collapse_failed_no_block",
-                    static_cast<double>(ts.collapseFailedNoBlock));
-        res.thpStat("splits", static_cast<double>(ts.splits));
-        res.thpStat("compaction_blocks_reclaimed",
-                    static_cast<double>(ts.compactionBlocksReclaimed));
-        res.thpStat("compaction_pages_moved",
-                    static_cast<double>(ts.compactionPagesMoved));
-        res.thpStat("compaction_failures",
-                    static_cast<double>(ts.compactionFailures));
-        res.thpStat("ranges_scanned",
-                    static_cast<double>(ts.rangesScanned));
-        res.thpStat("daemon_cycles",
-                    static_cast<double>(ts.daemonCycles));
-    }
-    recordCheckStats(kernel, res);
     sim::Machine &machine = kernel.machine();
-    if (opts.host)
-        recordHostStats(machine, res);
+    recordHostStats(machine, res);
     for (const auto &[key, value] : machine.metrics().flatten())
         res.metricStat(key, value);
+    recordCheckStats(kernel, res);
     res.traceJson = machine.tracer().exportJson();
 }
 

@@ -168,7 +168,7 @@ const char *msConfigName(MsConfig config, bool thp);
  * @p sink is non-null and the kernel ran with vmcheck enabled
  * (MITOSIM_CHECK=1 or a Debug build with MITOSIM_CHECK_DEFAULT), the
  * end-of-run invariant battery fires and its counters land in
- * @p sink's "check" section (see recordCheckStats).
+ * @p sink's "metrics" section (see recordJobStats).
  */
 RunOutcome runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
                           driver::JobResult *sink = nullptr);
@@ -321,47 +321,19 @@ BenchRun &recordOutcome(BenchReport &report, const std::string &label,
                         double normBase = 0.0);
 
 /**
- * Run @p kernel's end-of-run vmcheck battery (if checking is enabled)
- * and copy the checker's counters into @p res's "check" section. A
- * no-op when the kernel has no checker, so every bench can call it
- * unconditionally before its kernel dies; violations fatal() unless
- * the checker was configured otherwise, so a report that carries a
- * "check" section with violations == 0 really did pass the battery.
- */
-void recordCheckStats(os::Kernel &kernel, driver::JobResult &res);
-
-/**
- * Copy the machine's host-side hot-path telemetry into @p res's host
- * stats: fused replay activity summed over cores (Core::fusedRuns /
- * fusedOps) and table-arena slab/chunk counters (PhysicalMemory).
- * These land inside the report's per-job "wall_ms" entry — host
- * throughput context like host_ops_per_sec, excluded from metric
- * comparisons — and vary legitimately with MITOSIM_FUSE and snapshot
- * donor reuse.
- */
-void recordHostStats(sim::Machine &machine, driver::JobResult &res);
-
-/** Which optional stat sections recordJobStats copies. */
-struct JobStatsOptions
-{
-    bool sched = false; //!< scheduler activity ("scheduler" section)
-    bool thp = false;   //!< THP lifecycle counters ("thp" section)
-    bool host = true;   //!< host hot-path telemetry ("wall_ms" section)
-};
-
-/**
  * One-stop end-of-job stat sink: copies every diagnostic surface the
- * job's kernel/machine accumulated into @p res — the vmcheck battery
- * (recordCheckStats, always), scheduler and THP counters in their
- * established key orders (opted in, since those sections only appear
- * for benches whose jobs ran the respective machinery), host hot-path
- * telemetry (recordHostStats, opted out by benches that bypass the
- * populate path), the flattened src/obs metrics registry, and the
- * exported trace JSON (empty unless MITOSIM_TRACE enabled categories).
+ * job's kernel/machine accumulated into @p res. The flattened src/obs
+ * metrics registry (scheduler sched_*, THP lifecycle thp_*, ...) and,
+ * when the kernel runs vmcheck, the end-of-run battery's counters as
+ * check_* keys land in the "metrics" section; host hot-path telemetry
+ * (fused replay activity, table-arena counters) lands in the per-job
+ * "wall_ms" entry; the exported trace JSON (empty unless MITOSIM_TRACE
+ * enabled categories) goes to its own file. With the default
+ * fail-fast checker a violation fatal()s here, so a report whose
+ * metrics carry check_violations == 0 really did pass the battery.
  * Call once per job, after Universe::finalize() / finalizeProcess().
  */
-void recordJobStats(os::Kernel &kernel, driver::JobResult &res,
-                    const JobStatsOptions &opts = {});
+void recordJobStats(os::Kernel &kernel, driver::JobResult &res);
 
 /**
  * Record @p totals' walk-cycle attribution (PerfCounters::walkCyclesAttr)

@@ -612,39 +612,6 @@ BenchReport::wallMsHostStat(const std::string &label,
 }
 
 void
-BenchReport::schedStat(const std::string &label, const std::string &key,
-                       double value)
-{
-    JsonValue job = JsonValue::object();
-    if (const JsonValue *existing = schedStats_.find(label))
-        job = *existing;
-    job.set(key, JsonValue::number(value));
-    schedStats_.set(label, std::move(job));
-}
-
-void
-BenchReport::thpStat(const std::string &label, const std::string &key,
-                     double value)
-{
-    JsonValue job = JsonValue::object();
-    if (const JsonValue *existing = thpStats_.find(label))
-        job = *existing;
-    job.set(key, JsonValue::number(value));
-    thpStats_.set(label, std::move(job));
-}
-
-void
-BenchReport::checkStat(const std::string &label, const std::string &key,
-                       double value)
-{
-    JsonValue job = JsonValue::object();
-    if (const JsonValue *existing = checkStats_.find(label))
-        job = *existing;
-    job.set(key, JsonValue::number(value));
-    checkStats_.set(label, std::move(job));
-}
-
-void
 BenchReport::metricStat(const std::string &label, const std::string &key,
                         double value)
 {
@@ -669,12 +636,6 @@ BenchReport::toJson() const
     doc.set("speedups", speedups_);
     if (wallMs_.size())
         doc.set("wall_ms", wallMs_);
-    if (schedStats_.size())
-        doc.set("scheduler", schedStats_);
-    if (thpStats_.size())
-        doc.set("thp", thpStats_);
-    if (checkStats_.size())
-        doc.set("check", checkStats_);
     if (metricsStats_.size())
         doc.set("metrics", metricsStats_);
     return doc;

@@ -16,28 +16,22 @@
  *     "wall_ms":  { "<job>": { "total": <number>, "populate": <number>,
  *                              "run": <number>, "report": <number> }
  *                           | <number>, ..., "total": <number> },
- *     "scheduler": { "<job>": { "<stat>": <number>, ... }, ... },
- *     "thp":       { "<job>": { "<stat>": <number>, ... }, ... },
- *     "metrics":   { "<job>": { "<metric>": <number>, ... }, ... }
+ *     "metrics":  { "<job>": { "<metric>": <number>, ... }, ... }
  *   }
  *
- * Several sections are excluded from metric comparisons. "wall_ms" is
+ * Two sections are excluded from metric comparisons. "wall_ms" is
  * host-side telemetry (per-job and total wall-clock, recorded by the
  * driver): simulated results must be bit-identical across commits
  * unless the model changed, while wall_ms is expected to drift with
- * host load and to improve with host-side optimizations. "scheduler"
- * (present only for benches that run the time-sharing scheduler)
- * carries per-job scheduling activity — context switches, preemptions,
- * migrations — which is deterministic but diagnostic: it explains the
- * metrics without being one. "thp" (present only when the THP
- * lifecycle daemons ran) carries per-job collapse/split/compaction and
- * failed-allocation counters under the same rule. "check" (vmcheck)
- * and "metrics" (the src/obs registry flatten: named counters, gauge
- * snapshots, histogram digests, walk-cycle attribution) are likewise
- * diagnostic surfaces, free to grow richer between PRs. Tools diffing
- * reports must ignore all of them; they exist so wall-clock trends,
- * scheduling, huge-page lifecycle and observability signals stay
- * visible PR-to-PR via the CI artifacts.
+ * host load and to improve with host-side optimizations. "metrics" is
+ * the one simulated-telemetry channel: the src/obs registry flatten
+ * (named counters — scheduler sched_*, THP lifecycle thp_*, ... —
+ * gauge snapshots, histogram digests, walk-cycle attribution) plus,
+ * on checked runs, the vmcheck check_* counters. It is deterministic
+ * but diagnostic: it explains the metrics without being one, and is
+ * free to grow richer between PRs. Tools diffing reports must ignore
+ * both; they exist so wall-clock trends and observability signals
+ * stay visible PR-to-PR via the CI artifacts.
  *
  * A minimal JSON value/writer/parser keeps the repo dependency-free; the
  * parser exists so tests and tools can round-trip what the writer emits.
@@ -213,41 +207,11 @@ class BenchReport
                         double value);
 
     /**
-     * Record one scheduler activity counter for job @p label. The
-     * "scheduler" section only appears in the JSON when at least one
-     * stat was recorded, and — like "wall_ms" — is excluded from
-     * metric comparisons.
-     */
-    void schedStat(const std::string &label, const std::string &key,
-                   double value);
-
-    /**
-     * Record one THP lifecycle counter (collapses, splits, compaction
-     * activity, failed allocations) for job @p label. The "thp"
-     * section only appears when the THP daemons actually ran and —
-     * like "scheduler" — is diagnostic, excluded from metric
-     * comparisons.
-     */
-    void thpStat(const std::string &label, const std::string &key,
-                 double value);
-
-    /**
-     * Record one vmcheck invariant-checker counter (checkpoints,
-     * checks run, violations, ...) for job @p label. The "check"
-     * section only appears when a job's kernel ran with checking
-     * enabled and — like "scheduler" and "thp" — is diagnostic,
-     * excluded from metric comparisons. CI asserts violations == 0
-     * on every entry of this section.
-     */
-    void checkStat(const std::string &label, const std::string &key,
-                   double value);
-
-    /**
      * Record one observability metric (a flattened src/obs registry
      * entry or a walk-cycle attribution bucket) for job @p label. The
      * "metrics" section only appears when a job recorded any and —
-     * like "scheduler"/"thp"/"check" — is diagnostic, excluded from
-     * metric comparisons.
+     * like "wall_ms" — is diagnostic, excluded from metric
+     * comparisons.
      */
     void metricStat(const std::string &label, const std::string &key,
                     double value);
@@ -270,9 +234,6 @@ class BenchReport
     std::vector<std::unique_ptr<BenchRun>> runs_;
     JsonValue speedups_ = JsonValue::object();
     JsonValue wallMs_ = JsonValue::object();
-    JsonValue schedStats_ = JsonValue::object();
-    JsonValue thpStats_ = JsonValue::object();
-    JsonValue checkStats_ = JsonValue::object();
     JsonValue metricsStats_ = JsonValue::object();
 };
 

@@ -116,7 +116,7 @@ measureLarge(bool thp, LargeBackend kind)
     kernel.munmap(proc, r.start, r.length, &unmap_cost);
 
     driver::JobResult result;
-    recordCheckStats(kernel, result);
+    recordJobStats(kernel, result);
     kernel.finalizeProcess(proc);
     result.value("mmap_cycles", static_cast<double>(mmap_cost.cycles));
     result.value("mprotect_cycles",
@@ -169,7 +169,7 @@ measure(bool replicated, std::uint64_t region_bytes)
     }
 
     driver::JobResult result;
-    recordCheckStats(kernel, result);
+    recordJobStats(kernel, result);
     kernel.finalizeProcess(proc);
     result.value("mmap_cycles",
                  static_cast<double>(mmap_cycles / Iterations));

@@ -119,7 +119,7 @@ struct Violation
     std::string str() const;
 };
 
-/** Work counters; surfaced as the per-job "check" report section. */
+/** Work counters; surfaced as the per-job check_* report metrics. */
 struct CheckStats
 {
     std::uint64_t checkpoints = 0;   //!< checkpoint sites that fired

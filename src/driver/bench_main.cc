@@ -216,25 +216,6 @@ benchMain(int argc, char **argv, const BenchSpec &spec)
             for (const auto &[key, value] : results[index]->host)
                 report.wallMsHostStat(registry.job(index).name, key, value);
         }
-        // Scheduler activity (context switches, preemptions, ...):
-        // deterministic but diagnostic — its own excluded section.
-        for (std::size_t index : selected) {
-            for (const auto &[key, value] : results[index]->sched)
-                report.schedStat(registry.job(index).name, key, value);
-        }
-        // THP lifecycle activity (collapses, splits, compaction):
-        // emitted only when the daemons ran, same excluded contract.
-        for (std::size_t index : selected) {
-            for (const auto &[key, value] : results[index]->thp)
-                report.thpStat(registry.job(index).name, key, value);
-        }
-        // vmcheck invariant battery: emitted only when a job's kernel
-        // ran with checking enabled, same excluded contract. CI greps
-        // this section for violations == 0.
-        for (std::size_t index : selected) {
-            for (const auto &[key, value] : results[index]->check)
-                report.checkStat(registry.job(index).name, key, value);
-        }
         // Observability: flattened metrics registry + walk-cycle
         // attribution into the excluded "metrics" section; any
         // exported trace goes to its own TRACE_*.json file, never into

@@ -69,17 +69,6 @@ struct JobResult
     double wallPopulateMs = 0.0;
     double wallRunMs = 0.0;
 
-    /**
-     * Scheduler activity counters (context switches, preemptions,
-     * migrations, ...) recorded by jobs that run the time-sharing
-     * scheduler. Deterministic simulated telemetry, but *diagnostic*
-     * rather than a benchmark result: the driver lands it in the
-     * report's "scheduler" section, which — like "wall_ms" — metric
-     * comparison tooling ignores. Keys the bench wants compared belong
-     * in values/metrics instead.
-     */
-    std::vector<std::pair<std::string, double>> sched;
-
     JobResult &
     value(std::string key, double v)
     {
@@ -88,43 +77,24 @@ struct JobResult
     }
 
     /**
-     * THP lifecycle counters (collapses, splits, compaction activity,
-     * failed allocations) recorded by jobs that ran the khugepaged /
-     * kcompactd daemons. Same contract as `sched`: deterministic
-     * diagnostic telemetry, landed in the report's "thp" section and
-     * excluded from metric comparisons.
-     */
-    std::vector<std::pair<std::string, double>> thp;
-
-    /**
-     * vmcheck invariant-checker counters (checkpoints reached, checks
-     * run, violations found, ...) recorded by jobs whose kernel ran
-     * with checking enabled (src/check/). Same contract as `sched` and
-     * `thp`: deterministic diagnostic telemetry, landed in the
-     * report's "check" section and excluded from metric comparisons.
-     * A clean checked run reports violations == 0 here; CI asserts on
-     * exactly that.
-     */
-    std::vector<std::pair<std::string, double>> check;
-
-    /**
      * Host-side hot-path telemetry (fused replay runs/ops, table-arena
      * slab activity) recorded by jobs that ran through the bench
-     * harness. Unlike `sched`/`thp`/`check` this is *not* simulated
-     * state — it varies with MITOSIM_FUSE and snapshot reuse — so it
-     * lands inside the report's "wall_ms" section (excluded wholesale
-     * from metric comparisons) rather than a section of its own.
+     * harness. Unlike `metrics` this is *not* simulated state — it
+     * varies with MITOSIM_FUSE and snapshot reuse — so it lands inside
+     * the report's "wall_ms" section (excluded wholesale from metric
+     * comparisons) rather than a section of its own.
      */
     std::vector<std::pair<std::string, double>> host;
 
     /**
      * Observability metrics (src/obs): the job machine's flattened
      * MetricsRegistry — named counters/gauges/histogram digests plus
-     * the walk-cycle attribution table — recorded by the bench
-     * harness's stat-sink helper. Deterministic simulated telemetry
-     * landed in the report's "metrics" section, which metric
-     * comparison tooling ignores (like "wall_ms" and "check"): it is
-     * an *observability* surface, free to grow richer between PRs
+     * the walk-cycle attribution table — and, on checked runs, the
+     * vmcheck counters (check_*), recorded by the bench harness's
+     * stat sink. The job's only simulated-telemetry channel:
+     * deterministic, landed in the report's "metrics" section, which
+     * metric comparison tooling ignores (like "wall_ms"): it is an
+     * *observability* surface, free to grow richer between PRs
      * without breaking report identity.
      */
     std::vector<std::pair<std::string, double>> metrics;
@@ -137,27 +107,6 @@ struct JobResult
      * BENCH_*.json metrics.
      */
     std::string traceJson;
-
-    JobResult &
-    schedStat(std::string key, double v)
-    {
-        sched.emplace_back(std::move(key), v);
-        return *this;
-    }
-
-    JobResult &
-    thpStat(std::string key, double v)
-    {
-        thp.emplace_back(std::move(key), v);
-        return *this;
-    }
-
-    JobResult &
-    checkStat(std::string key, double v)
-    {
-        check.emplace_back(std::move(key), v);
-        return *this;
-    }
 
     JobResult &
     hostStat(std::string key, double v)

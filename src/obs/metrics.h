@@ -15,7 +15,7 @@
  * Instruments are plain value accumulators — they never touch
  * simulated state, so the "metrics" report section is excluded from
  * the paper-metric identity contract (tools/cmp_reports.py strips it
- * alongside "wall_ms" and "check").
+ * alongside "wall_ms").
  */
 
 #ifndef MITOSIM_OBS_METRICS_H

@@ -287,7 +287,8 @@ class Kernel
     /**
      * The invariant checker, or nullptr when checking is off (the
      * default). Drivers call checker()->atEndOfRun() before teardown
-     * and copy checker()->stats() into the per-job "check" report.
+     * and copy checker()->stats() into the per-job report metrics
+     * (check_*).
      */
     check::Checker *checker() { return chk.get(); }
 

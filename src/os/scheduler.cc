@@ -26,6 +26,7 @@ Scheduler::Scheduler(sim::Machine &machine, const SchedulerConfig &config)
     mPreemptions = &mr.counter("sched_preemptions");
     mMigrations = &mr.counter("sched_migrations");
     mAsidRecycles = &mr.counter("sched_asid_recycle_flushes");
+    mEnqueues = &mr.counter("sched_enqueues");
 }
 
 Scheduler::CoreState &
@@ -97,6 +98,7 @@ Scheduler::admitThread(Process &proc, int tid)
     CoreState &cs = state(t.core);
     ++cs.assigned;
     ++stats_.enqueues;
+    mEnqueues->inc();
     if (cfg.timeShared) {
         cs.queue.push_back(ThreadRef{proc.id(), tid});
         return; // CR3 loads lazily, at the first dispatch

@@ -76,7 +76,10 @@ struct SchedulerConfig
     int maxAsids = 4096;
 };
 
-/** Scheduling activity counters (reported outside bench metrics). */
+/**
+ * Scheduling activity counters; each also feeds a sched_* counter in
+ * the machine's metrics registry.
+ */
 struct SchedulerStats
 {
     std::uint64_t contextSwitches = 0; //!< CR3 loads for a new thread
@@ -257,6 +260,7 @@ class Scheduler
     obs::Counter *mPreemptions = nullptr;
     obs::Counter *mMigrations = nullptr;
     obs::Counter *mAsidRecycles = nullptr;
+    obs::Counter *mEnqueues = nullptr;
     /// @}
 };
 

@@ -153,7 +153,6 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
     auto &machine = k.machine();
     auto &physmem = machine.physmem();
     auto &ops = k.ptOps();
-    ensureObs();
 
     // Source candidates of every socket, fixed before any socket is
     // compacted: compacting socket s allocates and frees frames on s
@@ -217,6 +216,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             }
             if (!movable) {
                 ++stats_.compactionFailures;
+                mCompactionFailures->inc();
                 continue;
             }
             --budget;
@@ -227,6 +227,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
                 if (physmem.isFragPinned(p)) {
                     if (!physmem.compactReservedPin(p)) {
                         ++stats_.compactionFailures;
+                        mCompactionFailures->inc();
                         drained = false;
                         break;
                     }
@@ -242,6 +243,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
                 auto fresh = physmem.compactData(p);
                 if (!fresh) {
                     ++stats_.compactionFailures;
+                    mCompactionFailures->inc();
                     drained = false;
                     break;
                 }

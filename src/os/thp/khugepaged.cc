@@ -65,6 +65,7 @@ ThpManager::scanProcess(Process &proc, pvops::KernelCost *cost)
                 }
                 ++scanned;
                 ++stats_.rangesScanned;
+                mRangesScanned->inc();
                 if (collapseAt(proc, base, cost))
                     ++collapsed;
             }

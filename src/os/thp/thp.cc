@@ -30,11 +30,16 @@ ThpManager::ensureObs()
     mBlocksReclaimed = &mr.counter("thp_compaction_blocks_reclaimed");
     mRmapBuilds = &mr.counter("thp_compaction_rmap_builds");
     mRmapEntries = &mr.counter("thp_compaction_rmap_entries");
+    mCollapseFailedNoBlock = &mr.counter("thp_collapse_failed_no_block");
+    mCompactionFailures = &mr.counter("thp_compaction_failures");
+    mRangesScanned = &mr.counter("thp_ranges_scanned");
+    mDaemonCycles = &mr.counter("thp_daemon_cycles");
 }
 
 void
 ThpManager::tick(const std::vector<Process *> &procs)
 {
+    ensureObs();
     KernelCost cost;
     if (cfg.kcompactd)
         compactTick(procs, &cost);
@@ -43,6 +48,7 @@ ThpManager::tick(const std::vector<Process *> &procs)
             scanProcess(*p, &cost);
     }
     stats_.daemonCycles += cost.cycles;
+    mDaemonCycles->inc(cost.cycles);
 }
 
 bool
@@ -112,6 +118,8 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
     auto head = physmem.allocDataLarge(socket, proc.id());
     if (!head) {
         ++stats_.collapseFailedNoBlock;
+        ensureObs();
+        mCollapseFailedNoBlock->inc();
         return false;
     }
     if (cost)

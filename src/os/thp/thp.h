@@ -88,7 +88,10 @@ struct ThpConfig
     std::uint32_t compactMaxUsed = 64;
 };
 
-/** Lifecycle activity counters (the bench report's "thp" section). */
+/**
+ * Lifecycle activity counters. Each also feeds a thp_* counter in the
+ * machine's metrics registry (the bench report's "metrics" section).
+ */
 struct ThpStats
 {
     std::uint64_t rangesScanned = 0;     //!< khugepaged 2 MB candidates
@@ -211,6 +214,10 @@ class ThpManager
     obs::Counter *mBlocksReclaimed = nullptr;
     obs::Counter *mRmapBuilds = nullptr;
     obs::Counter *mRmapEntries = nullptr;
+    obs::Counter *mCollapseFailedNoBlock = nullptr;
+    obs::Counter *mCompactionFailures = nullptr;
+    obs::Counter *mRangesScanned = nullptr;
+    obs::Counter *mDaemonCycles = nullptr;
     /// @}
 
     std::uint64_t rmapCrossChecks_ = 0;

@@ -172,98 +172,110 @@ TEST(BenchReport, SchemaKeysPresent)
     EXPECT_TRUE(doc.find("speedups")->isObject());
     // Host telemetry is opt-in: absent unless wallMs() was recorded.
     EXPECT_EQ(doc.find("wall_ms"), nullptr);
-    // Likewise scheduler activity: only time-shared benches emit it.
-    EXPECT_EQ(doc.find("scheduler"), nullptr);
-    // And THP lifecycle counters: only daemon-running benches emit it.
-    EXPECT_EQ(doc.find("thp"), nullptr);
-    // And vmcheck counters: only checked runs emit it.
-    EXPECT_EQ(doc.find("check"), nullptr);
+    // Likewise the per-job metrics: absent until a job records one.
+    EXPECT_EQ(doc.find("metrics"), nullptr);
 }
+
+// The check, THP and scheduler stats share one per-job section,
+// `metrics`, with the families told apart by key prefix. Each family
+// is grouped per job there and never mirrored into any run's metrics:
+// the section is diagnostic and excluded from metric comparisons.
 
 TEST(BenchReport, CheckSectionGroupsStatsPerJobAndStaysOutOfMetrics)
 {
     BenchReport report = sampleReport();
-    report.checkStat("gups/F", "checkpoints", 34.0);
-    report.checkStat("gups/F", "violations", 0.0);
-    report.checkStat("gups/F+M", "violations", 0.0);
+    report.metricStat("gups/F", "check_checkpoints", 34.0);
+    report.metricStat("gups/F", "check_violations", 0.0);
+    report.metricStat("gups/F+M", "check_violations", 0.0);
     JsonValue doc = roundTrip(report);
 
-    const JsonValue *check = doc.find("check");
-    ASSERT_NE(check, nullptr);
-    ASSERT_TRUE(check->isObject());
-    EXPECT_EQ(check->size(), 2u);
-    const JsonValue *job = check->find("gups/F");
+    const JsonValue *metrics = doc.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    ASSERT_TRUE(metrics->isObject());
+    EXPECT_EQ(metrics->size(), 2u); // one object per job
+    const JsonValue *job = metrics->find("gups/F");
     ASSERT_NE(job, nullptr);
-    ASSERT_NE(job->find("checkpoints"), nullptr);
-    EXPECT_EQ(job->find("checkpoints")->asNumber(), 34.0);
-    EXPECT_EQ(job->find("violations")->asNumber(), 0.0);
+    EXPECT_EQ(job->size(), 2u);
+    ASSERT_NE(job->find("check_checkpoints"), nullptr);
+    EXPECT_EQ(job->find("check_checkpoints")->asNumber(), 34.0);
+    ASSERT_NE(job->find("check_violations"), nullptr);
+    EXPECT_EQ(job->find("check_violations")->asNumber(), 0.0);
+    const JsonValue *other = metrics->find("gups/F+M");
+    ASSERT_NE(other, nullptr);
+    EXPECT_EQ(other->size(), 1u);
 
-    // Diagnostic section, excluded from metric comparisons: never
-    // mirrored into any run's metrics.
     const JsonValue *runs = doc.find("runs");
     ASSERT_NE(runs, nullptr);
     for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue *metrics = runs->at(i).find("metrics");
-        ASSERT_NE(metrics, nullptr);
-        EXPECT_EQ(metrics->find("violations"), nullptr);
+        const JsonValue *run_metrics = runs->at(i).find("metrics");
+        ASSERT_NE(run_metrics, nullptr);
+        EXPECT_EQ(run_metrics->size(), 3u);
+        EXPECT_EQ(run_metrics->find("check_checkpoints"), nullptr);
+        EXPECT_EQ(run_metrics->find("check_violations"), nullptr);
     }
 }
 
 TEST(BenchReport, ThpSectionGroupsStatsPerJobAndStaysOutOfMetrics)
 {
     BenchReport report = sampleReport();
-    report.thpStat("gups/native-on", "collapses", 1024.0);
-    report.thpStat("gups/native-on", "splits", 3.0);
-    report.thpStat("gups/mitosis-on", "collapses", 1024.0);
+    report.metricStat("gups/native-on", "thp_collapses", 1024.0);
+    report.metricStat("gups/native-on", "thp_splits", 3.0);
+    report.metricStat("gups/mitosis-on", "thp_collapses", 1024.0);
     JsonValue doc = roundTrip(report);
 
-    const JsonValue *thp = doc.find("thp");
-    ASSERT_NE(thp, nullptr);
-    ASSERT_TRUE(thp->isObject());
-    EXPECT_EQ(thp->size(), 2u);
-    const JsonValue *job = thp->find("gups/native-on");
+    const JsonValue *metrics = doc.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    ASSERT_TRUE(metrics->isObject());
+    EXPECT_EQ(metrics->size(), 2u);
+    const JsonValue *job = metrics->find("gups/native-on");
     ASSERT_NE(job, nullptr);
-    ASSERT_NE(job->find("collapses"), nullptr);
-    EXPECT_EQ(job->find("collapses")->asNumber(), 1024.0);
-    EXPECT_EQ(job->find("splits")->asNumber(), 3.0);
+    ASSERT_NE(job->find("thp_collapses"), nullptr);
+    EXPECT_EQ(job->find("thp_collapses")->asNumber(), 1024.0);
+    ASSERT_NE(job->find("thp_splits"), nullptr);
+    EXPECT_EQ(job->find("thp_splits")->asNumber(), 3.0);
+    const JsonValue *other = metrics->find("gups/mitosis-on");
+    ASSERT_NE(other, nullptr);
+    ASSERT_NE(other->find("thp_collapses"), nullptr);
+    EXPECT_EQ(other->find("thp_collapses")->asNumber(), 1024.0);
 
-    // Diagnostic section, excluded from metric comparisons: never
-    // mirrored into any run's metrics.
     const JsonValue *runs = doc.find("runs");
     ASSERT_NE(runs, nullptr);
     for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue *metrics = runs->at(i).find("metrics");
-        ASSERT_NE(metrics, nullptr);
-        EXPECT_EQ(metrics->find("collapses"), nullptr);
+        const JsonValue *run_metrics = runs->at(i).find("metrics");
+        ASSERT_NE(run_metrics, nullptr);
+        EXPECT_EQ(run_metrics->size(), 3u);
+        EXPECT_EQ(run_metrics->find("thp_collapses"), nullptr);
+        EXPECT_EQ(run_metrics->find("thp_splits"), nullptr);
     }
 }
 
 TEST(BenchReport, SchedulerSectionGroupsStatsPerJob)
 {
     BenchReport report = sampleReport();
-    report.schedStat("tenants/pcid-on", "context_switches", 192.0);
-    report.schedStat("tenants/pcid-on", "preemptions", 40.0);
-    report.schedStat("tenants/pcid-off", "context_switches", 192.0);
+    report.metricStat("tenants/pcid-on", "sched_context_switches", 192.0);
+    report.metricStat("tenants/pcid-on", "sched_preemptions", 40.0);
+    report.metricStat("tenants/pcid-off", "sched_context_switches", 192.0);
     JsonValue doc = roundTrip(report);
 
-    const JsonValue *sched = doc.find("scheduler");
-    ASSERT_NE(sched, nullptr);
-    ASSERT_TRUE(sched->isObject());
-    EXPECT_EQ(sched->size(), 2u);
-    const JsonValue *on = sched->find("tenants/pcid-on");
+    const JsonValue *metrics = doc.find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    ASSERT_TRUE(metrics->isObject());
+    EXPECT_EQ(metrics->size(), 2u);
+    const JsonValue *on = metrics->find("tenants/pcid-on");
     ASSERT_NE(on, nullptr);
-    ASSERT_NE(on->find("context_switches"), nullptr);
-    EXPECT_EQ(on->find("context_switches")->asNumber(), 192.0);
-    EXPECT_EQ(on->find("preemptions")->asNumber(), 40.0);
+    ASSERT_NE(on->find("sched_context_switches"), nullptr);
+    EXPECT_EQ(on->find("sched_context_switches")->asNumber(), 192.0);
+    ASSERT_NE(on->find("sched_preemptions"), nullptr);
+    EXPECT_EQ(on->find("sched_preemptions")->asNumber(), 40.0);
 
-    // Like wall_ms, scheduler stats stay out of every run's metrics:
-    // the section is diagnostic and excluded from metric comparisons.
     const JsonValue *runs = doc.find("runs");
     ASSERT_NE(runs, nullptr);
     for (std::size_t i = 0; i < runs->size(); ++i) {
-        const JsonValue *metrics = runs->at(i).find("metrics");
-        ASSERT_NE(metrics, nullptr);
-        EXPECT_EQ(metrics->find("context_switches"), nullptr);
+        const JsonValue *run_metrics = runs->at(i).find("metrics");
+        ASSERT_NE(run_metrics, nullptr);
+        EXPECT_EQ(run_metrics->size(), 3u);
+        EXPECT_EQ(run_metrics->find("sched_context_switches"), nullptr);
+        EXPECT_EQ(run_metrics->find("sched_preemptions"), nullptr);
     }
 }
 

@@ -129,15 +129,13 @@ tinySimJob(bool remote_pt, std::uint64_t seed)
     out.totals = ctx.totals();
     kernel.destroyProcess(proc);
     JobResult result = JobResult::of(out);
-    // Scheduler activity lands in the report's "scheduler" section
+    // Simulated telemetry lands in the report's "metrics" section
     // (excluded from metric comparisons, like wall_ms) — deterministic,
     // so serial and parallel runs must still emit it identically.
-    result.schedStat("enqueues",
-                     static_cast<double>(
-                         kernel.scheduler().stats().enqueues));
-    // vmcheck counters land in the "check" section under the same
-    // excluded-from-comparison contract.
-    result.checkStat("violations", 0.0);
+    result.metricStat("sched_enqueues",
+                      static_cast<double>(
+                          kernel.scheduler().stats().enqueues));
+    result.metricStat("check_violations", 0.0);
     return result;
 }
 
@@ -294,14 +292,14 @@ TEST(DriverBenchMain, JobsFlagProducesIdenticalMetrics)
     // Every section except the host-telemetry "wall_ms" must be deeply
     // identical: thread count cannot change simulated results. wall_ms
     // is the one legitimate difference between the two files — the
-    // "scheduler" section is simulated (deterministic) telemetry, so it
+    // "metrics" section is simulated (deterministic) telemetry, so it
     // is compared here even though metric-diffing tools skip it.
     auto a = bench::parseJson(serial);
     auto b = bench::parseJson(parallel);
     ASSERT_TRUE(a.has_value());
     ASSERT_TRUE(b.has_value());
     for (const char *key : {"schema_version", "bench", "config", "runs",
-                            "speedups", "scheduler"}) {
+                            "speedups", "metrics"}) {
         const bench::JsonValue *va = a->find(key);
         const bench::JsonValue *vb = b->find(key);
         ASSERT_NE(va, nullptr) << key;
@@ -322,26 +320,79 @@ TEST(DriverBenchMain, JobsFlagProducesIdenticalMetrics)
         EXPECT_GT(total->asNumber(), 0.0);
         EXPECT_NE(wall->find("tiny/remote-pt/seed21"), nullptr);
 
-        // The driver grouped each job's schedStat()s under its name.
-        const bench::JsonValue *sched = doc->find("scheduler");
-        ASSERT_NE(sched, nullptr);
-        EXPECT_EQ(sched->size(), 4u); // one object per job
+        // The driver grouped each job's metricStat()s under its name.
+        const bench::JsonValue *metrics = doc->find("metrics");
+        ASSERT_NE(metrics, nullptr);
+        EXPECT_EQ(metrics->size(), 4u); // one object per job
         const bench::JsonValue *job =
-            sched->find("tiny/remote-pt/seed21");
+            metrics->find("tiny/remote-pt/seed21");
         ASSERT_NE(job, nullptr);
-        ASSERT_NE(job->find("enqueues"), nullptr);
-        EXPECT_EQ(job->find("enqueues")->asNumber(), 1.0);
-
-        // ... and each job's checkStat()s under "check".
-        const bench::JsonValue *check = doc->find("check");
-        ASSERT_NE(check, nullptr);
-        EXPECT_EQ(check->size(), 4u);
-        const bench::JsonValue *cjob =
-            check->find("tiny/remote-pt/seed21");
-        ASSERT_NE(cjob, nullptr);
-        ASSERT_NE(cjob->find("violations"), nullptr);
-        EXPECT_EQ(cjob->find("violations")->asNumber(), 0.0);
+        ASSERT_NE(job->find("sched_enqueues"), nullptr);
+        EXPECT_EQ(job->find("sched_enqueues")->asNumber(), 1.0);
+        ASSERT_NE(job->find("check_violations"), nullptr);
+        EXPECT_EQ(job->find("check_violations")->asNumber(), 0.0);
     }
+}
+
+/**
+ * A checked, time-shared job whose stats go through the harness sink:
+ * its scheduler and vmcheck counters must reach the report through the
+ * one "metrics" channel, never as side sections of their own.
+ */
+TEST(DriverBenchMain, CheckedTimeSharedJobReportsThroughMetricsOnly)
+{
+    BenchSpec spec;
+    spec.name = "driver_checked";
+    spec.registerJobs = [](JobRegistry &registry) {
+        registry.add("checked/time-shared", [] {
+            sim::MachineConfig mc;
+            mc.topo.numSockets = 2;
+            mc.topo.coresPerSocket = 1;
+            mc.topo.memPerSocket = 64ull << 20;
+            sim::Machine machine(mc);
+            core::MitosisBackend backend(machine.physmem());
+            os::KernelConfig kcfg;
+            kcfg.sched.timeShared = true;
+            kcfg.check.enabled = true;
+            os::Kernel kernel(machine, backend, kcfg);
+            os::Process &proc = kernel.createProcess("checked", 0);
+            os::ExecContext ctx(kernel, proc);
+            int tid = ctx.addThread(1);
+            auto region = kernel.mmap(proc, 2ull << 20,
+                                      os::MmapOptions{.populate = true});
+            for (VirtAddr off = 0; off < region.length; off += PageSize)
+                ctx.access(tid, region.start + off, false);
+            RunOutcome out;
+            out.runtime = ctx.runtime();
+            out.totals = ctx.totals();
+            kernel.finalizeProcess(proc);
+            JobResult result = JobResult::of(out);
+            bench::recordJobStats(kernel, result);
+            return result;
+        });
+    };
+    spec.emit = [](const std::vector<JobResult> &results,
+                   bench::BenchReport &report) {
+        bench::recordOutcome(report, "checked", results[0]);
+    };
+
+    TempBenchDir dir;
+    ASSERT_EQ(runBenchMain(spec, {}), 0);
+    auto doc = bench::parseJson(dir.read("BENCH_driver_checked.json"));
+    ASSERT_TRUE(doc.has_value());
+    for (const char *gone : {"scheduler", "thp", "check"})
+        EXPECT_EQ(doc->find(gone), nullptr) << gone;
+
+    const bench::JsonValue *metrics = doc->find("metrics");
+    ASSERT_NE(metrics, nullptr);
+    const bench::JsonValue *job = metrics->find("checked/time-shared");
+    ASSERT_NE(job, nullptr);
+    ASSERT_NE(job->find("sched_enqueues"), nullptr);
+    EXPECT_EQ(job->find("sched_enqueues")->asNumber(), 1.0);
+    ASSERT_NE(job->find("check_violations"), nullptr);
+    EXPECT_EQ(job->find("check_violations")->asNumber(), 0.0);
+    ASSERT_NE(job->find("check_checkpoints"), nullptr);
+    EXPECT_GT(job->find("check_checkpoints")->asNumber(), 0.0);
 }
 
 /// @}

@@ -201,7 +201,7 @@ tracedRun(const bench::PopulateSpec &spec)
 
 /// @}
 
-TEST(TraceTest, ExportIsByteIdenticalAcrossFuseAndSimThreads)
+TEST(TraceTest, ExportIsByteIdenticalAcrossEnginePaths)
 {
     auto spec = testSpec("memcached", true, true);
     std::string ref;

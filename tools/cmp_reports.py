@@ -4,15 +4,16 @@
 The simulated metrics in a BENCH_<name>.json report are deterministic:
 they must be byte-identical across MITOSIM_SNAPSHOTS={0,1}, across
 MITOSIM_BATCH={0,1} and MITOSIM_FUSE={0,1}, across --jobs values, and
-(unless the model changed) across commits. Only diagnostic surfaces are allowed to
-differ: the top-level "wall_ms", "check" and "metrics" (src/obs
-registry flatten — an observability surface free to grow richer
-between PRs) sections, and per-run metric keys prefixed "wall_" or
-"check_".
+(unless the model changed) across commits. Only two top-level sections
+are allowed to differ: "wall_ms" (host telemetry) and "metrics" (the
+src/obs registry flatten plus vmcheck's check_* counters — an
+observability surface free to grow richer between PRs, and one that
+vmcheck legitimately moves).
 
-This tool strips exactly those and requires everything else to be
-equal. CI uses it as the determinism wall for the populate snapshot
-cache and the batched and fused replay paths.
+This tool strips exactly those two sections and requires everything
+else, including every per-run metric, to be equal. CI uses it as the
+determinism wall for the populate snapshot cache and the batched and
+fused replay paths.
 
 Usage:
   tools/cmp_reports.py A.json B.json   # exit 1 + unified diff on drift
@@ -25,13 +26,8 @@ import sys
 
 def strip_host_telemetry(doc):
     doc = json.loads(json.dumps(doc))
-    for sec in ("wall_ms", "check", "metrics"):
+    for sec in ("wall_ms", "metrics"):
         doc.pop(sec, None)
-    for run in doc.get("runs", []):
-        metrics = run.get("metrics", {})
-        for k in [k for k in metrics
-                  if k.startswith("wall_") or k.startswith("check_")]:
-            metrics.pop(k)
     return doc
 
 
