@@ -1,6 +1,5 @@
 #include "vmcheck.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
@@ -115,7 +114,7 @@ Checker::atDispatch()
 {
     if (!cfg.atDispatch)
         return;
-    if (++dispatchCount % std::max(1u, cfg.dispatchEveryN) != 0)
+    if (++dispatchCount % DispatchEveryN != 0)
         return;
     runAll("dispatch");
 }
@@ -132,16 +131,11 @@ Checker::runAll(const char *where)
     ++stats_.checkpoints;
     where_ = where;
     std::size_t before = found.size();
-    if (cfg.replicaCoherence)
-        checkReplicaCoherence();
-    if (cfg.vmaPte)
-        checkVmaPteAgreement();
-    if (cfg.frameAccounting)
-        checkFrameAccounting();
-    if (cfg.cr3AsidLiveness)
-        checkCr3AsidLiveness();
-    if (cfg.chargeConservation)
-        checkChargeConservation();
+    checkReplicaCoherence();
+    checkVmaPteAgreement();
+    checkFrameAccounting();
+    checkCr3AsidLiveness();
+    checkChargeConservation();
     return found.size() - before;
 }
 

@@ -66,7 +66,10 @@ enum class CheckClass
 
 const char *checkClassName(CheckClass cls);
 
-/** Knobs (KernelConfig::check); all checks on, checker itself off. */
+/**
+ * Knobs (KernelConfig::check); checker off by default. Every checkpoint
+ * runs all five check classes.
+ */
 struct CheckConfig
 {
     /** Master switch; nothing below matters while false. */
@@ -76,17 +79,7 @@ struct CheckConfig
     /// @{
     bool atSyscalls = true;  //!< end of every mutating VMA syscall
     bool atThpTicks = true;  //!< after each THP daemon period
-    bool atDispatch = false; //!< after real context switches (costly)
-    unsigned dispatchEveryN = 64; //!< check every Nth context switch
-    /// @}
-
-    /// @name Per-class switches
-    /// @{
-    bool replicaCoherence = true;
-    bool vmaPte = true;
-    bool frameAccounting = true;
-    bool cr3AsidLiveness = true;
-    bool chargeConservation = true;
+    bool atDispatch = false; //!< every 64th real context switch (costly)
     /// @}
 
     /** fatal() on the first violation (tests turn this off to inspect). */
@@ -161,7 +154,7 @@ class Checker
     /// @}
 
     /**
-     * Run every enabled check class once, regardless of granularity
+     * Run every check class once, regardless of granularity
      * gates. @p where tags diagnostics. Returns violations found *by
      * this sweep*.
      */
@@ -215,6 +208,9 @@ class Checker
     void compareTables(os::Process &proc, SocketId socket, Pfn primary,
                        Pfn replica, int level, VirtAddr base,
                        bool lazy_pending);
+
+    /** atDispatch checks every Nth real context switch. */
+    static constexpr unsigned DispatchEveryN = 64;
 
     os::Kernel &k;
     CheckConfig cfg;

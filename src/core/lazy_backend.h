@@ -85,15 +85,6 @@ class LazyMitosisBackend : public MitosisBackend
     /** Pending messages for @p socket (diagnostics / tests). */
     std::size_t pendingFor(SocketId socket) const;
 
-    /** Snapshot restore: adopt queued updates and counters of @p src. */
-    void
-    cloneStateFrom(const LazyMitosisBackend &src)
-    {
-        MitosisBackend::cloneStateFrom(src);
-        queues = src.queues;
-        lstats = src.lstats;
-    }
-
   private:
     /** One queued replica update. */
     struct Update

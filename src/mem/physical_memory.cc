@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cstring>
 #include <mutex>
 #include <new>
 
@@ -19,62 +18,37 @@ namespace
 {
 
 /**
- * Process-wide slab arena + recycling pool for metadata chunks.
+ * Process-wide slab arena + recycling pool for one element type's
+ * CowChunks.
  *
  * Chunks churn constantly (snapshot forks detach CoW copies, machines
  * are built and torn down mid-run), and the snapshot cache keeps donor
- * machines alive, so a large share of newChunk() calls cannot be
- * served by recycling at all — they are fresh, and a per-chunk host
- * allocation pays a page-fault per 4 KiB of metadata. Minting chunks
- * out of multi-megabyte value-initialized slabs faults the host pages
+ * machines alive, so a large share of chunk requests cannot be served
+ * by recycling at all — they are fresh, and a per-chunk host
+ * allocation pays a page-fault per 4 KiB. Minting chunks out of
+ * multi-megabyte value-initialized slabs faults the host pages
  * sequentially (and lets the kernel use transparent huge pages),
  * which is several times cheaper per chunk. Slabs are never freed;
- * released chunks are scrubbed back to pristine and parked in `free`
- * for reuse, so arena growth is bounded by the peak live chunk count.
+ * released chunks are scrubbed back to T{} and parked in `free` for
+ * reuse, so arena growth is bounded by the peak live chunk count.
  * Deliberately leaked so chunk deleters running during static
  * destruction stay safe.
  */
-struct ChunkPool
+template <typename T>
+struct SlabPool
 {
     std::mutex mu;
-    std::vector<PageMeta *> free; //!< scrubbed, ready to hand out
-    std::uint64_t slabs = 0;      //!< telemetry: 2 MiB slabs minted
-    std::uint64_t recycles = 0;   //!< telemetry: chunks reused
+    std::vector<T *> free;      //!< scrubbed, ready to hand out
+    std::uint64_t slabs = 0;    //!< telemetry: slabs minted
+    std::uint64_t recycles = 0; //!< telemetry: chunks reused
+
+    static SlabPool &
+    instance()
+    {
+        static auto *pool = new SlabPool;
+        return *pool;
+    }
 };
-
-ChunkPool &
-chunkPool()
-{
-    static ChunkPool *pool = new ChunkPool;
-    return *pool;
-}
-
-/**
- * Same shape for page-table storage: 2 MiB slabs of u64 PTE words,
- * split into the 256 KiB chunks the per-socket table arenas share
- * copy-on-write. Kept separate from ChunkPool only because the
- * element types (and scrub passes) differ.
- */
-struct TablePool
-{
-    std::mutex mu;
-    std::vector<std::uint64_t *> free; //!< zeroed, ready to hand out
-    std::uint64_t slabs = 0;
-    std::uint64_t recycles = 0;
-};
-
-TablePool &
-tablePool()
-{
-    static TablePool *pool = new TablePool;
-    return *pool;
-}
-
-/** Chunks minted per slab (the slab is the host-fault granule). */
-constexpr std::size_t SlabChunks = 64;
-
-/** Table chunks per 2 MiB slab (8 x 256 KiB). */
-constexpr std::size_t TableSlabChunks = 8;
 
 /**
  * One slab: a 2 MiB-aligned block advised towards transparent huge
@@ -106,19 +80,61 @@ slabPoolStats()
 {
     SlabPoolStats out;
     {
-        ChunkPool &pool = chunkPool();
+        auto &pool = SlabPool<PageMeta>::instance();
         std::lock_guard<std::mutex> g(pool.mu);
         out.metaSlabs = pool.slabs;
         out.metaRecycles = pool.recycles;
     }
     {
-        TablePool &pool = tablePool();
+        auto &pool = SlabPool<std::uint64_t>::instance();
         std::lock_guard<std::mutex> g(pool.mu);
         out.tableSlabs = pool.slabs;
         out.tableRecycles = pool.recycles;
     }
     return out;
 }
+
+template <typename T, std::size_t ChunkElems, std::size_t SlabChunks>
+void
+CowChunks<T, ChunkElems, SlabChunks>::makePrivate(Ptr &chunk)
+{
+    SlabPool<T> &pool = SlabPool<T>::instance();
+    T *raw = nullptr;
+    {
+        std::lock_guard<std::mutex> g(pool.mu);
+        if (pool.free.empty()) {
+            T *base = newSlab<T>(SlabChunks * ChunkElems);
+            ++pool.slabs;
+            // Push in descending address order so chunks are handed
+            // out ascending, matching the slab's fault order.
+            for (std::size_t c = SlabChunks; c-- > 0;)
+                pool.free.push_back(base + c * ChunkElems);
+        }
+        raw = pool.free.back();
+        pool.free.pop_back();
+    }
+    // The deleter scrubs the chunk back to pristine (indistinguishable
+    // from a fresh one) and parks it for reuse.
+    Ptr copy(raw, [](T *p) {
+        std::fill_n(p, ChunkElems, T{});
+        SlabPool<T> &pl = SlabPool<T>::instance();
+        std::lock_guard<std::mutex> g(pl.mu);
+        pl.free.push_back(p);
+        ++pl.recycles;
+    });
+    if (chunk) {
+        std::copy(chunk.get(), chunk.get() + ChunkElems, copy.get());
+        retired_.push_back(std::move(chunk));
+        ++detaches_;
+    }
+    chunk = std::move(copy);
+}
+
+// The two stores PhysicalMemory keeps (see MetaChunks / TableChunks).
+template class CowChunks<PageMeta, PhysicalMemory::MetaChunkSize,
+                         PhysicalMemory::MetaSlabChunks>;
+template class CowChunks<std::uint64_t, PhysicalMemory::TableChunkElems,
+                         PhysicalMemory::TableSlabChunks>;
 
 PhysicalMemory::PhysicalMemory(const numa::Topology &topology)
     : topo(topology),
@@ -569,90 +585,6 @@ PhysicalMemory::defragment(SocketId socket)
 }
 
 
-PhysicalMemory::ChunkPtr
-PhysicalMemory::newChunk()
-{
-    ChunkPool &pool = chunkPool();
-    PageMeta *raw = nullptr;
-    {
-        std::lock_guard<std::mutex> g(pool.mu);
-        if (pool.free.empty()) {
-            PageMeta *base = newSlab<PageMeta>(SlabChunks * MetaChunkSize);
-            ++pool.slabs;
-            // Push in descending address order so chunks are handed
-            // out ascending, matching the slab's fault order.
-            for (std::size_t c = SlabChunks; c-- > 0;)
-                pool.free.push_back(base + c * MetaChunkSize);
-        }
-        raw = pool.free.back();
-        pool.free.pop_back();
-    }
-    // The deleter scrubs the chunk back to pristine (indistinguishable
-    // from a fresh one) and parks it for reuse.
-    auto recycle = [](PageMeta *p) {
-        for (std::uint64_t i = 0; i < MetaChunkSize; ++i)
-            p[i] = PageMeta{};
-        ChunkPool &pl = chunkPool();
-        std::lock_guard<std::mutex> g(pl.mu);
-        pl.free.push_back(p);
-        ++pl.recycles;
-    };
-    return ChunkPtr(raw, recycle);
-}
-
-PhysicalMemory::TableChunkPtr
-PhysicalMemory::newTableChunk()
-{
-    TablePool &pool = tablePool();
-    std::uint64_t *raw = nullptr;
-    {
-        std::lock_guard<std::mutex> g(pool.mu);
-        if (pool.free.empty()) {
-            std::uint64_t *base =
-                newSlab<std::uint64_t>(TableSlabChunks * TableChunkElems);
-            ++pool.slabs;
-            for (std::size_t c = TableSlabChunks; c-- > 0;)
-                pool.free.push_back(base + c * TableChunkElems);
-        }
-        raw = pool.free.back();
-        pool.free.pop_back();
-    }
-    // Pooled chunks are always fully zeroed, so a fresh chunk's slots
-    // need no scrub at allocTableSlot time.
-    auto recycle = [](std::uint64_t *p) {
-        std::memset(p, 0, TableChunkElems * sizeof(std::uint64_t));
-        TablePool &pl = tablePool();
-        std::lock_guard<std::mutex> g(pl.mu);
-        pl.free.push_back(p);
-        ++pl.recycles;
-    };
-    return TableChunkPtr(raw, recycle);
-}
-
-void
-PhysicalMemory::detachChunk(ChunkPtr &chunk)
-{
-    ChunkPtr copy = newChunk();
-    std::copy(chunk.get(), chunk.get() + MetaChunkSize, copy.get());
-    // Keep the shared original alive for this instance's lifetime:
-    // callers may still hold const meta() references into it, and the
-    // donor owning it can be evicted at any time.
-    retired_.push_back(std::move(chunk));
-    chunk = std::move(copy);
-}
-
-void
-PhysicalMemory::detachTableChunk(TableChunkPtr &chunk)
-{
-    TableChunkPtr copy = newTableChunk();
-    std::copy(chunk.get(), chunk.get() + TableChunkElems, copy.get());
-    // Same lifetime rule as detachChunk: const tableView() pointers
-    // into the donor's chunk must survive donor eviction.
-    retiredTables_.push_back(std::move(chunk));
-    chunk = std::move(copy);
-    ++tableChunkDetaches_;
-}
-
 std::uint32_t
 PhysicalMemory::allocTableSlot(SocketId socket)
 {
@@ -668,26 +600,22 @@ PhysicalMemory::allocTableSlot(SocketId socket)
         slot = arena.highWater++;
     }
     std::size_t c = slot >> TableChunkShift;
-    if (c >= arena.chunks.size())
-        arena.chunks.resize(c + 1);
-    auto &chunk = arena.chunks[c];
-    if (!chunk) {
-        chunk = newTableChunk(); // arrives zeroed
-    } else if (recycled) {
+    if (c >= arena.words.size())
+        arena.words.resize(c + 1);
+    if (recycled) {
         // A recycled slot still holds the retired table's stale PTEs
         // (releaseTableSlot never scrubs — that would detach chunks a
         // fork shares). Zero it through the detaching path so a donor
         // never observes the scrub.
-        if (chunk.use_count() > 1)
-            detachTableChunk(chunk);
-        std::uint64_t *tbl =
-            chunk.get() +
-            (slot & (TableChunkTables - 1)) * PtEntriesPerPage;
-        std::memset(tbl, 0, PtEntriesPerPage * sizeof(std::uint64_t));
+        std::fill_n(arena.words.mut(c) + slotOffset(slot), PtEntriesPerPage,
+                    0);
+    } else if (!arena.words.view(c)) {
+        arena.words.mut(c); // materializes a zeroed chunk
     }
     // Never-yet-used slots of an existing chunk are zero by
     // construction (chunks are born zeroed and detach copies preserve
-    // that), so the fresh-highWater case needs no scrub either.
+    // that), so the fresh-highWater case needs no scrub either. Nor
+    // does it detach: a fork pays for the chunk at its first PTE write.
     return slot;
 }
 
@@ -702,12 +630,12 @@ TableArenaStats
 PhysicalMemory::tableArenaStats() const
 {
     TableArenaStats out;
-    out.detaches = tableChunkDetaches_;
     out.slotRecycles = tableSlotRecycles_;
     for (const TableArena &arena : tableArenas) {
-        for (const TableChunkPtr &chunk : arena.chunks)
-            if (chunk)
+        for (std::size_t c = 0; c < arena.words.size(); ++c)
+            if (arena.words.view(c))
                 ++out.chunks;
+        out.detaches += arena.words.detaches();
         out.liveSlots += arena.highWater - arena.freeSlots.size();
     }
     return out;
@@ -725,17 +653,12 @@ PhysicalMemory::cloneStateFrom(const PhysicalMemory &src)
     ptCacheTarget = src.ptCacheTarget;
     fragPinned = src.fragPinned;
     ptLive = src.ptLive;
-    // Share every materialized chunk copy-on-write: the first mutable
-    // meta() touch detaches a private copy, so neither side can ever
-    // observe the other's subsequent writes. Table-arena chunks share
-    // the same way (first PTE write detaches); slot free lists and
-    // high-water marks are plain state, copied eagerly.
+    // Copying a CowChunks shares every materialized chunk: the first
+    // meta() write or PTE write detaches a private copy. Slot free
+    // lists and high-water marks are plain state, copied eagerly.
     metaChunks = src.metaChunks;
     tableArenas = src.tableArenas;
-    tableChunkDetaches_ = src.tableChunkDetaches_;
     tableSlotRecycles_ = src.tableSlotRecycles_;
-    retired_.clear();
-    retiredTables_.clear();
     ++ptEpoch_;
 }
 

@@ -51,7 +51,7 @@ struct MemStats
  */
 struct SlabPoolStats
 {
-    std::uint64_t metaSlabs = 0;     //!< 2 MiB metadata slabs minted
+    std::uint64_t metaSlabs = 0;     //!< 6 MiB metadata slabs minted
     std::uint64_t metaRecycles = 0;  //!< metadata chunks scrubbed + reused
     std::uint64_t tableSlabs = 0;    //!< 2 MiB table slabs minted
     std::uint64_t tableRecycles = 0; //!< table chunks scrubbed + reused
@@ -66,6 +66,73 @@ struct TableArenaStats
     std::uint64_t detaches = 0;     //!< CoW chunk detaches performed
     std::uint64_t slotRecycles = 0; //!< slots served from free lists
     std::uint64_t liveSlots = 0;    //!< slots currently allocated
+};
+
+/**
+ * Copy-on-write chunked storage: a vector of ChunkElems-element chunks
+ * of T, each materialized on first mutable touch. Copying a CowChunks
+ * shares every chunk by reference (a snapshot fork); the first mutable
+ * touch of a shared chunk detaches a private copy, so neither side ever
+ * observes the other's later writes. The shared original is retired,
+ * not dropped: callers may still hold const pointers into it, and the
+ * instance that also owned it can be destroyed at any time.
+ *
+ * Chunks come from a process-wide slab pool per element type, minted
+ * SlabChunks at a time; a released chunk is scrubbed back to T{} and
+ * reused, so a fresh chunk always reads as value-initialized.
+ */
+template <typename T, std::size_t ChunkElems, std::size_t SlabChunks>
+class CowChunks
+{
+  public:
+    CowChunks() = default;
+    explicit CowChunks(std::size_t n) : chunks_(n) {}
+
+    /** Shares @p o's chunks; retired chunks are per instance. */
+    CowChunks(const CowChunks &o) : chunks_(o.chunks_), detaches_(o.detaches_)
+    {
+    }
+
+    CowChunks &
+    operator=(const CowChunks &o)
+    {
+        chunks_ = o.chunks_;
+        detaches_ = o.detaches_;
+        retired_.clear();
+        return *this;
+    }
+
+    CowChunks(CowChunks &&) = default;
+    CowChunks &operator=(CowChunks &&) = default;
+
+    std::size_t size() const { return chunks_.size(); }
+    void resize(std::size_t n) { chunks_.resize(n); }
+
+    /** Chunk @p c read-only: never copies; null if never materialized. */
+    const T *view(std::size_t c) const { return chunks_[c].get(); }
+
+    /** Chunk @p c writable: materialized or detached first. */
+    T *
+    mut(std::size_t c)
+    {
+        Ptr &chunk = chunks_[c];
+        if (chunk.use_count() != 1) [[unlikely]] // unmaterialized or shared
+            makePrivate(chunk);
+        return chunk.get();
+    }
+
+    /** Detaches so far, counting those of the instance copied from. */
+    std::uint64_t detaches() const { return detaches_; }
+
+  private:
+    using Ptr = std::shared_ptr<T[]>;
+
+    /** Replace @p chunk (null or shared) with a private pooled chunk. */
+    void makePrivate(Ptr &chunk);
+
+    std::vector<Ptr> chunks_;
+    std::vector<Ptr> retired_; //!< detached originals, kept alive
+    std::uint64_t detaches_ = 0;
 };
 
 /** All simulated physical memory of the machine. */
@@ -166,12 +233,10 @@ class PhysicalMemory
         const PageMeta &m = std::as_const(*this).meta(pfn);
         MITOSIM_DASSERT(m.isPageTable() && m.hasTable(),
                         "table(): not a PT frame");
-        auto &arena = tableArenas[static_cast<std::size_t>(socketOf(pfn))];
-        auto &chunk = arena.chunks[m.tableSlot >> TableChunkShift];
-        if (chunk.use_count() > 1) [[unlikely]]
-            detachTableChunk(chunk);
-        return chunk.get() +
-               (m.tableSlot & (TableChunkTables - 1)) * PtEntriesPerPage;
+        auto &words =
+            tableArenas[static_cast<std::size_t>(socketOf(pfn))].words;
+        return words.mut(m.tableSlot >> TableChunkShift) +
+               slotOffset(m.tableSlot);
     }
 
     /**
@@ -185,10 +250,10 @@ class PhysicalMemory
         const PageMeta &m = meta(pfn);
         MITOSIM_DASSERT(m.isPageTable() && m.hasTable(),
                         "tableView(): not a PT frame");
-        const auto &arena =
-            tableArenas[static_cast<std::size_t>(socketOf(pfn))];
-        return arena.chunks[m.tableSlot >> TableChunkShift].get() +
-               (m.tableSlot & (TableChunkTables - 1)) * PtEntriesPerPage;
+        const auto &words =
+            tableArenas[static_cast<std::size_t>(socketOf(pfn))].words;
+        return words.view(m.tableSlot >> TableChunkShift) +
+               slotOffset(m.tableSlot);
     }
 
     const std::uint64_t *table(Pfn pfn) const { return tableView(pfn); }
@@ -245,12 +310,7 @@ class PhysicalMemory
     meta(Pfn pfn)
     {
         MITOSIM_DASSERT(pfn < totalFrames_, "meta(): pfn out of range");
-        auto &chunk = metaChunks[pfn >> MetaChunkShift];
-        if (!chunk) [[unlikely]]
-            chunk = newChunk();
-        else if (chunk.use_count() > 1) [[unlikely]]
-            detachChunk(chunk);
-        return chunk[pfn & (MetaChunkSize - 1)];
+        return metaChunks.mut(pfn >> MetaChunkShift)[pfn & (MetaChunkSize - 1)];
     }
 
     /** Read-only view; an untouched frame reads as pristine Free. */
@@ -258,7 +318,7 @@ class PhysicalMemory
     meta(Pfn pfn) const
     {
         MITOSIM_DASSERT(pfn < totalFrames_, "meta(): pfn out of range");
-        const auto &chunk = metaChunks[pfn >> MetaChunkShift];
+        const PageMeta *chunk = metaChunks.view(pfn >> MetaChunkShift);
         if (!chunk) [[unlikely]]
             return pristineMeta;
         return chunk[pfn & (MetaChunkSize - 1)];
@@ -306,7 +366,7 @@ class PhysicalMemory
     forEachTouchedMeta(Fn &&fn) const
     {
         for (std::size_t c = 0; c < metaChunks.size(); ++c) {
-            const auto &chunk = metaChunks[c];
+            const PageMeta *chunk = metaChunks.view(c);
             if (!chunk)
                 continue;
             Pfn base = static_cast<Pfn>(c) << MetaChunkShift;
@@ -318,50 +378,17 @@ class PhysicalMemory
     }
 
   private:
-    using ChunkPtr = std::shared_ptr<PageMeta[]>;
-    using TableChunkPtr = std::shared_ptr<std::uint64_t[]>;
-
-    /**
-     * One per-socket arena of page-table storage: a growable sequence
-     * of slots (512 x u64 each), addressed by PageMeta::tableSlot and
-     * packed into chunks of TableChunkTables tables. The chunk is the
-     * CoW granule: cloneStateFrom shares chunks by reference and the
-     * first PTE write into a shared chunk detaches a private copy.
-     * Freed slots are recycled LIFO *without* scrubbing (scrubbing
-     * would detach chunks a fork still shares); allocTableSlot zeroes
-     * a recycled slot through the detaching path instead.
-     */
-    struct TableArena
-    {
-        std::vector<TableChunkPtr> chunks;
-        std::vector<std::uint32_t> freeSlots;
-        std::uint32_t highWater = 0; //!< slots ever allocated
-    };
-
-    FrameAllocator &alloc(SocketId socket);
-    const FrameAllocator &alloc(SocketId socket) const;
-    std::optional<Pfn> popPtCache(SocketId socket);
-
-    static ChunkPtr newChunk();
-    static TableChunkPtr newTableChunk();
-
-    /** Replace a shared @p chunk with a private deep copy (CoW). */
-    void detachChunk(ChunkPtr &chunk);
-    void detachTableChunk(TableChunkPtr &chunk);
-
-    /** Slot with zeroed 512-entry storage on @p socket's arena. */
-    std::uint32_t allocTableSlot(SocketId socket);
-    void releaseTableSlot(SocketId socket, std::uint32_t slot);
-
     /**
      * 4096 frames (16 MiB of simulated memory) per metadata chunk —
      * the materialization / copy-on-write granule. Kept small so a
      * fork's first write detaches (and a sparse touch initializes)
      * roughly what it uses rather than a 128 MiB-of-memory span, while
      * staying large enough that the chunk pointer table is trivial.
+     * 64 chunks (6 MiB) per slab, the host-fault granule.
      */
     static constexpr unsigned MetaChunkShift = 12;
     static constexpr std::uint64_t MetaChunkSize = 1ull << MetaChunkShift;
+    static constexpr std::size_t MetaSlabChunks = 64;
 
     /**
      * 64 tables (256 KiB) per table-arena chunk — the CoW granule for
@@ -374,6 +401,42 @@ class PhysicalMemory
     static constexpr std::uint32_t TableChunkTables = 1u << TableChunkShift;
     static constexpr std::size_t TableChunkElems =
         static_cast<std::size_t>(TableChunkTables) * PtEntriesPerPage;
+    static constexpr std::size_t TableSlabChunks = 8;
+
+    using MetaChunks = CowChunks<PageMeta, MetaChunkSize, MetaSlabChunks>;
+    using TableChunks =
+        CowChunks<std::uint64_t, TableChunkElems, TableSlabChunks>;
+
+    /**
+     * One per-socket arena of page-table storage: a growable sequence
+     * of slots (512 x u64 each), addressed by PageMeta::tableSlot and
+     * packed into chunks of TableChunkTables tables. The chunk is the
+     * CoW granule. Freed slots are recycled LIFO *without* scrubbing
+     * (scrubbing would detach chunks a fork still shares);
+     * allocTableSlot zeroes a recycled slot through the detaching path
+     * instead.
+     */
+    struct TableArena
+    {
+        TableChunks words;
+        std::vector<std::uint32_t> freeSlots;
+        std::uint32_t highWater = 0; //!< slots ever allocated
+    };
+
+    /** Offset of @p slot's 512 entries within its chunk. */
+    static std::size_t
+    slotOffset(std::uint32_t slot)
+    {
+        return (slot & (TableChunkTables - 1)) * PtEntriesPerPage;
+    }
+
+    FrameAllocator &alloc(SocketId socket);
+    const FrameAllocator &alloc(SocketId socket) const;
+    std::optional<Pfn> popPtCache(SocketId socket);
+
+    /** Slot with zeroed 512-entry storage on @p socket's arena. */
+    std::uint32_t allocTableSlot(SocketId socket);
+    void releaseTableSlot(SocketId socket, std::uint32_t slot);
 
     /** What meta() const reports for frames in untouched chunks. */
     inline static const PageMeta pristineMeta{};
@@ -381,7 +444,7 @@ class PhysicalMemory
     const numa::Topology &topo;
     std::uint64_t totalFrames_;
     std::vector<FrameAllocator> allocators;
-    std::vector<ChunkPtr> metaChunks;
+    MetaChunks metaChunks;
     std::vector<MemStats> perSocket;
 
     // PT reserve caches: frames pre-allocated per socket.
@@ -399,15 +462,7 @@ class PhysicalMemory
 
     std::uint64_t ptEpoch_ = 0; //!< see ptEpoch()
 
-    // Host telemetry (never simulated state).
-    std::uint64_t tableChunkDetaches_ = 0;
-    std::uint64_t tableSlotRecycles_ = 0;
-
-    // Chunks this instance detached from. Holding a reference keeps a
-    // donor's storage alive even if the donor is evicted while a
-    // caller still reads through an earlier const meta() reference.
-    std::vector<ChunkPtr> retired_;
-    std::vector<TableChunkPtr> retiredTables_;
+    std::uint64_t tableSlotRecycles_ = 0; //!< host telemetry
 };
 
 } // namespace mitosim::mem

@@ -1,7 +1,5 @@
 #include "snapshot.h"
 
-#include <chrono>
-#include <cstdio>
 #include <cstdlib>
 
 #include "src/base/logging.h"
@@ -21,8 +19,6 @@ makeBackend(BackendKind kind, mem::PhysicalMemory &physmem,
         return std::make_unique<pvops::NativeBackend>(physmem);
       case BackendKind::Mitosis:
         return std::make_unique<core::MitosisBackend>(physmem, cfg);
-      case BackendKind::LazyMitosis:
-        return std::make_unique<core::LazyMitosisBackend>(physmem, cfg);
     }
     panic("makeBackend: unknown backend kind");
 }
@@ -36,7 +32,7 @@ Universe::Universe(const sim::MachineConfig &machine_cfg, BackendKind k,
       backend_(makeBackend(k, machine.physmem(), backend_cfg)),
       kernel(machine, *backend_, kernel_cfg)
 {
-    if (kind != BackendKind::Native)
+    if (kind == BackendKind::Mitosis)
         mitosis().attachObs(&machine.metrics(), &machine.tracer());
 }
 
@@ -52,7 +48,7 @@ Universe::finalize()
 core::MitosisBackend &
 Universe::mitosis()
 {
-    MITOSIM_ASSERT(kind != BackendKind::Native,
+    MITOSIM_ASSERT(kind == BackendKind::Mitosis,
                    "mitosis(): universe runs the native backend");
     return static_cast<core::MitosisBackend &>(*backend_);
 }
@@ -62,35 +58,15 @@ Universe::fork(const os::KernelConfig &kernel_cfg) const
 {
     MITOSIM_ASSERT(proc && workload && ctx,
                    "fork: donor universe was never captured");
-    auto t0 = std::chrono::steady_clock::now();
     auto u = std::make_unique<Universe>(machine.config(), kind, backendCfg,
                                         kernel_cfg);
-    auto t1 = std::chrono::steady_clock::now();
     u->machine.cloneStateFrom(machine);
-    auto t2 = std::chrono::steady_clock::now();
     u->kernel.cloneStateFrom(kernel);
-    auto t3 = std::chrono::steady_clock::now();
-    if (std::getenv("MITOSIM_SNAPSHOT_TIMING")) {
-        auto ms = [](auto a, auto b) {
-            return std::chrono::duration<double, std::milli>(b - a).count();
-        };
-        std::fprintf(stderr, "[fork] ctor %.1f machine %.1f kernel %.1f\n",
-                     ms(t0, t1), ms(t1, t2), ms(t2, t3));
-    }
-    switch (kind) {
-      case BackendKind::Native:
-        break; // stateless: only holds the PhysicalMemory reference
-      case BackendKind::Mitosis:
-        static_cast<core::MitosisBackend &>(*u->backend_)
-            .cloneStateFrom(
-                static_cast<const core::MitosisBackend &>(*backend_));
-        break;
-      case BackendKind::LazyMitosis:
-        static_cast<core::LazyMitosisBackend &>(*u->backend_)
-            .cloneStateFrom(
-                static_cast<const core::LazyMitosisBackend &>(*backend_));
-        break;
-    }
+    // The native backend is stateless: it only holds the PhysicalMemory
+    // reference.
+    if (kind == BackendKind::Mitosis)
+        u->mitosis().cloneStateFrom(
+            static_cast<const core::MitosisBackend &>(*backend_));
     u->proc = u->kernel.findProcess(proc->id());
     MITOSIM_ASSERT(u->proc, "fork: populated process missing in clone");
     u->workload = workload->clone();
@@ -121,12 +97,6 @@ SnapshotCache::populated(const std::string &key,
         return build();
 
     std::lock_guard<std::mutex> lock(mu);
-    if (cap == 0) {
-        cap = 32;
-        if (const char *env = std::getenv("MITOSIM_SNAPSHOT_CACHE_CAP"))
-            if (long v = std::atol(env); v > 0)
-                cap = static_cast<std::size_t>(v);
-    }
     auto it = donors.find(key);
     if (it == donors.end()) {
         std::unique_ptr<Universe> donor = build();
@@ -154,7 +124,7 @@ SnapshotCache::clear()
 void
 SnapshotCache::evictIfNeeded()
 {
-    while (donors.size() > cap && !lru.empty()) {
+    while (donors.size() > Cap && !lru.empty()) {
         donors.erase(lru.back());
         lru.pop_back();
     }

@@ -28,9 +28,9 @@
  *    whether it hit or missed, or on matrix execution order.
  *
  * MITOSIM_SNAPSHOTS=0 disables reuse (every request builds fresh);
- * the cache keeps at most a bounded number of live donors
- * (MITOSIM_SNAPSHOT_CACHE_CAP, default 32) and evicts least-recently
- * used — an evicted donor just costs one re-populate later.
+ * the cache keeps at most SnapshotCache::Cap live donors and evicts
+ * least-recently used — an evicted donor just costs one re-populate
+ * later.
  */
 
 #ifndef MITOSIM_SNAPSHOT_SNAPSHOT_H
@@ -43,7 +43,6 @@
 #include <mutex>
 #include <string>
 
-#include "src/core/lazy_backend.h"
 #include "src/core/mitosis.h"
 #include "src/os/exec_context.h"
 #include "src/os/kernel.h"
@@ -59,7 +58,6 @@ enum class BackendKind
 {
     Native,
     Mitosis,
-    LazyMitosis,
 };
 
 /**
@@ -95,7 +93,7 @@ class Universe
 
     ~Universe() { finalize(); }
 
-    /** The backend as its concrete Mitosis type (kind != Native). */
+    /** The backend as its concrete Mitosis type (kind == Mitosis). */
     core::MitosisBackend &mitosis();
 
     sim::Machine machine;
@@ -129,6 +127,9 @@ class SnapshotCache
     /** A builder constructs and populates a donor (cache miss path). */
     using Builder = std::function<std::unique_ptr<Universe>()>;
 
+    /** Live donors kept before least-recently-used eviction. */
+    static constexpr std::size_t Cap = 32;
+
     /** The process-wide instance benches share. */
     static SnapshotCache &instance();
 
@@ -155,7 +156,6 @@ class SnapshotCache
     std::mutex mu;
     std::map<std::string, std::unique_ptr<Universe>> donors;
     std::list<std::string> lru; //!< front = most recently used
-    std::size_t cap = 0;        //!< resolved from env on first use
 };
 
 } // namespace mitosim::snapshot

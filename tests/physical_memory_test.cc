@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -301,6 +303,49 @@ TEST_F(PhysicalMemoryTest, ClonedArenasShareChunksUntilTableWrite)
     Pfn extra = *clone.allocPt(2, 1, 5);
     EXPECT_EQ(pm.tableArenaStats().liveSlots, donor.liveSlots);
     clone.freePt(extra);
+}
+
+TEST_F(PhysicalMemoryTest, ClonedMetadataSharesChunksUntilMetaWrite)
+{
+    auto donor = std::make_unique<PhysicalMemory>(topo);
+    Pfn pfn = *donor->allocData(1, 3);
+
+    PhysicalMemory clone(topo);
+    clone.cloneStateFrom(*donor);
+    // Reads share the donor's chunk: same storage, nothing copied.
+    const PageMeta &shared = std::as_const(clone).meta(pfn);
+    EXPECT_EQ(&shared, &std::as_const(*donor).meta(pfn));
+    EXPECT_EQ(shared.owner, 3);
+
+    // The first mutable touch detaches a private copy; the donor keeps
+    // its value.
+    clone.meta(pfn).owner = 9;
+    const PageMeta &priv = std::as_const(clone).meta(pfn);
+    EXPECT_NE(&priv, &shared);
+    EXPECT_EQ(priv.owner, 9);
+    EXPECT_EQ(std::as_const(*donor).meta(pfn).owner, 3);
+
+    // Later writes land in the now-private chunk without copying again.
+    clone.meta(pfn).level = 0;
+    EXPECT_EQ(&std::as_const(clone).meta(pfn), &priv);
+
+    // The clone retired the shared original, so a reference taken
+    // before the detach outlives the donor (which would otherwise
+    // scrub the chunk back into the pool).
+    donor.reset();
+    EXPECT_EQ(shared.owner, 3);
+    EXPECT_EQ(shared.type, FrameType::Data);
+}
+
+TEST_F(PhysicalMemoryTest, MetaChunksReturnToSlabPool)
+{
+    SlabPoolStats before = slabPoolStats();
+    {
+        PhysicalMemory other(topo);
+        ASSERT_TRUE(other.allocData(0, 1).has_value());
+        ASSERT_TRUE(other.allocData(3, 1).has_value());
+    }
+    EXPECT_GE(slabPoolStats().metaRecycles, before.metaRecycles + 2);
 }
 
 TEST_F(PhysicalMemoryTest, RetiredTableChunksReturnToSlabPool)

@@ -11,6 +11,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/harness.h"
 #include "src/check/vmcheck.h"
@@ -244,6 +246,67 @@ TEST(SnapshotTest, BackendPteReadsNeverDetach)
         u->finalize();
         donor->finalize();
     }
+}
+
+/** A captured native universe on the tiny machine, populated by gups. */
+std::unique_ptr<Universe>
+tinyDonor(std::uint64_t seed)
+{
+    auto u = std::make_unique<Universe>(sim::MachineConfig::tiny(),
+                                        BackendKind::Native,
+                                        core::MitosisConfig{},
+                                        os::KernelConfig{});
+    u->proc = &u->kernel.createProcess("gups", 0);
+    u->ctx = std::make_unique<os::ExecContext>(u->kernel, *u->proc);
+    u->ctx->addThread(0);
+    workloads::WorkloadParams params;
+    params.footprint = 1ull << 20;
+    params.seed = seed;
+    u->workload = workloads::makeWorkload("gups", params);
+    u->workload->setup(*u->ctx);
+    return u;
+}
+
+TEST(SnapshotTest, CacheEvictsLeastRecentlyUsedDonor)
+{
+    if (!SnapshotCache::enabled())
+        GTEST_SKIP() << "MITOSIM_SNAPSHOTS=0 disables the cache";
+
+    SnapshotCache cache; // local: the process-wide instance is untouched
+    std::vector<int> builds(SnapshotCache::Cap + 1, 0);
+    auto request = [&](std::size_t i) {
+        return cache.populated(std::to_string(i), os::KernelConfig{},
+                               [&builds, i] {
+                                   ++builds[i];
+                                   return tinyDonor(i);
+                               });
+    };
+
+    for (std::size_t i = 0; i < SnapshotCache::Cap; ++i)
+        request(i)->finalize();
+    // Touch key 0 so key 1 becomes least recently used, then add one
+    // key past the cap.
+    request(0)->finalize();
+    request(SnapshotCache::Cap)->finalize();
+    ASSERT_EQ(builds[0], 1);
+    ASSERT_EQ(builds[1], 1);
+
+    request(0)->finalize();
+    EXPECT_EQ(builds[0], 1) << "recently used donor was evicted";
+    auto rebuilt = request(1);
+    EXPECT_EQ(builds[1], 2) << "least recently used donor was kept";
+
+    // The fork of the rebuilt donor starts from exactly the state a
+    // fresh populate reaches.
+    auto fresh = tinyDonor(1);
+    for (SocketId s = 0; s < fresh->machine.numSockets(); ++s) {
+        const mem::MemStats &a = rebuilt->machine.physmem().stats(s);
+        const mem::MemStats &b = fresh->machine.physmem().stats(s);
+        EXPECT_EQ(a.dataPages, b.dataPages) << "socket " << s;
+        EXPECT_EQ(a.ptPages, b.ptPages) << "socket " << s;
+    }
+    EXPECT_TRUE(countersEqual(measure(*rebuilt, 2000),
+                              measure(*fresh, 2000)));
 }
 
 TEST(SnapshotTest, FinalizeIsIdempotentAndDtorSafe)
