@@ -61,6 +61,7 @@ run(bool lazy)
         result.value("peak_queue_depth",
                      static_cast<double>(
                          lazy_b.lazyStats().maxQueueDepth));
+    recordJobStats(kernel, result);
     kernel.finalizeProcess(proc);
     return result;
 }

@@ -129,7 +129,7 @@ PtAnalyzer::snapshotTree(Pfn root) const
         auto &c = snap.cell(f.level, holder);
         ++c.pages;
 
-        const std::uint64_t *tbl = mem.table(f.table);
+        const std::uint64_t *tbl = mem.tableView(f.table);
         for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
             pt::Pte entry{tbl[i]};
             if (!entry.present())

@@ -181,8 +181,8 @@ Checker::compareTables(os::Process &proc, SocketId socket, Pfn primary,
         return; // degraded allocation: the socket shares this frame
     auto &pm = k.machine().physmem();
     ++stats_.replicaTablesCompared;
-    const std::uint64_t *tbl_p = pm.table(primary);
-    const std::uint64_t *tbl_r = pm.table(replica);
+    const std::uint64_t *tbl_p = pm.tableView(primary);
+    const std::uint64_t *tbl_r = pm.tableView(replica);
     std::uint64_t span = bytesPerEntry(ptLevel(level));
 
     for (unsigned i = 0; i < PtEntriesPerPage; ++i) {

@@ -39,47 +39,23 @@ LazyMitosisBackend::propagateToReplica(Pfn replica, unsigned index,
 }
 
 void
-LazyMitosisBackend::setPte(pt::RootSet &roots, pt::PteLoc loc,
-                           pt::Pte value, int level,
-                           pvops::KernelCost *cost)
-{
-    // Unreplicated pages: nothing to defer.
-    if (nextReplica(loc.ptPfn) == loc.ptPfn) {
-        MitosisBackend::setPte(roots, loc, value, level, cost);
-        return;
-    }
-
-    writePrimaryEntry(loc, value, level, cost);
-
-    Pfn p = nextReplica(loc.ptPfn);
-    while (p != loc.ptPfn) {
-        propagateToReplica(p, loc.index, value, level,
-                           /*charge_hop=*/true, cost);
-        p = nextReplica(p);
-    }
-}
-
-void
 LazyMitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
                             const pt::Pte *values, unsigned count,
                             int level, pvops::KernelCost *cost)
 {
+    // Unreplicated pages: nothing to defer.
     if (nextReplica(loc.ptPfn) == loc.ptPfn) {
         MitosisBackend::setPtes(roots, loc, values, count, level, cost);
         return;
     }
 
     bool batched = config().updateMode == UpdateMode::Batched;
-    for (unsigned k = 0; k < count; ++k)
-        writePrimaryEntry(pt::PteLoc{loc.ptPfn, loc.index + k}, values[k],
-                          level, cost);
+    writePrimaryEntries(loc, values, count, level, cost);
 
     Pfn p = nextReplica(loc.ptPfn);
     while (p != loc.ptPfn) {
-        if (batched && cost) {
-            cost->charge(pvops::ReplicaHopCost);
-            ++cost->replicaHops;
-        }
+        if (batched)
+            chargeLocate(cost);
         for (unsigned k = 0; k < count; ++k)
             propagateToReplica(p, loc.index + k, values[k], level,
                                /*charge_hop=*/!batched, cost);
@@ -88,30 +64,29 @@ LazyMitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
 }
 
 void
+LazyMitosisBackend::dropUpdatesTo(Pfn pfn)
+{
+    for (auto &q : queues)
+        std::erase_if(q,
+                      [pfn](const Update &u) { return u.replicaPfn == pfn; });
+}
+
+void
 LazyMitosisBackend::releasePtPage(pt::RootSet &roots, Pfn pfn,
                                   pvops::KernelCost *cost)
 {
-    // Drop pending messages aimed at any page of the dying replica set;
-    // applying them later would write into freed (possibly reused)
-    // frames.
-    std::vector<Pfn> dying;
-    mem.forEachReplica(pfn, [&](Pfn p) { dying.push_back(p); });
-    for (auto &q : queues) {
-        std::deque<Update> kept;
-        for (const Update &u : q) {
-            bool doomed = false;
-            for (Pfn d : dying) {
-                if (u.replicaPfn == d) {
-                    doomed = true;
-                    break;
-                }
-            }
-            if (!doomed)
-                kept.push_back(u);
-        }
-        q = std::move(kept);
-    }
+    // The primary page may itself be a message target (a replica that
+    // a lazy migration promoted); the base frees the rest of the set
+    // through freeReplica.
+    dropUpdatesTo(pfn);
     MitosisBackend::releasePtPage(roots, pfn, cost);
+}
+
+void
+LazyMitosisBackend::freeReplica(Pfn replica, pvops::KernelCost *cost)
+{
+    dropUpdatesTo(replica);
+    MitosisBackend::freeReplica(replica, cost);
 }
 
 bool

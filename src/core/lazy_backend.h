@@ -58,14 +58,11 @@ class LazyMitosisBackend : public MitosisBackend
         mem::PhysicalMemory &physmem,
         const MitosisConfig &config = MitosisConfig{});
 
-    void setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value,
-                int level, pvops::KernelCost *cost) override;
-
     /**
-     * Batched stores keep the lazy install/eager-fallback split per
-     * entry, but chase the replica ring once per table. Default modes
-     * charge exactly like per-entry setPte; UpdateMode::Batched charges
-     * the per-replica ring hop once per (replica, table).
+     * Stores keep the lazy install/eager-fallback split per entry, but
+     * chase the replica ring once per table. Default modes charge a run
+     * as its entries one at a time; UpdateMode::Batched charges the
+     * per-replica ring hop once per (replica, table).
      */
     void setPtes(pt::RootSet &roots, pt::PteLoc loc,
                  const pt::Pte *values, unsigned count, int level,
@@ -85,6 +82,10 @@ class LazyMitosisBackend : public MitosisBackend
     /** Pending messages for @p socket (diagnostics / tests). */
     std::size_t pendingFor(SocketId socket) const;
 
+  protected:
+    /** Purges queued messages aimed at the freed replica. */
+    void freeReplica(Pfn replica, pvops::KernelCost *cost) override;
+
   private:
     /** One queued replica update. */
     struct Update
@@ -98,11 +99,17 @@ class LazyMitosisBackend : public MitosisBackend
     /**
      * Queue-or-eager decision for one replica entry. @p charge_hop
      * controls whether the per-entry ring-hop cost is charged here
-     * (per-entry paths) or was already charged per table (Batched).
+     * (default modes) or was already charged per table (Batched).
      */
     void propagateToReplica(Pfn replica, unsigned index, pt::Pte value,
                             int level, bool charge_hop,
                             pvops::KernelCost *cost);
+
+    /**
+     * Drop pending messages aimed at @p pfn: applied after the frame
+     * is freed, they would write into a freed (possibly reused) frame.
+     */
+    void dropUpdatesTo(Pfn pfn);
 
     std::vector<std::deque<Update>> queues; //!< per socket
     LazyStats lstats;

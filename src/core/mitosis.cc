@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "src/base/logging.h"
+#include "src/pt/operations.h"
 #include "src/pt/pte.h"
 #include "src/pvops/costs.h"
 
@@ -103,36 +104,19 @@ MitosisBackend::allocPtPage(pt::RootSet &roots, ProcId owner, int level,
     SocketId primary_socket =
         mask.contains(hint_socket) ? hint_socket : mask.first();
 
-    // Only the non-primary copies count as replica pages, matching
-    // releasePtPage / freeOtherReplicas on the free side — the counters
-    // must conserve against the live ring population (vmcheck class 5).
+    // Only the non-primary copies count as replica pages (createReplica
+    // here, freeReplica on the free side) — the counters must conserve
+    // against the live ring population (vmcheck class 5).
     Pfn primary = allocSingle(owner, level, primary_socket, cost);
     if (primary == InvalidPfn)
         return InvalidPfn;
 
+    // A failed replica allocation is degraded, not fatal: that socket
+    // simply won't get a local copy.
     for (SocketId s = mask.first(); s != InvalidSocket;
          s = mask.nextAfter(s)) {
-        if (s == mem.socketOf(primary))
-            continue;
-        auto replica = mem.allocPt(s, level, owner);
-        if (!replica) {
-            // Degraded: this socket simply won't get a local copy.
-            ++stats_.degradedAllocs;
-            continue;
-        }
-        if (cost) {
-            cost->charge(pvops::PtPageSetupCost);
-            ++cost->ptPagesAllocated;
-        }
-        mem.linkReplica(primary, *replica);
-        ++stats_.replicaPagesCreated;
-        bump(mReplCreated);
-        if (gReplLive)
-            gReplLive->add(1);
-        if (trc_)
-            trc_->instant(obs::TraceCat::Replica, "replica_create",
-                          owner, 0, "socket",
-                          static_cast<std::uint64_t>(s));
+        if (s != mem.socketOf(primary))
+            createReplica(primary, level, s, owner, cost);
     }
     return primary;
 }
@@ -143,42 +127,74 @@ MitosisBackend::releasePtPage(pt::RootSet &roots, Pfn pfn, KernelCost *cost)
     (void)roots;
     if (cost)
         cost->charge(IndirectionCost);
-    // Free the whole replica set.
+    // Free the whole replica set, the primary page first.
     std::vector<Pfn> pages;
     mem.forEachReplica(pfn, [&](Pfn p) { pages.push_back(p); });
-    for (Pfn p : pages) {
-        mem.unlinkReplica(p);
-        mem.freePt(p);
-        if (cost) {
-            cost->charge(pvops::PageFreeCost);
-            ++cost->ptPagesFreed;
-        }
-        if (p != pfn) {
-            ++stats_.replicaPagesFreed;
-            bump(mReplFreed);
-            if (gReplLive)
-                gReplLive->sub(1);
-            if (trc_)
-                trc_->instant(obs::TraceCat::Replica, "replica_free",
-                              0, 0, "pfn", p);
-        }
+    mem.unlinkReplica(pfn);
+    mem.freePt(pfn);
+    if (cost) {
+        cost->charge(pvops::PageFreeCost);
+        ++cost->ptPagesFreed;
     }
+    for (std::size_t i = 1; i < pages.size(); ++i)
+        freeReplica(pages[i], cost);
+}
+
+Pfn
+MitosisBackend::createReplica(Pfn base, int level, SocketId socket,
+                              ProcId owner, KernelCost *cost)
+{
+    auto page = mem.allocPt(socket, level, owner);
+    if (!page) {
+        ++stats_.degradedAllocs;
+        return InvalidPfn;
+    }
+    if (cost) {
+        cost->charge(pvops::PtPageSetupCost);
+        ++cost->ptPagesAllocated;
+    }
+    mem.linkReplica(base, *page);
+    ++stats_.replicaPagesCreated;
+    bump(mReplCreated);
+    if (gReplLive)
+        gReplLive->add(1);
+    if (trc_)
+        trc_->instant(obs::TraceCat::Replica, "replica_create", owner, 0,
+                      "socket", static_cast<std::uint64_t>(socket));
+    return *page;
 }
 
 void
-MitosisBackend::chargeLocate(KernelCost *cost) const
+MitosisBackend::freeReplica(Pfn replica, KernelCost *cost)
+{
+    mem.unlinkReplica(replica);
+    mem.freePt(replica);
+    if (cost) {
+        cost->charge(pvops::PageFreeCost);
+        ++cost->ptPagesFreed;
+    }
+    ++stats_.replicaPagesFreed;
+    bump(mReplFreed);
+    if (gReplLive)
+        gReplLive->sub(1);
+    if (trc_)
+        trc_->instant(obs::TraceCat::Replica, "replica_free", 0, 0, "pfn",
+                      replica);
+}
+
+void
+MitosisBackend::chargeLocate(KernelCost *cost, unsigned n) const
 {
     if (!cost)
         return;
     if (cfg.updateMode != UpdateMode::WalkReplicas) {
         // One struct-page pointer chase per replica (2N total refs: N
-        // writes + N metadata reads, §5.2). Batched mode pays the same
-        // per single update; it only amortizes inside setPtes.
-        cost->charge(pvops::ReplicaHopCost);
-        ++cost->replicaHops;
+        // writes + N metadata reads, §5.2).
+        cost->charge(pvops::ReplicaHopCost * n);
+        cost->replicaHops += n;
     } else {
         // Walk the replica's tree from its root: 4 steps on x86-64.
-        cost->charge(4 * pvops::ReplicaWalkStepCost);
+        cost->charge(4 * pvops::ReplicaWalkStepCost * n);
     }
 }
 
@@ -220,33 +236,16 @@ MitosisBackend::localizedValue(Pfn table, pt::Pte value, int level) const
 }
 
 void
-MitosisBackend::writePrimaryEntry(pt::PteLoc loc, pt::Pte value, int level,
-                                  KernelCost *cost)
+MitosisBackend::writePrimaryEntries(pt::PteLoc loc, const pt::Pte *values,
+                                    unsigned count, int level,
+                                    KernelCost *cost)
 {
-    mem.table(loc.ptPfn)[loc.index] =
-        localizedValue(loc.ptPfn, value, level).raw();
+    std::uint64_t *primary = mem.table(loc.ptPfn) + loc.index;
+    for (unsigned k = 0; k < count; ++k)
+        primary[k] = localizedValue(loc.ptPfn, values[k], level).raw();
     if (cost) {
-        cost->charge(pvops::PteWriteCost);
-        ++cost->pteWrites;
-    }
-}
-
-void
-MitosisBackend::setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value,
-                       int level, KernelCost *cost)
-{
-    (void)roots;
-    if (cost)
-        cost->charge(IndirectionCost);
-
-    writePrimaryEntry(loc, value, level, cost);
-
-    // Eager propagation along the circular list (Figure 8).
-    Pfn p = nextReplica(loc.ptPfn);
-    while (p != loc.ptPfn) {
-        chargeLocate(cost);
-        writeReplicaEntry(p, loc.index, value, level, cost);
-        p = nextReplica(p);
+        cost->charge(pvops::PteWriteCost * count);
+        cost->pteWrites += count;
     }
 }
 
@@ -260,29 +259,15 @@ MitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
     if (cost)
         cost->charge(batched ? IndirectionCost : IndirectionCost * count);
 
-    std::uint64_t *primary = mem.table(loc.ptPfn) + loc.index;
-    for (unsigned k = 0; k < count; ++k)
-        primary[k] = localizedValue(loc.ptPfn, values[k], level).raw();
-    if (cost) {
-        cost->charge(pvops::PteWriteCost * count);
-        cost->pteWrites += count;
-    }
+    writePrimaryEntries(loc, values, count, level, cost);
 
-    // One ring traversal per table; each replica gets the whole run
-    // streamed. Under the default modes the locate is still charged per
-    // entry (metric parity with the per-entry path); Batched charges it
-    // once per (replica, table) — the range-op amortization.
+    // Eager propagation along the circular list (Figure 8): one ring
+    // traversal per table, each replica gets the whole run streamed.
+    // Under the default modes the locate is charged per entry; Batched
+    // charges it once per (replica, table) — the range-op amortization.
     Pfn p = nextReplica(loc.ptPfn);
     while (p != loc.ptPfn) {
-        if (cost) {
-            unsigned locates = batched ? 1 : count;
-            if (cfg.updateMode != UpdateMode::WalkReplicas) {
-                cost->charge(pvops::ReplicaHopCost * locates);
-                cost->replicaHops += locates;
-            } else {
-                cost->charge(4 * pvops::ReplicaWalkStepCost * locates);
-            }
-        }
+        chargeLocate(cost, batched ? 1 : count);
         std::uint64_t *replica = mem.table(p) + loc.index;
         for (unsigned k = 0; k < count; ++k)
             replica[k] = localizedValue(p, values[k], level).raw();
@@ -319,33 +304,6 @@ MitosisBackend::splitHuge(pt::RootSet &roots, ProcId owner,
 }
 
 pt::Pte
-MitosisBackend::readPte(const pt::RootSet &roots, pt::PteLoc loc,
-                        KernelCost *cost) const
-{
-    (void)roots;
-    if (cost)
-        cost->charge(IndirectionCost + pvops::PteReadCost);
-
-    std::uint64_t raw = mem.tableView(loc.ptPfn)[loc.index];
-    Pfn p = nextReplica(loc.ptPfn);
-    if (p != loc.ptPfn) {
-        // OR the hardware-written bits across every replica (§5.4).
-        auto *self = const_cast<MitosisBackend *>(this);
-        ++self->stats_.adMergedReads;
-        while (p != loc.ptPfn) {
-            raw |= mem.tableView(p)[loc.index] & pt::PteAdMask;
-            // The ring pointer shares the struct-page line with other
-            // metadata the read path already touched; charge only the
-            // PTE load itself.
-            if (cost)
-                cost->charge(pvops::PteReadCost);
-            p = nextReplica(p);
-        }
-    }
-    return pt::Pte{raw};
-}
-
-pt::Pte
 MitosisBackend::readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
                             unsigned n, KernelCost *cost) const
 {
@@ -358,10 +316,14 @@ MitosisBackend::readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
     std::uint64_t raw = mem.tableView(loc.ptPfn)[loc.index];
     Pfn p = nextReplica(loc.ptPfn);
     if (p != loc.ptPfn) {
+        // OR the hardware-written bits across every replica (§5.4).
         auto *self = const_cast<MitosisBackend *>(this);
         self->stats_.adMergedReads += n;
         while (p != loc.ptPfn) {
             raw |= mem.tableView(p)[loc.index] & pt::PteAdMask;
+            // The ring pointer shares the struct-page line with other
+            // metadata the read path already touched; charge only the
+            // PTE loads themselves.
             if (cost)
                 cost->charge(pvops::PteReadCost * n);
             p = nextReplica(p);
@@ -399,28 +361,11 @@ MitosisBackend::replicateSubtree(Pfn src, int level, SocketId target,
                                  ProcId owner, KernelCost *cost)
 {
     Pfn dst = mem.replicaOnSocket(src, target);
-    bool fresh = false;
-    if (dst == InvalidPfn) {
-        auto page = mem.allocPt(target, level, owner);
-        if (!page) {
-            ++stats_.degradedAllocs;
+    bool fresh = dst == InvalidPfn;
+    if (fresh) {
+        dst = createReplica(src, level, target, owner, cost);
+        if (dst == InvalidPfn)
             return InvalidPfn;
-        }
-        dst = *page;
-        mem.linkReplica(src, dst);
-        ++stats_.replicaPagesCreated;
-        bump(mReplCreated);
-        if (gReplLive)
-            gReplLive->add(1);
-        if (trc_)
-            trc_->instant(obs::TraceCat::Replica, "replica_create",
-                          owner, 0, "socket",
-                          static_cast<std::uint64_t>(target));
-        fresh = true;
-        if (cost) {
-            cost->charge(pvops::PtPageSetupCost);
-            ++cost->ptPagesAllocated;
-        }
     }
 
     const std::uint64_t *src_tbl = mem.tableView(src);
@@ -483,21 +428,16 @@ MitosisBackend::setReplicationMask(pt::RootSet &roots, ProcId owner,
          s = old_mask.nextAfter(s)) {
         if (mask.contains(s))
             continue;
-        // Collect pages of the primary tree, then free their s-replicas.
+        // Collect the s-replicas of the primary tree's pages (unless
+        // the primary page itself is on s), then free them.
         std::vector<Pfn> to_free;
-        collectReplicasOn(roots, s, to_free);
-        for (Pfn p : to_free) {
-            mem.unlinkReplica(p);
-            mem.freePt(p);
-            ++stats_.replicaPagesFreed;
-            bump(mReplFreed);
-            if (gReplLive)
-                gReplLive->sub(1);
-            if (cost) {
-                cost->charge(pvops::PageFreeCost);
-                ++cost->ptPagesFreed;
-            }
-        }
+        pt::forEachTableUnder(mem, roots.primaryRoot, [&](Pfn table, int) {
+            Pfn replica = mem.replicaOnSocket(table, s);
+            if (replica != InvalidPfn && replica != table)
+                to_free.push_back(replica);
+        });
+        for (Pfn p : to_free)
+            freeReplica(p, cost);
     }
 
     roots.replicaMask = mask;
@@ -512,57 +452,6 @@ MitosisBackend::setReplicationMask(pt::RootSet &roots, ProcId owner,
                 : roots.primaryRoot;
     }
     return true;
-}
-
-void
-MitosisBackend::collectReplicasOn(pt::RootSet &roots, SocketId socket,
-                                  std::vector<Pfn> &out)
-{
-    // DFS over the primary tree; for each page record its replica on
-    // @p socket unless that replica *is* the primary page.
-    struct Frame
-    {
-        Pfn table;
-        int level;
-    };
-    std::vector<Frame> stack{{roots.primaryRoot, 4}};
-    while (!stack.empty()) {
-        Frame f = stack.back();
-        stack.pop_back();
-        Pfn replica = mem.replicaOnSocket(f.table, socket);
-        if (replica != InvalidPfn && replica != f.table)
-            out.push_back(replica);
-        if (f.level == 1)
-            continue;
-        const std::uint64_t *tbl = mem.tableView(f.table);
-        for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
-            pt::Pte entry{tbl[i]};
-            if (entry.present() && !(f.level == 2 && entry.huge()))
-                stack.push_back({entry.pfn(), f.level - 1});
-        }
-    }
-}
-
-void
-MitosisBackend::freeOtherReplicas(Pfn keep, KernelCost *cost)
-{
-    std::vector<Pfn> others;
-    mem.forEachReplica(keep, [&](Pfn p) {
-        if (p != keep)
-            others.push_back(p);
-    });
-    for (Pfn p : others) {
-        mem.unlinkReplica(p);
-        mem.freePt(p);
-        ++stats_.replicaPagesFreed;
-        bump(mReplFreed);
-        if (gReplLive)
-            gReplLive->sub(1);
-        if (cost) {
-            cost->charge(pvops::PageFreeCost);
-            ++cost->ptPagesFreed;
-        }
-    }
 }
 
 bool
@@ -593,28 +482,12 @@ MitosisBackend::migratePageTables(pt::RootSet &roots, ProcId owner,
     roots.primaryRoot = new_root;
 
     if (cfg.eagerFreeOnMigration) {
-        // Step 2 (eager): free every non-target copy. Walk the *new*
+        // Step 2 (eager): free every non-target copy. Sweep the *new*
         // tree; its replica lists still link the old copies.
-        struct Frame
-        {
-            Pfn table;
-            int level;
-        };
-        std::vector<Frame> stack{{new_root, 4}};
-        while (!stack.empty()) {
-            Frame f = stack.back();
-            stack.pop_back();
-            if (f.level > 1) {
-                const std::uint64_t *tbl = mem.tableView(f.table);
-                for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
-                    pt::Pte entry{tbl[i]};
-                    if (entry.present() &&
-                        !(f.level == 2 && entry.huge()))
-                        stack.push_back({entry.pfn(), f.level - 1});
-                }
-            }
-            freeOtherReplicas(f.table, cost);
-        }
+        pt::forEachTableUnder(mem, new_root, [&](Pfn table, int) {
+            while (nextReplica(table) != table)
+                freeReplica(nextReplica(table), cost);
+        });
         roots.resetToPrimary();
     } else {
         // Lazy: keep the old copies as live replicas; the old home

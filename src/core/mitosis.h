@@ -27,7 +27,6 @@
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "src/base/socket_mask.h"
 #include "src/mem/physical_memory.h"
@@ -161,14 +160,12 @@ class MitosisBackend : public pvops::PvOps
     void releasePtPage(pt::RootSet &roots, Pfn pfn,
                        pvops::KernelCost *cost) override;
 
-    void setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value,
-                int level, pvops::KernelCost *cost) override;
-
     /**
-     * Batched stores into one table: the replica ring is chased once
-     * per table and the entries streamed into each copy. Charged costs
-     * are per-entry-identical to looping setPte under CircularList /
-     * WalkReplicas; UpdateMode::Batched charges the locate per table.
+     * Stores into one table, propagated eagerly to every replica: the
+     * ring is chased once per table and the entries streamed into each
+     * copy. A run charges what its entries would one at a time under
+     * CircularList / WalkReplicas; UpdateMode::Batched charges the
+     * replica locate once per (replica, table).
      */
     void setPtes(pt::RootSet &roots, pt::PteLoc loc,
                  const pt::Pte *values, unsigned count, int level,
@@ -176,7 +173,7 @@ class MitosisBackend : public pvops::PvOps
 
     /**
      * THP lifecycle hooks: the base-class composition over this
-     * backend's own setPte/setPtes/allocPtPage/releasePtPage already
+     * backend's own setPtes/allocPtPage/releasePtPage already
      * rewrites the leaf level in every replica (one ring locate per
      * replica per table, the batched-update model) and frees/creates
      * whole replica sets; these overrides only count the events so the
@@ -191,10 +188,7 @@ class MitosisBackend : public pvops::PvOps
                    const pt::Pte *values, SocketId hint_socket,
                    pvops::KernelCost *cost) override;
 
-    pt::Pte readPte(const pt::RootSet &roots, pt::PteLoc loc,
-                    pvops::KernelCost *cost) const override;
-
-    /** One ring traversal, n-fold readPte charges (A/D merge incl.). */
+    /** One ring traversal, n-fold read charges (A/D merge incl.). */
     pt::Pte readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
                         unsigned n, pvops::KernelCost *cost) const override;
 
@@ -251,12 +245,20 @@ class MitosisBackend : public pvops::PvOps
     Pfn replicateSubtree(Pfn src, int level, SocketId target, ProcId owner,
                          pvops::KernelCost *cost);
 
-    /** Free every replica of @p pfn's list except @p keep. */
-    void freeOtherReplicas(Pfn keep, pvops::KernelCost *cost);
+    /**
+     * Allocate a level-@p level page on @p socket and link it into
+     * @p base's replica ring, charging, counting and tracing it.
+     * @return the new replica, or InvalidPfn (a degraded allocation).
+     */
+    Pfn createReplica(Pfn base, int level, SocketId socket, ProcId owner,
+                      pvops::KernelCost *cost);
 
-    /** Collect the @p socket replicas of all primary-tree pages. */
-    void collectReplicasOn(pt::RootSet &roots, SocketId socket,
-                           std::vector<Pfn> &out);
+    /**
+     * Unlink and free replica page @p replica, charging, counting and
+     * tracing it. Every replica free goes through here (release, mask
+     * shrink, eager migration), which is what the lazy backend hooks.
+     */
+    virtual void freeReplica(Pfn replica, pvops::KernelCost *cost);
 
     /** Write @p value into replica page @p replica, fixing child links. */
     void writeReplicaEntry(Pfn replica, unsigned index, pt::Pte value,
@@ -273,8 +275,8 @@ class MitosisBackend : public pvops::PvOps
         return std::as_const(mem).meta(pfn).replicaNext;
     }
 
-    /** Charge the per-replica locate cost for the configured mode. */
-    void chargeLocate(pvops::KernelCost *cost) const;
+    /** Charge @p n replica locates for the configured mode. */
+    void chargeLocate(pvops::KernelCost *cost, unsigned n = 1) const;
 
     /**
      * @p value with a non-leaf child pointer redirected to the child
@@ -282,9 +284,10 @@ class MitosisBackend : public pvops::PvOps
      */
     pt::Pte localizedValue(Pfn table, pt::Pte value, int level) const;
 
-    /** Primary store of one entry, charged like the setPte fast path. */
-    void writePrimaryEntry(pt::PteLoc loc, pt::Pte value, int level,
-                           pvops::KernelCost *cost);
+    /** Primary store of @p values[0..count) at @p loc, localized. */
+    void writePrimaryEntries(pt::PteLoc loc, const pt::Pte *values,
+                             unsigned count, int level,
+                             pvops::KernelCost *cost);
 
     /** Null-safe counter bump for detached backends. */
     static void

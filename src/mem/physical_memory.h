@@ -219,13 +219,14 @@ class PhysicalMemory
     std::uint64_t ptCacheSize(SocketId socket) const;
 
     /**
-     * Backing storage of a PT frame (512 entries), writable. Table
-     * storage lives in per-socket slot arenas whose 256 KiB chunks are
-     * shared copy-on-write across snapshot forks; this overload
-     * detaches a shared chunk before handing out the pointer, so a
-     * fork can never write through to its donor. Note it does NOT
-     * detach (or even materialize) the frame's *metadata* chunk — a
-     * PTE store is not a metadata write.
+     * Backing storage of a PT frame (512 entries), writable: the
+     * accessor for stores only (reads use tableView). Table storage
+     * lives in per-socket slot arenas whose 256 KiB chunks are shared
+     * copy-on-write across snapshot forks; this accessor detaches a
+     * shared chunk before handing out the pointer, so a fork can never
+     * write through to its donor. Note it does NOT detach (or even
+     * materialize) the frame's *metadata* chunk — a PTE store is not a
+     * metadata write.
      */
     std::uint64_t *
     table(Pfn pfn)
@@ -255,8 +256,6 @@ class PhysicalMemory
         return words.view(m.tableSlot >> TableChunkShift) +
                slotOffset(m.tableSlot);
     }
-
-    const std::uint64_t *table(Pfn pfn) const { return tableView(pfn); }
 
     /** Host telemetry: this instance's table-arena activity. */
     TableArenaStats tableArenaStats() const;
@@ -302,9 +301,9 @@ class PhysicalMemory
      * shares the donor's chunks by reference, and the first mutable
      * touch of a shared chunk detaches a private copy. Every metadata
      * write reaches the chunk through this accessor, so a clone can
-     * never write through to its donor. (PTE writes go through the
-     * non-const table() overload, which detaches the *table arena*
-     * chunk the same way — they do not touch metadata chunks.)
+     * never write through to its donor. (PTE writes go through
+     * table(), which detaches the *table arena* chunk the same way —
+     * they do not touch metadata chunks.)
      */
     PageMeta &
     meta(Pfn pfn)
@@ -354,28 +353,6 @@ class PhysicalMemory
     void fragment(SocketId socket, double fraction, Rng &rng);
     void defragment(SocketId socket);
     /// @}
-
-    /**
-     * Visit the metadata of every frame whose chunk has ever been
-     * touched, as (pfn, meta). Frames in never-touched chunks are
-     * pristine by construction and are skipped — this is the sparse
-     * scan the snapshot subsystem uses to find live state.
-     */
-    template <typename Fn>
-    void
-    forEachTouchedMeta(Fn &&fn) const
-    {
-        for (std::size_t c = 0; c < metaChunks.size(); ++c) {
-            const PageMeta *chunk = metaChunks.view(c);
-            if (!chunk)
-                continue;
-            Pfn base = static_cast<Pfn>(c) << MetaChunkShift;
-            std::uint64_t n =
-                std::min<std::uint64_t>(MetaChunkSize, totalFrames_ - base);
-            for (std::uint64_t i = 0; i < n; ++i)
-                fn(base + i, chunk[i]);
-        }
-    }
 
   private:
     /**

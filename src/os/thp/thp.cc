@@ -74,7 +74,7 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
     Pfn leaf_table = ops.tableFor(proc.roots(), va2m, 1);
     if (leaf_table == InvalidPfn)
         return false; // no leaf table (vacant range, or already huge)
-    const std::uint64_t *tbl = physmem.table(leaf_table);
+    const std::uint64_t *tbl = physmem.tableView(leaf_table);
     std::uint64_t uniform = 0;
     unsigned present = 0;
     std::array<Pfn, PtEntriesPerPage> old_frames;

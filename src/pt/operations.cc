@@ -563,29 +563,8 @@ void
 PageTableOps::forEachTable(const RootSet &roots,
                            const std::function<void(Pfn, int)> &fn) const
 {
-    if (roots.primaryRoot == InvalidPfn)
-        return;
-    // Depth-first, parents before children; callers needing leaves-last
-    // can collect and reverse.
-    struct Frame
-    {
-        Pfn table;
-        int level;
-    };
-    std::vector<Frame> stack{{roots.primaryRoot, 4}};
-    while (!stack.empty()) {
-        Frame f = stack.back();
-        stack.pop_back();
-        fn(f.table, f.level);
-        if (f.level == 1)
-            continue;
-        const std::uint64_t *tbl = mem.tableView(f.table);
-        for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
-            Pte entry{tbl[i]};
-            if (entry.present() && !(f.level == 2 && entry.huge()))
-                stack.push_back({entry.pfn(), f.level - 1});
-        }
-    }
+    if (roots.primaryRoot != InvalidPfn)
+        forEachTableUnder(mem, roots.primaryRoot, fn);
 }
 
 void
@@ -593,7 +572,7 @@ PageTableOps::destroyLevel(RootSet &roots, Pfn table, int level,
                            pvops::KernelCost *cost)
 {
     if (level > 1) {
-        const std::uint64_t *tbl = mem.table(table);
+        const std::uint64_t *tbl = mem.tableView(table);
         for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
             Pte entry{tbl[i]};
             if (entry.present() && !(level == 2 && entry.huge()))

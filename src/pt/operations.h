@@ -15,6 +15,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/mem/physical_memory.h"
 #include "src/obs/metrics.h"
@@ -24,6 +25,39 @@
 
 namespace mitosim::pt
 {
+
+/**
+ * Visit every page-table page of the tree under the level-4 table
+ * @p root as @p fn (pt_pfn, level): depth first, parents before
+ * children, a table's children in reverse slot order. @p fn runs
+ * before the table's entries are read, so it may free the table's
+ * replicas. Reads go through tableView: a sweep never detaches a
+ * snapshot fork's shared chunks.
+ */
+template <typename Fn>
+void
+forEachTableUnder(const mem::PhysicalMemory &mem, Pfn root, Fn &&fn)
+{
+    struct Frame
+    {
+        Pfn table;
+        int level;
+    };
+    std::vector<Frame> stack{{root, 4}};
+    while (!stack.empty()) {
+        Frame f = stack.back();
+        stack.pop_back();
+        fn(f.table, f.level);
+        if (f.level == 1)
+            continue;
+        const std::uint64_t *tbl = mem.tableView(f.table);
+        for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
+            Pte entry{tbl[i]};
+            if (entry.present() && !(f.level == 2 && entry.huge()))
+                stack.push_back({entry.pfn(), f.level - 1});
+        }
+    }
+}
 
 /** Result of a software walk. */
 struct WalkResult
@@ -319,7 +353,8 @@ class PageTableOps
     }
 
     /**
-     * Visit every page-table page of the primary tree, leaves last.
+     * Visit every page-table page of the primary tree (the
+     * forEachTableUnder order).
      * @param fn (pt_pfn, level)
      */
     void forEachTable(const RootSet &roots,

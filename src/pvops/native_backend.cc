@@ -39,19 +39,6 @@ NativeBackend::releasePtPage(pt::RootSet &roots, Pfn pfn, KernelCost *cost)
 }
 
 void
-NativeBackend::setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value,
-                      int level, KernelCost *cost)
-{
-    (void)roots;
-    (void)level;
-    mem.table(loc.ptPfn)[loc.index] = value.raw();
-    if (cost) {
-        cost->charge(PteWriteCost);
-        ++cost->pteWrites;
-    }
-}
-
-void
 NativeBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
                        const pt::Pte *values, unsigned count, int level,
                        KernelCost *cost)
@@ -65,16 +52,6 @@ NativeBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
         cost->charge(PteWriteCost * count);
         cost->pteWrites += count;
     }
-}
-
-pt::Pte
-NativeBackend::readPte(const pt::RootSet &roots, pt::PteLoc loc,
-                       KernelCost *cost) const
-{
-    (void)roots;
-    if (cost)
-        cost->charge(PteReadCost);
-    return pt::Pte{mem.tableView(loc.ptPfn)[loc.index]};
 }
 
 pt::Pte

@@ -29,15 +29,9 @@ class NativeBackend : public PvOps
     void releasePtPage(pt::RootSet &roots, Pfn pfn,
                        KernelCost *cost) override;
 
-    void setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value, int level,
-                KernelCost *cost) override;
-
     /** Streamed stores into one table; charges stay per-entry. */
     void setPtes(pt::RootSet &roots, pt::PteLoc loc, const pt::Pte *values,
                  unsigned count, int level, KernelCost *cost) override;
-
-    pt::Pte readPte(const pt::RootSet &roots, pt::PteLoc loc,
-                    KernelCost *cost) const override;
 
     /** One host read, n-fold charge (no replicas to merge). */
     pt::Pte readPteMany(const pt::RootSet &roots, pt::PteLoc loc,

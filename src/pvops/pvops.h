@@ -9,6 +9,11 @@
  * touches a PTE directly; the hardware page-walker *does* (A/D bits),
  * which is why readPte()/clearAccessedDirty() exist — the Mitosis backend
  * must consult every replica to return correct flags (§5.4).
+ *
+ * Stores and reads have one virtual hook each, setPtes and readPteMany.
+ * setPte and readPte are their one-entry forms, as Linux's set_pte_at
+ * is set_ptes(..., 1), so a backend cannot charge a single store
+ * differently from a run of one.
  */
 
 #ifndef MITOSIM_PVOPS_PVOPS_H
@@ -43,8 +48,10 @@ struct KernelCost
 
 /**
  * Page-table hook interface (excerpt mirroring the paper's Listing 1:
- * write_cr3 / paravirt_alloc_pte / paravirt_release_pte / set_pte, plus
- * the get-side functions the paper had to add for A/D correctness).
+ * write_cr3 -> cr3For, paravirt_alloc_pte -> allocPtPage,
+ * paravirt_release_pte -> releasePtPage, set_pte -> setPte ->
+ * setPtes(..., 1), plus the get-side functions the paper had to add for
+ * A/D correctness).
  */
 class PvOps
 {
@@ -71,35 +78,30 @@ class PvOps
                                KernelCost *cost) = 0;
 
     /**
-     * Store @p value at @p loc (a PTE slot in the primary tree) and
-     * propagate to replicas. @p level is the level of the containing
-     * page (1..4); backends use it to fix up child pointers per replica.
-     */
-    virtual void setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value,
-                        int level, KernelCost *cost) = 0;
-
-    /**
-     * Batched set_pte: store @p values[0..count) into the @p count
-     * consecutive slots starting at @p loc. All slots live in the same
-     * page-table page (the caller guarantees
+     * The store hook (set_ptes): store @p values[0..count) into the
+     * @p count consecutive slots starting at @p loc (PTE slots in the
+     * primary tree) and propagate them to replicas. All slots live in
+     * the same page-table page (the caller guarantees
      * loc.index + count <= PtEntriesPerPage), which is what lets
      * replicating backends locate the replica set once per table and
      * stream the stores instead of chasing the replica list per entry.
+     * @p level is the level of the containing page (1..4); backends use
+     * it to fix up child pointers per replica.
      *
-     * The default forwards to setPte per entry, so every backend
-     * inherits correct semantics and the exact per-entry cost model.
-     * Overrides must keep the *charged* costs per-entry-identical under
-     * their default configuration; cheaper batched charging is opt-in
-     * (see core::UpdateMode::Batched).
+     * A run of n must charge exactly what n one-entry calls charge
+     * under a backend's default configuration; cheaper batched charging
+     * is opt-in (see core::UpdateMode::Batched).
      */
-    virtual void
-    setPtes(pt::RootSet &roots, pt::PteLoc loc, const pt::Pte *values,
-            unsigned count, int level, KernelCost *cost)
+    virtual void setPtes(pt::RootSet &roots, pt::PteLoc loc,
+                         const pt::Pte *values, unsigned count, int level,
+                         KernelCost *cost) = 0;
+
+    /** set_pte: a one-entry setPtes. */
+    void
+    setPte(pt::RootSet &roots, pt::PteLoc loc, pt::Pte value, int level,
+           KernelCost *cost)
     {
-        for (unsigned k = 0; k < count; ++k) {
-            setPte(roots, pt::PteLoc{loc.ptPfn, loc.index + k}, values[k],
-                   level, cost);
-        }
+        setPtes(roots, loc, &value, 1, level, cost);
     }
 
     /**
@@ -155,27 +157,21 @@ class PvOps
     }
 
     /**
-     * Read the PTE at @p loc for OS purposes. Backends with replicas must
-     * OR the Accessed/Dirty bits across all replicas (§5.4).
+     * The read hook: the PTE at @p loc for OS purposes, charged as
+     * @p n reads of it (range ops re-read the same upper-level slot
+     * once per page below it). Backends read once and charge n-fold,
+     * so range operations keep per-page charge parity with the
+     * per-page walk without per-page host work. Backends with replicas
+     * must OR the Accessed/Dirty bits across all replicas (§5.4).
      */
-    virtual pt::Pte readPte(const pt::RootSet &roots, pt::PteLoc loc,
-                            KernelCost *cost) const = 0;
+    virtual pt::Pte readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
+                                unsigned n, KernelCost *cost) const = 0;
 
-    /**
-     * Charge-equivalent of calling readPte(loc) @p n times (range ops
-     * re-reading the same upper-level slot once per page below it).
-     * The default loops; backends override to read once and charge the
-     * identical n-fold cost, so range operations keep per-page charge
-     * parity with the per-page walk without per-page host work.
-     */
-    virtual pt::Pte
-    readPteMany(const pt::RootSet &roots, pt::PteLoc loc, unsigned n,
-                KernelCost *cost) const
+    /** One read of the PTE at @p loc: a readPteMany of one. */
+    pt::Pte
+    readPte(const pt::RootSet &roots, pt::PteLoc loc, KernelCost *cost) const
     {
-        pt::Pte value;
-        for (unsigned k = 0; k < n; ++k)
-            value = readPte(roots, loc, cost);
-        return value;
+        return readPteMany(roots, loc, 1, cost);
     }
 
     /** Clear Accessed/Dirty at @p loc in *all* replicas. */
@@ -237,13 +233,6 @@ class PvOps
 
     /** Human-readable backend name ("native", "mitosis"). */
     virtual const char *name() const = 0;
-};
-
-/** Where PteLoc is in terms of a specific replica page (helper). */
-struct PteRef
-{
-    Pfn ptPfn;
-    unsigned index;
 };
 
 } // namespace mitosim::pvops

@@ -145,6 +145,23 @@ TEST_F(LazyBackendTest, TeardownPurgesPendingMessages)
     EXPECT_EQ(backend.pendingFor(1), 0u);
 }
 
+TEST_F(LazyBackendTest, MaskShrinkPurgesPendingMessages)
+{
+    os::Process &p = kernel.createProcess("shrink", 0);
+    kernel.mmap(p, PageSize, os::MmapOptions{.populate = true});
+    ASSERT_TRUE(backend.setReplicationMask(p.roots(), p.id(),
+                                           SocketMask::all(2)));
+    kernel.mmap(p, 4 * PageSize, os::MmapOptions{.populate = true});
+    EXPECT_GT(backend.pendingFor(1), 0u);
+
+    // Dropping socket 1 frees its replicas: their queued installs must
+    // go too, or the next socket-1 fault would write into freed frames.
+    ASSERT_TRUE(backend.setReplicationMask(p.roots(), p.id(),
+                                           SocketMask::none()));
+    EXPECT_EQ(backend.pendingFor(1), 0u);
+    kernel.destroyProcess(p);
+}
+
 TEST_F(LazyBackendTest, EndToEndEquivalenceWithEagerBackend)
 {
     // The same access sequence through lazy and eager backends must end

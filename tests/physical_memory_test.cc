@@ -282,8 +282,8 @@ TEST_F(PhysicalMemoryTest, ClonedArenasShareChunksUntilTableWrite)
 
     PhysicalMemory clone(topo);
     clone.cloneStateFrom(pm);
-    // Read paths (tableView and the const table() overload) see the
-    // donor's bytes through the shared chunk without copying it.
+    // The read path (tableView) sees the donor's bytes through the
+    // shared chunk without copying it.
     EXPECT_EQ(clone.tableView(pt)[0], 0x42u);
     EXPECT_EQ(clone.tableArenaStats().detaches, 0u);
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "bench/harness.h"
+#include "src/analysis/pt_dump.h"
 #include "src/check/vmcheck.h"
 #include "src/workloads/workload.h"
 
@@ -246,6 +247,37 @@ TEST(SnapshotTest, BackendPteReadsNeverDetach)
         u->finalize();
         donor->finalize();
     }
+}
+
+TEST(SnapshotTest, AnalysesAndChecksNeverDetach)
+{
+    // The page-table dump and the vmcheck battery only read the tree,
+    // so on a fork of a replicated universe neither may copy a shared
+    // page-table chunk.
+    bench::PopulateSpec spec = testSpec("xsbench", BackendKind::Mitosis);
+    auto donor = bench::preparePopulated(spec);
+    ASSERT_TRUE(donor->mitosis().setReplicationMask(
+        donor->proc->roots(), donor->proc->id(),
+        SocketMask::all(donor->machine.numSockets())));
+    ASSERT_EQ(donor->machine.numSockets(), 4);
+    donor->kernel.reloadContexts(*donor->proc);
+    auto u = donor->fork(spec.kernelCfg);
+    mem::PhysicalMemory &pm = u->machine.physmem();
+    const std::uint64_t detaches = pm.tableArenaStats().detaches;
+
+    analysis::PtAnalyzer analyzer(pm, u->kernel.ptOps());
+    EXPECT_GT(analyzer.snapshot(u->proc->roots()).totalLeafPtes(), 0u);
+    for (SocketId s = 0; s < u->machine.numSockets(); ++s)
+        EXPECT_GT(analyzer.snapshotFor(u->proc->roots(), s).totalLeafPtes(),
+                  0u);
+    EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+
+    check::Checker checker(u->kernel, check::CheckConfig{});
+    EXPECT_EQ(checker.runAll("replicated fork"), 0u);
+    EXPECT_GT(checker.stats().replicaTablesCompared, 0u);
+    EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+    u->finalize();
+    donor->finalize();
 }
 
 /** A captured native universe on the tiny machine, populated by gups. */

@@ -9,14 +9,20 @@ benches — must go through a backend, or replicas silently diverge and
 the Mitosis model breaks (vmcheck class 1 catches that at runtime;
 this lint catches it at review time).
 
-Concretely: outside the seam, `PhysicalMemory::table(pfn)` may only be
-used through its *const* overload (reads are fine and ubiquitous —
-dumps, checks, the walker's lookups). The lint flags, for every
-`.cc`/`.h` under `src/` outside the seam:
+Concretely: `PhysicalMemory::table(pfn)` means "I will write" — it
+detaches a snapshot fork's shared copy-on-write table chunk — and
+every read goes through `PhysicalMemory::tableView(pfn)` (reads are
+fine and ubiquitous: dumps, checks, the walker's lookups). The lint
+flags, for every `.cc`/`.h` under `src/` outside the seam:
 
   * direct element writes:        `...table(pfn)[i] = / |= / &= ...`
   * non-const pointer bindings:   `std::uint64_t *p = ...table(pfn)...`
   * taking a mutable element address: `&...table(pfn)[i]`
+
+and anywhere under `src/`, the seam included:
+
+  * read-only bindings from the write accessor:
+                                  `const std::uint64_t *p = ...table(pfn)...`
 
 The seam (mutation allowed):
 
@@ -70,11 +76,23 @@ NONCONST_PTR_RE = re.compile(
 )
 # `&...table(...)[...]` — mutable element address escapes.
 ADDR_RE = re.compile(r"&\s*[\w.()\->]*\.table\s*\([^()]*\)\s*\[")
+# `const std::uint64_t *p = ...table(...)` — a read through the write
+# accessor, which detaches a shared chunk for nothing.
+CONST_PTR_RE = re.compile(
+    r"\bconst\s+std::uint64_t\s*\*\s*\w+\s*=[^;]*(?:\.|->)table\s*\("
+)
 
-PATTERNS = (
-    (WRITE_RE, "direct PTE element write"),
-    (NONCONST_PTR_RE, "non-const pointer into PTE storage"),
-    (ADDR_RE, "mutable address of a PTE element"),
+# Checked outside the seam only.
+MUTATION_PATTERNS = (
+    (WRITE_RE, "direct PTE element write outside the PV-Ops seam"),
+    (NONCONST_PTR_RE, "non-const pointer into PTE storage outside the "
+                      "PV-Ops seam"),
+    (ADDR_RE, "mutable address of a PTE element outside the PV-Ops seam"),
+)
+# Checked everywhere under src/.
+READ_PATTERNS = (
+    (CONST_PTR_RE, "read-only PTE pointer from the mutable table(); "
+                   "reads use tableView()"),
 )
 
 
@@ -83,7 +101,7 @@ def strip_strings(line: str) -> str:
     return re.sub(r'"(?:[^"\\]|\\.)*"|\'(?:[^\'\\]|\\.)*\'', '""', line)
 
 
-def lint_file(path: pathlib.Path, rel: str) -> list[str]:
+def lint_file(path: pathlib.Path, rel: str, patterns) -> list[str]:
     violations = []
     in_block_comment = False
     for lineno, raw in enumerate(
@@ -102,11 +120,10 @@ def lint_file(path: pathlib.Path, rel: str) -> list[str]:
         if WAIVER_RE.search(line):
             continue
         code = strip_strings(line).split("//", 1)[0]
-        for pattern, what in PATTERNS:
+        for pattern, what in patterns:
             if pattern.search(code):
                 violations.append(
-                    f"{rel}:{lineno}: error: {what} outside the "
-                    f"PV-Ops seam: {raw.strip()}")
+                    f"{rel}:{lineno}: error: {what}: {raw.strip()}")
                 break
     return violations
 
@@ -131,19 +148,20 @@ def main(argv: list[str]) -> int:
         if path.suffix not in (".cc", ".h"):
             continue
         rel = path.relative_to(root).as_posix()
-        if rel.startswith(tuple(d + "/" for d in SEAM_DIRS)):
-            continue
-        if rel in ALLOWLIST:
-            continue
+        patterns = READ_PATTERNS
+        if not (rel.startswith(tuple(d + "/" for d in SEAM_DIRS)) or
+                rel in ALLOWLIST):
+            patterns += MUTATION_PATTERNS
         checked += 1
-        violations.extend(lint_file(path, rel))
+        violations.extend(lint_file(path, rel, patterns))
 
     for v in violations:
         print(v)
     if violations:
         print(f"\nlint_pvops_seam: {len(violations)} violation(s) in "
               f"{checked} files. PTE storage writes belong behind the "
-              f"PV-Ops seam ({', '.join(d + '/' for d in SEAM_DIRS)}).",
+              f"PV-Ops seam ({', '.join(d + '/' for d in SEAM_DIRS)}); "
+              f"PTE reads use tableView().",
               file=sys.stderr)
         return 1
     print(f"lint_pvops_seam: OK ({checked} files checked, "
