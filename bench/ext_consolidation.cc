@@ -146,10 +146,8 @@ run(bool use_mitosis, bool pcid)
     // the next tenant's dispatch context-switches the shared core.
     auto rounds = [&](std::uint64_t n) {
         for (std::uint64_t r = 0; r < n; ++r) {
-            for (auto &t : tenants) {
-                for (std::uint64_t s = 0; s < StepsPerSlice; ++s)
-                    t.work->step(*t.ctx, 0);
-            }
+            for (auto &t : tenants)
+                workloads::runInterleaved(*t.ctx, *t.work, StepsPerSlice);
         }
     };
     rounds(WarmupRounds);

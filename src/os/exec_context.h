@@ -29,11 +29,10 @@ namespace mitosim::os
 {
 
 /**
- * One pre-generated workload operation for the batched stepping path:
- * workloads emit short runs of these into a per-thread buffer
- * (Workload::stepBatch) and ExecContext::runBatch consumes the run in
- * a tight loop with the per-op mode checks hoisted out. The record
- * itself lives in sim/ so Core::accessRun can fuse over it.
+ * One generated workload operation: workloads emit short runs of these
+ * into a buffer (Workload::stepBatch) and ExecContext::runBatch replays
+ * the run. The record itself lives in sim/ so Core::accessRun can fuse
+ * over it.
  */
 using BatchOp = sim::BatchOp;
 
@@ -47,13 +46,11 @@ class ExecContext
      * Snapshot-fork constructor: bind to a process whose threads were
      * already spawned by the donor and copied in with the kernel state
      * (addThread would spawn them a second time), and adopt the
-     * donor context's per-thread counters and THP-tick clock so the
-     * fork is indistinguishable from the context that populated.
+     * donor context's per-thread counters so the fork is
+     * indistinguishable from the context that populated.
      */
     ExecContext(Kernel &kernel, Process &proc, const ExecContext &donor)
-        : k(kernel), proc_(proc), counters(donor.counters),
-          thpTickPeriod(donor.thpTickPeriod),
-          thpTickCredit(donor.thpTickCredit)
+        : k(kernel), proc_(proc), counters(donor.counters)
     {
         MITOSIM_ASSERT(counters.size() == proc.threads().size(),
                        "snapshot fork: thread/counter count mismatch");
@@ -112,7 +109,6 @@ class ExecContext
         } else {
             c = k.machine().core(coreOf(tid)).access(va, is_write, pc);
         }
-        noteThpCycles(c);
         k.machine().tracer().advance(c);
         return c;
     }
@@ -129,36 +125,29 @@ class ExecContext
         }
         pc.cycles += c;
         pc.computeCycles += c;
-        noteThpCycles(c);
         k.machine().tracer().advance(c);
     }
 
     /**
-     * Replay @p n pre-generated ops for thread @p tid.
+     * Replay @p n generated ops for thread @p tid.
      *
      * Semantically identical to calling access()/compute() once per op
-     * in order — and when time-sharing or event tracing it literally
-     * does that, so scheduler dispatch points and the tracer's event
-     * stream stay byte-identical. In the pinned steady state it
-     * instead hoists the per-op mode checks, the counter lookup and
-     * the core lookup out of the loop: nothing hoisted can change
-     * mid-batch there (threads never migrate cores in pinned mode, and
-     * fault handlers do not flip scheduler modes), so the simulated
-     * outcome is unchanged.
-     *
-     * Pinned runs with THP ticks active fuse too: each accessRun call
-     * gets the cycles remaining until the next daemon tick as a budget
-     * and ends at the op that crosses it, after which noteThpCycles
-     * fires the tick — the exact op boundary where the per-op path
-     * would have run it (see Core::accessRun). With fusion disabled
-     * (MITOSIM_FUSE=0) tick runs take the literal per-op path.
+     * in order — and when time-sharing, event tracing, or with batching
+     * or fusion switched off (MITOSIM_BATCH=0, MITOSIM_FUSE=0) it
+     * literally does that, so scheduler dispatch points and the
+     * tracer's event stream stay byte-identical. Otherwise it fuses
+     * each maximal run of same-page ops into one Core::accessRun call,
+     * with the counter and core lookups hoisted out of the loop:
+     * nothing hoisted can change mid-batch there (threads never migrate
+     * cores in pinned mode, and fault handlers do not flip scheduler
+     * modes), and fusion itself is exact, so the simulated outcome is
+     * unchanged.
      */
     void
     runBatch(int tid, const BatchOp *ops, std::size_t n)
     {
-        if (k.scheduler().timeShared() ||
-            k.machine().tracer().enabled() ||
-            (thpTickPeriod != 0 && !sim::fuseEnabled())) {
+        if (k.scheduler().timeShared() || k.machine().tracer().enabled() ||
+            !sim::batchEnabled() || !sim::fuseEnabled()) {
             for (std::size_t i = 0; i < n; ++i) {
                 if (ops[i].isCompute)
                     compute(tid, ops[i].cycles);
@@ -167,73 +156,20 @@ class ExecContext
             }
             return;
         }
+        // Computes between runs are charged here so every accessRun
+        // starts on an access.
         auto &pc = counters[static_cast<std::size_t>(tid)];
         sim::Core &core = k.machine().core(coreOf(tid));
-        if (thpTickPeriod != 0) {
-            // Tick-aware fusion: noteThpCycles keeps thpTickCredit
-            // strictly below thpTickPeriod, so the budget is always
-            // positive and accessRun stops on (and consumes) exactly
-            // the op whose charge crosses the tick boundary. pc.cycles
-            // advances by precisely the sum the per-op path would have
-            // passed to noteThpCycles op by op, so measuring its delta
-            // fires ticks at identical points. Computes outside a run
-            // tick individually, as in the per-op path.
-            std::size_t i = 0;
-            while (i < n) {
-                if (ops[i].isCompute) {
-                    pc.cycles += ops[i].cycles;
-                    pc.computeCycles += ops[i].cycles;
-                    noteThpCycles(ops[i].cycles);
-                    ++i;
-                    continue;
-                }
-                Cycles before = pc.cycles;
-                i += core.accessRun(ops + i, n - i, pc,
-                                    thpTickPeriod - thpTickCredit);
-                noteThpCycles(pc.cycles - before);
-            }
-            return;
-        }
-        if (sim::fuseEnabled()) {
-            // Run fusion: each accessRun call replays one maximal run
-            // of same-page ops with a single real TLB probe and one
-            // real cache probe per distinct line (exact — see
-            // Core::accessRun). Leading computes are charged here so
-            // every accessRun starts on an access.
-            std::size_t i = 0;
-            while (i < n) {
-                if (ops[i].isCompute) {
-                    pc.cycles += ops[i].cycles;
-                    pc.computeCycles += ops[i].cycles;
-                    ++i;
-                    continue;
-                }
-                i += core.accessRun(ops + i, n - i, pc);
-            }
-            return;
-        }
-        for (std::size_t i = 0; i < n; ++i) {
+        std::size_t i = 0;
+        while (i < n) {
             if (ops[i].isCompute) {
                 pc.cycles += ops[i].cycles;
                 pc.computeCycles += ops[i].cycles;
-            } else {
-                core.access(ops[i].va, ops[i].isWrite, pc);
+                ++i;
+                continue;
             }
+            i += core.accessRun(ops + i, n - i, pc);
         }
-    }
-
-    /**
-     * Tie the THP daemons to this context's execution clock: every
-     * @p period simulated cycles spent in access()/compute(), the
-     * kernel runs one khugepaged + kcompactd pass (Kernel::thpTick) —
-     * the same explicit-period pattern as the AutoNUMA scan ticks.
-     * 0 (the default) disables.
-     */
-    void
-    enableThpTicks(Cycles period)
-    {
-        thpTickPeriod = period;
-        thpTickCredit = 0;
     }
 
     sim::PerfCounters &
@@ -262,7 +198,7 @@ class ExecContext
         return max;
     }
 
-    /** Walk-cycle fraction of the slowest thread's socket-mates. */
+    /** Walk-cycle fraction over all threads' summed counters. */
     double
     walkFraction() const
     {
@@ -282,23 +218,9 @@ class ExecContext
     Process &process() { return proc_; }
 
   private:
-    void
-    noteThpCycles(Cycles c)
-    {
-        if (!thpTickPeriod)
-            return;
-        thpTickCredit += c;
-        while (thpTickCredit >= thpTickPeriod) {
-            thpTickCredit -= thpTickPeriod;
-            k.thpTick();
-        }
-    }
-
     Kernel &k;
     Process &proc_;
     std::vector<sim::PerfCounters> counters;
-    Cycles thpTickPeriod = 0; //!< 0 = no daemon ticks from this context
-    Cycles thpTickCredit = 0;
 };
 
 } // namespace mitosim::os

@@ -107,8 +107,7 @@ struct ThpStats
 /**
  * The lifecycle manager: owns the daemons' state (scan cursors, stats)
  * and the promote/demote mechanics. One per kernel; ticked explicitly
- * (Kernel::thpTick) or from the execution clock
- * (ExecContext::enableThpTicks), like the AutoNUMA scanner.
+ * through Kernel::thpTick, like the AutoNUMA scanner.
  */
 class ThpManager
 {

@@ -8,10 +8,29 @@ namespace mitosim::sim
 namespace
 {
 
-/** setFuseEnabledForTest() override; -1 defers to the environment. */
+/** set*EnabledForTest() overrides; -1 defers to the environment. */
+int batchOverride = -1;
 int fuseOverride = -1;
 
 } // namespace
+
+bool
+batchEnabled()
+{
+    if (batchOverride >= 0)
+        return batchOverride != 0;
+    static const bool on = [] {
+        const char *e = std::getenv("MITOSIM_BATCH");
+        return e == nullptr || *e != '0';
+    }();
+    return on;
+}
+
+void
+setBatchEnabledForTest(int enabled)
+{
+    batchOverride = enabled;
+}
 
 bool
 fuseEnabled()

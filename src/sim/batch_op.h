@@ -1,15 +1,15 @@
 /**
  * @file
- * The batched-replay operation record and the run-fusion gate.
+ * The replay operation record and the two replay-engine gates.
  *
- * Workloads pre-generate short runs of BatchOp into per-thread buffers
+ * Workloads generate short runs of BatchOp into a buffer
  * (Workload::stepBatch) and ExecContext::runBatch replays them. On the
- * pinned steady-state fast path the replay additionally *fuses*
- * maximal runs of consecutive same-page accesses (Core::accessRun):
- * one real TLB probe and one real cache probe per distinct line, with
- * the remainder charged in bulk. Fusion is exact — see accessRun —
- * and MITOSIM_FUSE=0 restores the per-op reference path so CI can
- * diff the two for byte-identical reports.
+ * pinned, untraced path the replay *fuses* maximal runs of consecutive
+ * same-page accesses (Core::accessRun): one real TLB probe and one
+ * real cache probe per distinct line, with the remainder charged in
+ * bulk. Fusion is exact — see accessRun — and MITOSIM_BATCH=0 or
+ * MITOSIM_FUSE=0 restores the per-op reference path so CI can diff
+ * the two for byte-identical reports.
  */
 
 #ifndef MITOSIM_SIM_BATCH_OP_H
@@ -20,10 +20,7 @@
 namespace mitosim::sim
 {
 
-/**
- * One pre-generated workload operation for the batched stepping path:
- * either a memory access or a compute charge.
- */
+/** One generated workload operation: a memory access or a compute charge. */
 struct BatchOp
 {
     VirtAddr va = 0;
@@ -33,17 +30,27 @@ struct BatchOp
 };
 
 /**
+ * Host-side toggle for batched stepping in workloads::runInterleaved.
+ * On by default; MITOSIM_BATCH=0 generates one step at a time and
+ * makes ExecContext::runBatch replay per op. Replay only:
+ * populateRegion always touches per op. Read once from the
+ * environment: flipping it mid-run is not a supported mode.
+ */
+bool batchEnabled();
+
+/** Test-only override of batchEnabled(); see setFuseEnabledForTest. */
+void setBatchEnabledForTest(int enabled);
+
+/**
  * Host-side toggle for run fusion inside ExecContext::runBatch. On by
- * default; MITOSIM_FUSE=0 forces the per-op replay loop (while still
- * honouring MITOSIM_BATCH for the batching layer underneath). Read
- * once from the environment: flipping it mid-run is not a supported
- * mode.
+ * default; MITOSIM_FUSE=0 forces the per-op replay loop. Read once
+ * from the environment: flipping it mid-run is not a supported mode.
  */
 bool fuseEnabled();
 
 /**
  * Test-only override of fuseEnabled(): 0 forces per-op replay, 1
- * forces the fused path, -1 restores the environment setting. The
+ * re-enables fusion, -1 restores the environment setting. The
  * batched-stepping property test compares both paths in one process;
  * production code never calls this.
  */

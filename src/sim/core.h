@@ -74,9 +74,6 @@ class Core
      */
     Cycles loadCr3(Pfn root, Asid asid, bool preserve_translations);
 
-    /** Legacy single-context load: ASID 0, full flush (seed behaviour). */
-    void loadCr3(Pfn root) { loadCr3(root, 0, false); }
-
     /**
      * Park the core: drop the CR3 (hasContext() goes false) and flush,
      * so a dead process's root can never be walked again.
@@ -233,8 +230,7 @@ class Core
      * the *same page* is then a guaranteed L1-TLB hit on the entry
      * ops[0] just made MRU (nothing evicts or invalidates mid-run: no
      * daemon, scheduler or fault can interleave — runBatch only calls
-     * this pinned, and under THP ticks passes a budget that ends the
-     * run before any tick could fire), so the
+     * this pinned, and daemons tick only between replay calls), so the
      * probe is skipped and its effects are charged directly:
      * hit counters, the configured L1 hit latency, and a bulk LRU-free
      * stats bump (exact by MRU idempotence — see
@@ -247,26 +243,12 @@ class Core
      * The run ends at the first op on a different page — or at a write
      * through a read-only translation, which must take the full
      * protection-fault path; both become ops[0] of the next call.
-     *
-     * @p budget (0 = unlimited) is a cycle cutoff for THP-tick replay:
-     * the run also ends — after consuming the crossing op — once the
-     * cycles charged by this call reach it. The caller (runBatch's
-     * tick-aware fused path) sets budget to the cycles remaining until
-     * the next daemon tick: ops strictly before the crossing op can
-     * have no tick between them (credit stays below the period), and
-     * the per-op reference path fires the tick after exactly the
-     * crossing op, so cutting the run there keeps tick points
-     * byte-identical to per-op replay.
      */
     [[gnu::flatten]] std::size_t
-    accessRun(const BatchOp *ops, std::size_t n, PerfCounters &pc,
-              Cycles budget = 0)
+    accessRun(const BatchOp *ops, std::size_t n, PerfCounters &pc)
     {
         tlb::TlbEntry entry;
-        Cycles charged =
-            accessCaptured(ops[0].va, ops[0].isWrite, pc, entry);
-        if (budget != 0 && charged >= budget)
-            return 1;
+        accessCaptured(ops[0].va, ops[0].isWrite, pc, entry);
 
         const std::uint64_t offset_mask =
             (entry.size == PageSizeKind::Large2M) ? (LargePageSize - 1)
@@ -285,11 +267,6 @@ class Core
             if (ops[i].isCompute) {
                 pc.cycles += ops[i].cycles;
                 pc.computeCycles += ops[i].cycles;
-                charged += ops[i].cycles;
-                if (budget != 0 && charged >= budget) {
-                    ++i;
-                    break;
-                }
                 continue;
             }
             if ((ops[i].va & ~offset_mask) != page ||
@@ -317,11 +294,6 @@ class Core
             pc.dataStallCycles += dl;
             total += dl;
             pc.cycles += total;
-            charged += total;
-            if (budget != 0 && charged >= budget) {
-                ++i;
-                break;
-            }
         }
 
         if (fused) {

@@ -37,9 +37,8 @@ BTree::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-BTree::genStep(Sink &sink, int tid)
+BTree::genStep(OpSink &sink, int tid)
 {
     // One lookup: descend from the root, reading one node per level.
     // The child choice is a hash of (key, level) so paths are uniform
@@ -62,22 +61,6 @@ BTree::genStep(Sink &sink, int tid)
                 idx %= levelCount[level + 1];
         }
     }
-}
-
-void
-BTree::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-BTree::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

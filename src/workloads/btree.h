@@ -12,33 +12,24 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Random lookups over an implicit B-tree laid out level by level. */
-class BTree : public Workload
+class BTree : public WorkloadImpl<BTree>
 {
   public:
-    explicit BTree(const WorkloadParams &params) : Workload(params) {}
+    explicit BTree(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "btree"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new BTree(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
     int depth() const { return static_cast<int>(levelBase.size()); }
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t NodeBytes = 256; //!< 4 cache lines
     static constexpr std::uint64_t Fanout = 16;

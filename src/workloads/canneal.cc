@@ -25,9 +25,8 @@ Canneal::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-Canneal::genStep(Sink &sink, int tid)
+Canneal::genStep(OpSink &sink, int tid)
 {
     auto &rng = rngs[static_cast<std::size_t>(tid)];
 
@@ -49,22 +48,6 @@ Canneal::genStep(Sink &sink, int tid)
     sink.access(va_a, true);
     sink.access(va_b, true);
     sink.compute(14); // routing-cost arithmetic
-}
-
-void
-Canneal::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-Canneal::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

@@ -12,31 +12,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Random element swaps with neighbour reads. */
-class Canneal : public Workload
+class Canneal : public WorkloadImpl<Canneal>
 {
   public:
-    explicit Canneal(const WorkloadParams &params) : Workload(params) {}
+    explicit Canneal(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "canneal"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new Canneal(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t ElementBytes = 128;
     static constexpr unsigned NeighbourReads = 2;

@@ -33,9 +33,8 @@ Graph500::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-Graph500::genStep(Sink &sink, int tid)
+Graph500::genStep(OpSink &sink, int tid)
 {
     auto &rng = rngs[static_cast<std::size_t>(tid)];
 
@@ -51,22 +50,6 @@ Graph500::genStep(Sink &sink, int tid)
         sink.access(visited + u * 8, true);
     }
     sink.compute(8);
-}
-
-void
-Graph500::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-Graph500::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

@@ -11,31 +11,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** BFS-flavoured edge exploration. */
-class Graph500 : public Workload
+class Graph500 : public WorkloadImpl<Graph500>
 {
   public:
-    explicit Graph500(const WorkloadParams &params) : Workload(params) {}
+    explicit Graph500(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "graph500"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new Graph500(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t AvgDegree = 16;
     static constexpr std::uint64_t EdgeBytes = 8;

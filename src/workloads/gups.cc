@@ -22,9 +22,8 @@ Gups::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-Gups::genStep(Sink &sink, int tid)
+Gups::genStep(OpSink &sink, int tid)
 {
     // One RMW of a uniformly random word: XOR-update, as in HPCC
     // RandomAccess. The simulator charges the load+store as one write
@@ -33,22 +32,6 @@ Gups::genStep(Sink &sink, int tid)
     VirtAddr va = base + rng.below(words) * sizeof(std::uint64_t);
     sink.access(va, true);
     sink.compute(4);
-}
-
-void
-Gups::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-Gups::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

@@ -11,31 +11,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Random 8-byte updates over a single table. */
-class Gups : public Workload
+class Gups : public WorkloadImpl<Gups>
 {
   public:
-    explicit Gups(const WorkloadParams &params) : Workload(params) {}
+    explicit Gups(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "gups"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new Gups(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     VirtAddr base = 0;
     std::uint64_t words = 0;

@@ -31,9 +31,8 @@ HashJoin::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-HashJoin::genStep(Sink &sink, int tid)
+HashJoin::genStep(OpSink &sink, int tid)
 {
     auto &rng = rngs[static_cast<std::size_t>(tid)];
 
@@ -48,22 +47,6 @@ HashJoin::genStep(Sink &sink, int tid)
     std::uint64_t tuple = rng.below(numTuples);
     sink.access(tuples + tuple * TupleBytes, false);
     sink.compute(8); // hash + key compare
-}
-
-void
-HashJoin::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-HashJoin::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

@@ -10,31 +10,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Hash-table probing over a bucket array and a tuple arena. */
-class HashJoin : public Workload
+class HashJoin : public WorkloadImpl<HashJoin>
 {
   public:
-    explicit HashJoin(const WorkloadParams &params) : Workload(params) {}
+    explicit HashJoin(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "hashjoin"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new HashJoin(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t BucketBytes = 64; //!< one line
     static constexpr std::uint64_t TupleBytes = 64;

@@ -36,9 +36,8 @@ LibLinear::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-LibLinear::genStep(Sink &sink, int tid)
+LibLinear::genStep(OpSink &sink, int tid)
 {
     auto &s = cursor[static_cast<std::size_t>(tid)];
     auto &rng = rngs[static_cast<std::size_t>(tid)];
@@ -55,22 +54,6 @@ LibLinear::genStep(Sink &sink, int tid)
     }
     sink.compute(30); // dot products
     s = (s + 1) % numSamples;
-}
-
-void
-LibLinear::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-LibLinear::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

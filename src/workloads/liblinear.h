@@ -12,31 +12,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Feature-matrix sweeps with sparse weight updates. */
-class LibLinear : public Workload
+class LibLinear : public WorkloadImpl<LibLinear>
 {
   public:
-    explicit LibLinear(const WorkloadParams &params) : Workload(params) {}
+    explicit LibLinear(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "liblinear"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new LibLinear(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t SampleBytes = 512; //!< 8 lines/sample
     static constexpr unsigned SparseUpdates = 3;

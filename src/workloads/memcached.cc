@@ -32,9 +32,8 @@ Memcached::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-Memcached::genStep(Sink &sink, int tid)
+Memcached::genStep(OpSink &sink, int tid)
 {
     auto &rng = rngs[static_cast<std::size_t>(tid)];
 
@@ -48,22 +47,6 @@ Memcached::genStep(Sink &sink, int tid)
     sink.access(item_va, false);              // item header
     sink.access(item_va + 128, is_set);       // value line
     sink.compute(12); // hashing, memcmp of the key
-}
-
-void
-Memcached::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-Memcached::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

@@ -10,31 +10,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Key-value cache traffic with a hot set. */
-class Memcached : public Workload
+class Memcached : public WorkloadImpl<Memcached>
 {
   public:
-    explicit Memcached(const WorkloadParams &params) : Workload(params) {}
+    explicit Memcached(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "memcached"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new Memcached(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t BucketBytes = 64;
     static constexpr std::uint64_t ItemBytes = 512; //!< header + value

@@ -39,9 +39,8 @@ PageRank::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-PageRank::genStep(Sink &sink, int tid)
+PageRank::genStep(OpSink &sink, int tid)
 {
     auto &v = cursor[static_cast<std::size_t>(tid)];
     auto &rng = rngs[static_cast<std::size_t>(tid)];
@@ -63,22 +62,6 @@ PageRank::genStep(Sink &sink, int tid)
     sink.access(ranks + v * RankBytes, true);
     sink.compute(10);
     v = (v + 1) % numVertices;
-}
-
-void
-PageRank::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-PageRank::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

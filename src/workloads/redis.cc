@@ -33,9 +33,8 @@ Redis::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-Redis::genStep(Sink &sink, int tid)
+Redis::genStep(OpSink &sink, int tid)
 {
     auto &rng = rngs[static_cast<std::size_t>(tid)];
     std::uint64_t key = rng.skewed(numKeys);
@@ -51,22 +50,6 @@ Redis::genStep(Sink &sink, int tid)
     sink.access(value_va, is_write);
     sink.access(value_va + 128, is_write);
     sink.compute(15); // protocol parse + hash
-}
-
-void
-Redis::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-Redis::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

@@ -10,31 +10,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Dict-entry / robj / sds chase per GET. */
-class Redis : public Workload
+class Redis : public WorkloadImpl<Redis>
 {
   public:
-    explicit Redis(const WorkloadParams &params) : Workload(params) {}
+    explicit Redis(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "redis"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new Redis(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t EntryBytes = 64;
     static constexpr std::uint64_t ObjBytes = 64;

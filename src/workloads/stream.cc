@@ -33,9 +33,8 @@ Stream::setup(os::ExecContext &ctx)
     }
 }
 
-template <class Sink>
 void
-Stream::genStep(Sink &sink, int tid)
+Stream::genStep(OpSink &sink, int tid)
 {
     auto &pos = cursor[static_cast<std::size_t>(tid)];
     VirtAddr off = pos * sizeof(std::uint64_t);
@@ -44,22 +43,6 @@ Stream::genStep(Sink &sink, int tid)
     sink.access(a + off, true);
     sink.compute(2);
     pos = (pos + 1) % words;
-}
-
-void
-Stream::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-Stream::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

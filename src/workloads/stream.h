@@ -12,31 +12,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Sequential triad sweeps over three arrays. */
-class Stream : public Workload
+class Stream : public WorkloadImpl<Stream>
 {
   public:
-    explicit Stream(const WorkloadParams &params) : Workload(params) {}
+    explicit Stream(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "stream"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new Stream(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     VirtAddr a = 0;
     VirtAddr b = 0;

@@ -1,6 +1,5 @@
 #include "workload.h"
 
-#include <cstdlib>
 #include <vector>
 
 #include "src/base/logging.h"
@@ -18,32 +17,6 @@
 
 namespace mitosim::workloads
 {
-
-namespace
-{
-
-/** setBatchEnabledForTest() override; -1 defers to the environment. */
-int batchOverride = -1;
-
-} // namespace
-
-bool
-batchEnabled()
-{
-    if (batchOverride >= 0)
-        return batchOverride != 0;
-    static const bool on = [] {
-        const char *e = std::getenv("MITOSIM_BATCH");
-        return e == nullptr || *e != '0';
-    }();
-    return on;
-}
-
-void
-setBatchEnabledForTest(int enabled)
-{
-    batchOverride = enabled;
-}
 
 void
 Workload::populateRegion(os::ExecContext &ctx, VirtAddr start,
@@ -99,12 +72,10 @@ runInterleaved(os::ExecContext &ctx, Workload &w,
     int threads = ctx.numThreads();
     MITOSIM_ASSERT(threads > 0, "runInterleaved with no threads");
 
-    // Batched hot path: each chunk is generated into a per-call buffer
-    // by one virtual stepBatch() call and replayed by runBatch() with
-    // the per-op mode checks hoisted — same ops in the same global
-    // order as the per-op loop below. Workloads without a batched
-    // generator (stepBatch returns false) drop to the reference loop.
-    bool batching = batchEnabled();
+    // Each thread's chunk is generated into one buffer and replayed by
+    // runBatch. With batching off (MITOSIM_BATCH=0) it is generated a
+    // step at a time, and runBatch replays it per op.
+    const unsigned per_call = batchEnabled() ? chunk : 1;
     std::vector<os::BatchOp> buf;
 
     std::vector<std::uint64_t> done(static_cast<std::size_t>(threads), 0);
@@ -115,17 +86,14 @@ runInterleaved(os::ExecContext &ctx, Workload &w,
             auto &d = done[static_cast<std::size_t>(t)];
             std::uint64_t end = std::min<std::uint64_t>(ops_per_thread,
                                                         d + chunk);
-            if (batching && d < end) {
+            while (d < end) {
+                auto n = static_cast<unsigned>(
+                    std::min<std::uint64_t>(per_call, end - d));
                 buf.clear();
-                if (w.stepBatch(t, static_cast<unsigned>(end - d), buf)) {
-                    ctx.runBatch(t, buf.data(), buf.size());
-                    d = end;
-                } else {
-                    batching = false;
-                }
+                w.stepBatch(t, n, buf);
+                ctx.runBatch(t, buf.data(), buf.size());
+                d += n;
             }
-            for (; d < end; ++d)
-                w.step(ctx, t);
             if (d < ops_per_thread)
                 any = true;
         }

@@ -4,10 +4,12 @@
  * for the paper's big-memory applications (Table 1).
  *
  * A workload allocates simulated virtual memory, populates it with a
- * characteristic first-touch pattern, and then emits one "operation" per
- * step() call — a short dependent chain of loads/stores whose locality
+ * characteristic first-touch pattern, and then generates one "operation"
+ * per step — a short dependent chain of loads/stores whose locality
  * structure matches the real application (random 8-byte updates for GUPS,
  * pointer chases for BTree/Redis, streaming sweeps for LibLinear, ...).
+ * Each workload defines one generator hook, genStep(); stepBatch()
+ * collects steps as BatchOps and ExecContext::runBatch replays them.
  * Footprints are scaled from the paper's 17-480 GB to the simulated
  * machine (see DESIGN.md), preserving the footprint : TLB-reach : L3
  * ratios that drive the paper's results.
@@ -45,40 +47,6 @@ struct WorkloadParams
     bool initModeOverridden = false; //!< set to keep workload default
 };
 
-namespace detail
-{
-
-/** step() sink: issue each generated op directly against the context. */
-struct CtxSink
-{
-    os::ExecContext &ctx;
-    int tid;
-
-    void
-    access(VirtAddr va, bool is_write)
-    {
-        ctx.access(tid, va, is_write);
-    }
-
-    void compute(Cycles c) { ctx.compute(tid, c); }
-};
-
-/** stepBatch() sink: defer generated ops into a BatchOp buffer. */
-struct BufSink
-{
-    std::vector<os::BatchOp> &out;
-
-    void
-    access(VirtAddr va, bool is_write)
-    {
-        out.push_back(os::BatchOp{va, 0, is_write, false});
-    }
-
-    void compute(Cycles c) { out.push_back(os::BatchOp{0, c, false, true}); }
-};
-
-} // namespace detail
-
 /** Base class for all workloads. */
 class Workload
 {
@@ -104,28 +72,19 @@ class Workload
      */
     virtual void setup(os::ExecContext &ctx) = 0;
 
-    /** Execute one operation on logical thread @p tid. */
-    virtual void step(os::ExecContext &ctx, int tid) = 0;
-
     /**
-     * Batched stepping: advance thread @p tid by @p nsteps operations,
-     * appending the ops each step() would have issued to @p out instead
-     * of executing them (the caller replays the run through
-     * ExecContext::runBatch). Identical to @p nsteps step() calls by
-     * construction: both entry points run the same generator body
-     * through a different sink (detail::CtxSink vs detail::BufSink).
-     * Deferred replay is legal because generators never consume the
-     * simulated access latency — they are pure RNG/cursor machines.
-     * @return false if this workload has no batched generator; the
-     * caller must then fall back to per-op step().
+     * Advance thread @p tid by @p nsteps operations, appending their
+     * ops to @p out; the caller replays them (runInterleaved hands them
+     * to ExecContext::runBatch). Generating ahead of replay is exact
+     * because generators never see the simulated machine — they are
+     * pure RNG/cursor machines over the state setup() left behind.
      */
-    virtual bool
+    void
     stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
     {
-        (void)tid;
-        (void)nsteps;
-        (void)out;
-        return false;
+        OpSink sink{out};
+        for (unsigned i = 0; i < nsteps; ++i)
+            genStep(sink, tid);
     }
 
     /** Reasonable per-thread operation count for benches. */
@@ -134,7 +93,28 @@ class Workload
     const WorkloadParams &params() const { return prm; }
 
   protected:
-    /** Subclass clone() implementations copy through this. */
+    /** Where genStep() writes: appends each generated op to a buffer. */
+    struct OpSink
+    {
+        std::vector<os::BatchOp> &out;
+
+        void
+        access(VirtAddr va, bool is_write)
+        {
+            out.push_back(os::BatchOp{va, 0, is_write, false});
+        }
+
+        void
+        compute(Cycles c)
+        {
+            out.push_back(os::BatchOp{0, c, false, true});
+        }
+    };
+
+    /** The generator: append one operation of thread @p tid to @p sink. */
+    virtual void genStep(OpSink &sink, int tid) = 0;
+
+    /** WorkloadImpl::clone() copies through this. */
     Workload(const Workload &) = default;
 
     /** Per-thread deterministic RNG. */
@@ -155,24 +135,23 @@ class Workload
     WorkloadParams prm;
 };
 
-/**
- * Host-side toggle for batched replay in runInterleaved (generate a
- * short run of ops with Workload::stepBatch, replay through
- * ExecContext::runBatch). On by default; MITOSIM_BATCH=0 forces the
- * per-op reference loop so CI can diff the two for byte-identical
- * reports. Replay only: populateRegion always touches per op. Read
- * once from the environment: flipping it mid-run is not a supported
- * mode.
- */
-bool batchEnabled();
+/** CRTP base that gives each concrete workload its clone(). */
+template <class Derived>
+class WorkloadImpl : public Workload
+{
+  public:
+    using Workload::Workload;
 
-/**
- * Test-only override of batchEnabled(): 0 forces the per-op reference
- * path, 1 forces the batched path, -1 restores the environment
- * setting. The batched-stepping property test compares both paths in
- * one process; production code never calls this.
- */
-void setBatchEnabledForTest(int enabled);
+    std::unique_ptr<Workload>
+    clone() const final
+    {
+        return std::make_unique<Derived>(static_cast<const Derived &>(*this));
+    }
+};
+
+/** The MITOSIM_BATCH toggle lives in sim/, where runBatch reads it. */
+using sim::batchEnabled;
+using sim::setBatchEnabledForTest;
 
 /**
  * Run @p ops_per_thread operations per thread, interleaved round-robin in

@@ -31,9 +31,8 @@ XsBench::setup(os::ExecContext &ctx)
         rngs.push_back(threadRng(t));
 }
 
-template <class Sink>
 void
-XsBench::genStep(Sink &sink, int tid)
+XsBench::genStep(OpSink &sink, int tid)
 {
     auto &rng = rngs[static_cast<std::size_t>(tid)];
 
@@ -63,22 +62,6 @@ XsBench::genStep(Sink &sink, int tid)
         sink.access(xs + row * XsRowBytes, false);
     }
     sink.compute(20); // interpolation math
-}
-
-void
-XsBench::step(os::ExecContext &ctx, int tid)
-{
-    detail::CtxSink sink{ctx, tid};
-    genStep(sink, tid);
-}
-
-bool
-XsBench::stepBatch(int tid, unsigned nsteps, std::vector<os::BatchOp> &out)
-{
-    detail::BufSink sink{out};
-    for (unsigned i = 0; i < nsteps; ++i)
-        genStep(sink, tid);
-    return true;
 }
 
 } // namespace mitosim::workloads

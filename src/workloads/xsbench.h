@@ -11,31 +11,22 @@
 
 #include <vector>
 
-#include <memory>
-
 #include "src/workloads/workload.h"
 
 namespace mitosim::workloads
 {
 
 /** Unionized-grid cross-section lookups. */
-class XsBench : public Workload
+class XsBench : public WorkloadImpl<XsBench>
 {
   public:
-    explicit XsBench(const WorkloadParams &params) : Workload(params) {}
+    explicit XsBench(const WorkloadParams &params) : WorkloadImpl(params) {}
 
     const char *name() const override { return "xsbench"; }
-    std::unique_ptr<Workload> clone() const override
-    {
-        return std::unique_ptr<Workload>(new XsBench(*this));
-    }
     void setup(os::ExecContext &ctx) override;
-    void step(os::ExecContext &ctx, int tid) override;
-    bool stepBatch(int tid, unsigned nsteps,
-                   std::vector<os::BatchOp> &out) override;
 
   private:
-    template <class Sink> void genStep(Sink &sink, int tid);
+    void genStep(OpSink &sink, int tid) override;
 
     static constexpr std::uint64_t GridEntryBytes = 64;
     static constexpr std::uint64_t XsRowBytes = 64;

@@ -159,8 +159,8 @@ TEST(BatchedStepTest, ByteIdenticalToPerOpReference)
 }
 
 /**
- * Run fusion (Core::accessRun) must be byte-identical to the unfused
- * batched path for real replay streams. Exercised over the workloads
+ * Run fusion (Core::accessRun) must be byte-identical to the per-op
+ * reference loop for real replay streams. Exercised over the workloads
  * with the most same-page adjacency (streaming liblinear, xsbench's
  * grid gathers, btree's node scans) so fused runs actually form, and
  * over page-size x backend so both 4 KB and 2 MB run-break masks are

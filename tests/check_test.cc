@@ -191,7 +191,7 @@ TEST_F(CheckTest, StaleCr3Trips)
     kernel.destroyProcess(p);
 
     // PR 4's bug shape: a core still holding a dead process's root.
-    machine.core(0).loadCr3(root);
+    machine.core(0).loadCr3(root, 0, false);
 
     Checker chk(kernel, collectAll());
     chk.checkCr3AsidLiveness();

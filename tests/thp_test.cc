@@ -5,7 +5,7 @@
  * the huge-page split path (explicit, partial-munmap/mprotect gated,
  * madvise boundaries), kcompactd block reclamation, madvise VMA
  * semantics, replica coherence under the Mitosis and lazy backends,
- * and the ExecContext-clock daemon ticks.
+ * and explicit daemon ticks (Kernel::thpTick).
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "src/check/vmcheck.h"
 #include "src/core/lazy_backend.h"
 #include "src/core/mitosis.h"
-#include "src/os/exec_context.h"
 #include "src/os/kernel.h"
 #include "src/pvops/native_backend.h"
 #include "src/sim/machine.h"
@@ -743,29 +742,6 @@ TEST(ThpLazy, CollapseIsEagerAndSplitDrainsAtFaultTime)
     ASSERT_TRUE(leaf.present());
     EXPECT_EQ(size, PageSizeKind::Base4K);
     EXPECT_EQ(f.lazy.pendingFor(remote), 0u);
-    f.kernel.destroyProcess(f.proc);
-}
-
-TEST(ThpTick, ExecContextClockDrivesTheDaemons)
-{
-    thp::ThpConfig cfg;
-    cfg.khugepaged = true;
-    cfg.kcompactd = true;
-    Fixture f(Fixture::Backend::Native, cfg);
-    f.populate4K(2 * FramesPerLargePage, /*defrag=*/false);
-
-    ExecContext ctx(f.kernel, f.proc);
-    ctx.addThread(0);
-    ctx.enableThpTicks(50000);
-    ASSERT_EQ(f.kernel.thp().coverage(f.proc), 0.0);
-    Rng rng(3);
-    for (int i = 0; i < 3000; ++i) {
-        ctx.access(0,
-                   Base + rng.below(2 * FramesPerLargePage) * PageSize,
-                   false);
-    }
-    EXPECT_GT(f.kernel.thp().stats().collapses, 0u);
-    EXPECT_GT(f.kernel.thp().coverage(f.proc), 0.0);
     f.kernel.destroyProcess(f.proc);
 }
 

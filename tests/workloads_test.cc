@@ -8,6 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "src/base/logging.h"
 #include "src/os/exec_context.h"
 #include "src/os/kernel.h"
@@ -87,6 +92,87 @@ TEST_P(WorkloadSmoke, DeterministicAcrossRuns)
         return cycles;
     };
     EXPECT_EQ(run_once(), run_once());
+}
+
+/** FNV-1a over every field of every op, thread streams in order. */
+std::uint64_t
+streamHash(const std::vector<std::vector<os::BatchOp>> &streams)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    for (const auto &ops : streams) {
+        for (const auto &op : ops) {
+            mix(op.va);
+            mix(op.cycles);
+            mix(op.isWrite);
+            mix(op.isCompute);
+        }
+    }
+    return h;
+}
+
+/** @p steps ops per thread, generated round-robin @p chunk at a time. */
+std::vector<std::vector<os::BatchOp>>
+generate(Workload &w, int threads, unsigned steps, unsigned chunk)
+{
+    std::vector<std::vector<os::BatchOp>> out(
+        static_cast<std::size_t>(threads));
+    for (unsigned done = 0; done < steps; done += chunk) {
+        for (int t = 0; t < threads; ++t)
+            w.stepBatch(t, std::min(chunk, steps - done),
+                        out[static_cast<std::size_t>(t)]);
+    }
+    return out;
+}
+
+TEST_P(WorkloadSmoke, GeneratorStreamIsPinned)
+{
+    // Seed-42 fingerprints of the first 64 steps of each of 4 threads.
+    // A change here changes every bench that replays the workload.
+    static const std::map<std::string, std::uint64_t> Expected = {
+        {"gups", 0xdde7940e9b1b9f08ull},
+        {"stream", 0xedce34b039ca0425ull},
+        {"btree", 0xc0953d4420c0e9ddull},
+        {"hashjoin", 0x3a39df179fb0194cull},
+        {"memcached", 0x7301229ae0ef40c1ull},
+        {"redis", 0xd8ea15fda618e284ull},
+        {"xsbench", 0x07e49e831824a9a4ull},
+        {"pagerank", 0x29190acc467c5dbdull},
+        {"liblinear", 0xf261ed89444670a3ull},
+        {"canneal", 0x4cd1b22bd1e8ff25ull},
+        {"graph500", 0x4619d3bdaa7c4ebdull},
+    };
+    constexpr int Threads = 4;
+    constexpr unsigned Steps = 64;
+
+    sim::Machine machine(testMachine());
+    pvops::NativeBackend native(machine.physmem());
+    os::Kernel kernel(machine, native);
+    os::Process &proc = kernel.createProcess(GetParam(), 0);
+    os::ExecContext ctx(kernel, proc);
+    for (int t = 0; t < Threads; ++t)
+        ctx.addThread(t / 2);
+    WorkloadParams p = testParams();
+    p.seed = 42;
+    auto w = makeWorkload(GetParam(), p);
+    w->setup(ctx);
+
+    // Each chunking replays from its own clone of the post-setup state.
+    auto whole = generate(*w->clone(), Threads, Steps, Steps);
+    std::uint64_t hash = streamHash(whole);
+    for (unsigned chunk : {1u, 7u, 32u}) {
+        EXPECT_EQ(streamHash(generate(*w->clone(), Threads, Steps, chunk)),
+                  hash)
+            << "chunk=" << chunk;
+    }
+    EXPECT_EQ(hash, Expected.at(GetParam()))
+        << std::hex << "0x" << hash;
+    kernel.destroyProcess(proc);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllWorkloads, WorkloadSmoke,
