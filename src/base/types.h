@@ -131,12 +131,6 @@ addrToPfn(PhysAddr pa)
     return pa >> PageShift;
 }
 
-constexpr Vpn
-vaToVpn(VirtAddr va)
-{
-    return va >> PageShift;
-}
-
 /** Round @p v down to a multiple of @p align (power of two). */
 constexpr std::uint64_t
 alignDown(std::uint64_t v, std::uint64_t align)

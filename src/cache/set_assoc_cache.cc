@@ -43,7 +43,6 @@ SetAssocCache::invalidateLine(PhysAddr pa)
     for (unsigned w = 0; w < numWays; ++w) {
         if (tags[base + w] == line) {
             tags[base + w] = ~0ull;
-            ++stats_.invalidations;
             return;
         }
     }
@@ -64,7 +63,6 @@ SetAssocCache::invalidateFrame(Pfn pfn)
         for (unsigned w = 0; w < numWays; ++w) {
             if (tags[base + w] == line) {
                 tags[base + w] = ~0ull;
-                ++stats_.invalidations;
                 break;
             }
         }

@@ -5,7 +5,9 @@
  * Used for the per-socket shared L3 (35 MB on the paper's machine, scaled
  * in MitoSim's default config) and for the small per-core L1D that absorbs
  * spatial locality in streaming workloads. The model tracks presence only;
- * data values are never stored (data frames are unbacked).
+ * data values are never stored (data frames are unbacked), and it keeps
+ * no counters: sim::MemoryHierarchy charges each L1D/L3 hit and DRAM
+ * reference to PerfCounters from the probe results.
  */
 
 #ifndef MITOSIM_CACHE_SET_ASSOC_CACHE_H
@@ -19,24 +21,6 @@
 
 namespace mitosim::cache
 {
-
-/** Cache statistics. */
-struct CacheStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t invalidations = 0;
-
-    double
-    hitRate() const
-    {
-        std::uint64_t total = hits + misses;
-        return total ? static_cast<double>(hits) /
-                           static_cast<double>(total)
-                     : 0.0;
-    }
-};
 
 /**
  * Presence-tracking set-associative cache with true-LRU replacement.
@@ -67,66 +51,29 @@ class SetAssocCache
         // that set has been stamped since, or the memo would have been
         // replaced — so the re-stamp a real probe would perform cannot
         // change the relative stamp order true-LRU eviction depends
-        // on, and the hit counter is charged identically. Per-set
-        // (rather than one global last-line) so interleaved streams —
-        // a walker's PTE-line reads alternating with data lines, or
-        // two data streams — keep their memos alive independently.
-        if (line == memoMru_[set]) {
-            ++stats_.hits;
+        // on. Per-set (rather than one global last-line) so
+        // interleaved streams — a walker's PTE-line reads alternating
+        // with data lines, or two data streams — keep their memos
+        // alive independently.
+        if (line == memoMru_[set])
             return true;
-        }
         std::size_t base = set * numWays;
         for (unsigned w = 0; w < numWays; ++w) {
             if (tags[base + w] == line) {
                 lrus[base + w] = ++clock;
-                ++stats_.hits;
                 memoMru_[set] = line;
                 return true;
             }
         }
-        ++stats_.misses;
         return false;
     }
 
     /**
-     * Insert the line containing @p pa (no-op if present; refreshes LRU).
-     * @return the evicted line address, or ~0ull if none.
-     */
-    std::uint64_t
-    insert(PhysAddr pa)
-    {
-        std::uint64_t line = lineAddr(pa);
-        std::size_t set = setOf(line);
-        std::size_t base = set * numWays;
-        std::size_t victim = base;
-        memoMru_[set] = line; // stamped below on every path
-        for (unsigned w = 0; w < numWays; ++w) {
-            std::size_t i = base + w;
-            if (tags[i] == line) { // already present
-                lrus[i] = ++clock;
-                return ~0ull;
-            }
-            if (tags[i] == ~0ull) { // free way
-                tags[i] = line;
-                lrus[i] = ++clock;
-                return ~0ull;
-            }
-            if (lrus[victim] > lrus[i])
-                victim = i;
-        }
-        std::uint64_t evicted = tags[victim];
-        tags[victim] = line;
-        lrus[victim] = ++clock;
-        ++stats_.evictions;
-        return evicted;
-    }
-
-    /**
-     * Fused lookup() + insert(): probe the set once and, on a miss,
-     * install the line during the same scan. Replacement decision, LRU
-     * stamps and statistics are identical to lookup(pa) followed by
-     * insert(pa) — this exists because the hierarchy's miss path always
-     * does exactly that pair, and the second set scan was pure waste.
+     * Probe the set for the line containing @p pa and, on a miss,
+     * install it during the same scan (the hierarchy's only fill
+     * path). A hit refreshes the line's LRU stamp; a miss fills the
+     * first free way, else evicts the least recently used line
+     * (earliest way on ties).
      * @return true on hit.
      */
     bool
@@ -137,10 +84,8 @@ class SetAssocCache
         // Same MRU-memo short-circuit as lookup(), same exactness
         // argument — and a memo hit needs no fill, so the insert half
         // is moot.
-        if (line == memoMru_[set]) {
-            ++stats_.hits;
+        if (line == memoMru_[set])
             return true;
-        }
         memoMru_[set] = line; // every continuation below stamps this line
         std::size_t base = set * numWays;
         std::size_t victim = base;
@@ -149,13 +94,12 @@ class SetAssocCache
             std::size_t i = base + w;
             if (tags[i] == line) {
                 lrus[i] = ++clock;
-                ++stats_.hits;
                 return true;
             }
-            // Victim choice mirrors insert(): first free way wins, else
-            // oldest LRU, earliest way on ties. A free way freezes the
-            // choice but the match scan must continue — invalidations
-            // can leave holes before a still-resident line.
+            // Victim choice: first free way wins, else oldest LRU,
+            // earliest way on ties. A free way freezes the choice but
+            // the match scan must continue — invalidations can leave
+            // holes before a still-resident line.
             if (!free_way) {
                 if (tags[i] == ~0ull) {
                     victim = i;
@@ -165,9 +109,6 @@ class SetAssocCache
                 }
             }
         }
-        ++stats_.misses;
-        if (!free_way)
-            ++stats_.evictions;
         tags[victim] = line;
         lrus[victim] = ++clock;
         return false;
@@ -181,19 +122,6 @@ class SetAssocCache
 
     /** Drop everything. */
     void flush();
-
-    const CacheStats &stats() const { return stats_; }
-    void resetStats() { stats_ = CacheStats{}; }
-
-    /**
-     * Charge @p n hits for fused same-line repeats (Core::accessRun)
-     * without re-probing. Exact by MRU idempotence: the line was
-     * stamped most-recent by the probe that opened the run, and
-     * true-LRU victim choice depends only on the relative stamp order
-     * within a set, so re-stamping the already-newest line cannot
-     * change any future hit, miss or eviction.
-     */
-    void noteFusedHits(std::uint64_t n) { stats_.hits += n; }
 
     std::uint64_t capacityBytes() const { return tags.size() * LineSize; }
     unsigned associativity() const { return numWays; }
@@ -215,7 +143,6 @@ class SetAssocCache
     std::vector<std::uint64_t> tags; //!< full line address, ~0 = invalid
     std::vector<std::uint32_t> lrus; //!< higher = more recently used
     std::uint32_t clock = 0;         //!< LRU timestamp source
-    CacheStats stats_;
     /**
      * Per-set lookup memo (see lookup()/probeInsert()): the line most
      * recently stamped in each set. ~0 is "empty" — it doubles as the

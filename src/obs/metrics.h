@@ -13,9 +13,9 @@
  * report's "metrics" section.
  *
  * Instruments are plain value accumulators — they never touch
- * simulated state, so the "metrics" report section is excluded from
- * the paper-metric identity contract (tools/cmp_reports.py strips it
- * alongside "wall_ms").
+ * simulated state. tools/cmp_reports.py compares the "metrics" report
+ * section like every other (only "wall_ms" is stripped); the vmcheck
+ * comparison strips it, since checked runs add check_* counters.
  */
 
 #ifndef MITOSIM_OBS_METRICS_H

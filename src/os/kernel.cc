@@ -667,9 +667,16 @@ Kernel::shootdownRange(Process &proc, const std::vector<VirtAddr> &vas,
         flushProcess(proc, nullptr);
     } else {
         forEachShootdownCore(proc, [&](sim::Core &core) {
+            // Pages of one 2 MB region share every PWC tag (va >> 21
+            // and up), and nothing fills the PWC mid-loop, so a repeat
+            // invalidation of the same region is a no-op: skip it.
+            VirtAddr pwc_region = ~0ull;
             for (VirtAddr va : vas) {
                 core.tlb().invalidatePage(va);
-                core.pwc().invalidate(va);
+                if ((va >> LargePageShift) != pwc_region) {
+                    core.pwc().invalidate(va);
+                    pwc_region = va >> LargePageShift;
+                }
             }
         });
     }

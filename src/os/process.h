@@ -201,41 +201,9 @@ class Process
     void
     protectVmaRange(VirtAddr start, VirtAddr end, std::uint64_t prot)
     {
-        auto it = vmas_.upper_bound(start);
-        if (it != vmas_.begin())
-            --it;
-        while (it != vmas_.end() && it->second.start < end) {
-            Vma &v = it->second;
-            if (v.end <= start || v.prot == prot) {
-                ++it;
-                continue;
-            }
-            if (v.start < start) {
-                // Split off the uncovered head, then revisit the tail.
-                Vma left = v;
-                left.end = start;
-                Vma right = v;
-                right.start = start;
-                vmas_.erase(it);
-                vmas_.emplace(left.start, left);
-                it = vmas_.emplace(right.start, right).first;
-                continue;
-            }
-            if (v.end > end) {
-                Vma head = v;
-                head.end = end;
-                head.prot = prot;
-                Vma tail = v;
-                tail.start = end;
-                vmas_.erase(it);
-                vmas_.emplace(head.start, head);
-                it = vmas_.emplace(tail.start, tail).first;
-            } else {
-                v.prot = prot;
-                ++it;
-            }
-        }
-        mergeAdjacent(start, end);
+        setVmaRange(
+            start, end, [&](const Vma &v) { return v.prot == prot; },
+            [&](Vma &v) { v.prot = prot; });
     }
 
     /**
@@ -249,41 +217,10 @@ class Process
     void
     adviseThpRange(VirtAddr start, VirtAddr end, bool enable)
     {
-        auto it = vmas_.upper_bound(start);
-        if (it != vmas_.begin())
-            --it;
-        while (it != vmas_.end() && it->second.start < end) {
-            Vma &v = it->second;
-            if (v.end <= start || v.thpEnabled == enable) {
-                ++it;
-                continue;
-            }
-            if (v.start < start) {
-                // Split off the uncovered head, then revisit the tail.
-                Vma left = v;
-                left.end = start;
-                Vma right = v;
-                right.start = start;
-                vmas_.erase(it);
-                vmas_.emplace(left.start, left);
-                it = vmas_.emplace(right.start, right).first;
-                continue;
-            }
-            if (v.end > end) {
-                Vma head = v;
-                head.end = end;
-                head.thpEnabled = enable;
-                Vma tail = v;
-                tail.start = end;
-                vmas_.erase(it);
-                vmas_.emplace(head.start, head);
-                it = vmas_.emplace(tail.start, tail).first;
-            } else {
-                v.thpEnabled = enable;
-                ++it;
-            }
-        }
-        mergeAdjacent(start, end);
+        setVmaRange(
+            start, end,
+            [&](const Vma &v) { return v.thpEnabled == enable; },
+            [&](Vma &v) { v.thpEnabled = enable; });
     }
 
     /** Visit every VMA intersecting [start, end), in address order. */
@@ -350,6 +287,53 @@ class Process
      */
     friend class Kernel;
     Process(const Process &) = default;
+
+    /**
+     * Apply @p set to exactly [start, end), splitting partially covered
+     * VMAs at the boundary, then merge mergeable neighbours back. A VMA
+     * for which @p has already holds is skipped, never split: a THP VMA
+     * split for nothing would never merge back.
+     */
+    template <typename Has, typename Set>
+    void
+    setVmaRange(VirtAddr start, VirtAddr end, Has &&has, Set &&set)
+    {
+        auto it = vmas_.upper_bound(start);
+        if (it != vmas_.begin())
+            --it;
+        while (it != vmas_.end() && it->second.start < end) {
+            Vma &v = it->second;
+            if (v.end <= start || has(v)) {
+                ++it;
+                continue;
+            }
+            if (v.start < start) {
+                // Split off the uncovered head, then revisit the tail.
+                Vma left = v;
+                left.end = start;
+                Vma right = v;
+                right.start = start;
+                vmas_.erase(it);
+                vmas_.emplace(left.start, left);
+                it = vmas_.emplace(right.start, right).first;
+                continue;
+            }
+            if (v.end > end) {
+                Vma head = v;
+                head.end = end;
+                set(head);
+                Vma tail = v;
+                tail.start = end;
+                vmas_.erase(it);
+                vmas_.emplace(head.start, head);
+                it = vmas_.emplace(tail.start, tail).first;
+            } else {
+                set(v);
+                ++it;
+            }
+        }
+        mergeAdjacent(start, end);
+    }
 
     /** Merge same-attribute neighbours around [from, to]. */
     void

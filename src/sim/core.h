@@ -231,14 +231,16 @@ class Core
      * ops[0] just made MRU (nothing evicts or invalidates mid-run: no
      * daemon, scheduler or fault can interleave — runBatch only calls
      * this pinned, and daemons tick only between replay calls), so the
-     * probe is skipped and its effects are charged directly:
-     * hit counters, the configured L1 hit latency, and a bulk LRU-free
-     * stats bump (exact by MRU idempotence — see
-     * TwoLevelTlb::noteFusedL1Hits). The data side fuses the same way
-     * per cache line: a repeat of the previous line is a guaranteed
-     * L1D hit charged without re-probing; a line change issues a real
-     * hierarchy access (which may miss to L3/DRAM and evict). Compute
-     * ops inside the run are absorbed as plain cycle charges.
+     * probe is skipped and its effects are charged directly to
+     * PerfCounters: the L1-TLB hit and the configured L1 hit latency.
+     * Skipping the probe's LRU re-stamp is exact by MRU idempotence:
+     * the entry already holds the newest stamp in its set, and
+     * true-LRU victim choice depends only on the relative stamp order.
+     * The data side fuses the same way per cache line: a repeat of the
+     * previous line is a guaranteed L1D hit charged without
+     * re-probing; a line change issues a real hierarchy access (which
+     * may miss to L3/DRAM and evict). Compute ops inside the run are
+     * absorbed as plain cycle charges.
      *
      * The run ends at the first op on a different page — or at a write
      * through a read-only translation, which must take the full
@@ -261,7 +263,6 @@ class Core
                              LineShift;
 
         std::uint64_t fused = 0;
-        std::uint64_t fused_l1d = 0;
         std::size_t i = 1;
         for (; i < n; ++i) {
             if (ops[i].isCompute) {
@@ -284,7 +285,6 @@ class Core
             Cycles dl;
             if (line == prev_line) {
                 ++pc.l1dHits;
-                ++fused_l1d;
                 dl = l1d_lat;
             } else {
                 dl = hier.access(coreId, pa, ops[i].isWrite,
@@ -297,9 +297,6 @@ class Core
         }
 
         if (fused) {
-            tlb_.noteFusedL1Hits(fused);
-            if (fused_l1d)
-                hier.l1dOf(coreId).noteFusedHits(fused_l1d);
             ++fusedRuns_;
             fusedOps_ += fused;
         }

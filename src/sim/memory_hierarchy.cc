@@ -26,18 +26,4 @@ MemoryHierarchy::invalidateFrame(Pfn pfn)
         c.invalidateFrame(pfn);
 }
 
-cache::SetAssocCache &
-MemoryHierarchy::l3Of(SocketId socket)
-{
-    MITOSIM_ASSERT(socket >= 0 && socket < topo.numSockets());
-    return l3[static_cast<std::size_t>(socket)];
-}
-
-cache::SetAssocCache &
-MemoryHierarchy::l1dOf(CoreId core)
-{
-    MITOSIM_ASSERT(core >= 0 && core < topo.numCores());
-    return l1d[static_cast<std::size_t>(core)];
-}
-
 } // namespace mitosim::sim

@@ -107,8 +107,6 @@ class MemoryHierarchy
         l3 = src.l3;
     }
 
-    cache::SetAssocCache &l3Of(SocketId socket);
-    cache::SetAssocCache &l1dOf(CoreId core);
     const HierarchyConfig &config() const { return cfg; }
     numa::Topology &topology() { return topo; }
 

@@ -55,9 +55,6 @@ struct PerfCounters
     /// @name OS events
     /// @{
     std::uint64_t pageFaults = 0;
-    std::uint64_t numaHintFaults = 0;
-    std::uint64_t dataPagesMigrated = 0;
-    std::uint64_t tlbShootdowns = 0;
     /** Scheduler switch-ins of this thread — including same-process
      *  handovers that keep CR3 loaded (Linux's same-mm fast path), so
      *  not every switch opens a post-switch refill window. */
@@ -134,9 +131,6 @@ struct PerfCounters
         l3LocalHits += o.l3LocalHits;
         l3RemoteHits += o.l3RemoteHits;
         pageFaults += o.pageFaults;
-        numaHintFaults += o.numaHintFaults;
-        dataPagesMigrated += o.dataPagesMigrated;
-        tlbShootdowns += o.tlbShootdowns;
         contextSwitches += o.contextSwitches;
         postSwitchTlbMisses += o.postSwitchTlbMisses;
         postSwitchWalkCycles += o.postSwitchWalkCycles;

@@ -69,7 +69,6 @@ PagingStructureCache::flushAll()
     pml4e.flush();
     pdpte.flush();
     pde.flush();
-    ++stats_.flushes;
 }
 
 void
@@ -79,7 +78,6 @@ PagingStructureCache::flushAsid(Asid asid)
     pml4e.flushAsid(asid);
     pdpte.flushAsid(asid);
     pde.flushAsid(asid);
-    ++stats_.asidFlushes;
 }
 
 void

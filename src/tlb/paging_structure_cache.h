@@ -18,6 +18,10 @@
  * core — essential once root-page frames can be freed and reused, since
  * a recycled root pfn would otherwise hit another process's stale
  * upper-level entries.
+ *
+ * The cache keeps no counters of its own: lookup() returns where the
+ * walk starts, and the walker charges the table reads it then issues
+ * to PerfCounters.
  */
 
 #ifndef MITOSIM_TLB_PAGING_STRUCTURE_CACHE_H
@@ -39,15 +43,6 @@ struct PwcConfig
     unsigned pml4eEntries = 2;  //!< caches L4 entries (skip to L3)
     unsigned pdpteEntries = 4;  //!< caches L3 entries (skip to L2)
     unsigned pdeEntries = 32;   //!< caches L2 entries (skip to L1)
-};
-
-/** PWC statistics. */
-struct PwcStats
-{
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0; //!< lookups that found no prefix at all
-    std::uint64_t flushes = 0;
-    std::uint64_t asidFlushes = 0; //!< selective flushAsid() calls
 };
 
 /**
@@ -85,19 +80,16 @@ class PagingStructureCache
         // by every invalidation path. Exact by MRU idempotence — the
         // memo entry's stamp is the newest in the (fully-associative)
         // pde array, so skipping the re-stamp cannot change any LRU
-        // victim choice, and the hit counter and probe result are
-        // exactly the scan's. Sequential walk streams (populate, range
+        // victim choice, and the probe result is exactly the scan's. Sequential walk streams (populate, range
         // sweeps) hit the same 2 MB prefix for 512 walks in a row.
         if ((va >> PdeShift) == memoTag_ && cr3 == memoCr3_ &&
             asid_ == memoAsid_) {
-            ++stats_.hits;
             p.startLevel = 1;
             p.tablePfn = memoTablePfn_;
             return p;
         }
         if (std::size_t s = pde.find(cr3, asid_, va); s != npos) {
             pde.lrus[s] = ++clock;
-            ++stats_.hits;
             p.startLevel = 1;
             p.tablePfn = pde.tablePfns[s];
             noteMru(cr3, va, pde.tablePfns[s]);
@@ -105,19 +97,16 @@ class PagingStructureCache
         }
         if (std::size_t s = pdpte.find(cr3, asid_, va); s != npos) {
             pdpte.lrus[s] = ++clock;
-            ++stats_.hits;
             p.startLevel = 2;
             p.tablePfn = pdpte.tablePfns[s];
             return p;
         }
         if (std::size_t s = pml4e.find(cr3, asid_, va); s != npos) {
             pml4e.lrus[s] = ++clock;
-            ++stats_.hits;
             p.startLevel = 3;
             p.tablePfn = pml4e.tablePfns[s];
             return p;
         }
-        ++stats_.misses;
         p.startLevel = 4;
         p.tablePfn = cr3;
         return p;
@@ -155,9 +144,6 @@ class PagingStructureCache
 
     /** Selective flush of every entry tagged @p asid. */
     void flushAsid(Asid asid);
-
-    const PwcStats &stats() const { return stats_; }
-    void resetStats() { stats_ = PwcStats{}; }
 
     /**
      * Visit every valid entry as (cr3, asid, level, table pfn), where
@@ -282,7 +268,6 @@ class PagingStructureCache
     Level pde;
     Asid asid_ = 0;
     std::uint32_t clock = 0;
-    PwcStats stats_;
     /**
      * pde-level MRU memo (see lookup()): ~0 tag = empty (no shifted VA
      * can produce it). Cleared by invalidate/flushAll/flushAsid.

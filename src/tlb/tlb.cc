@@ -75,7 +75,6 @@ TwoLevelTlb::invalidatePage(VirtAddr va)
     l2.invalidate(tag4K(va));
     l2.invalidate(tag2M(va) | LargeTagBit);
     clearMemo();
-    ++stats_.singleInvalidations;
 }
 
 void
@@ -85,7 +84,6 @@ TwoLevelTlb::flushAll()
     l1Large.flush();
     l2.flush();
     clearMemo();
-    ++stats_.flushes;
 }
 
 void
@@ -95,7 +93,6 @@ TwoLevelTlb::flushAsid(Asid asid)
     l1Large.flushAsid(asid);
     l2.flushAsid(asid);
     clearMemo();
-    ++stats_.asidFlushes;
 }
 
 void

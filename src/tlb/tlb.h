@@ -15,6 +15,10 @@
  * flushAsid() is the selective INVPCID path the scheduler uses when an
  * ASID is recycled. A single-ASID user (the pinned default: one process
  * per core, full flush on every CR3 load) behaves exactly as before.
+ *
+ * The TLB keeps no counters of its own: lookup() reports the hit level
+ * and latency, and sim::Core charges them to PerfCounters, the one
+ * hardware-event channel every report reads.
  */
 
 #ifndef MITOSIM_TLB_TLB_H
@@ -59,31 +63,6 @@ struct TlbEntry
     PageSizeKind size = PageSizeKind::Base4K;
 };
 
-/** Statistics for one TLB instance. */
-struct TlbStats
-{
-    std::uint64_t l1Hits = 0;
-    std::uint64_t l2Hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t flushes = 0;
-    std::uint64_t singleInvalidations = 0;
-    std::uint64_t asidFlushes = 0; //!< selective flushAsid() calls
-
-    std::uint64_t
-    lookups() const
-    {
-        return l1Hits + l2Hits + misses;
-    }
-
-    double
-    missRate() const
-    {
-        std::uint64_t n = lookups();
-        return n ? static_cast<double>(misses) / static_cast<double>(n)
-                 : 0.0;
-    }
-};
-
 /** Outcome of a lookup. */
 struct TlbLookupResult
 {
@@ -125,11 +104,10 @@ class TwoLevelTlb
         // stamped since, or the memo would have been replaced), so the
         // re-stamp a real probe would perform cannot change the
         // relative stamp order true-LRU victim choice depends on —
-        // and the counter/latency effects charged here are exactly
-        // the real L1-hit path's. Skipping the ++clock tick is
+        // and the result returned here is exactly the real L1-hit
+        // path's. Skipping the ++clock tick is
         // equally invisible: stamps stay unique and ordered.
         if ((va & memoMask_) == memoBase_ && asid_ == memoAsid_) {
-            ++stats_.l1Hits;
             res.hit = true;
             res.hitLevel = 1;
             res.latency = cfg.l1HitLatency;
@@ -141,11 +119,10 @@ class TwoLevelTlb
         // every entry ever installed carries one single ASID and the
         // probing ASID differs, no array can hold a match — take the
         // miss directly without scanning. A guaranteed-miss probe
-        // changes no state and no per-array stats, so skipping it is
-        // invisible to the simulation.
+        // changes no state, so skipping it is invisible to the
+        // simulation.
         if (asid_ != onlyAsid_ && !multiAsid_ && anyInsert_)
             [[unlikely]] {
-            ++stats_.misses;
             res.hit = false;
             res.latency = cfg.l2HitLatency;
             return res;
@@ -154,14 +131,13 @@ class TwoLevelTlb
         // L1, both size classes probed in parallel on real hardware.
         // Each size class's probes are skipped until a translation of
         // that size has ever been installed (saw4K_ / sawLarge_): a
-        // guaranteed-miss probe changes no state and no stats, and
+        // guaranteed-miss probe changes no state, and
         // all-2M (or all-4K) address spaces otherwise pay for both
         // size classes on every single lookup.
         if (saw4K_) {
             if (std::size_t s = l1Small.find(tag4K(va), asid_);
                 s != Array::npos) {
                 l1Small.touch(s, ++clock);
-                ++stats_.l1Hits;
                 res.hit = true;
                 res.hitLevel = 1;
                 res.latency = cfg.l1HitLatency;
@@ -174,7 +150,6 @@ class TwoLevelTlb
             if (std::size_t s = l1Large.find(tag2M(va), asid_);
                 s != Array::npos) {
                 l1Large.touch(s, ++clock);
-                ++stats_.l1Hits;
                 res.hit = true;
                 res.hitLevel = 1;
                 res.latency = cfg.l1HitLatency;
@@ -189,7 +164,6 @@ class TwoLevelTlb
             if (std::size_t s = l2.find(tag4K(va), asid_);
                 s != Array::npos) {
                 l2.touch(s, ++clock);
-                ++stats_.l2Hits;
                 res.hit = true;
                 res.hitLevel = 2;
                 res.latency = cfg.l2HitLatency;
@@ -203,7 +177,6 @@ class TwoLevelTlb
             if (std::size_t s = l2.find(tag2M(va) | LargeTagBit, asid_);
                 s != Array::npos) {
                 l2.touch(s, ++clock);
-                ++stats_.l2Hits;
                 res.hit = true;
                 res.hitLevel = 2;
                 res.latency = cfg.l2HitLatency;
@@ -214,7 +187,6 @@ class TwoLevelTlb
             }
         }
 
-        ++stats_.misses;
         res.hit = false;
         res.latency = cfg.l2HitLatency; // paid the full probe before missing
         return res;
@@ -223,8 +195,8 @@ class TwoLevelTlb
     /**
      * lookup() of @p va where the caller knows it misses: nothing has
      * been inserted since @p va last missed or was invalidated (the
-     * retry after a serviced fault). A miss changes no state besides
-     * the miss counter, so charging it directly is exact; the same
+     * retry after a serviced fault). A miss changes no state, so
+     * returning its latency directly is exact; the same
      * licence as the guaranteed-miss skips inside lookup(). Debug
      * builds run the real probe and assert that it missed.
      */
@@ -237,7 +209,6 @@ class TwoLevelTlb
         return res.latency;
 #else
         (void)va;
-        ++stats_.misses;
         return cfg.l2HitLatency;
 #endif
     }
@@ -278,19 +249,7 @@ class TwoLevelTlb
     /** Selective flush of every entry tagged @p asid (INVPCID type 1). */
     void flushAsid(Asid asid);
 
-    const TlbStats &stats() const { return stats_; }
-    void resetStats() { stats_ = TlbStats{}; }
     const TlbConfig &config() const { return cfg; }
-
-    /**
-     * Charge @p n L1 hits for fused same-page repeats (Core::accessRun)
-     * without re-probing. Exact by MRU idempotence: the repeated entry
-     * was stamped most-recent by the probe that opened the run, and
-     * true-LRU victim choice depends only on the *relative* stamp
-     * order within a set, so re-stamping the already-newest entry
-     * cannot change any future hit, miss or eviction.
-     */
-    void noteFusedL1Hits(std::uint64_t n) { stats_.l1Hits += n; }
 
     /**
      * Visit every valid entry across both levels as (va, asid, entry).
@@ -428,7 +387,7 @@ class TwoLevelTlb
      * Sticky (never cleared by flushes): false only guarantees the
      * size class's arrays are empty, which licenses skipping their
      * probes — a pure host-side shortcut with no effect on simulated
-     * state or statistics.
+     * state.
      */
     bool sawLarge_ = false;
     bool saw4K_ = false;
@@ -445,7 +404,6 @@ class TwoLevelTlb
     bool multiAsid_ = false;
     Asid asid_ = 0;
     std::uint32_t clock = 0;
-    TlbStats stats_;
     // Lookup memo (see lookup()/noteMru): decoded copy of the most
     // recently stamped L1 entry. memoBase_ = ~0 with memoMask_ = 0 is
     // the "empty" state — no canonical address matches it.

@@ -56,7 +56,6 @@ class VCpu
     void flushTranslations();
 
     int vsocket() const { return vs; }
-    CoreId hostCore() const { return core; }
 
   private:
     /**

@@ -57,7 +57,6 @@ class VirtualMachine
     VirtualMachine &operator=(const VirtualMachine &) = delete;
 
     int numVSockets() const { return vsockets; }
-    std::uint64_t guestFramesPerVSocket() const { return framesPerVs; }
 
     /** Host socket backing virtual socket @p v (identity mapping). */
     SocketId hostSocketOf(int vsocket) const

@@ -87,9 +87,6 @@ class Workload
             genStep(sink, tid);
     }
 
-    /** Reasonable per-thread operation count for benches. */
-    virtual std::uint64_t defaultOps() const { return 100000; }
-
     const WorkloadParams &params() const { return prm; }
 
   protected:

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for src/base: types/address math, SocketMask, Rng, stats,
+ * Unit tests for src/base: types/address math, SocketMask, Rng,
  * logging.
  */
 
@@ -11,7 +11,6 @@
 #include "src/base/logging.h"
 #include "src/base/rng.h"
 #include "src/base/socket_mask.h"
-#include "src/base/stats.h"
 #include "src/base/types.h"
 
 namespace mitosim
@@ -202,61 +201,6 @@ TEST(Rng, SkewedPrefersHotSet)
     double frac = static_cast<double>(hot_hits) / draws;
     EXPECT_GT(frac, 0.75);
     EXPECT_LT(frac, 0.92);
-}
-
-TEST(Summary, Accumulates)
-{
-    Summary s;
-    s.add(1.0);
-    s.add(2.0);
-    s.add(3.0);
-    EXPECT_EQ(s.count(), 3u);
-    EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(s.min(), 1.0);
-    EXPECT_DOUBLE_EQ(s.max(), 3.0);
-    EXPECT_NEAR(s.stddev(), 1.0, 1e-9);
-}
-
-TEST(Summary, EmptyIsZero)
-{
-    Summary s;
-    EXPECT_EQ(s.count(), 0u);
-    EXPECT_EQ(s.mean(), 0.0);
-    EXPECT_EQ(s.stddev(), 0.0);
-}
-
-TEST(Histogram, BucketsAndOverflow)
-{
-    Histogram h(10, 5); // [0,50) in 5 buckets
-    h.add(0);
-    h.add(9);
-    h.add(10);
-    h.add(49);
-    h.add(50); // overflow
-    h.add(1000);
-    EXPECT_EQ(h.total(), 6u);
-    EXPECT_EQ(h.bucketCount(0), 2u);
-    EXPECT_EQ(h.bucketCount(1), 1u);
-    EXPECT_EQ(h.bucketCount(4), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-}
-
-TEST(Histogram, Percentile)
-{
-    Histogram h(1, 100);
-    for (std::uint64_t v = 0; v < 100; ++v)
-        h.add(v);
-    EXPECT_LE(h.percentile(0.5), 51u);
-    EXPECT_GE(h.percentile(0.5), 48u);
-    EXPECT_GE(h.percentile(0.99), 97u);
-}
-
-TEST(Histogram, WeightedAdd)
-{
-    Histogram h(10, 2);
-    h.add(5, 7);
-    EXPECT_EQ(h.total(), 7u);
-    EXPECT_EQ(h.bucketCount(0), 7u);
 }
 
 TEST(Logging, PanicThrowsSimError)

@@ -17,16 +17,15 @@ TEST(Cache, MissThenHitAfterInsert)
 {
     SetAssocCache c(64 * 1024, 8);
     EXPECT_FALSE(c.lookup(0x1000));
-    c.insert(0x1000);
+    EXPECT_FALSE(c.probeInsert(0x1000)); // miss, filled
     EXPECT_TRUE(c.lookup(0x1000));
-    EXPECT_EQ(c.stats().hits, 1u);
-    EXPECT_EQ(c.stats().misses, 1u);
+    EXPECT_TRUE(c.probeInsert(0x1000));
 }
 
 TEST(Cache, SameLineDifferentOffsetHits)
 {
     SetAssocCache c(64 * 1024, 8);
-    c.insert(0x1000);
+    c.probeInsert(0x1000);
     EXPECT_TRUE(c.lookup(0x103f)); // same 64B line
     EXPECT_FALSE(c.lookup(0x1040)); // next line
 }
@@ -41,24 +40,25 @@ TEST(Cache, CapacityAndGeometry)
 
 TEST(Cache, EvictionReportsVictim)
 {
-    // Single-set cache: 4 ways of 64B = 256B.
+    // Single-set cache: 4 ways of 64B = 256B. The fifth fill evicts
+    // the LRU line (address 0) and nothing else.
     SetAssocCache c(256, 4);
     EXPECT_EQ(c.numSets(), 1u);
     for (PhysAddr a = 0; a < 4 * LineSize; a += LineSize)
-        EXPECT_EQ(c.insert(a), ~0ull);
-    std::uint64_t victim = c.insert(4 * LineSize);
-    EXPECT_EQ(victim, 0u); // LRU line address 0
+        EXPECT_FALSE(c.probeInsert(a));
+    EXPECT_FALSE(c.probeInsert(4 * LineSize));
     EXPECT_FALSE(c.lookup(0));
-    EXPECT_TRUE(c.lookup(4 * LineSize));
+    for (PhysAddr a = LineSize; a <= 4 * LineSize; a += LineSize)
+        EXPECT_TRUE(c.lookup(a)) << a;
 }
 
 TEST(Cache, LruRefreshOnHit)
 {
     SetAssocCache c(256, 4);
     for (PhysAddr a = 0; a < 4 * LineSize; a += LineSize)
-        c.insert(a);
+        c.probeInsert(a);
     c.lookup(0); // refresh line 0
-    c.insert(4 * LineSize);
+    c.probeInsert(4 * LineSize);
     EXPECT_TRUE(c.lookup(0));       // survived
     EXPECT_FALSE(c.lookup(LineSize)); // line 1 evicted instead
 }
@@ -66,18 +66,35 @@ TEST(Cache, LruRefreshOnHit)
 TEST(Cache, InsertExistingIsNoop)
 {
     SetAssocCache c(256, 4);
-    c.insert(0x80);
-    EXPECT_EQ(c.insert(0x80), ~0ull);
-    EXPECT_EQ(c.stats().evictions, 0u);
+    for (PhysAddr a = 0; a < 4 * LineSize; a += LineSize)
+        c.probeInsert(a);
+    EXPECT_TRUE(c.probeInsert(0x80)); // resident: a hit, no fill
+    for (PhysAddr a = 0; a < 4 * LineSize; a += LineSize)
+        EXPECT_TRUE(c.lookup(a)) << a; // nothing was evicted
 }
 
 TEST(Cache, InvalidateLine)
 {
     SetAssocCache c(64 * 1024, 8);
-    c.insert(0x2000);
+    c.probeInsert(0x2000);
+    c.probeInsert(0x2040);
     c.invalidateLine(0x2000);
     EXPECT_FALSE(c.lookup(0x2000));
-    EXPECT_EQ(c.stats().invalidations, 1u);
+    EXPECT_TRUE(c.lookup(0x2040));
+}
+
+TEST(Cache, ProbeInsertFindsLineBehindInvalidatedHole)
+{
+    // An invalidation leaves a free way before a still-resident line:
+    // the probe must keep scanning past the hole and hit, rather than
+    // fill the hole with a second copy of the line.
+    SetAssocCache c(256, 4); // one set
+    for (PhysAddr a = 0; a < 4 * LineSize; a += LineSize)
+        c.probeInsert(a); // way w holds line w
+    c.invalidateLine(0);  // hole in way 0
+    EXPECT_TRUE(c.probeInsert(2 * LineSize));
+    c.invalidateLine(2 * LineSize);
+    EXPECT_FALSE(c.lookup(2 * LineSize)); // no duplicate left behind
 }
 
 TEST(Cache, InvalidateFrameDropsAllItsLines)
@@ -85,7 +102,7 @@ TEST(Cache, InvalidateFrameDropsAllItsLines)
     SetAssocCache c(1 << 20, 16);
     PhysAddr frame_base = 5 * PageSize;
     for (unsigned i = 0; i < PageSize / LineSize; ++i)
-        c.insert(frame_base + i * LineSize);
+        c.probeInsert(frame_base + i * LineSize);
     c.invalidateFrame(5);
     for (unsigned i = 0; i < PageSize / LineSize; ++i)
         EXPECT_FALSE(c.lookup(frame_base + i * LineSize));
@@ -95,18 +112,9 @@ TEST(Cache, FlushEmptiesEverything)
 {
     SetAssocCache c(64 * 1024, 8);
     for (PhysAddr a = 0; a < 128 * LineSize; a += LineSize)
-        c.insert(a);
+        c.probeInsert(a);
     c.flush();
     EXPECT_FALSE(c.lookup(0));
-}
-
-TEST(Cache, HitRateComputation)
-{
-    SetAssocCache c(64 * 1024, 8);
-    c.insert(0);
-    c.lookup(0);
-    c.lookup(LineSize);
-    EXPECT_NEAR(c.stats().hitRate(), 0.5, 1e-9);
 }
 
 TEST(Cache, DistinctSetsDontInterfere)
@@ -114,8 +122,8 @@ TEST(Cache, DistinctSetsDontInterfere)
     SetAssocCache c(512, 4); // 2 sets
     // Fill set 0 far beyond capacity.
     for (int i = 0; i < 64; ++i)
-        c.insert(static_cast<PhysAddr>(i) * 2 * LineSize);
-    c.insert(LineSize); // set 1
+        c.probeInsert(static_cast<PhysAddr>(i) * 2 * LineSize);
+    c.probeInsert(LineSize); // set 1
     EXPECT_TRUE(c.lookup(LineSize));
 }
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "src/base/logging.h"
 #include "src/os/exec_context.h"
 #include "src/os/kernel.h"
@@ -412,6 +415,108 @@ TEST_F(KernelTest, MadviseUnalignedBoundaryDemotesStraddlingHugePage)
     EXPECT_TRUE(kernel.ptOps()
                     .walk(p.roots(), base + LargePageSize - PageSize)
                     .mapped);
+    kernel.destroyProcess(p);
+}
+
+/** One VMA as (start - base, end - base, prot, thpEnabled). */
+using VmaRow = std::tuple<std::uint64_t, std::uint64_t, std::uint64_t, bool>;
+
+std::vector<VmaRow>
+vmaTree(const Process &p, VirtAddr base)
+{
+    std::vector<VmaRow> rows;
+    for (const auto &[start, v] : p.vmas())
+        rows.emplace_back(v.start - base, v.end - base, v.prot,
+                          v.thpEnabled);
+    return rows;
+}
+
+TEST_F(KernelTest, MprotectAndMadviseSplitMergeTreeIsPinned)
+{
+    // mprotect and madvise over ranges that start and end inside a
+    // VMA, at a VMA boundary and across one. A VMA whose attribute
+    // already matches is skipped, never split: in particular a THP VMA,
+    // which would never merge back.
+    constexpr std::uint64_t P = PageSize;
+    constexpr std::uint64_t M = LargePageSize;
+    constexpr std::uint64_t RW = ProtRead | ProtWrite;
+    constexpr std::uint64_t R = ProtRead;
+    Process &p = kernel.createProcess("test", 0);
+    VirtAddr base = 0x20000000000ull;
+    kernel.mmapFixed(p, base, 16 * P, MmapOptions{});
+    kernel.mmapFixed(p, base + 16 * P, 16 * P, MmapOptions{.prot = R});
+    kernel.mmapFixed(p, base + M, M, MmapOptions{.thp = true});
+    kernel.mmapFixed(p, base + 2 * M, M,
+                     MmapOptions{.thp = true, .prot = R});
+
+    // Start and end inside one VMA.
+    kernel.mprotect(p, base + 2 * P, 2 * P, R);
+    EXPECT_EQ(vmaTree(p, base),
+              (std::vector<VmaRow>{{0, 2 * P, RW, false},
+                                   {2 * P, 4 * P, R, false},
+                                   {4 * P, 16 * P, RW, false},
+                                   {16 * P, 32 * P, R, false},
+                                   {M, 2 * M, RW, true},
+                                   {2 * M, 3 * M, R, true}}));
+
+    // Across a boundary into an already-matching VMA, which merges.
+    kernel.mprotect(p, base + 12 * P, 8 * P, R);
+    EXPECT_EQ(vmaTree(p, base),
+              (std::vector<VmaRow>{{0, 2 * P, RW, false},
+                                   {2 * P, 4 * P, R, false},
+                                   {4 * P, 12 * P, RW, false},
+                                   {12 * P, 32 * P, R, false},
+                                   {M, 2 * M, RW, true},
+                                   {2 * M, 3 * M, R, true}}));
+
+    // Exactly at VMA boundaries: everything merges.
+    kernel.mprotect(p, base + 4 * P, 8 * P, R);
+    EXPECT_EQ(vmaTree(p, base),
+              (std::vector<VmaRow>{{0, 2 * P, RW, false},
+                                   {2 * P, 32 * P, R, false},
+                                   {M, 2 * M, RW, true},
+                                   {2 * M, 3 * M, R, true}}));
+
+    // madvise from inside a VMA, over a hole, to inside an
+    // already-THP VMA, which keeps its bounds.
+    kernel.madvise(p, base + P, M + 8 * P, Madvise::Huge);
+    EXPECT_EQ(vmaTree(p, base),
+              (std::vector<VmaRow>{{0, P, RW, false},
+                                   {P, 2 * P, RW, true},
+                                   {2 * P, 32 * P, R, true},
+                                   {M, 2 * M, RW, true},
+                                   {2 * M, 3 * M, R, true}}));
+
+    // From inside one THP VMA across the boundary into the next.
+    kernel.madvise(p, base + M + M / 2, M / 2 + 4 * P, Madvise::NoHuge);
+    const std::vector<VmaRow> split = {{0, P, RW, false},
+                                       {P, 2 * P, RW, true},
+                                       {2 * P, 32 * P, R, true},
+                                       {M, M + M / 2, RW, true},
+                                       {M + M / 2, 2 * M, RW, false},
+                                       {2 * M, 2 * M + 4 * P, R, false},
+                                       {2 * M + 4 * P, 3 * M, R, true}};
+    EXPECT_EQ(vmaTree(p, base), split);
+
+    // Already matching, inside and at the boundaries of a THP VMA:
+    // nothing splits.
+    kernel.mprotect(p, base + M + 4 * P, 4 * P, RW);
+    kernel.mprotect(p, base + M, M / 2, RW);
+    kernel.madvise(p, base + M + 8 * P, 8 * P, Madvise::Huge);
+    kernel.madvise(p, base + 2 * M + 8 * P, 8 * P, Madvise::Huge);
+    EXPECT_EQ(vmaTree(p, base), split);
+
+    // Across: the THP head splits, the non-THP middle merges with its
+    // newly matching neighbour, the already-matching THP tail stays.
+    kernel.mprotect(p, base + M + M / 4, M, R);
+    EXPECT_EQ(vmaTree(p, base),
+              (std::vector<VmaRow>{{0, P, RW, false},
+                                   {P, 2 * P, RW, true},
+                                   {2 * P, 32 * P, R, true},
+                                   {M, M + M / 4, RW, true},
+                                   {M + M / 4, M + M / 2, R, true},
+                                   {M + M / 2, 2 * M + 4 * P, R, false},
+                                   {2 * M + 4 * P, 3 * M, R, true}}));
     kernel.destroyProcess(p);
 }
 

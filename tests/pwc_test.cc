@@ -23,7 +23,6 @@ TEST(Pwc, EmptyStartsAtRoot)
     auto probe = pwc.lookup(Cr3A, 0x12345678);
     EXPECT_EQ(probe.startLevel, 4);
     EXPECT_EQ(probe.tablePfn, Cr3A);
-    EXPECT_EQ(pwc.stats().misses, 1u);
 }
 
 TEST(Pwc, FillPml4eSkipsToL3)
@@ -111,10 +110,12 @@ TEST(Pwc, InvalidateDropsAllLevelsForVa)
 TEST(Pwc, FlushAllClears)
 {
     PagingStructureCache pwc;
-    pwc.fill(Cr3A, 0x1000, 1, 5);
+    VirtAddr va = 0x40000000ull;
+    pwc.fill(Cr3A, va, 3, 50);
+    pwc.fill(Cr3A, va, 2, 51);
+    pwc.fill(Cr3A, va, 1, 52);
     pwc.flushAll();
-    EXPECT_EQ(pwc.lookup(Cr3A, 0x1000).startLevel, 4);
-    EXPECT_EQ(pwc.stats().flushes, 1u);
+    EXPECT_EQ(pwc.lookup(Cr3A, va).startLevel, 4);
 }
 
 TEST(Pwc, UpdateExistingEntryInPlace)
