@@ -19,19 +19,18 @@
  *     "metrics":  { "<job>": { "<metric>": <number>, ... }, ... }
  *   }
  *
- * Two sections are excluded from metric comparisons. "wall_ms" is
+ * One section is excluded from report comparisons: "wall_ms" is
  * host-side telemetry (per-job and total wall-clock, recorded by the
- * driver): simulated results must be bit-identical across commits
- * unless the model changed, while wall_ms is expected to drift with
- * host load and to improve with host-side optimizations. "metrics" is
+ * driver), expected to drift with host load and to improve with
+ * host-side optimizations, while simulated results must be
+ * bit-identical across commits unless the model changed. "metrics" is
  * the one simulated-telemetry channel: the src/obs registry flatten
  * (named counters — scheduler sched_*, THP lifecycle thp_*, ... —
  * gauge snapshots, histogram digests, walk-cycle attribution) plus,
- * on checked runs, the vmcheck check_* counters. It is deterministic
- * but diagnostic: it explains the metrics without being one, and is
- * free to grow richer between PRs. Tools diffing reports must ignore
- * both; they exist so wall-clock trends and observability signals
- * stay visible PR-to-PR via the CI artifacts.
+ * on checked runs, the vmcheck check_* counters. It is deterministic,
+ * so tools/cmp_reports.py compares it like the per-run metrics; only
+ * a MITOSIM_CHECK=1 run, whose check_* counters an unchecked run
+ * lacks, is compared without it (strip_host_telemetry).
  *
  * A minimal JSON value/writer/parser keeps the repo dependency-free; the
  * parser exists so tests and tools can round-trip what the writer emits.
@@ -209,9 +208,8 @@ class BenchReport
     /**
      * Record one observability metric (a flattened src/obs registry
      * entry or a walk-cycle attribution bucket) for job @p label. The
-     * "metrics" section only appears when a job recorded any and —
-     * like "wall_ms" — is diagnostic, excluded from metric
-     * comparisons.
+     * "metrics" section only appears when a job recorded any; unlike
+     * "wall_ms" it is deterministic and compared between reports.
      */
     void metricStat(const std::string &label, const std::string &key,
                     double value);

@@ -93,9 +93,8 @@ struct JobResult
      * vmcheck counters (check_*), recorded by the bench harness's
      * stat sink. The job's only simulated-telemetry channel:
      * deterministic, landed in the report's "metrics" section, which
-     * metric comparison tooling ignores (like "wall_ms"): it is an
-     * *observability* surface, free to grow richer between PRs
-     * without breaking report identity.
+     * report comparisons check like the per-run metrics (only
+     * "wall_ms" is excluded).
      */
     std::vector<std::pair<std::string, double>> metrics;
 

@@ -30,8 +30,9 @@ struct TopologyConfig
 
     /**
      * Simulated physical memory per socket. Scaled down from the paper's
-     * 128 GB/socket; see DESIGN.md for the scaling argument. Data frames
-     * are unbacked so this costs only metadata on the host.
+     * 128 GB/socket; see EXPERIMENTS.md "Scaling: 128 MiB footprints
+     * against a 64 KiB per-socket L3" for the scaling argument. Data
+     * frames are unbacked so this costs only metadata on the host.
      */
     std::uint64_t memPerSocket = 4ull << 30; // 4 GiB
 

@@ -14,16 +14,6 @@ const char *const kCatNames[NumTraceCats] = {
     "fault", "shootdown", "replica", "sched", "thp", "asid",
 };
 
-/** splitmix64: deterministic, well-mixed 64-bit hash. */
-std::uint64_t
-mix64(std::uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ull;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-    return x ^ (x >> 31);
-}
-
 unsigned
 parseMask(const char *spec)
 {
@@ -80,36 +70,19 @@ Tracer::initFromEnv()
     cap_ = static_cast<std::size_t>(envU64("MITOSIM_TRACE_CAP", 65536));
     if (cap_ == 0)
         cap_ = 1;
-    sample_ = envU64("MITOSIM_TRACE_SAMPLE", 1);
-    if (sample_ == 0)
-        sample_ = 1;
-    seed_ = envU64("MITOSIM_TRACE_SEED", 0);
 }
 
 void
-Tracer::configure(unsigned mask, std::size_t capacity,
-                  std::uint64_t sample, std::uint64_t seed)
+Tracer::configure(unsigned mask, std::size_t capacity)
 {
     mask_ = mask & ((1u << NumTraceCats) - 1);
     cap_ = capacity ? capacity : 1;
-    sample_ = sample ? sample : 1;
-    seed_ = seed;
     reset();
 }
 
 void
 Tracer::push(const TraceEvent &ev)
 {
-    // Per-category 1-in-N sampling, keyed on the category's own event
-    // sequence number so the kept subset is independent of other
-    // categories' volume (and of anything host-side).
-    unsigned c = static_cast<unsigned>(ev.cat);
-    std::uint64_t seq = catSeq_[c]++;
-    if (sample_ > 1 &&
-        mix64(seed_ ^ (static_cast<std::uint64_t>(c) << 56) ^ seq) %
-                sample_ !=
-            0)
-        return;
     if (ring_.size() < cap_) {
         ring_.push_back(ev);
         return;
@@ -192,8 +165,6 @@ Tracer::reset()
     head_ = 0;
     dropped_ = 0;
     now_ = 0;
-    for (auto &s : catSeq_)
-        s = 0;
 }
 
 } // namespace mitosim::obs

@@ -9,17 +9,9 @@
  * TraceCat for names; "all" enables everything). While disabled every
  * emission point is a single inlined mask test against zero, so the
  * hot path stays within the perf regression gate and reports remain
- * metric-identical. Companion knobs:
- *
- *   MITOSIM_TRACE_CAP=N     ring capacity in events (default 65536);
- *                           on overflow the ring keeps the NEWEST
- *                           events and counts the overwritten ones
- *   MITOSIM_TRACE_SAMPLE=N  keep 1-in-N events per category
- *                           (default 1 = keep all); the keep decision
- *                           hashes (seed, category, per-category
- *                           sequence number), so it is deterministic
- *                           and independent of host threading
- *   MITOSIM_TRACE_SEED=S    sampling hash seed (default 0)
+ * metric-identical. `MITOSIM_TRACE_CAP=N` sets the ring capacity in
+ * events (default 65536); on overflow the ring keeps the NEWEST
+ * events and counts the overwritten ones.
  *
  * Timestamps are virtual cycles advanced by the owning job's
  * execution context; the exported JSON maps 1 cycle = 1 trace
@@ -81,8 +73,7 @@ class Tracer
     void initFromEnv();
 
     /** Test hook: override the env-derived configuration. */
-    void configure(unsigned mask, std::size_t capacity,
-                   std::uint64_t sample, std::uint64_t seed);
+    void configure(unsigned mask, std::size_t capacity);
 
     bool enabled() const { return mask_ != 0; }
 
@@ -160,8 +151,8 @@ class Tracer
     std::string exportJson() const;
 
     /**
-     * Drop recorded events, the dropped-count, per-category sampling
-     * sequence numbers and the virtual clock; keep the configuration.
+     * Drop recorded events, the dropped-count and the virtual clock;
+     * keep the configuration.
      * Used after snapshot populate so a forked job starts from the
      * same observability state as a fresh one.
      */
@@ -172,12 +163,9 @@ class Tracer
 
     unsigned mask_ = 0; //!< 0 = tracing off (the default)
     std::size_t cap_ = 65536;
-    std::uint64_t sample_ = 1; //!< keep 1-in-N per category
-    std::uint64_t seed_ = 0;
     std::uint64_t now_ = 0;
     std::uint64_t dropped_ = 0;
     std::size_t head_ = 0; //!< next write position once full
-    std::uint64_t catSeq_[NumTraceCats] = {};
     std::vector<TraceEvent> ring_;
 };
 

@@ -44,7 +44,8 @@ struct HierarchyConfig
     /**
      * Per-socket shared L3. The paper's machine has 35 MB for ~500 GB of
      * DRAM; we default to 1 MB against 4 GB/socket to preserve the
-     * leaf-PTE-working-set vs L3 ratio (see DESIGN.md scaling note).
+     * leaf-PTE-working-set vs L3 ratio (see EXPERIMENTS.md "Scaling:
+     * 128 MiB footprints against a 64 KiB per-socket L3").
      */
     std::uint64_t l3BytesPerSocket = 1ull << 20;
     unsigned l3Ways = 16;

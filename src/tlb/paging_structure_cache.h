@@ -19,6 +19,10 @@
  * a recycled root pfn would otherwise hit another process's stale
  * upper-level entries.
  *
+ * Each level is a fully-associative LruArray (one set) qualified by
+ * (root pfn, ASID); this class adds the level decoding, its LRU clock
+ * and a pde-level MRU memo.
+ *
  * The cache keeps no counters of its own: lookup() returns where the
  * walk starts, and the walker charges the table reads it then issues
  * to PerfCounters.
@@ -29,10 +33,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "src/base/logging.h"
 #include "src/base/types.h"
+#include "src/cache/lru_array.h"
 
 namespace mitosim::tlb
 {
@@ -52,7 +56,12 @@ struct PwcConfig
 class PagingStructureCache
 {
   public:
-    explicit PagingStructureCache(const PwcConfig &config = PwcConfig{});
+    explicit PagingStructureCache(const PwcConfig &config = PwcConfig{})
+        : levels{Level(config.pdeEntries, config.pdeEntries),
+                 Level(config.pdpteEntries, config.pdpteEntries),
+                 Level(config.pml4eEntries, config.pml4eEntries)}
+    {
+    }
 
     /** Result of a probe: where to start the walk. */
     struct Probe
@@ -74,42 +83,30 @@ class PagingStructureCache
     Probe
     lookup(Pfn cr3, VirtAddr va)
     {
-        Probe p;
         // MRU memo over the pde level (the first and longest scan of
         // every probe): the most recently stamped pde entry, cleared
-        // by every invalidation path. Exact by MRU idempotence — the
-        // memo entry's stamp is the newest in the (fully-associative)
-        // pde array, so skipping the re-stamp cannot change any LRU
-        // victim choice, and the probe result is exactly the scan's. Sequential walk streams (populate, range
-        // sweeps) hit the same 2 MB prefix for 512 walks in a row.
-        if ((va >> PdeShift) == memoTag_ && cr3 == memoCr3_ &&
-            asid_ == memoAsid_) {
-            p.startLevel = 1;
-            p.tablePfn = memoTablePfn_;
-            return p;
+        // by every invalidation path. Skipping its re-stamp cannot
+        // change the level's LRU order (see lru_array.h). Sequential
+        // walk streams (populate, range sweeps) hit the same 2 MB
+        // prefix for 512 walks in a row.
+        if ((va >> tagShift(1)) == memoTag_ && cr3 == memoCr3_ &&
+            asid_ == memoAsid_)
+            return {1, memoTablePfn_};
+        // Deepest level first. A level never filled is skipped: a
+        // 2 MB-mapped address space never fills the pde level.
+        for (int level = 1; level <= 3; ++level) {
+            Level &l = levels[level - 1];
+            if (!l.everInserted())
+                continue;
+            std::size_t s = l.find(va >> tagShift(level), {cr3, asid_});
+            if (s == Level::npos)
+                continue;
+            l.touch(s, ++clock);
+            if (level == 1)
+                noteMru(cr3, va, l.payload(s));
+            return {level, l.payload(s)};
         }
-        if (std::size_t s = pde.find(cr3, asid_, va); s != npos) {
-            pde.lrus[s] = ++clock;
-            p.startLevel = 1;
-            p.tablePfn = pde.tablePfns[s];
-            noteMru(cr3, va, pde.tablePfns[s]);
-            return p;
-        }
-        if (std::size_t s = pdpte.find(cr3, asid_, va); s != npos) {
-            pdpte.lrus[s] = ++clock;
-            p.startLevel = 2;
-            p.tablePfn = pdpte.tablePfns[s];
-            return p;
-        }
-        if (std::size_t s = pml4e.find(cr3, asid_, va); s != npos) {
-            pml4e.lrus[s] = ++clock;
-            p.startLevel = 3;
-            p.tablePfn = pml4e.tablePfns[s];
-            return p;
-        }
-        p.startLevel = 4;
-        p.tablePfn = cr3;
-        return p;
+        return {4, cr3};
     }
 
     /**
@@ -120,30 +117,40 @@ class PagingStructureCache
     void
     fill(Pfn cr3, VirtAddr va, int level, Pfn table_pfn)
     {
-        switch (level) {
-          case 3:
-            pml4e.insert(cr3, asid_, va, table_pfn, ++clock);
-            break;
-          case 2:
-            pdpte.insert(cr3, asid_, va, table_pfn, ++clock);
-            break;
-          case 1:
-            pde.insert(cr3, asid_, va, table_pfn, ++clock);
-            noteMru(cr3, va, table_pfn); // freshest stamp in the level
-            break;
-          default:
+        if (level < 1 || level > 3)
             panic("PWC fill with bad level %d", level);
-        }
+        levels[level - 1].insert(va >> tagShift(level), {cr3, asid_},
+                                 table_pfn, ++clock);
+        if (level == 1)
+            noteMru(cr3, va, table_pfn); // freshest stamp in the level
     }
 
     /** Invalidate all entries covering @p va, any ASID (shootdowns). */
-    void invalidate(VirtAddr va);
+    void
+    invalidate(VirtAddr va)
+    {
+        clearMemo();
+        for (int level = 1; level <= 3; ++level)
+            levels[level - 1].invalidate(va >> tagShift(level));
+    }
 
     /** Full flush (CR3 write without PCID). */
-    void flushAll();
+    void
+    flushAll()
+    {
+        clearMemo();
+        for (Level &l : levels)
+            l.flush();
+    }
 
     /** Selective flush of every entry tagged @p asid. */
-    void flushAsid(Asid asid);
+    void
+    flushAsid(Asid asid)
+    {
+        clearMemo();
+        for (Level &l : levels)
+            l.invalidateIf([&](const Root &r) { return r.asid == asid; });
+    }
 
     /**
      * Visit every valid entry as (cr3, asid, level, table pfn), where
@@ -151,127 +158,49 @@ class PagingStructureCache
      * 2 for PDPTEs, 1 for PDEs, matching Probe::startLevel. Diagnostic/
      * validation hook (vmcheck); not part of the timed path.
      */
-    void forEachEntry(
-        const std::function<void(Pfn, Asid, int, Pfn)> &fn) const;
+    void
+    forEachEntry(const std::function<void(Pfn, Asid, int, Pfn)> &fn) const
+    {
+        for (int level = 3; level >= 1; --level) {
+            levels[level - 1].forEach(
+                [&](std::uint64_t, const Root &r, Pfn table) {
+                    fn(r.cr3, r.asid, level, table);
+                });
+        }
+    }
 
   private:
-    static constexpr std::size_t npos = ~std::size_t{0};
-    /** pde-level tag shift (va >> 21 == 2 MB region index). */
-    static constexpr unsigned PdeShift = 21;
+    /** An entry's qualifier: the root and address space it caches. */
+    struct Root
+    {
+        Pfn cr3 = InvalidPfn;
+        Asid asid = 0;
+        bool operator==(const Root &) const = default;
+    };
+    using Level = cache::LruArray<Root, Pfn>;
+
+    /** VA bits above this shift tag a level's entries: 21, 30, 39. */
+    static constexpr unsigned
+    tagShift(int level)
+    {
+        return PageShift + PtIndexBits * static_cast<unsigned>(level);
+    }
 
     void
     noteMru(Pfn cr3, VirtAddr va, Pfn table_pfn)
     {
-        memoTag_ = va >> PdeShift;
+        memoTag_ = va >> tagShift(1);
         memoCr3_ = cr3;
         memoAsid_ = asid_;
         memoTablePfn_ = table_pfn;
     }
     void clearMemo() { memoTag_ = ~0ull; }
 
-    /**
-     * Fully-associative array for one level, stored struct-of-arrays:
-     * the packed vaTag vector is scanned first (it is the most
-     * discriminating field for a single process, and the whole pde
-     * level's tags fit in four cache lines), cr3 / ASID confirm only
-     * on a tag match. Scan order, the free-slot early break in insert,
-     * and the lowest-LRU tiebreak are identical to the old slot scan,
-     * so victim choice — and therefore every simulated outcome — is
-     * unchanged. Emptiness is keyed on cr3 == InvalidPfn, exactly as
-     * before (invalidate/flush leave stale vaTags behind, which can
-     * never match because a live cr3 is never InvalidPfn).
-     */
-    struct Level
-    {
-        std::vector<std::uint64_t> vaTags;
-        std::vector<Pfn> cr3s; //!< InvalidPfn = empty slot
-        std::vector<Asid> asids;
-        std::vector<Pfn> tablePfns;
-        std::vector<std::uint32_t> lrus;
-        unsigned tagShift; //!< VA bits above this shift form the tag
-
-        /**
-         * Sticky "insert() has ever run" flag: lets find() skip the tag
-         * scan entirely while the level has never been filled. A 2 MB-
-         * mapped address space never fills the pde level (walks stop at
-         * the level-2 leaf), so its 32-tag scan — the first probe of
-         * every lookup — is pure waste there. Decision-identical: with
-         * no insert ever, every slot is empty and find() misses anyway.
-         */
-        bool everInserted = false;
-
-        void resize(unsigned n);
-
-        std::size_t
-        find(Pfn cr3, Asid asid, VirtAddr va) const
-        {
-            if (!everInserted)
-                return npos;
-            std::uint64_t tag = va >> tagShift;
-            for (std::size_t i = 0; i < vaTags.size(); ++i) {
-                if (vaTags[i] == tag && cr3s[i] == cr3 &&
-                    asids[i] == asid)
-                    return i;
-            }
-            return npos;
-        }
-
-        void
-        insert(Pfn cr3, Asid asid, VirtAddr va, Pfn table,
-               std::uint32_t now)
-        {
-            everInserted = true;
-            std::uint64_t tag = va >> tagShift;
-            std::size_t victim = 0;
-            for (std::size_t i = 0; i < vaTags.size(); ++i) {
-                if (cr3s[i] == cr3 && asids[i] == asid &&
-                    vaTags[i] == tag) {
-                    tablePfns[i] = table;
-                    lrus[i] = now;
-                    return;
-                }
-                if (cr3s[i] == InvalidPfn) {
-                    victim = i;
-                    break;
-                }
-                if (lrus[i] < lrus[victim])
-                    victim = i;
-            }
-            cr3s[victim] = cr3;
-            asids[victim] = asid;
-            vaTags[victim] = tag;
-            tablePfns[victim] = table;
-            lrus[victim] = now;
-        }
-
-        void invalidate(VirtAddr va);
-        void flush();
-        void flushAsid(Asid asid);
-
-        /** Visit every valid slot as (cr3, asid, tablePfn). */
-        template <typename Fn>
-        void
-        forEach(Fn &&fn) const
-        {
-            for (std::size_t i = 0; i < cr3s.size(); ++i) {
-                if (cr3s[i] != InvalidPfn)
-                    fn(cr3s[i], asids[i], tablePfns[i]);
-            }
-        }
-    };
-
-    // pml4e cache: tag = va >> 39, yields L3 table (startLevel 3)
-    // pdpte cache: tag = va >> 30, yields L2 table (startLevel 2)
-    // pde cache:   tag = va >> 21, yields L1 table (startLevel 1)
-    Level pml4e;
-    Level pdpte;
-    Level pde;
+    /** levels[i] caches the tables of level i + 1 (pde, pdpte, pml4e). */
+    Level levels[3];
     Asid asid_ = 0;
     std::uint32_t clock = 0;
-    /**
-     * pde-level MRU memo (see lookup()): ~0 tag = empty (no shifted VA
-     * can produce it). Cleared by invalidate/flushAll/flushAsid.
-     */
+    /** pde-level memo: ~0 tag = empty (no shifted VA can produce it). */
     std::uint64_t memoTag_ = ~0ull;
     Pfn memoCr3_ = InvalidPfn;
     Asid memoAsid_ = 0;

@@ -16,9 +16,12 @@
  * ASID is recycled. A single-ASID user (the pinned default: one process
  * per core, full flush on every CR3 load) behaves exactly as before.
  *
- * The TLB keeps no counters of its own: lookup() reports the hit level
- * and latency, and sim::Core charges them to PerfCounters, the one
- * hardware-event channel every report reads.
+ * Each array is a shared LruArray qualified by ASID; this class adds
+ * the size classes, its LRU clock, a decoded MRU memo and a
+ * single-ASID early-out. The TLB keeps no counters of its own:
+ * lookup() reports the hit level and latency, and sim::Core charges
+ * them to PerfCounters, the one hardware-event channel every report
+ * reads.
  */
 
 #ifndef MITOSIM_TLB_TLB_H
@@ -26,11 +29,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
-#include <vector>
 
 #include "src/base/logging.h"
 #include "src/base/types.h"
+#include "src/cache/lru_array.h"
 
 namespace mitosim::tlb
 {
@@ -50,7 +52,8 @@ struct TlbConfig
      * Whether the unified L2 caches 2 MB translations. Haswell does
      * (default); Sandy-Bridge-class STLBs are 4 KB-only. Scaled-down
      * simulations disable this to keep the large-page-count : TLB-reach
-     * ratio of the paper's machine (see DESIGN.md).
+     * ratio of the paper's machine (see EXPERIMENTS.md "Scaling: 128
+     * MiB footprints against a 64 KiB per-socket L3").
      */
     bool l2Holds2M = true;
 };
@@ -76,7 +79,13 @@ struct TlbLookupResult
 class TwoLevelTlb
 {
   public:
-    explicit TwoLevelTlb(const TlbConfig &config = TlbConfig{});
+    explicit TwoLevelTlb(const TlbConfig &config = TlbConfig{})
+        : cfg(config),
+          l1Small(cfg.l1Entries4K, cfg.l1Ways),
+          l1Large(cfg.l1Entries2M, cfg.l1Ways),
+          l2(cfg.l2Entries, cfg.l2Ways)
+    {
+    }
 
     /**
      * Set the current address space (the PCID field of a CR3 write).
@@ -93,103 +102,47 @@ class TwoLevelTlb
     TlbLookupResult
     lookup(VirtAddr va)
     {
-        TlbLookupResult res;
-
         // MRU memo: a decoded copy of the most recently stamped L1
         // entry (set by every L1 hit, promote and insert; cleared by
         // every invalidation path). A repeat probe of the same page
-        // under the same ASID short-circuits the whole set scan.
-        // Exact, not approximate: the memo entry carries the newest
-        // LRU stamp in its L1 set (nothing else in that set has been
-        // stamped since, or the memo would have been replaced), so the
-        // re-stamp a real probe would perform cannot change the
-        // relative stamp order true-LRU victim choice depends on —
-        // and the result returned here is exactly the real L1-hit
-        // path's. Skipping the ++clock tick is
-        // equally invisible: stamps stay unique and ordered.
-        if ((va & memoMask_) == memoBase_ && asid_ == memoAsid_) {
-            res.hit = true;
-            res.hitLevel = 1;
-            res.latency = cfg.l1HitLatency;
-            res.entry = memoEntry_;
-            return res;
-        }
+        // under the same ASID skips the set scan and the re-stamp,
+        // which could not change the set's LRU order (see
+        // lru_array.h), and returns exactly the L1-hit result.
+        if ((va & memoMask_) == memoBase_ && asid_ == memoAsid_)
+            return {true, 1, cfg.l1HitLatency, memoEntry_};
 
-        // Early-out ASID guard (same licence as sawLarge_ below): if
-        // every entry ever installed carries one single ASID and the
-        // probing ASID differs, no array can hold a match — take the
-        // miss directly without scanning. A guaranteed-miss probe
-        // changes no state, so skipping it is invisible to the
-        // simulation.
+        // Guaranteed misses change no state, so their probes are
+        // skipped: every entry ever installed carries one other ASID,
+        // or a size class was never installed (the sticky
+        // everInserted() of its L1 array, which every insert of that
+        // size fills).
         if (asid_ != onlyAsid_ && !multiAsid_ && anyInsert_)
-            [[unlikely]] {
-            res.hit = false;
-            res.latency = cfg.l2HitLatency;
-            return res;
-        }
+            [[unlikely]] return miss();
 
         // L1, both size classes probed in parallel on real hardware.
-        // Each size class's probes are skipped until a translation of
-        // that size has ever been installed (saw4K_ / sawLarge_): a
-        // guaranteed-miss probe changes no state, and
-        // all-2M (or all-4K) address spaces otherwise pay for both
-        // size classes on every single lookup.
-        if (saw4K_) {
-            if (std::size_t s = l1Small.find(tag4K(va), asid_);
-                s != Array::npos) {
-                l1Small.touch(s, ++clock);
-                res.hit = true;
-                res.hitLevel = 1;
-                res.latency = cfg.l1HitLatency;
-                res.entry = l1Small.entryAt(s);
-                noteMru(va, res.entry);
-                return res;
-            }
-        }
-        if (sawLarge_) {
-            if (std::size_t s = l1Large.find(tag2M(va), asid_);
-                s != Array::npos) {
-                l1Large.touch(s, ++clock);
-                res.hit = true;
-                res.hitLevel = 1;
-                res.latency = cfg.l1HitLatency;
-                res.entry = l1Large.entryAt(s);
-                noteMru(va, res.entry);
-                return res;
-            }
-        }
+        std::size_t s;
+        if (l1Small.everInserted() &&
+            (s = l1Small.find(tag4K(va), asid_)) != Array::npos)
+            return hit(l1Small, s, 1, va);
+        if (l1Large.everInserted() &&
+            (s = l1Large.find(tag2M(va), asid_)) != Array::npos)
+            return hit(l1Large, s, 1, va);
 
-        // Unified L2: try the 4 KB-granule tag, then the 2 MB-granule tag.
-        if (saw4K_) {
-            if (std::size_t s = l2.find(tag4K(va), asid_);
-                s != Array::npos) {
-                l2.touch(s, ++clock);
-                res.hit = true;
-                res.hitLevel = 2;
-                res.latency = cfg.l2HitLatency;
-                res.entry = l2.entryAt(s);
-                l1Small.insert(tag4K(va), asid_, res.entry, ++clock);
-                noteMru(va, res.entry);
-                return res;
-            }
+        // Unified L2: try the 4 KB-granule tag, then the 2 MB-granule
+        // tag; a hit promotes into its L1 size class.
+        if (l1Small.everInserted() &&
+            (s = l2.find(tag4K(va), asid_)) != Array::npos) {
+            TlbLookupResult res = hit(l2, s, 2, va);
+            l1Small.insert(tag4K(va), asid_, res.entry, ++clock);
+            return res;
         }
-        if (cfg.l2Holds2M && sawLarge_) {
-            if (std::size_t s = l2.find(tag2M(va) | LargeTagBit, asid_);
-                s != Array::npos) {
-                l2.touch(s, ++clock);
-                res.hit = true;
-                res.hitLevel = 2;
-                res.latency = cfg.l2HitLatency;
-                res.entry = l2.entryAt(s);
-                l1Large.insert(tag2M(va), asid_, res.entry, ++clock);
-                noteMru(va, res.entry);
-                return res;
-            }
+        if (cfg.l2Holds2M && l1Large.everInserted() &&
+            (s = l2.find(tag2M(va) | LargeTagBit, asid_)) != Array::npos) {
+            TlbLookupResult res = hit(l2, s, 2, va);
+            l1Large.insert(tag2M(va), asid_, res.entry, ++clock);
+            return res;
         }
-
-        res.hit = false;
-        res.latency = cfg.l2HitLatency; // paid the full probe before missing
-        return res;
+        return miss();
     }
 
     /**
@@ -224,11 +177,9 @@ class TwoLevelTlb
             multiAsid_ = true;
         }
         if (entry.size == PageSizeKind::Base4K) {
-            saw4K_ = true;
             l1Small.insert(tag4K(va), asid_, entry, ++clock);
             l2.insert(tag4K(va), asid_, entry, ++clock);
         } else {
-            sawLarge_ = true;
             l1Large.insert(tag2M(va), asid_, entry, ++clock);
             if (cfg.l2Holds2M)
                 l2.insert(tag2M(va) | LargeTagBit, asid_, entry, ++clock);
@@ -241,13 +192,33 @@ class TwoLevelTlb
      * (both levels) — the shootdown path is a broadcast, conservative
      * across ASIDs like a kernel INVPCID type-0 loop.
      */
-    void invalidatePage(VirtAddr va);
+    void
+    invalidatePage(VirtAddr va)
+    {
+        l1Small.invalidate(tag4K(va));
+        l1Large.invalidate(tag2M(va));
+        l2.invalidate(tag4K(va));
+        l2.invalidate(tag2M(va) | LargeTagBit);
+        clearMemo();
+    }
 
     /** Full flush, e.g. on CR3 load without PCID. */
-    void flushAll();
+    void
+    flushAll()
+    {
+        for (Array *a : {&l1Small, &l1Large, &l2})
+            a->flush();
+        clearMemo();
+    }
 
     /** Selective flush of every entry tagged @p asid (INVPCID type 1). */
-    void flushAsid(Asid asid);
+    void
+    flushAsid(Asid asid)
+    {
+        for (Array *a : {&l1Small, &l1Large, &l2})
+            a->invalidateIf([&](Asid tagged) { return tagged == asid; });
+        clearMemo();
+    }
 
     const TlbConfig &config() const { return cfg; }
 
@@ -256,100 +227,43 @@ class TwoLevelTlb
      * A translation resident in L1 and L2 is visited once per copy.
      * Diagnostic/validation hook (vmcheck); not part of the timed path.
      */
-    void forEachEntry(
+    void
+    forEachEntry(
         const std::function<void(VirtAddr, Asid, const TlbEntry &)> &fn)
-        const;
+        const
+    {
+        // The VA is recoverable from the tag: 2 MB entries tag at 2 MB
+        // granularity (with LargeTagBit mixed in for the unified L2).
+        auto visit = [&](std::uint64_t tag, Asid asid,
+                         const TlbEntry &entry) {
+            fn(entry.size == PageSizeKind::Large2M
+                   ? ((tag & ~LargeTagBit) << LargePageShift)
+                   : (tag << PageShift),
+               asid, entry);
+        };
+        for (const Array *a : {&l1Small, &l1Large, &l2})
+            a->forEach(visit);
+    }
 
   private:
-    /**
-     * One set-associative array, stored struct-of-arrays: the packed
-     * tag vector is the only thing a find touches until it hits (the
-     * ASID vector is read per way only after its tag matched, which is
-     * rare outside the hit way), so a whole set's tags land in one or
-     * two cache lines instead of one per slot. Victim selection in
-     * insert is decision-identical to the old slot scan: matching or
-     * first-free way wins immediately, else the earliest way with the
-     * lowest LRU stamp.
-     */
-    class Array
-    {
-      public:
-        Array(unsigned entries, unsigned ways);
-
-        static constexpr std::size_t npos = ~std::size_t{0};
-        static constexpr std::uint64_t InvalidTag = ~0ull;
-
-        std::size_t
-        find(std::uint64_t tag, Asid asid) const
-        {
-            std::size_t base =
-                static_cast<std::size_t>(tag & (sets - 1)) * numWays;
-            for (unsigned w = 0; w < numWays; ++w) {
-                if (tags[base + w] == tag && asids[base + w] == asid)
-                    return base + w;
-            }
-            return npos;
-        }
-
-        void touch(std::size_t slot, std::uint32_t now)
-        {
-            lrus[slot] = now;
-        }
-
-        const TlbEntry &entryAt(std::size_t slot) const
-        {
-            return entries[slot];
-        }
-
-        void
-        insert(std::uint64_t tag, Asid asid, const TlbEntry &entry,
-               std::uint32_t now)
-        {
-            std::size_t base =
-                static_cast<std::size_t>(tag & (sets - 1)) * numWays;
-            std::size_t victim = base;
-            for (unsigned w = 0; w < numWays; ++w) {
-                std::size_t i = base + w;
-                if ((tags[i] == tag && asids[i] == asid) ||
-                    tags[i] == InvalidTag) {
-                    victim = i;
-                    break;
-                }
-                if (lrus[victim] > lrus[i])
-                    victim = i;
-            }
-            tags[victim] = tag;
-            asids[victim] = asid;
-            entries[victim] = entry;
-            lrus[victim] = now;
-        }
-
-        void invalidate(std::uint64_t tag); //!< all ASIDs holding tag
-        void flush();
-        void flushAsid(Asid asid);
-
-        /** Visit every valid slot as (tag, asid, entry). */
-        template <typename Fn>
-        void
-        forEach(Fn &&fn) const
-        {
-            for (std::size_t i = 0; i < tags.size(); ++i) {
-                if (tags[i] != InvalidTag)
-                    fn(tags[i], asids[i], entries[i]);
-            }
-        }
-
-      private:
-        unsigned numWays;
-        std::uint64_t sets;
-        std::vector<std::uint64_t> tags;  //!< InvalidTag = empty slot
-        std::vector<Asid> asids;
-        std::vector<TlbEntry> entries;
-        std::vector<std::uint32_t> lrus;
-    };
+    using Array = cache::LruArray<Asid, TlbEntry>;
 
     static std::uint64_t tag4K(VirtAddr va) { return va >> PageShift; }
     static std::uint64_t tag2M(VirtAddr va) { return va >> LargePageShift; }
+
+    /** Stamp slot @p s of @p a and return its hit at @p level. */
+    TlbLookupResult
+    hit(Array &a, std::size_t s, int level, VirtAddr va)
+    {
+        a.touch(s, ++clock);
+        const TlbEntry &entry = a.payload(s);
+        noteMru(va, entry);
+        return {true, level,
+                level == 1 ? cfg.l1HitLatency : cfg.l2HitLatency, entry};
+    }
+
+    /** A miss pays the full probe. */
+    TlbLookupResult miss() const { return {false, 0, cfg.l2HitLatency, {}}; }
 
     /**
      * Remember @p entry (just stamped in its L1 array, so the newest
@@ -382,15 +296,6 @@ class TwoLevelTlb
     Array l1Small;
     Array l1Large;
     Array l2;     //!< unified; tags are 4K-granule with size in entry
-    /**
-     * Whether any 2 MB / any 4 KB translation was ever installed.
-     * Sticky (never cleared by flushes): false only guarantees the
-     * size class's arrays are empty, which licenses skipping their
-     * probes — a pure host-side shortcut with no effect on simulated
-     * state.
-     */
-    bool sawLarge_ = false;
-    bool saw4K_ = false;
     /**
      * Sticky single-ASID tracking for the lookup early-out: onlyAsid_
      * is the ASID of the first insert ever, multiAsid_ goes true (and

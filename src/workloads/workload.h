@@ -11,7 +11,8 @@
  * Each workload defines one generator hook, genStep(); stepBatch()
  * collects steps as BatchOps and ExecContext::runBatch replays them.
  * Footprints are scaled from the paper's 17-480 GB to the simulated
- * machine (see DESIGN.md), preserving the footprint : TLB-reach : L3
+ * machine (see EXPERIMENTS.md "Scaling: 128 MiB footprints against a
+ * 64 KiB per-socket L3"), preserving the footprint : TLB-reach : L3
  * ratios that drive the paper's results.
  */
 

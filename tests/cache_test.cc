@@ -97,6 +97,24 @@ TEST(Cache, ProbeInsertFindsLineBehindInvalidatedHole)
     EXPECT_FALSE(c.lookup(2 * LineSize)); // no duplicate left behind
 }
 
+TEST(Cache, InvalidationHoleIsRefilledBeforeEviction)
+{
+    SetAssocCache c(256, 4); // one set
+    for (PhysAddr a = 0; a < 4 * LineSize; a += LineSize)
+        c.probeInsert(a);                     // way w holds line w
+    c.invalidateLine(LineSize);               // hole in way 1
+    ASSERT_TRUE(c.lookup(0));                 // line 0 now newest
+    EXPECT_FALSE(c.probeInsert(4 * LineSize)); // fills the hole
+    // Probed oldest first, so the restamps keep the LRU order.
+    for (PhysAddr l : {2, 3, 0, 4})
+        EXPECT_TRUE(c.lookup(l * LineSize)) << l;
+    // No hole left: the lowest-stamped survivor (line 2) goes.
+    EXPECT_FALSE(c.probeInsert(5 * LineSize));
+    EXPECT_FALSE(c.lookup(2 * LineSize));
+    for (PhysAddr l : {0, 3, 4, 5})
+        EXPECT_TRUE(c.lookup(l * LineSize)) << l;
+}
+
 TEST(Cache, InvalidateFrameDropsAllItsLines)
 {
     SetAssocCache c(1 << 20, 16);

@@ -29,7 +29,9 @@ namespace
  * 128 MiB footprint (256 KiB of PTEs) exceeds it by ~4x, matching the
  * paper's ratio (64 GB footprint -> 128 MB of PTEs vs a 35 MB L3).
  * Without that ratio the whole page-table becomes cache-resident and
- * NUMA placement stops mattering — the scaling trap DESIGN.md describes.
+ * NUMA placement stops mattering — the scaling trap EXPERIMENTS.md
+ * "Scaling: 128 MiB footprints against a 64 KiB per-socket L3"
+ * describes.
  */
 sim::MachineConfig
 fourSocketMachine()

@@ -3,8 +3,7 @@
  * Observability subsystem tests (src/obs): metrics registry semantics
  * (log2-histogram percentiles, label rendering, reset-keeps-handles),
  * tracer ring behavior (overflow keeps the newest events and counts
- * the overwritten ones), deterministic per-category sampling, the
- * trace-identity contract (an enabled tracer forces the per-op
+ * the overwritten ones), the trace-identity contract (an enabled tracer forces the per-op
  * simulation path, so the exported JSON is byte-identical across
  * MITOSIM_FUSE={0,1} and MITOSIM_BATCH={0,1}), and the walk-cycle
  * attribution invariant (the per-level x local/remote buckets sum
@@ -81,7 +80,7 @@ TEST(MetricsTest, RegistryFlattensInRegistrationOrder)
 TEST(TraceTest, RingOverflowKeepsNewestAndCountsDropped)
 {
     obs::Tracer t;
-    t.configure(AllCats, 4, 1, 0);
+    t.configure(AllCats, 4);
     for (std::uint64_t i = 0; i < 10; ++i) {
         t.instant(obs::TraceCat::Sched, "ev", 1, 0, "i", i);
         t.advance(1);
@@ -96,43 +95,10 @@ TEST(TraceTest, RingOverflowKeepsNewestAndCountsDropped)
     }
 }
 
-TEST(TraceTest, SamplingIsDeterministicUnderAFixedSeed)
-{
-    auto kept = [](std::uint64_t seed) {
-        obs::Tracer t;
-        t.configure(AllCats, 65536, 3, seed);
-        for (std::uint64_t i = 0; i < 100; ++i)
-            t.instant(obs::TraceCat::Fault, "f", 0, 0, "i", i);
-        std::vector<std::uint64_t> out;
-        for (const obs::TraceEvent &ev : t.events())
-            out.push_back(ev.arg0);
-        return out;
-    };
-    auto a = kept(42);
-    EXPECT_EQ(a, kept(42));
-    EXPECT_FALSE(a.empty());
-    EXPECT_LT(a.size(), 100u);
-
-    // The keep decision hashes the per-category sequence number, so a
-    // disabled category interleaved between events does not perturb
-    // which Fault events survive.
-    obs::Tracer t;
-    t.configure(1u << static_cast<unsigned>(obs::TraceCat::Fault),
-                65536, 3, 42);
-    for (std::uint64_t i = 0; i < 100; ++i) {
-        t.instant(obs::TraceCat::Sched, "s", 0, 0); // masked off
-        t.instant(obs::TraceCat::Fault, "f", 0, 0, "i", i);
-    }
-    std::vector<std::uint64_t> interleaved;
-    for (const obs::TraceEvent &ev : t.events())
-        interleaved.push_back(ev.arg0);
-    EXPECT_EQ(a, interleaved);
-}
-
 TEST(TraceTest, ResetClearsStateButKeepsConfiguration)
 {
     obs::Tracer t;
-    t.configure(AllCats, 4, 1, 0);
+    t.configure(AllCats, 4);
     t.advance(7);
     for (int i = 0; i < 6; ++i)
         t.instant(obs::TraceCat::Thp, "ev", 0, 0);
@@ -185,7 +151,7 @@ std::string
 tracedRun(const bench::PopulateSpec &spec)
 {
     auto u = bench::preparePopulated(spec);
-    u->machine.tracer().configure(AllCats, 65536, 1, 0);
+    u->machine.tracer().configure(AllCats, 65536);
     if (spec.backend != snapshot::BackendKind::Native) {
         u->mitosis().setReplicationMask(
             u->proc->roots(), u->proc->id(),

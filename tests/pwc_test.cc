@@ -127,6 +127,50 @@ TEST(Pwc, UpdateExistingEntryInPlace)
     EXPECT_EQ(probe.tablePfn, 9u);
 }
 
+TEST(Pwc, InvalidationHoleIsRefilledBeforeEviction)
+{
+    PwcConfig cfg;
+    cfg.pdeEntries = 4;
+    PagingStructureCache pwc(cfg);
+    for (int i = 0; i < 4; ++i) {
+        pwc.fill(Cr3A, static_cast<VirtAddr>(i) * LargePageSize, 1,
+                 static_cast<Pfn>(10 + i));
+    }
+    pwc.invalidate(1 * LargePageSize);                    // hole
+    ASSERT_EQ(pwc.lookup(Cr3A, 0).startLevel, 1);         // 0 is newest
+    pwc.fill(Cr3A, 4 * LargePageSize, 1, 14);             // fills it
+    // Probed oldest first, so the restamps keep the LRU order.
+    for (VirtAddr r : {2, 3, 0, 4})
+        EXPECT_EQ(pwc.lookup(Cr3A, r * LargePageSize).startLevel, 1) << r;
+    // No hole left: the lowest-stamped survivor (region 2) goes.
+    pwc.fill(Cr3A, 5 * LargePageSize, 1, 15);
+    EXPECT_EQ(pwc.lookup(Cr3A, 2 * LargePageSize).startLevel, 4);
+    for (VirtAddr r : {0, 3, 4, 5})
+        EXPECT_EQ(pwc.lookup(Cr3A, r * LargePageSize).startLevel, 1) << r;
+}
+
+TEST(Pwc, RefillBehindHoleUpdatesInPlace)
+{
+    PwcConfig cfg;
+    cfg.pdeEntries = 4;
+    PagingStructureCache pwc(cfg);
+    for (int i = 0; i < 4; ++i) {
+        pwc.fill(Cr3A, static_cast<VirtAddr>(i) * LargePageSize, 1,
+                 static_cast<Pfn>(10 + i));
+    }
+    pwc.invalidate(1 * LargePageSize); // a hole before region 2
+    pwc.fill(Cr3A, 2 * LargePageSize, 1, 99);
+    int pdes = 0, old_copies = 0, new_copies = 0;
+    pwc.forEachEntry([&](Pfn, Asid, int level, Pfn table) {
+        pdes += level == 1;
+        old_copies += table == 12;
+        new_copies += table == 99;
+    });
+    EXPECT_EQ(pdes, 3);
+    EXPECT_EQ(old_copies, 0);
+    EXPECT_EQ(new_copies, 1);
+}
+
 TEST(Pwc, BadLevelFillPanics)
 {
     PagingStructureCache pwc;

@@ -179,6 +179,59 @@ TEST(Tlb, LruKeepsHotEntryInSet)
     EXPECT_TRUE(tlb.lookup(0x0000).hit);
 }
 
+/** Copies of the 4 KB page at @p va across both levels. */
+int
+copiesOf(const TwoLevelTlb &tlb, VirtAddr va)
+{
+    int n = 0;
+    tlb.forEachEntry([&](VirtAddr v, Asid, const TlbEntry &) {
+        n += v == va;
+    });
+    return n;
+}
+
+TEST(Tlb, InvalidationHoleIsRefilledBeforeEviction)
+{
+    TlbConfig cfg;
+    cfg.l1Entries4K = 4;
+    cfg.l1Ways = 4; // one L1 set; L2 is large enough to keep everything
+    TwoLevelTlb tlb(cfg);
+    for (VirtAddr p = 0; p < 4; ++p)
+        tlb.insert(p * PageSize, entry4K(p)); // way p holds page p
+    tlb.invalidatePage(1 * PageSize);             // hole in way 1
+    ASSERT_EQ(tlb.lookup(0).hitLevel, 1);         // page 0 now newest
+    tlb.insert(4 * PageSize, entry4K(4));         // fills the hole
+    for (VirtAddr p : {0, 2, 3, 4})
+        EXPECT_EQ(copiesOf(tlb, p * PageSize), 2) << p; // L1 + L2
+    // No hole left: the lowest-stamped survivor (page 2) goes.
+    tlb.insert(5 * PageSize, entry4K(5));
+    EXPECT_EQ(copiesOf(tlb, 2 * PageSize), 1); // L2 only
+    for (VirtAddr p : {0, 3, 4, 5})
+        EXPECT_EQ(copiesOf(tlb, p * PageSize), 2) << p;
+}
+
+TEST(Tlb, ReinsertBehindHoleKeepsOneCopyPerLevel)
+{
+    TlbConfig cfg;
+    cfg.l1Entries4K = 4;
+    cfg.l1Ways = 4;
+    cfg.l2Entries = 4;
+    cfg.l2Ways = 4; // one set per level
+    TwoLevelTlb tlb(cfg);
+    for (VirtAddr p = 0; p < 4; ++p)
+        tlb.insert(p * PageSize, entry4K(p));
+    tlb.invalidatePage(1 * PageSize); // a hole before page 2 in both
+    tlb.insert(2 * PageSize, entry4K(99));
+    int copies = 0;
+    tlb.forEachEntry([&](VirtAddr va, Asid, const TlbEntry &e) {
+        if (va == 2 * PageSize) {
+            ++copies;
+            EXPECT_EQ(e.pfn, 99u);
+        }
+    });
+    EXPECT_EQ(copies, 2);
+}
+
 TEST(Tlb, PaperSizesAreDefault)
 {
     // §8: "per-core two-level TLB with 64+1024 entries".

@@ -18,10 +18,14 @@ legitimately adds check_* counters to that section.
 
 Usage:
   tools/cmp_reports.py A.json B.json   # exit 1 + unified diff on drift
+  tools/cmp_reports.py DIR_A DIR_B     # every BENCH_*.json pair; exit 1
+                                       # on any drift or on a report
+                                       # present on one side only
 """
 
 import difflib
 import json
+import os
 import sys
 
 
@@ -36,11 +40,7 @@ def strip_host_telemetry(doc):
     return strip_sections(doc, ("wall_ms", "metrics"))
 
 
-def main():
-    if len(sys.argv) != 3:
-        print(__doc__, file=sys.stderr)
-        return 2
-    path_a, path_b = sys.argv[1], sys.argv[2]
+def compare_files(path_a, path_b):
     with open(path_a) as f:
         doc_a = strip_sections(json.load(f), ("wall_ms",))
     with open(path_b) as f:
@@ -56,6 +56,39 @@ def main():
                                      lineterm=""):
         print(line, file=sys.stderr)
     return 1
+
+
+def bench_reports(directory):
+    return {name for name in os.listdir(directory)
+            if name.startswith("BENCH_") and name.endswith(".json")}
+
+
+def compare_dirs(dir_a, dir_b):
+    names_a, names_b = bench_reports(dir_a), bench_reports(dir_b)
+    status = 0
+    for name in sorted(names_a ^ names_b):
+        side = dir_a if name in names_a else dir_b
+        print(f"ONLY IN {side}: {name}", file=sys.stderr)
+        status = 1
+    for name in sorted(names_a & names_b):
+        status |= compare_files(os.path.join(dir_a, name),
+                                os.path.join(dir_b, name))
+    if not names_a | names_b:
+        print(f"no BENCH_*.json in {dir_a} or {dir_b}", file=sys.stderr)
+        status = 1
+    print(f"{len(names_a & names_b)} report pairs compared: "
+          f"{'identical' if status == 0 else 'DRIFT'}")
+    return status
+
+
+def main():
+    if len(sys.argv) != 3:
+        print(__doc__, file=sys.stderr)
+        return 2
+    path_a, path_b = sys.argv[1], sys.argv[2]
+    if os.path.isdir(path_a) and os.path.isdir(path_b):
+        return compare_dirs(path_a, path_b)
+    return compare_files(path_a, path_b)
 
 
 if __name__ == "__main__":
