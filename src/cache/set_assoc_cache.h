@@ -11,7 +11,7 @@
  *
  * Storage and true-LRU replacement are the shared LruArray (one line
  * address per slot, no qualifier or payload); this class adds line
- * addressing, its own LRU clock and a per-set MRU memo.
+ * addressing and a per-set MRU memo.
  */
 
 #ifndef MITOSIM_CACHE_SET_ASSOC_CACHE_H
@@ -52,27 +52,27 @@ class SetAssocCache
     lookup(PhysAddr pa)
     {
         std::uint64_t line = pa >> LineShift;
-        // Per-set MRU memo: the line most recently stamped in this set
-        // (hit, fill or refresh; cleared by every invalidation path).
-        // A repeat probe skips the set scan and the re-stamp, which
-        // could not change the set's LRU order (see lru_array.h). Per
-        // set, so interleaved streams — a walker's PTE-line reads
-        // alternating with data lines — keep their memos apart.
+        // Per-set MRU memo: the line most recently used in this set
+        // (hit, fill or refresh; cleared by every invalidation path),
+        // so the head of the set's recency list. A repeat probe skips
+        // the set scan and the touch, which could not change the set's
+        // LRU order (see lru_array.h). Per set, so interleaved streams
+        // — a walker's PTE-line reads alternating with data lines —
+        // keep their memos apart.
         std::uint64_t &memo = memoMru_[lines.setOf(line)];
         if (line == memo)
             return true;
-        std::size_t slot = lines.find(line, {});
-        if (slot == Lines::npos)
+        if (!lines.lookup(line, {}))
             return false;
-        lines.touch(slot, ++clock);
         memo = line;
         return true;
     }
 
     /**
      * Probe for the line containing @p pa and, on a miss, install it
-     * (the hierarchy's only fill path). A hit refreshes the line's LRU
-     * stamp; a miss fills a free way or evicts the LRU line.
+     * (the hierarchy's only fill path). A hit makes the line its set's
+     * most recently used; a miss fills a free way or evicts the LRU
+     * line.
      * @return true on hit.
      */
     bool
@@ -83,7 +83,7 @@ class SetAssocCache
         if (line == memo)
             return true;
         memo = line;
-        return lines.insert(line, {}, {}, ++clock);
+        return lines.insert(line, {}, {});
     }
 
     /** Drop the line containing @p pa if present. */
@@ -95,15 +95,6 @@ class SetAssocCache
         if (memo == line)
             memo = Lines::InvalidTag;
         lines.invalidate(line);
-    }
-
-    /** Drop every line whose frame is @p pfn (PT page teardown). */
-    void
-    invalidateFrame(Pfn pfn)
-    {
-        for (PhysAddr pa = pfnToAddr(pfn); pa < pfnToAddr(pfn + 1);
-             pa += LineSize)
-            invalidateLine(pa);
     }
 
     /** Drop everything. */
@@ -121,10 +112,9 @@ class SetAssocCache
   private:
     using Lines = LruArray<Nothing, Nothing>;
 
-    Lines lines;            //!< tag = full line address
-    std::uint32_t clock = 0; //!< LRU timestamp source
+    Lines lines; //!< tag = full line address
     /**
-     * Per-set lookup memo: the line most recently stamped in each set.
+     * Per-set lookup memo: the line most recently used in each set.
      * InvalidTag is "empty"; no real line address equals it.
      */
     std::vector<std::uint64_t> memoMru_;

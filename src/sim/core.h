@@ -233,8 +233,8 @@ class Core
      * this pinned, and daemons tick only between replay calls), so the
      * probe is skipped and its effects are charged directly to
      * PerfCounters: the L1-TLB hit and the configured L1 hit latency.
-     * Skipping the probe's LRU re-stamp of the entry that already
-     * holds its set's newest stamp is exact (src/cache/lru_array.h).
+     * Skipping the probe's move to the head of an entry that already
+     * is its set's head is exact (src/cache/lru_array.h).
      * The data side fuses the same way per cache line: a repeat of the
      * previous line is a guaranteed L1D hit charged without
      * re-probing; a line change issues a real hierarchy access (which

@@ -1,7 +1,5 @@
 #include "memory_hierarchy.h"
 
-#include "src/base/logging.h"
-
 namespace mitosim::sim
 {
 
@@ -15,15 +13,6 @@ MemoryHierarchy::MemoryHierarchy(numa::Topology &topology,
     l3.reserve(static_cast<std::size_t>(topo.numSockets()));
     for (SocketId s = 0; s < topo.numSockets(); ++s)
         l3.emplace_back(cfg.l3BytesPerSocket, cfg.l3Ways);
-}
-
-void
-MemoryHierarchy::invalidateFrame(Pfn pfn)
-{
-    for (auto &c : l1d)
-        c.invalidateFrame(pfn);
-    for (auto &c : l3)
-        c.invalidateFrame(pfn);
 }
 
 } // namespace mitosim::sim

@@ -11,6 +11,8 @@
  *
  * Page-table lines and data lines share the L3, so data streaming evicts
  * PT entries naturally — the effect behind Figure 10b's GUPS result.
+ * A freed frame's lines (a data page or a torn-down page-table page)
+ * are not dropped: they age out under LRU like any other line.
  */
 
 #ifndef MITOSIM_SIM_MEMORY_HIERARCHY_H
@@ -87,12 +89,6 @@ class MemoryHierarchy
         Cycles below = accessBelowL1(core, pa, kind, pc);
         return cfg.l1dHitLatency + below;
     }
-
-    /**
-     * Drop all cached lines of frame @p pfn everywhere (page freed or
-     * page-table page torn down).
-     */
-    void invalidateFrame(Pfn pfn);
 
     /**
      * Snapshot restore: adopt every cache line (all L1Ds, all L3s) of

@@ -20,8 +20,8 @@
  * upper-level entries.
  *
  * Each level is a fully-associative LruArray (one set) qualified by
- * (root pfn, ASID); this class adds the level decoding, its LRU clock
- * and a pde-level MRU memo.
+ * (root pfn, ASID); this class adds the level decoding and a
+ * pde-level MRU memo.
  *
  * The cache keeps no counters of its own: lookup() returns where the
  * walk starts, and the walker charges the table reads it then issues
@@ -84,11 +84,11 @@ class PagingStructureCache
     lookup(Pfn cr3, VirtAddr va)
     {
         // MRU memo over the pde level (the first and longest scan of
-        // every probe): the most recently stamped pde entry, cleared
-        // by every invalidation path. Skipping its re-stamp cannot
-        // change the level's LRU order (see lru_array.h). Sequential
-        // walk streams (populate, range sweeps) hit the same 2 MB
-        // prefix for 512 walks in a row.
+        // every probe): the most recently used pde entry, so the
+        // level's head, cleared by every invalidation path. Skipping
+        // its touch cannot change the level's LRU order (see
+        // lru_array.h). Sequential walk streams (populate, range
+        // sweeps) hit the same 2 MB prefix for 512 walks in a row.
         if ((va >> tagShift(1)) == memoTag_ && cr3 == memoCr3_ &&
             asid_ == memoAsid_)
             return {1, memoTablePfn_};
@@ -98,13 +98,12 @@ class PagingStructureCache
             Level &l = levels[level - 1];
             if (!l.everInserted())
                 continue;
-            std::size_t s = l.find(va >> tagShift(level), {cr3, asid_});
-            if (s == Level::npos)
+            const Pfn *table = l.lookup(va >> tagShift(level), {cr3, asid_});
+            if (!table)
                 continue;
-            l.touch(s, ++clock);
             if (level == 1)
-                noteMru(cr3, va, l.payload(s));
-            return {level, l.payload(s)};
+                noteMru(cr3, va, *table);
+            return {level, *table};
         }
         return {4, cr3};
     }
@@ -120,9 +119,9 @@ class PagingStructureCache
         if (level < 1 || level > 3)
             panic("PWC fill with bad level %d", level);
         levels[level - 1].insert(va >> tagShift(level), {cr3, asid_},
-                                 table_pfn, ++clock);
+                                 table_pfn);
         if (level == 1)
-            noteMru(cr3, va, table_pfn); // freshest stamp in the level
+            noteMru(cr3, va, table_pfn); // the level's new head
     }
 
     /** Invalidate all entries covering @p va, any ASID (shootdowns). */
@@ -199,7 +198,6 @@ class PagingStructureCache
     /** levels[i] caches the tables of level i + 1 (pde, pdpte, pml4e). */
     Level levels[3];
     Asid asid_ = 0;
-    std::uint32_t clock = 0;
     /** pde-level memo: ~0 tag = empty (no shifted VA can produce it). */
     std::uint64_t memoTag_ = ~0ull;
     Pfn memoCr3_ = InvalidPfn;

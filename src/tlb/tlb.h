@@ -17,11 +17,10 @@
  * per core, full flush on every CR3 load) behaves exactly as before.
  *
  * Each array is a shared LruArray qualified by ASID; this class adds
- * the size classes, its LRU clock, a decoded MRU memo and a
- * single-ASID early-out. The TLB keeps no counters of its own:
- * lookup() reports the hit level and latency, and sim::Core charges
- * them to PerfCounters, the one hardware-event channel every report
- * reads.
+ * the size classes, a decoded MRU memo and a single-ASID early-out.
+ * The TLB keeps no counters of its own: lookup() reports the hit level
+ * and latency, and sim::Core charges them to PerfCounters, the one
+ * hardware-event channel every report reads.
  */
 
 #ifndef MITOSIM_TLB_TLB_H
@@ -102,11 +101,11 @@ class TwoLevelTlb
     TlbLookupResult
     lookup(VirtAddr va)
     {
-        // MRU memo: a decoded copy of the most recently stamped L1
-        // entry (set by every L1 hit, promote and insert; cleared by
-        // every invalidation path). A repeat probe of the same page
-        // under the same ASID skips the set scan and the re-stamp,
-        // which could not change the set's LRU order (see
+        // MRU memo: a decoded copy of the most recently used L1 entry
+        // (set by every L1 hit, promote and insert; cleared by every
+        // invalidation path), so the head of its set. A repeat probe
+        // of the same page under the same ASID skips the set scan and
+        // the touch, which could not change the set's LRU order (see
         // lru_array.h), and returns exactly the L1-hit result.
         if ((va & memoMask_) == memoBase_ && asid_ == memoAsid_)
             return {true, 1, cfg.l1HitLatency, memoEntry_};
@@ -120,26 +119,25 @@ class TwoLevelTlb
             [[unlikely]] return miss();
 
         // L1, both size classes probed in parallel on real hardware.
-        std::size_t s;
+        const TlbEntry *e;
         if (l1Small.everInserted() &&
-            (s = l1Small.find(tag4K(va), asid_)) != Array::npos)
-            return hit(l1Small, s, 1, va);
+            (e = l1Small.lookup(tag4K(va), asid_)))
+            return hit(*e, 1, va);
         if (l1Large.everInserted() &&
-            (s = l1Large.find(tag2M(va), asid_)) != Array::npos)
-            return hit(l1Large, s, 1, va);
+            (e = l1Large.lookup(tag2M(va), asid_)))
+            return hit(*e, 1, va);
 
         // Unified L2: try the 4 KB-granule tag, then the 2 MB-granule
         // tag; a hit promotes into its L1 size class.
-        if (l1Small.everInserted() &&
-            (s = l2.find(tag4K(va), asid_)) != Array::npos) {
-            TlbLookupResult res = hit(l2, s, 2, va);
-            l1Small.insert(tag4K(va), asid_, res.entry, ++clock);
+        if (l1Small.everInserted() && (e = l2.lookup(tag4K(va), asid_))) {
+            TlbLookupResult res = hit(*e, 2, va);
+            l1Small.insert(tag4K(va), asid_, res.entry);
             return res;
         }
         if (cfg.l2Holds2M && l1Large.everInserted() &&
-            (s = l2.find(tag2M(va) | LargeTagBit, asid_)) != Array::npos) {
-            TlbLookupResult res = hit(l2, s, 2, va);
-            l1Large.insert(tag2M(va), asid_, res.entry, ++clock);
+            (e = l2.lookup(tag2M(va) | LargeTagBit, asid_))) {
+            TlbLookupResult res = hit(*e, 2, va);
+            l1Large.insert(tag2M(va), asid_, res.entry);
             return res;
         }
         return miss();
@@ -177,12 +175,12 @@ class TwoLevelTlb
             multiAsid_ = true;
         }
         if (entry.size == PageSizeKind::Base4K) {
-            l1Small.insert(tag4K(va), asid_, entry, ++clock);
-            l2.insert(tag4K(va), asid_, entry, ++clock);
+            l1Small.insert(tag4K(va), asid_, entry);
+            l2.insert(tag4K(va), asid_, entry);
         } else {
-            l1Large.insert(tag2M(va), asid_, entry, ++clock);
+            l1Large.insert(tag2M(va), asid_, entry);
             if (cfg.l2Holds2M)
-                l2.insert(tag2M(va) | LargeTagBit, asid_, entry, ++clock);
+                l2.insert(tag2M(va) | LargeTagBit, asid_, entry);
         }
         noteMru(va, entry);
     }
@@ -251,12 +249,10 @@ class TwoLevelTlb
     static std::uint64_t tag4K(VirtAddr va) { return va >> PageShift; }
     static std::uint64_t tag2M(VirtAddr va) { return va >> LargePageShift; }
 
-    /** Stamp slot @p s of @p a and return its hit at @p level. */
+    /** The hit at @p level on @p entry (already made MRU). */
     TlbLookupResult
-    hit(Array &a, std::size_t s, int level, VirtAddr va)
+    hit(const TlbEntry &entry, int level, VirtAddr va)
     {
-        a.touch(s, ++clock);
-        const TlbEntry &entry = a.payload(s);
         noteMru(va, entry);
         return {true, level,
                 level == 1 ? cfg.l1HitLatency : cfg.l2HitLatency, entry};
@@ -266,9 +262,9 @@ class TwoLevelTlb
     TlbLookupResult miss() const { return {false, 0, cfg.l2HitLatency, {}}; }
 
     /**
-     * Remember @p entry (just stamped in its L1 array, so the newest
-     * stamp in its set) as the lookup memo. The base/mask pair makes
-     * the memo hit test one AND+compare regardless of page size.
+     * Remember @p entry (just used in its L1 array, so the head of its
+     * set) as the lookup memo. The base/mask pair makes the memo hit
+     * test one AND+compare regardless of page size.
      */
     void
     noteMru(VirtAddr va, const TlbEntry &entry)
@@ -308,9 +304,8 @@ class TwoLevelTlb
     bool anyInsert_ = false;
     bool multiAsid_ = false;
     Asid asid_ = 0;
-    std::uint32_t clock = 0;
     // Lookup memo (see lookup()/noteMru): decoded copy of the most
-    // recently stamped L1 entry. memoBase_ = ~0 with memoMask_ = 0 is
+    // recently used L1 entry. memoBase_ = ~0 with memoMask_ = 0 is
     // the "empty" state — no canonical address matches it.
     std::uint64_t memoBase_ = ~0ull;
     std::uint64_t memoMask_ = 0;

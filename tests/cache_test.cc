@@ -105,25 +105,14 @@ TEST(Cache, InvalidationHoleIsRefilledBeforeEviction)
     c.invalidateLine(LineSize);               // hole in way 1
     ASSERT_TRUE(c.lookup(0));                 // line 0 now newest
     EXPECT_FALSE(c.probeInsert(4 * LineSize)); // fills the hole
-    // Probed oldest first, so the restamps keep the LRU order.
+    // Probed oldest first, so the touches keep the LRU order.
     for (PhysAddr l : {2, 3, 0, 4})
         EXPECT_TRUE(c.lookup(l * LineSize)) << l;
-    // No hole left: the lowest-stamped survivor (line 2) goes.
+    // No hole left: the least recently used survivor (line 2) goes.
     EXPECT_FALSE(c.probeInsert(5 * LineSize));
     EXPECT_FALSE(c.lookup(2 * LineSize));
     for (PhysAddr l : {0, 3, 4, 5})
         EXPECT_TRUE(c.lookup(l * LineSize)) << l;
-}
-
-TEST(Cache, InvalidateFrameDropsAllItsLines)
-{
-    SetAssocCache c(1 << 20, 16);
-    PhysAddr frame_base = 5 * PageSize;
-    for (unsigned i = 0; i < PageSize / LineSize; ++i)
-        c.probeInsert(frame_base + i * LineSize);
-    c.invalidateFrame(5);
-    for (unsigned i = 0; i < PageSize / LineSize; ++i)
-        EXPECT_FALSE(c.lookup(frame_base + i * LineSize));
 }
 
 TEST(Cache, FlushEmptiesEverything)

@@ -148,18 +148,6 @@ TEST(Hierarchy, PageTableKindAttributesToPtCounters)
     EXPECT_EQ(pc.ptDramLocal, 1u);
 }
 
-TEST(Hierarchy, InvalidateFrameForcesRefetch)
-{
-    Rig r;
-    PerfCounters pc;
-    r.hier.access(0, r.addrOn(0), false, AccessKind::Data, &pc);
-    r.hier.invalidateFrame(r.topo.firstPfnOf(0));
-    Cycles lat = r.hier.access(0, r.addrOn(0), false, AccessKind::Data,
-                               &pc);
-    HierarchyConfig cfg;
-    EXPECT_EQ(lat, cfg.l1dHitLatency + cfg.l3HitLatency + 280u);
-}
-
 TEST(Hierarchy, RemotePtFractionCounter)
 {
     Rig r;

@@ -139,10 +139,10 @@ TEST(Pwc, InvalidationHoleIsRefilledBeforeEviction)
     pwc.invalidate(1 * LargePageSize);                    // hole
     ASSERT_EQ(pwc.lookup(Cr3A, 0).startLevel, 1);         // 0 is newest
     pwc.fill(Cr3A, 4 * LargePageSize, 1, 14);             // fills it
-    // Probed oldest first, so the restamps keep the LRU order.
+    // Probed oldest first, so the touches keep the LRU order.
     for (VirtAddr r : {2, 3, 0, 4})
         EXPECT_EQ(pwc.lookup(Cr3A, r * LargePageSize).startLevel, 1) << r;
-    // No hole left: the lowest-stamped survivor (region 2) goes.
+    // No hole left: the least recently used survivor (region 2) goes.
     pwc.fill(Cr3A, 5 * LargePageSize, 1, 15);
     EXPECT_EQ(pwc.lookup(Cr3A, 2 * LargePageSize).startLevel, 4);
     for (VirtAddr r : {0, 3, 4, 5})

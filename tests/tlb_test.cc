@@ -203,7 +203,7 @@ TEST(Tlb, InvalidationHoleIsRefilledBeforeEviction)
     tlb.insert(4 * PageSize, entry4K(4));         // fills the hole
     for (VirtAddr p : {0, 2, 3, 4})
         EXPECT_EQ(copiesOf(tlb, p * PageSize), 2) << p; // L1 + L2
-    // No hole left: the lowest-stamped survivor (page 2) goes.
+    // No hole left: the least recently used survivor (page 2) goes.
     tlb.insert(5 * PageSize, entry4K(5));
     EXPECT_EQ(copiesOf(tlb, 2 * PageSize), 1); // L2 only
     for (VirtAddr p : {0, 3, 4, 5})

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Profile one bench binary with gprof.
+# Profile one bench binary: gprof by default and in --diff mode, a
+# SIGPROF line sampler in --lines mode.
 #
 # Maintains a dedicated instrumented build tree (build-pg/: Release
 # codegen + -pg) so profiling never dirties the main build, rebuilds
@@ -13,7 +14,8 @@
 # EXPERIMENTS.md "Hot-path engineering" are based on. Mind its
 # blind spot: time in inlined callees is attributed to the caller, so
 # a flat Core::access line means "access + everything inlined into
-# it" — use the call graph and -l (line-level) for finer splits.
+# it". For finer splits use --lines below, not gprof -l: on a -pg
+# hostbench build `gprof -l` aborts with "somebody miscounted".
 #
 # Usage:
 #   tools/profile_bench.sh fig09b_multisocket_2m
@@ -27,11 +29,116 @@
 # moved, not just what is hot:
 #   tools/profile_bench.sh --diff build-pg-base build-pg \
 #       fig09b_multisocket_2m [bench args...]
+#
+# Line mode: sample the PC on SIGPROF (tools/pc_sampler.c, preloaded
+# into the profiled process only) in a Release build with debug info
+# (build-lines/, or build-lines-hostbench/ for the host-cost
+# benchmark's driver), symbolize with `addr2line -i` so inlined source
+# lines stay visible, and print the top source lines (each sample
+# charged to the innermost line in this repository, so an inlined
+# std::vector::operator[] counts for the line that indexes) and the
+# top three-deep call chains (innermost first, inlined frames
+# included):
+#   tools/profile_bench.sh --lines fig09a_multisocket_4k
+#   tools/profile_bench.sh --lines hostbench --workload replay-ms \
+#       --seed 42 --seconds 2 --trace 0
+# The sampling period is 1 ms of CPU time.
 
 set -euo pipefail
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 lines=${LINES:-40}
+
+if [ "${1:-}" = --lines ]; then
+    shift
+    if [ $# -lt 1 ]; then
+        echo "usage: $0 --lines <bench|hostbench> [args...]" >&2
+        exit 2
+    fi
+    bench=$1
+    shift
+    src="$repo"
+    tree="$repo/build-lines"
+    if [ "$bench" = hostbench ]; then
+        src="$repo/hostbench"
+        tree="$repo/build-lines-hostbench"
+    fi
+    # -g adds debug info only: the code is the Release build's.
+    cmake -B "$tree" -S "$src" \
+        -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS=-g \
+        -DMITOSIM_BUILD_TESTS=OFF \
+        -DMITOSIM_BUILD_EXAMPLES=OFF >/dev/null
+    cmake --build "$tree" -j "$(nproc)" --target "$bench"
+    cc -O2 -shared -fPIC -o "$tree/pc_sampler.so" "$repo/tools/pc_sampler.c"
+    samples="$tree/pc_samples.txt"
+    (cd "$tree" && PC_SAMPLER_OUT="$samples" \
+        LD_PRELOAD="$tree/pc_sampler.so" "./$bench" "$@" >/dev/null)
+    python3 - "$tree/$bench" "$samples" "$repo/" "$lines" <<'EOF'
+import collections
+import subprocess
+import sys
+
+exe, path, prefix, top = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+# One sample per line: the PC, then its callers' return addresses.
+# A return address points past its call, so look up the byte before.
+samples = [[int(a, 16) - (k > 0) for k, a in enumerate(line.split())]
+           for line in open(path) if line.strip()]
+if not samples:
+    sys.exit("no samples: the run was too short")
+addrs = sorted({a for s in samples for a in s})
+out = subprocess.run(
+    ["addr2line", "-e", exe, "-i", "-f", "-C", "-a"],
+    input="\n".join(map(hex, addrs)), capture_output=True, text=True,
+    check=True).stdout.splitlines()
+
+def short(name):
+    # Drop template and parameter lists, keep Class::function.
+    kept, depth = [], 0
+    for c in name:
+        depth += c in "<("
+        if depth == 0:
+            kept.append(c)
+        depth -= c in ">)" and depth > 0
+    return "::".join("".join(kept).split("::")[-2:])
+
+# addr2line -a: an address line, then (function, file:line) pairs,
+# innermost inlined frame first.
+frames, cur, i = {}, None, 0
+while i < len(out):
+    if out[i].startswith("0x"):
+        cur = frames.setdefault(int(out[i], 16), [])
+        i += 1
+    else:
+        where = out[i + 1].split(" (discriminator")[0]
+        cur.append((short(out[i]), where.replace(prefix, "")))
+        i += 2
+
+n = len(samples)
+by_line = collections.Counter()
+by_chain = collections.Counter()
+for s in samples:
+    # Charge the innermost line in the repository, so a library
+    # helper inlined into it (vector::operator[]) counts for its user.
+    pc_frames = frames[s[0]]
+    ours = [f for f in pc_frames if not f[1].startswith(("/", "?"))]
+    fn, where = (ours or pc_frames)[0]
+    by_line[f"{where}  {fn}"] += 1
+    chain = []
+    for a in s:
+        for f, _ in frames[a]:
+            if not chain or chain[-1] != f:
+                chain.append(f)
+    by_chain[" < ".join(chain[:3])] += 1
+print(f"{n} samples")
+for title, counts in (("self samples by source line", by_line),
+                      ("samples by call chain", by_chain)):
+    print(f"\n{'share':>6}  {title}")
+    for key, c in counts.most_common(top):
+        print(f"{100 * c / n:5.1f}%  {key}")
+EOF
+    exit 0
+fi
 
 profile_tree() {
     # Build + run $bench in tree $1; flat profile on stdout.
