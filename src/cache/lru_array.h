@@ -144,15 +144,25 @@ class LruArray
         return false;
     }
 
-    /** Drop @p tag under every qualifier. */
+    /**
+     * Drop @p tag under every qualifier. The fingerprint words filter
+     * the ways as in wayOf, but every match is checked: one tag can be
+     * resident under several qualifiers.
+     */
     void
     invalidate(std::uint64_t tag)
     {
         std::size_t set = setOf(tag);
         std::size_t base = set * numWays;
-        for (unsigned w = 0; w < numWays; ++w) {
-            if (tags[base + w] == tag)
-                drop(setStates[set], base, w);
+        std::uint64_t pattern = 0x0101010101010101ull * fingerprint(tag);
+        for (unsigned w0 = 0; w0 < numWays; w0 += 8) {
+            for (std::uint64_t m = zeroBytes(fingerprintWord(base + w0) ^
+                                             pattern);
+                 m != 0; m &= m - 1) {
+                unsigned w = w0 + (std::countr_zero(m) >> 3);
+                if (w < numWays && tags[base + w] == tag)
+                    drop(setStates[set], base, w);
+            }
         }
     }
 
@@ -220,6 +230,24 @@ class LruArray
         return static_cast<std::uint8_t>((tag * 0x9e3779b97f4a7c15ull) >> 56);
     }
 
+    /** The eight fingerprints from slot @p i on, as one word. */
+    std::uint64_t
+    fingerprintWord(std::size_t i) const
+    {
+        std::uint64_t word;
+        std::memcpy(&word, &fingerprints[i], sizeof word);
+        return word;
+    }
+
+    /** The top bit of each byte of the result is set iff that byte of
+     *  @p v is 0. */
+    static std::uint64_t
+    zeroBytes(std::uint64_t v)
+    {
+        constexpr std::uint64_t Low7 = 0x7f7f7f7f7f7f7f7full;
+        return ~(((v & Low7) + Low7) | v | Low7);
+    }
+
     /**
      * Way of the set at @p base holding (@p tag, @p qual), or numWays.
      * One word compare filters eight fingerprints; only ways whose
@@ -228,14 +256,10 @@ class LruArray
     unsigned
     wayOf(std::size_t base, std::uint64_t tag, const Qual &qual) const
     {
-        constexpr std::uint64_t Low7 = 0x7f7f7f7f7f7f7f7full;
         std::uint64_t pattern = 0x0101010101010101ull * fingerprint(tag);
         for (unsigned w0 = 0; w0 < numWays; w0 += 8) {
-            std::uint64_t word;
-            std::memcpy(&word, &fingerprints[base + w0], sizeof word);
-            std::uint64_t v = word ^ pattern;
-            // The top bit of each byte of m is set iff that byte of v is 0.
-            std::uint64_t m = ~(((v & Low7) + Low7) | v | Low7);
+            std::uint64_t m =
+                zeroBytes(fingerprintWord(base + w0) ^ pattern);
             for (; m != 0; m &= m - 1) {
                 unsigned w = w0 + (std::countr_zero(m) >> 3);
                 if (w < numWays && tags[base + w] == tag &&

@@ -1,5 +1,6 @@
 #include "vmcheck.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
@@ -147,7 +148,7 @@ void
 Checker::checkReplicaCoherence()
 {
     ++stats_.checksRun;
-    auto &pm = k.machine().physmem();
+    const auto &pm = k.machine().physmem();
     auto *lazy = dynamic_cast<core::LazyMitosisBackend *>(&k.backend());
 
     for (os::Process *p : k.liveProcesses()) {
@@ -179,7 +180,7 @@ Checker::compareTables(os::Process &proc, SocketId socket, Pfn primary,
 {
     if (primary == replica)
         return; // degraded allocation: the socket shares this frame
-    auto &pm = k.machine().physmem();
+    const auto &pm = k.machine().physmem();
     ++stats_.replicaTablesCompared;
     const std::uint64_t *tbl_p = pm.tableView(primary);
     const std::uint64_t *tbl_r = pm.tableView(replica);
@@ -361,28 +362,26 @@ void
 Checker::checkFrameAccounting()
 {
     ++stats_.checksRun;
-    auto &pm = k.machine().physmem();
+    const auto &pm = k.machine().physmem();
 
     // Phase 1: walk every process's page-tables (full replica rings)
-    // and leaves, recording what each reached frame must be.
+    // and leaves, recording what each reached frame must be. Marks are
+    // reserved for one per allocated frame, which a consistent machine
+    // never exceeds, so the vector does not grow by doubling.
     struct Mark
     {
+        Pfn pfn;
         Reach reach;
         ProcId pid;
     };
-    std::unordered_map<Pfn, Mark> reached;
+    std::vector<Mark> marks;
+    std::uint64_t allocated = 0;
+    for (SocketId s = 0; s < k.machine().numSockets(); ++s)
+        allocated += pm.allocator(s).totalFrames() - pm.freeFrames(s);
+    marks.reserve(allocated);
     std::unordered_set<ProcId> live_pids;
     auto mark = [&](Pfn pfn, Reach r, ProcId pid) {
-        auto [it, fresh] = reached.try_emplace(pfn, Mark{r, pid});
-        if (!fresh) {
-            report({CheckClass::FrameAccounting, pid, 0, 0,
-                    pm.socketOf(pfn),
-                    format("single owner (first reached as %s by pid %d)",
-                           reachName(it->second.reach), it->second.pid),
-                    format("reached again as %s", reachName(r)),
-                    format("pfn %llu has two owners",
-                           (unsigned long long)pfn)});
-        }
+        marks.push_back({pfn, r, pid});
     };
 
     for (os::Process *p : k.liveProcesses()) {
@@ -407,15 +406,60 @@ Checker::checkFrameAccounting()
             });
     }
 
+    // Sort by pfn. The sort is stable, so the first mark of a pfn is
+    // its first-reached owner, the one a second owner is reported
+    // against (two-owner reports come in pfn order).
+    std::stable_sort(marks.begin(), marks.end(),
+                     [](const Mark &a, const Mark &b) {
+                         return a.pfn < b.pfn;
+                     });
+    for (std::size_t i = 1, first = 0; i < marks.size(); ++i) {
+        if (marks[i].pfn != marks[first].pfn) {
+            first = i;
+            continue;
+        }
+        const Mark &m = marks[i];
+        report({CheckClass::FrameAccounting, m.pid, 0, 0,
+                pm.socketOf(m.pfn),
+                format("single owner (first reached as %s by pid %d)",
+                       reachName(marks[first].reach), marks[first].pid),
+                format("reached again as %s", reachName(m.reach)),
+                format("pfn %llu has two owners",
+                       (unsigned long long)m.pfn)});
+    }
+
     // Phase 2: sweep every physical frame and reconcile allocator
-    // state, PageMeta and reachability.
+    // state, PageMeta and reachability, merging in the sorted marks.
     for (SocketId s = 0; s < k.machine().numSockets(); ++s) {
         const mem::FrameAllocator &alloc = pm.allocator(s);
         Pfn base = alloc.firstPfn();
         Pfn limit = base + alloc.totalFrames();
+        auto next = std::lower_bound(
+            marks.begin(), marks.end(), base,
+            [](const Mark &m, Pfn pfn) { return m.pfn < pfn; });
+        constexpr Pfn ChunkMask = mem::PhysicalMemory::MetaChunkSize - 1;
         for (Pfn pfn = base; pfn < limit; ++pfn) {
+            if ((pfn == base || (pfn & ChunkMask) == 0) &&
+                !pm.metaMaterialized(pfn)) {
+                // Untouched metadata reads Free: nothing to report
+                // unless a frame of the chunk is allocated or reached.
+                Pfn end = std::min(limit, (pfn | ChunkMask) + 1);
+                bool quiet = next == marks.end() || next->pfn >= end;
+                for (Pfn b = pfn; quiet && b < end; b += FramesPerLargePage)
+                    quiet = alloc.blockUsedCount((b - base) /
+                                                 FramesPerLargePage) == 0;
+                if (quiet) {
+                    pfn = end - 1;
+                    continue;
+                }
+            }
             const mem::PageMeta &m = pm.meta(pfn);
-            auto it = reached.find(pfn);
+            const Mark *it = nullptr;
+            if (next != marks.end() && next->pfn == pfn) {
+                it = &*next;
+                while (next != marks.end() && next->pfn == pfn)
+                    ++next;
+            }
             if (!alloc.isAllocated(pfn)) {
                 if (!m.isFree()) {
                     report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
@@ -425,14 +469,14 @@ Checker::checkFrameAccounting()
                                    "typed as in-use",
                                    (unsigned long long)pfn)});
                 }
-                if (it != reached.end()) {
-                    report({CheckClass::FrameAccounting, it->second.pid,
+                if (it) {
+                    report({CheckClass::FrameAccounting, it->pid,
                             0, 0, s, "allocated frame",
                             "free frame",
                             format("page-tables reference freed pfn %llu "
                                    "as %s",
                                    (unsigned long long)pfn,
-                                   reachName(it->second.reach))});
+                                   reachName(it->reach))});
                 }
                 continue;
             }
@@ -458,10 +502,10 @@ Checker::checkFrameAccounting()
                                    "known reserve",
                                    (unsigned long long)pfn)});
                 }
-                if (it != reached.end()) {
-                    report({CheckClass::FrameAccounting, it->second.pid,
+                if (it) {
+                    report({CheckClass::FrameAccounting, it->pid,
                             0, 0, s, "unreferenced reserve frame",
-                            reachName(it->second.reach),
+                            reachName(it->reach),
                             format("page-tables reference reserved pfn "
                                    "%llu",
                                    (unsigned long long)pfn)});
@@ -474,7 +518,7 @@ Checker::checkFrameAccounting()
                             "null", format("PT pfn %llu has no storage",
                                            (unsigned long long)pfn)});
                 }
-                if (it == reached.end()) {
+                if (!it) {
                     // Frames of processes this kernel does not know
                     // (another kernel sharing the machine) cannot be
                     // classified; orphans are only provable for our
@@ -488,17 +532,17 @@ Checker::checkFrameAccounting()
                                        (unsigned long long)pfn, m.level,
                                        m.owner)});
                     }
-                } else if (it->second.reach != Reach::Pt) {
-                    report({CheckClass::FrameAccounting, it->second.pid,
+                } else if (it->reach != Reach::Pt) {
+                    report({CheckClass::FrameAccounting, it->pid,
                             0, 0, s, "page-table reference",
-                            reachName(it->second.reach),
+                            reachName(it->reach),
                             format("pfn %llu typed PageTable but mapped "
                                    "as data",
                                    (unsigned long long)pfn)});
                 }
                 break;
               case mem::FrameType::Data:
-                if (it == reached.end()) {
+                if (!it) {
                     if (live_pids.count(m.owner)) {
                         report({CheckClass::FrameAccounting, m.owner, 0,
                                 0, s, "reachable from owner's leaves",
@@ -514,11 +558,11 @@ Checker::checkFrameAccounting()
                     Reach expect = head ? Reach::LargeHead
                                    : tail ? Reach::LargeTail
                                           : Reach::Data;
-                    if (it->second.reach != expect) {
+                    if (it->reach != expect) {
                         report({CheckClass::FrameAccounting,
-                                it->second.pid, 0, 0, s,
+                                it->pid, 0, 0, s,
                                 reachName(expect),
-                                reachName(it->second.reach),
+                                reachName(it->reach),
                                 format("pfn %llu size-class confusion",
                                        (unsigned long long)pfn)});
                     }
@@ -538,7 +582,7 @@ Checker::checkCr3AsidLiveness()
 {
     ++stats_.checksRun;
     auto &mach = k.machine();
-    auto &pm = mach.physmem();
+    const auto &pm = mach.physmem();
     std::vector<os::Process *> procs = k.liveProcesses();
 
     auto owner_of_root = [&](Pfn cr3) -> os::Process * {
@@ -726,7 +770,7 @@ void
 Checker::checkChargeConservation()
 {
     ++stats_.checksRun;
-    auto &pm = k.machine().physmem();
+    const auto &pm = k.machine().physmem();
 
     for (SocketId s = 0; s < k.machine().numSockets(); ++s) {
         const mem::FrameAllocator &alloc = pm.allocator(s);

@@ -12,6 +12,7 @@
 #ifndef MITOSIM_MEM_FRAME_ALLOCATOR_H
 #define MITOSIM_MEM_FRAME_ALLOCATOR_H
 
+#include <bit>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -69,15 +70,20 @@ class FrameAllocator
     /** Allocated-frame count of block @p index (0 = fully free). */
     std::uint32_t blockUsedCount(std::uint64_t index) const;
 
-    /** Visit every allocated pfn of block @p index, ascending. */
+    /**
+     * Visit every allocated pfn of block @p index, ascending: the set
+     * bits of each bitmap word, lowest first.
+     */
     template <typename Fn>
     void
     forEachAllocatedInBlock(std::uint64_t index, Fn &&fn) const
     {
         const Block &b = blocks[index];
-        for (unsigned slot = 0; slot < framesPerBlock; ++slot) {
-            if (testSlot(b, slot))
-                fn(basePfn + index * framesPerBlock + slot);
+        Pfn first = basePfn + index * framesPerBlock;
+        for (unsigned w = 0; w < 8; ++w) {
+            for (std::uint64_t bits = b.used[w]; bits != 0; bits &= bits - 1)
+                fn(first + w * 64 + static_cast<unsigned>(
+                                        std::countr_zero(bits)));
         }
     }
 
@@ -108,7 +114,7 @@ class FrameAllocator
      * Fragmentation injector: for each fully-free 2 MB block, with
      * probability @p fraction allocate one interior frame and report it.
      * The caller marks those frames Reserved so they are never reused as
-     * data; freeing them later "compacts" memory.
+     * data; PhysicalMemory::defragment frees them again.
      *
      * @return the pinned frames.
      */

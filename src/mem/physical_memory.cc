@@ -143,7 +143,6 @@ PhysicalMemory::PhysicalMemory(const numa::Topology &topology)
       perSocket(static_cast<std::size_t>(topo.numSockets())),
       ptCache(static_cast<std::size_t>(topo.numSockets())),
       ptCacheTarget(static_cast<std::size_t>(topo.numSockets()), 0),
-      fragPinned(static_cast<std::size_t>(topo.numSockets())),
       ptLive(static_cast<std::size_t>(topo.numSockets())),
       tableArenas(static_cast<std::size_t>(topo.numSockets()))
 {
@@ -329,9 +328,6 @@ PhysicalMemory::compactReservedPin(Pfn pfn)
     MITOSIM_ASSERT(isFragPinned(pfn),
                    "compactReservedPin: not a fragmentation filler");
     SocketId s = socketOf(pfn);
-    auto &list = fragPinned[static_cast<std::size_t>(s)];
-    auto it = std::find(list.begin(), list.end(), pfn);
-    MITOSIM_ASSERT(it != list.end());
     auto dest = alloc(s).allocFrameForCompaction(pfn);
     if (!dest)
         return false;
@@ -346,7 +342,6 @@ PhysicalMemory::compactReservedPin(Pfn pfn)
     m.flags = FrameFlagNone;
     m.replicaNext = InvalidPfn;
     alloc(s).freeFrame(pfn);
-    *it = *dest;
     return true;
 }
 
@@ -560,30 +555,31 @@ PhysicalMemory::ptPagesAt(SocketId socket, int level) const
 void
 PhysicalMemory::fragment(SocketId socket, double fraction, Rng &rng)
 {
-    auto pinned = alloc(socket).fragment(fraction, rng);
-    for (Pfn pfn : pinned) {
+    for (Pfn pfn : alloc(socket).fragment(fraction, rng)) {
         PageMeta &m = meta(pfn);
         m.type = FrameType::Reserved;
         m.flags = FrameFlagFragPin;
     }
-    auto &list = fragPinned[static_cast<std::size_t>(socket)];
-    list.insert(list.end(), pinned.begin(), pinned.end());
 }
 
 void
 PhysicalMemory::defragment(SocketId socket)
 {
-    auto &list = fragPinned[static_cast<std::size_t>(socket)];
-    for (Pfn pfn : list) {
+    FrameAllocator &a = alloc(socket);
+    std::vector<Pfn> pins;
+    for (std::uint64_t b = 0; b < a.numBlocks(); ++b) {
+        a.forEachAllocatedInBlock(b, [&](Pfn pfn) {
+            if (isFragPinned(pfn))
+                pins.push_back(pfn);
+        });
+    }
+    for (Pfn pfn : pins) {
         PageMeta &m = meta(pfn);
-        MITOSIM_ASSERT(m.type == FrameType::Reserved);
         m.type = FrameType::Free;
         m.flags = FrameFlagNone;
-        alloc(socket).freeFrame(pfn);
+        a.freeFrame(pfn);
     }
-    list.clear();
 }
-
 
 std::uint32_t
 PhysicalMemory::allocTableSlot(SocketId socket)
@@ -651,7 +647,6 @@ PhysicalMemory::cloneStateFrom(const PhysicalMemory &src)
     perSocket = src.perSocket;
     ptCache = src.ptCache;
     ptCacheTarget = src.ptCacheTarget;
-    fragPinned = src.fragPinned;
     ptLive = src.ptLive;
     // Copying a CowChunks shares every materialized chunk: the first
     // meta() write or PTE write detaches a private copy. Slot free

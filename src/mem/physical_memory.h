@@ -190,8 +190,8 @@ class PhysicalMemory
     /**
      * kcompactd: relocate one fragmentation-injector filler frame
      * (modelled as movable kernel memory) the same way. @p pfn must be
-     * a pinned filler of fragment(); the pin list is updated so
-     * defragment() stays balanced.
+     * a filler (isFragPinned). The frame it moves to becomes the
+     * filler, so defragment() frees it there.
      */
     bool compactReservedPin(Pfn pfn);
 
@@ -292,6 +292,29 @@ class PhysicalMemory
     /// @}
 
     /**
+     * 4096 frames (16 MiB of simulated memory) per metadata chunk —
+     * the materialization / copy-on-write granule. Kept small so a
+     * fork's first write detaches (and a sparse touch initializes)
+     * roughly what it uses rather than a 128 MiB-of-memory span, while
+     * staying large enough that the chunk pointer table is trivial.
+     * 64 chunks (6 MiB) per slab, the host-fault granule.
+     */
+    static constexpr unsigned MetaChunkShift = 12;
+    static constexpr std::uint64_t MetaChunkSize = 1ull << MetaChunkShift;
+    static constexpr std::size_t MetaSlabChunks = 64;
+
+    /**
+     * Was the metadata chunk holding @p pfn ever materialized? Every
+     * frame of an untouched chunk reads as pristine Free, so a sweep
+     * over all frames can step over it MetaChunkSize frames at a time.
+     */
+    bool
+    metaMaterialized(Pfn pfn) const
+    {
+        return metaChunks.view(pfn >> MetaChunkShift) != nullptr;
+    }
+
+    /**
      * Metadata of frame @p pfn. Storage is chunked and materialized on
      * first (mutable) touch: a multi-TiB simulated machine costs host
      * memory only for the frames actually used, and constructing /
@@ -340,33 +363,35 @@ class PhysicalMemory
 
     /**
      * Snapshot restore: copy the full frame state of @p src —
-     * allocators, stats, PT reserve caches and fragmentation pins are
-     * copied eagerly; metadata chunks and table-arena chunks (the
-     * host-backed 512-entry page-table storage) are shared
-     * copy-on-write, so a fork pays for a chunk only when it first
-     * writes to it. @p src must describe the same topology.
+     * allocators, stats and PT reserve caches are copied eagerly;
+     * metadata chunks and table-arena chunks (the host-backed
+     * 512-entry page-table storage) are shared copy-on-write, so a
+     * fork pays for a chunk only when it first writes to it. @p src
+     * must describe the same topology.
      */
     void cloneStateFrom(const PhysicalMemory &src);
 
     /// @name Fragmentation injection (Figure 11)
     /// @{
+
+    /**
+     * Pin one filler frame, typed Reserved and flagged FragPin, inside
+     * each of a random @p fraction of @p socket's fully free 2 MB
+     * blocks (FrameAllocator::fragment). No list of the pins is kept:
+     * the flag is what marks them, so set-up pays nothing per pin.
+     */
     void fragment(SocketId socket, double fraction, Rng &rng);
+
+    /**
+     * Free every filler on @p socket, in pfn order, found by sweeping
+     * the allocator's allocated frames for the FragPin flag. That
+     * includes fillers kcompactd has moved since fragment(). Only
+     * tests call this, so the sweep costs no measured run.
+     */
     void defragment(SocketId socket);
     /// @}
 
   private:
-    /**
-     * 4096 frames (16 MiB of simulated memory) per metadata chunk —
-     * the materialization / copy-on-write granule. Kept small so a
-     * fork's first write detaches (and a sparse touch initializes)
-     * roughly what it uses rather than a 128 MiB-of-memory span, while
-     * staying large enough that the chunk pointer table is trivial.
-     * 64 chunks (6 MiB) per slab, the host-fault granule.
-     */
-    static constexpr unsigned MetaChunkShift = 12;
-    static constexpr std::uint64_t MetaChunkSize = 1ull << MetaChunkShift;
-    static constexpr std::size_t MetaSlabChunks = 64;
-
     /**
      * 64 tables (256 KiB) per table-arena chunk — the CoW granule for
      * page-table storage. An order of magnitude smaller than a 2 MiB
@@ -427,9 +452,6 @@ class PhysicalMemory
     // PT reserve caches: frames pre-allocated per socket.
     std::vector<std::vector<Pfn>> ptCache;
     std::vector<std::uint64_t> ptCacheTarget;
-
-    // Fragmentation filler frames, per socket, so we can undo.
-    std::vector<std::vector<Pfn>> fragPinned;
 
     // Live PT page counts [socket][level 0..4] (level index 1..4 used).
     std::vector<std::array<std::uint64_t, 5>> ptLive;

@@ -12,14 +12,30 @@ AutoNuma::scan(Process &proc, double fraction, Rng &rng)
 {
     // Collect candidate leaves first; placing hints mutates leaf values
     // (never structure, but keep the phases separate for clarity).
+    //
+    // The walk skips subtrees no VMA overlaps, as Linux's
+    // task_numa_work walks VMAs rather than the whole tree. Every
+    // present leaf lies inside a VMA (vmcheck's VMA<->PTE check), so a
+    // skipped subtree holds no leaf, the pruned walk visits the same
+    // leaves in the same order, and each draw pairs with the same leaf
+    // as in a full walk. The draws come from a local copy of @p rng and
+    // the count is kept locally, so the loop need not store either to
+    // memory the sampled vector might alias.
+    Rng draws = rng;
+    std::uint64_t scanned = 0;
     std::vector<VirtAddr> sampled;
     k.ptOps().forEachLeaf(
         proc.roots(),
         [&](VirtAddr va, pt::PteLoc, pt::Pte pte, PageSizeKind) {
-            ++stats_.pagesScanned;
-            if (!pte.numaHint() && rng.chance(fraction))
+            ++scanned;
+            if (!pte.numaHint() && draws.chance(fraction))
                 sampled.push_back(va);
+        },
+        [&proc](VirtAddr lo, VirtAddr hi) {
+            return proc.overlapsRange(lo, hi);
         });
+    rng = draws;
+    stats_.pagesScanned += scanned;
 
     pvops::KernelCost cost;
     for (VirtAddr va : sampled) {

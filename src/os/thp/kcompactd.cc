@@ -29,6 +29,7 @@
  */
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -74,7 +75,7 @@ class TickRmap
           entries(entries), crossChecks(cross_checks)
     {
 #ifndef NDEBUG
-        fill(reference, [](Pfn) { return true; });
+        fill(reference, [](Pfn) { return true; }, false);
 #endif
     }
 
@@ -83,9 +84,10 @@ class TickRmap
     find(Pfn pfn)
     {
         if (!built) {
-            fill(map, [this](Pfn p) {
-                return candidate[p / FramesPerLargePage];
-            });
+            fill(
+                map,
+                [this](Pfn p) { return candidate[p / FramesPerLargePage]; },
+                true);
             built = true;
             builds.inc();
             entries.inc(map.size());
@@ -116,18 +118,30 @@ class TickRmap
     }
 
   private:
+    /**
+     * Record the 4 KB leaves whose frame @p keep accepts. With
+     * @p prune, skip subtrees no VMA overlaps, as AutoNuma::scan does:
+     * they hold no leaf, so the leaves and their order are the full
+     * walk's (the Debug reference rebuild walks in full).
+     */
     template <typename Keep>
     void
-    fill(Rmap &out, Keep &&keep) const
+    fill(Rmap &out, Keep &&keep, bool prune) const
     {
         for (Process *p : procs) {
-            ops.forEachLeaf(p->roots(),
-                            [&](VirtAddr va, pt::PteLoc, pt::Pte pte,
-                                PageSizeKind size) {
-                                if (size == PageSizeKind::Base4K &&
-                                    keep(pte.pfn()))
-                                    out[pte.pfn()] = {p, va};
-                            });
+            auto visit = [&](VirtAddr va, pt::PteLoc, pt::Pte pte,
+                             PageSizeKind size) {
+                if (size == PageSizeKind::Base4K && keep(pte.pfn()))
+                    out[pte.pfn()] = {p, va};
+            };
+            if (prune) {
+                ops.forEachLeaf(p->roots(), visit,
+                                [p](VirtAddr lo, VirtAddr hi) {
+                                    return p->overlapsRange(lo, hi);
+                                });
+            } else {
+                ops.forEachLeaf(p->roots(), visit);
+            }
         }
     }
 
@@ -158,33 +172,44 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
     // compacted: compacting socket s allocates and frees frames on s
     // only, so each list equals one taken just before its socket's
     // turn. Nearly-free blocks, emptiest first (the cheapest
-    // reclaims), ties by block index for determinism.
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint64_t>>>
-        cands(machine.numSockets());
+    // reclaims), ties by block index for determinism: a counting sort
+    // on the used count, with the blocks ascending inside each count.
+    const std::uint32_t max_used =
+        std::min<std::uint32_t>(cfg.compactMaxUsed, FramesPerLargePage);
+    std::vector<std::vector<std::uint64_t>> cands(machine.numSockets());
     std::vector<bool> candidate(
         machine.topology().totalFrames() / FramesPerLargePage);
+    // next[u]: where the next block with used count u goes.
+    std::vector<std::uint32_t> next(max_used + 2);
     for (SocketId s = 0; s < machine.numSockets(); ++s) {
         const mem::FrameAllocator &alloc = physmem.allocator(s);
         std::uint64_t first_block = alloc.firstPfn() / FramesPerLargePage;
+        std::fill(next.begin(), next.end(), 0);
         for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
             std::uint32_t used = alloc.blockUsedCount(b);
-            if (used > 0 && used <= cfg.compactMaxUsed) {
-                cands[s].emplace_back(used, b);
+            if (used > 0 && used <= max_used) {
+                ++next[used + 1];
                 candidate[first_block + b] = true;
             }
         }
-        std::sort(cands[s].begin(), cands[s].end());
+        std::partial_sum(next.begin(), next.end(), next.begin());
+        cands[s].resize(next.back());
+        for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
+            if (candidate[first_block + b])
+                cands[s][next[alloc.blockUsedCount(b)]++] = b;
+        }
     }
 
     TickRmap rmap(ops, procs, candidate, *mRmapBuilds, *mRmapEntries,
                   rmapCrossChecks_);
 
+    std::vector<Pfn> frames;
+    std::vector<std::pair<Process *, VirtAddr>> moved;
     for (SocketId s = 0; s < machine.numSockets(); ++s) {
         const mem::FrameAllocator &alloc = physmem.allocator(s);
 
         unsigned budget = cfg.compactBlocksPerTick;
-        for (const auto &[used_snapshot, b] : cands[s]) {
-            (void)used_snapshot;
+        for (std::uint64_t b : cands[s]) {
             if (!budget)
                 break;
             // Earlier relocations may have drained or refilled this
@@ -193,7 +218,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             if (used == 0 || used > cfg.compactMaxUsed)
                 continue;
 
-            std::vector<Pfn> frames;
+            frames.clear();
             alloc.forEachAllocatedInBlock(
                 b, [&](Pfn p) { frames.push_back(p); });
 
@@ -222,7 +247,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             --budget;
 
             bool drained = true;
-            std::vector<std::pair<Process *, VirtAddr>> moved;
+            moved.clear();
             for (Pfn p : frames) {
                 if (physmem.isFragPinned(p)) {
                     if (!physmem.compactReservedPin(p)) {

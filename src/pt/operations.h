@@ -69,6 +69,12 @@ struct WalkResult
     int depth = 0;             //!< levels traversed (diagnostics)
 };
 
+/** The default PageTableOps::forEachLeaf subtree predicate: all. */
+struct AllSubtrees
+{
+    constexpr bool operator()(VirtAddr, VirtAddr) const { return true; }
+};
+
 /** How to choose the socket of a newly allocated page-table page. */
 enum class PtPlacement
 {
@@ -309,47 +315,32 @@ class PageTableOps
     /**
      * Visit every present leaf entry in the primary tree.
      * @param fn (va, level-1-or-2 loc, pte, size)
+     * @param covers (lo, hi): may the subtree mapping [lo, hi) hold a
+     *        present leaf? A child table is read only when it returns
+     *        true. The default, AllSubtrees, reads every table. A
+     *        predicate must never answer false for a subtree that holds
+     *        a present leaf: those leaves would be skipped silently.
+     *
+     * Order: a table's leaves in ascending index order, then its child
+     * tables in descending index order, each child's subtree in full
+     * before the next child. AutoNuma::scan pairs one random draw with
+     * each leaf, and kcompactd's rmap keeps the last visit of a pfn, so
+     * both depend on this order; pruning with @p covers drops only
+     * subtrees without leaves, so the leaves that remain keep it.
      *
      * Templated on the visitor so the per-leaf callback inlines: the
      * THP scanner and kcompactd walk every mapped leaf per tick
      * (millions of invocations per run), where type-erased dispatch
-     * through std::function is measurable host overhead.
+     * through std::function is measurable host overhead. Each group of
+     * eight entries is OR-ed together first, so runs of non-present
+     * entries cost one test per group.
      */
-    template <typename Fn>
+    template <typename Fn, typename Covers = AllSubtrees>
     void
-    forEachLeaf(const RootSet &roots, Fn &&fn) const
+    forEachLeaf(const RootSet &roots, Fn &&fn, Covers &&covers = {}) const
     {
-        if (roots.primaryRoot == InvalidPfn)
-            return;
-
-        struct Frame
-        {
-            Pfn table;
-            int level;
-            VirtAddr base;
-        };
-        std::vector<Frame> stack{{roots.primaryRoot, 4, 0}};
-        while (!stack.empty()) {
-            Frame f = stack.back();
-            stack.pop_back();
-            const std::uint64_t *tbl = mem.tableView(f.table);
-            std::uint64_t span = bytesPerEntry(ptLevel(f.level));
-            for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
-                Pte entry{tbl[i]};
-                if (!entry.present())
-                    continue;
-                VirtAddr va = f.base + i * span;
-                if (f.level == 1) {
-                    fn(va, PteLoc{f.table, i}, entry,
-                       PageSizeKind::Base4K);
-                } else if (f.level == 2 && entry.huge()) {
-                    fn(va, PteLoc{f.table, i}, entry,
-                       PageSizeKind::Large2M);
-                } else {
-                    stack.push_back({entry.pfn(), f.level - 1, va});
-                }
-            }
-        }
+        if (roots.primaryRoot != InvalidPfn)
+            leafWalk(roots.primaryRoot, 4, 0, fn, covers);
     }
 
     /**
@@ -366,6 +357,56 @@ class PageTableOps
     mem::PhysicalMemory &physmem() { return mem; }
 
   private:
+    /** Does any of the eight entries at @p group have the present bit? */
+    static bool
+    anyPresent(const std::uint64_t *group)
+    {
+        std::uint64_t any = 0;
+        for (unsigned i = 0; i < 8; ++i)
+            any |= group[i];
+        return any & PtePresent;
+    }
+
+    /** forEachLeaf below @p table (at @p level, mapping from @p base). */
+    template <typename Fn, typename Covers>
+    void
+    leafWalk(Pfn table, int level, VirtAddr base, Fn &fn,
+             Covers &covers) const
+    {
+        const std::uint64_t *tbl = mem.tableView(table);
+        const std::uint64_t span = bytesPerEntry(ptLevel(level));
+        if (level <= 2) {
+            // Leaves: every present L1 entry, the huge L2 entries.
+            for (unsigned g = 0; g < PtEntriesPerPage; g += 8) {
+                if (!anyPresent(tbl + g))
+                    continue;
+                for (unsigned i = g; i < g + 8; ++i) {
+                    Pte entry{tbl[i]};
+                    if (!entry.present() || (level == 2 && !entry.huge()))
+                        continue;
+                    fn(base + i * span, PteLoc{table, i}, entry,
+                       level == 1 ? PageSizeKind::Base4K
+                                  : PageSizeKind::Large2M);
+                }
+            }
+            if (level == 1)
+                return;
+        }
+        // Child tables, descending.
+        for (unsigned g = PtEntriesPerPage; g != 0; g -= 8) {
+            if (!anyPresent(tbl + g - 8))
+                continue;
+            for (unsigned i = g; i-- != g - 8;) {
+                Pte entry{tbl[i]};
+                if (!entry.present() || (level == 2 && entry.huge()))
+                    continue;
+                VirtAddr va = base + i * span;
+                if (covers(va, va + span))
+                    leafWalk(entry.pfn(), level - 1, va, fn, covers);
+            }
+        }
+    }
+
     /**
      * Descend to the table at @p target_level, allocating missing
      * intermediate tables. Returns the pfn of the target-level table in

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "src/os/exec_context.h"
 #include "src/os/kernel.h"
 #include "src/pvops/native_backend.h"
@@ -173,6 +176,43 @@ TEST_F(AutoNumaTest, RescanSkipsAlreadyHintedPages)
     kernel.autoNuma().scan(p, 1.0, rng);
     kernel.autoNuma().scan(p, 1.0, rng);
     EXPECT_EQ(kernel.autoNuma().stats().hintsPlaced, 8u);
+    kernel.destroyProcess(p);
+}
+
+/**
+ * A fixed-seed scan over mappings with holes and unmapped tails hints
+ * exactly these pages, and leaves the generator exactly here: the
+ * draws pair with leaves in the walk's order, and a walk that skips
+ * subtrees without VMAs must keep that pairing.
+ */
+TEST_F(AutoNumaTest, FixedSeedScanHintsPinnedPages)
+{
+    Process &p = kernel.createProcess("pinned", 0);
+    MmapOptions opts{.populate = true};
+    Region a = kernel.mmap(p, 700 * PageSize, opts);
+    Region b = kernel.mmap(p, 40 * PageSize, opts);
+    Region c = kernel.mmap(p, 300 * PageSize, opts);
+    kernel.munmap(p, b.start, b.length);                        // all
+    kernel.munmap(p, a.start + 600 * PageSize, 100 * PageSize); // tail
+    kernel.munmap(p, c.start + 10 * PageSize, 20 * PageSize);   // hole
+
+    Rng rng(42);
+    kernel.autoNuma().scan(p, 0.02, rng);
+    // Pages from a.start in walk order, leaf tables descending: c's
+    // (pages 1536 on), then a's second (512 on), then a's first.
+    std::vector<std::uint64_t> hinted;
+    kernel.ptOps().forEachLeaf(
+        p.roots(), [&](VirtAddr va, pt::PteLoc, pt::Pte pte, PageSizeKind) {
+            if (pte.numaHint())
+                hinted.push_back((va - a.start) / PageSize);
+        });
+    EXPECT_EQ(hinted, (std::vector<std::uint64_t>{1681, 1698, 1728, 1835, 516,
+                                                 529, 541, 76, 87, 156,
+                                                 190, 211, 414, 458, 473,
+                                                 482}));
+    EXPECT_EQ(kernel.autoNuma().stats().pagesScanned, 600u + 280u);
+    EXPECT_EQ(kernel.autoNuma().stats().hintsPlaced, hinted.size());
+    EXPECT_EQ(rng.next(), 11722410664099757535ull);
     kernel.destroyProcess(p);
 }
 

@@ -184,6 +184,50 @@ TEST(FrameAllocator, BlockEnumerationSeesAllocatedFrames)
     }
 }
 
+TEST(FrameAllocator, BlockEnumerationVisitsSetSlotsAscending)
+{
+    // A non-zero base and the second block, so the pfn arithmetic
+    // cannot hide behind zeros.
+    const Pfn base = 4 * FramesPerBlock;
+    FrameAllocator a(base, 2 * FramesPerBlock);
+    auto first = a.allocLargeBlock();
+    auto head = a.allocLargeBlock();
+    ASSERT_TRUE(first.has_value() && head.has_value());
+    ASSERT_EQ(*head, base + FramesPerBlock);
+
+    // A full block: all 512 slots, ascending.
+    std::vector<Pfn> seen;
+    a.forEachAllocatedInBlock(1, [&](Pfn p) { seen.push_back(p); });
+    ASSERT_EQ(seen.size(), FramesPerBlock);
+    for (std::uint64_t i = 0; i < FramesPerBlock; ++i)
+        EXPECT_EQ(seen[i], *head + i);
+
+    // Sparse slots at both ends and on both sides of word boundaries.
+    const std::vector<unsigned> keep = {0, 1, 63, 64, 127, 200, 447,
+                                        448, 510, 511};
+    std::set<unsigned> kept(keep.begin(), keep.end());
+    for (unsigned slot = 0; slot < FramesPerBlock; ++slot) {
+        if (!kept.count(slot))
+            a.freeFrame(*head + slot);
+    }
+    seen.clear();
+    a.forEachAllocatedInBlock(1, [&](Pfn p) { seen.push_back(p); });
+    std::vector<Pfn> want;
+    for (unsigned slot : keep)
+        want.push_back(*head + slot);
+    EXPECT_EQ(seen, want);
+    EXPECT_EQ(a.blockUsedCount(1), keep.size());
+
+    // Only the last slot.
+    for (unsigned slot : keep) {
+        if (slot != 511)
+            a.freeFrame(*head + slot);
+    }
+    seen.clear();
+    a.forEachAllocatedInBlock(1, [&](Pfn p) { seen.push_back(p); });
+    EXPECT_EQ(seen, std::vector<Pfn>{*head + 511});
+}
+
 TEST(FrameAllocator, CompactionAllocAvoidsSourceAndFreeBlocks)
 {
     FrameAllocator a(0, 4 * FramesPerBlock);

@@ -16,6 +16,7 @@
 #include <bit>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <tuple>
 #include <type_traits>
 #include <vector>
@@ -250,6 +251,42 @@ TEST(LruArray, MatchesStampModelCacheLike)
         if (HasFatalFailure())
             return;
     }
+}
+
+TEST(LruArray, InvalidateDropsATagUnderEveryQualifier)
+{
+    // One 16-way set, so fingerprint matches span both words. Tag 7
+    // sits under four ASID-like qualifiers in ways 1, 6, 9 and 15;
+    // other tags fill the rest.
+    LruArray<std::uint16_t, unsigned> arr(16, 16);
+    const std::set<unsigned> shared = {1, 6, 9, 15};
+    std::uint16_t q = 0;
+    for (unsigned w = 0; w < 16; ++w) {
+        std::uint64_t tag = shared.count(w) ? 7 : 100 + w;
+        ASSERT_FALSE(arr.insert(tag, q++, w));
+    }
+    arr.invalidate(7);
+    for (std::uint16_t qual = 0; qual < 16; ++qual) {
+        bool was_shared = shared.count(qual);
+        EXPECT_EQ(arr.lookup(7, qual), nullptr) << "qual " << qual;
+        const unsigned *other = arr.lookup(100 + qual, qual);
+        EXPECT_EQ(other != nullptr, !was_shared) << "qual " << qual;
+    }
+    // Each freed way is free again: they refill lowest first, before
+    // any eviction.
+    for (unsigned w : shared) {
+        EXPECT_FALSE(arr.insert(200 + w, 0, w));
+        unsigned slot = 0, found = 16;
+        arr.forEach([&](std::uint64_t tag, std::uint16_t, unsigned) {
+            if (tag == 200 + w)
+                found = slot;
+            ++slot;
+        });
+        EXPECT_EQ(found, w);
+    }
+    unsigned resident = 0;
+    arr.forEach([&](std::uint64_t, std::uint16_t, unsigned) { ++resident; });
+    EXPECT_EQ(resident, 16u);
 }
 
 TEST(LruArray, RejectsMoreWaysThanTheFreeMaskHolds)

@@ -9,11 +9,15 @@
 
 #include <map>
 #include <set>
+#include <vector>
 
 #include "src/base/logging.h"
+#include "src/base/rng.h"
 #include "src/mem/physical_memory.h"
+#include "src/os/kernel.h"
 #include "src/pt/operations.h"
 #include "src/pvops/native_backend.h"
+#include "src/sim/machine.h"
 
 namespace mitosim::pt
 {
@@ -336,6 +340,173 @@ TEST_F(PtOpsTest, ForRangeVisitsIntersectingLeavesInOrder)
     EXPECT_EQ(huge_seen, 1);
     ops.unmap(roots, huge_va, nullptr);
     pm.freeDataLarge(*head);
+}
+
+
+/** One forEachLeaf visit. */
+struct LeafVisit
+{
+    VirtAddr va;
+    PteLoc loc;
+    std::uint64_t pte;
+    PageSizeKind size;
+
+    bool operator==(const LeafVisit &) const = default;
+};
+
+/**
+ * The explicit-stack walker forEachLeaf replaced, kept verbatim as the
+ * order reference: a table's leaves ascending as it is scanned, its
+ * children pushed ascending and so popped descending. Counts the
+ * tables it reads into @p tables.
+ */
+std::vector<LeafVisit>
+stackWalkLeaves(const mem::PhysicalMemory &mem, const RootSet &roots,
+                unsigned &tables)
+{
+    std::vector<LeafVisit> out;
+    tables = 0;
+    if (roots.primaryRoot == InvalidPfn)
+        return out;
+    struct Frame
+    {
+        Pfn table;
+        int level;
+        VirtAddr base;
+    };
+    std::vector<Frame> stack{{roots.primaryRoot, 4, 0}};
+    while (!stack.empty()) {
+        Frame f = stack.back();
+        stack.pop_back();
+        ++tables;
+        const std::uint64_t *tbl = mem.tableView(f.table);
+        std::uint64_t span = bytesPerEntry(ptLevel(f.level));
+        for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
+            Pte entry{tbl[i]};
+            if (!entry.present())
+                continue;
+            VirtAddr va = f.base + i * span;
+            if (f.level == 1) {
+                out.push_back({va, PteLoc{f.table, i}, entry.raw(),
+                               PageSizeKind::Base4K});
+            } else if (f.level == 2 && entry.huge()) {
+                out.push_back({va, PteLoc{f.table, i}, entry.raw(),
+                               PageSizeKind::Large2M});
+            } else {
+                stack.push_back({entry.pfn(), f.level - 1, va});
+            }
+        }
+    }
+    return out;
+}
+
+/**
+ * A seeded churn on a THP kernel: mmap (THP-eligible or not) on
+ * fragmented memory, munmap of whole mappings and tails, mprotect,
+ * then khugepaged collapses once memory is defragmented, and
+ * madvise(NOHUGEPAGE) and partial munmaps split the huge pages. The
+ * walker must give the old stack walker's exact sequence, and the
+ * VMA-pruned walk the same sequence from fewer tables.
+ */
+TEST(ForEachLeafOrder, MatchesStackWalkerOnChurnedProcess)
+{
+    sim::Machine machine(sim::MachineConfig::tiny());
+    pvops::NativeBackend native(machine.physmem());
+    os::KernelConfig kcfg;
+    kcfg.thp.khugepaged = true;
+    kcfg.thp.kcompactd = true;
+    kcfg.thp.splitPartial = true;
+    os::Kernel kernel(machine, native, kcfg);
+    os::Process &p = kernel.createProcess("churn", 0);
+    auto &pm = machine.physmem();
+
+    Rng frag(11);
+    for (SocketId s = 0; s < machine.numSockets(); ++s)
+        pm.fragment(s, 1.0, frag);
+
+    struct Mapping
+    {
+        VirtAddr start;
+        std::uint64_t pages;
+    };
+    std::vector<Mapping> live;
+    Rng rng(2024);
+    for (int i = 0; i < 160; ++i) {
+        if (i == 80) {
+            for (SocketId s = 0; s < machine.numSockets(); ++s)
+                pm.defragment(s);
+            kernel.thpTick();
+        }
+        unsigned r = static_cast<unsigned>(rng.below(10));
+        if (live.empty() || (r < 4 && live.size() < 12)) {
+            std::uint64_t pages = 1 + rng.below(3 * FramesPerLargePage / 2);
+            os::MmapOptions opts;
+            opts.populate = true;
+            opts.thp = rng.chance(0.6);
+            os::Region reg = kernel.mmap(p, pages * PageSize, opts);
+            live.push_back({reg.start, pages});
+            continue;
+        }
+        std::size_t idx = static_cast<std::size_t>(rng.below(live.size()));
+        Mapping &m = live[idx];
+        std::uint64_t first = rng.below(m.pages);
+        std::uint64_t count = 1 + rng.below(m.pages - first);
+        if (r < 7) {
+            // munmap: the whole mapping, or its tail.
+            std::uint64_t keep = m.pages > 1 && rng.chance(0.5)
+                                     ? 1 + rng.below(m.pages - 1)
+                                     : 0;
+            kernel.munmap(p, m.start + keep * PageSize,
+                          (m.pages - keep) * PageSize);
+            if (keep) {
+                m.pages = keep;
+            } else {
+                live[idx] = live.back();
+                live.pop_back();
+            }
+        } else if (r < 8) {
+            kernel.mprotect(p, m.start + first * PageSize, count * PageSize,
+                            rng.chance(0.5) ? std::uint64_t{os::ProtRead}
+                                            : std::uint64_t{os::ProtRead |
+                                                            os::ProtWrite});
+        } else {
+            kernel.madvise(p, m.start + first * PageSize, count * PageSize,
+                           r == 8 ? os::Madvise::Huge
+                                  : os::Madvise::NoHuge);
+        }
+        if (i >= 80 && i % 10 == 0)
+            kernel.thpTick();
+    }
+    ASSERT_GT(kernel.thp().stats().collapses, 0u);
+    ASSERT_GT(kernel.thp().stats().splits, 0u);
+
+    unsigned stack_tables = 0;
+    std::vector<LeafVisit> want = stackWalkLeaves(pm, p.roots(), stack_tables);
+    bool has_huge = false;
+    for (const LeafVisit &v : want)
+        has_huge = has_huge || v.size == PageSizeKind::Large2M;
+    ASSERT_TRUE(has_huge);
+
+    auto record = [](std::vector<LeafVisit> &out) {
+        return [&out](VirtAddr va, PteLoc loc, Pte pte, PageSizeKind size) {
+            out.push_back({va, loc, pte.raw(), size});
+        };
+    };
+    std::vector<LeafVisit> full;
+    kernel.ptOps().forEachLeaf(p.roots(), record(full));
+    EXPECT_EQ(full, want);
+
+    std::vector<LeafVisit> pruned;
+    unsigned pruned_tables = 1; // the root
+    kernel.ptOps().forEachLeaf(p.roots(), record(pruned),
+                               [&](VirtAddr lo, VirtAddr hi) {
+                                   bool keep = p.overlapsRange(lo, hi);
+                                   pruned_tables += keep;
+                                   return keep;
+                               });
+    EXPECT_EQ(pruned, want);
+    EXPECT_LT(pruned_tables, stack_tables);
+    kernel.destroyProcess(p);
 }
 
 } // namespace

@@ -43,14 +43,41 @@
 #   tools/profile_bench.sh --lines hostbench --workload replay-ms \
 #       --seed 42 --seconds 2 --trace 0
 # The sampling period is 1 ms of CPU time.
+#
+# Sampling skid: the sampler records the PC the timer signal
+# interrupted, which is the next instruction to retire, not the one
+# that was waiting. A load that stalls on a cache miss is therefore
+# charged to the instruction after it, and so to that instruction's
+# source line. In AutoNuma::scan, for example, the PTE load of the
+# leaf walk showed up as the `sampled.push_back` line (~35 % of the
+# scan's samples). When a line looks too hot for what it does, read
+# the instructions just before its hot PCs.
+#
+# PC mode does that: same build and sampler as --lines, but it lists
+# the hottest sampled PCs inside functions whose name contains FUNC
+# (the function that holds the machine code, after inlining), each
+# with its instruction, the instruction before it (the likely stalled
+# one, given the skid above) and its innermost repository source line:
+#   tools/profile_bench.sh --pcs AutoNuma::scan hostbench \
+#       --workload vma-churn --seed 42 --seconds 3 --trace 0
 
 set -euo pipefail
 
 repo=$(cd "$(dirname "$0")/.." && pwd)
 lines=${LINES:-40}
 
-if [ "${1:-}" = --lines ]; then
+if [ "${1:-}" = --lines ] || [ "${1:-}" = --pcs ]; then
+    mode=$1
     shift
+    func=
+    if [ "$mode" = --pcs ]; then
+        if [ $# -lt 2 ]; then
+            echo "usage: $0 --pcs FUNC <bench|hostbench> [args...]" >&2
+            exit 2
+        fi
+        func=$1
+        shift
+    fi
     if [ $# -lt 1 ]; then
         echo "usage: $0 --lines <bench|hostbench> [args...]" >&2
         exit 2
@@ -74,23 +101,20 @@ if [ "${1:-}" = --lines ]; then
     samples="$tree/pc_samples.txt"
     (cd "$tree" && PC_SAMPLER_OUT="$samples" \
         LD_PRELOAD="$tree/pc_sampler.so" "./$bench" "$@" >/dev/null)
-    python3 - "$tree/$bench" "$samples" "$repo/" "$lines" <<'EOF'
+    python3 - "$tree/$bench" "$samples" "$repo/" "$lines" "$func" <<'EOF'
 import collections
+import re
 import subprocess
 import sys
 
-exe, path, prefix, top = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4])
+exe, path, prefix, top, func = (sys.argv[1], sys.argv[2], sys.argv[3],
+                                int(sys.argv[4]), sys.argv[5])
 # One sample per line: the PC, then its callers' return addresses.
 # A return address points past its call, so look up the byte before.
 samples = [[int(a, 16) - (k > 0) for k, a in enumerate(line.split())]
            for line in open(path) if line.strip()]
 if not samples:
     sys.exit("no samples: the run was too short")
-addrs = sorted({a for s in samples for a in s})
-out = subprocess.run(
-    ["addr2line", "-e", exe, "-i", "-f", "-C", "-a"],
-    input="\n".join(map(hex, addrs)), capture_output=True, text=True,
-    check=True).stdout.splitlines()
 
 def short(name):
     # Drop template and parameter lists, keep Class::function.
@@ -102,27 +126,82 @@ def short(name):
         depth -= c in ">)" and depth > 0
     return "::".join("".join(kept).split("::")[-2:])
 
-# addr2line -a: an address line, then (function, file:line) pairs,
-# innermost inlined frame first.
-frames, cur, i = {}, None, 0
-while i < len(out):
-    if out[i].startswith("0x"):
-        cur = frames.setdefault(int(out[i], 16), [])
-        i += 1
-    else:
-        where = out[i + 1].split(" (discriminator")[0]
-        cur.append((short(out[i]), where.replace(prefix, "")))
-        i += 2
+def symbolize(addrs):
+    # addr2line -a: an address line, then (function, file:line) pairs,
+    # innermost inlined frame first.
+    out = subprocess.run(
+        ["addr2line", "-e", exe, "-i", "-f", "-C", "-a"],
+        input="\n".join(map(hex, sorted(addrs))), capture_output=True,
+        text=True, check=True).stdout.splitlines()
+    frames, cur, i = {}, None, 0
+    while i < len(out):
+        if out[i].startswith("0x"):
+            cur = frames.setdefault(int(out[i], 16), [])
+            i += 1
+        else:
+            where = out[i + 1].split(" (discriminator")[0]
+            cur.append((short(out[i]), where.replace(prefix, "")))
+            i += 2
+    return frames
 
+frames = symbolize({a for s in samples for a in s})
 n = len(samples)
+
+def source(pc):
+    # The innermost repository frame of @p pc, else its innermost one,
+    # so a library helper inlined into a line (vector::operator[])
+    # counts for the line that uses it.
+    ours = [f for f in frames[pc] if not f[1].startswith(("/", "?"))]
+    return (ours or frames[pc])[0]
+
+if func:
+    # The function holding the code is the outermost inlined frame.
+    hits = collections.Counter(s[0] for s in samples
+                               if func in frames[s[0]][-1][0])
+    if not hits:
+        sys.exit(f"no samples in a function matching {func!r}")
+    # Disassemble each symbol that holds a hot PC, so the instruction
+    # before a PC is found on a real instruction boundary.
+    syms = set()
+    for line in subprocess.run(["nm", "-S", "--defined-only", exe],
+                               capture_output=True, text=True,
+                               check=True).stdout.splitlines():
+        parts = line.split()
+        if len(parts) == 4 and parts[2] in "tTwW":
+            start, size = int(parts[0], 16), int(parts[1], 16)
+            if any(start <= pc < start + size for pc in hits):
+                syms.add((start, size))
+    insns = {}
+    for start, size in sorted(syms):
+        dis = subprocess.run(
+            ["objdump", "-d", "-C", "--no-show-raw-insn",
+             f"--start-address={start:#x}",
+             f"--stop-address={start + size:#x}", exe],
+            capture_output=True, text=True, check=True).stdout
+        for m in re.finditer(r"^\s*([0-9a-f]+):\s*(.*)$", dis, re.M):
+            insns[int(m.group(1), 16)] = m.group(2).strip()
+    order = sorted(insns)
+    top_pcs = hits.most_common(top)
+    prev = {pc: order[order.index(pc) - 1] for pc, _ in top_pcs
+            if pc in insns and order.index(pc) > 0}
+    frames.update(symbolize(set(prev.values()) - set(frames)))
+    total = sum(hits.values())
+    print(f"{total} of {n} samples ({100 * total / n:.1f}%) in functions "
+          f"matching {func!r}")
+    print(f"\n{'share':>6}  pc, instruction, innermost source line "
+          "(indented: the instruction before, which skid may hide)")
+    for pc, c in top_pcs:
+        if pc in prev:
+            p = prev[pc]
+            print(f"{'':>8}{p:#x}  {insns[p]:<44} {source(p)[1]}")
+        print(f"{100 * c / total:5.1f}%  {pc:#x}  {insns.get(pc, '?'):<44} "
+              f"{source(pc)[1]}")
+    sys.exit(0)
+
 by_line = collections.Counter()
 by_chain = collections.Counter()
 for s in samples:
-    # Charge the innermost line in the repository, so a library
-    # helper inlined into it (vector::operator[]) counts for its user.
-    pc_frames = frames[s[0]]
-    ours = [f for f in pc_frames if not f[1].startswith(("/", "?"))]
-    fn, where = (ours or pc_frames)[0]
+    fn, where = source(s[0])
     by_line[f"{where}  {fn}"] += 1
     chain = []
     for a in s:
