@@ -60,7 +60,7 @@ run(bool gpt_replicated, bool npt_replicated)
         gspace.handleGuestFault(gva, 0);
 
     if (gpt_replicated)
-        gspace.setReplication(true);
+        gspace.setReplicationMask(SocketMask::all(vm.numVSockets()));
     if (npt_replicated) {
         backend.setReplicationMask(
             vm.process().roots(), vm.process().id(),

@@ -1,303 +1,54 @@
 #include "guest_space.h"
 
-#include <cstring>
-
 #include "src/base/logging.h"
 #include "src/pvops/costs.h"
 
 namespace mitosim::virt
 {
 
-GuestAddressSpace::GuestAddressSpace(VirtualMachine &vm) : vm_(vm)
+GuestAddressSpace::GuestAddressSpace(VirtualMachine &vm)
+    : vm_(vm), backend_(vm.memory()), ops(vm.memory(), backend_)
 {
-    rootPerVsocket.assign(static_cast<std::size_t>(vm_.numVSockets()),
-                          InvalidGuestPfn);
-    primaryRoot = allocGptPage(0);
-    if (primaryRoot == InvalidGuestPfn)
-        fatal("guest out of memory allocating gPT root");
-    gptPages[primaryRoot].level = 4;
-    for (auto &r : rootPerVsocket)
-        r = primaryRoot;
+    // The root fits unless every vsocket is full: the backend falls
+    // back across vsockets.
+    bool created = ops.createRoot(roots_, GuestPid, 0, nullptr);
+    MITOSIM_ASSERT(created, "gPT root allocation failed");
 }
 
-std::uint64_t *
-GuestAddressSpace::tableOf(GuestPfn gpfn) const
+bool
+GuestAddressSpace::setReplicationMask(SocketMask mask,
+                                      pvops::KernelCost *cost)
 {
-    auto it = gptPages.find(gpfn);
-    MITOSIM_ASSERT(it != gptPages.end(), "not a gPT frame");
-    return it->second.table.get();
+    return backend_.setReplicationMask(roots_, GuestPid, mask, cost);
 }
 
-GuestPfn
-GuestAddressSpace::allocGptPage(int vsocket)
-{
-    GuestPfn gpfn = vm_.allocGuestFrame(vsocket);
-    if (gpfn == InvalidGuestPfn)
-        return InvalidGuestPfn;
-    GptPage page;
-    page.table = std::make_unique<std::uint64_t[]>(PtEntriesPerPage);
-    std::memset(page.table.get(), 0,
-                PtEntriesPerPage * sizeof(std::uint64_t));
-    page.ringNext = gpfn;
-    gptPages.emplace(gpfn, std::move(page));
-    ++stats_.gptPages;
-    return gpfn;
-}
-
-void
-GuestAddressSpace::freeGptPage(GuestPfn gpfn)
-{
-    auto it = gptPages.find(gpfn);
-    MITOSIM_ASSERT(it != gptPages.end());
-    MITOSIM_ASSERT(it->second.ringNext == gpfn,
-                   "freeing a gPT page still in a replica ring");
-    gptPages.erase(it);
-    vm_.freeGuestFrame(gpfn);
-    --stats_.gptPages;
-}
-
-GuestPfn
-GuestAddressSpace::ringNext(GuestPfn gpfn) const
-{
-    auto it = gptPages.find(gpfn);
-    MITOSIM_ASSERT(it != gptPages.end());
-    return it->second.ringNext;
-}
-
-void
-GuestAddressSpace::ringLink(GuestPfn base, GuestPfn added)
-{
-    auto &b = gptPages.at(base);
-    auto &a = gptPages.at(added);
-    MITOSIM_ASSERT(a.ringNext == added);
-    a.ringNext = b.ringNext;
-    b.ringNext = added;
-}
-
-void
-GuestAddressSpace::ringUnlink(GuestPfn gpfn)
-{
-    auto &m = gptPages.at(gpfn);
-    if (m.ringNext == gpfn)
-        return;
-    GuestPfn prev = gpfn;
-    while (ringNext(prev) != gpfn)
-        prev = ringNext(prev);
-    gptPages.at(prev).ringNext = m.ringNext;
-    m.ringNext = gpfn;
-}
-
-GuestPfn
-GuestAddressSpace::replicaOn(GuestPfn gpfn, int vsocket) const
-{
-    GuestPfn p = gpfn;
-    do {
-        if (vm_.vsocketOfGuestFrame(p) == vsocket)
-            return p;
-        p = ringNext(p);
-    } while (p != gpfn);
-    return InvalidGuestPfn;
-}
-
-void
-GuestAddressSpace::setEntry(GuestPfn gpt_frame, unsigned index,
-                            pt::Pte value, int level)
-{
-    // Primary store with vsocket-local child fixup (same symmetry rule
-    // as the host backend: a tree never leaves its vsocket when a local
-    // child replica exists).
-    bool non_leaf = value.present() && level > 1;
-    auto localized = [&](GuestPfn frame) {
-        if (!non_leaf)
-            return value;
-        GuestPfn child = value.pfn();
-        if (!gptPages.count(child))
-            return value;
-        GuestPfn local = replicaOn(child, vm_.vsocketOfGuestFrame(frame));
-        return (local != InvalidGuestPfn) ? value.withPfn(local) : value;
-    };
-
-    tableOf(gpt_frame)[index] = localized(gpt_frame).raw();
-    GuestPfn p = ringNext(gpt_frame);
-    while (p != gpt_frame) {
-        tableOf(p)[index] = localized(p).raw();
-        ++stats_.eagerUpdates;
-        p = ringNext(p);
-    }
-}
-
-GuestPfn
-GuestAddressSpace::rootFor(int vsocket) const
-{
-    MITOSIM_ASSERT(vsocket >= 0 && vsocket < vm_.numVSockets());
-    return rootPerVsocket[static_cast<std::size_t>(vsocket)];
-}
-
-Cycles
+std::optional<Cycles>
 GuestAddressSpace::handleGuestFault(GuestVa gva, int vsocket)
 {
-    ++stats_.guestFaults;
     pvops::KernelCost cost;
     cost.charge(pvops::FaultFixedCost);
-
-    // Descend/allocate down to L1 in the primary tree.
-    GuestPfn table = primaryRoot;
-    for (int level = 4; level > 1; --level) {
-        unsigned idx = ptIndex(gva, ptLevel(level));
-        pt::Pte entry{tableOf(table)[idx]};
-        if (!entry.present()) {
-            GuestPfn child = allocGptPage(vsocket);
-            if (child == InvalidGuestPfn)
-                fatal("guest out of gPT memory");
-            gptPages.at(child).level = level - 1;
-            cost.charge(pvops::PtPageSetupCost);
-            if (replicated_) {
-                // Allocate the full replica set right away.
-                for (int v = 0; v < vm_.numVSockets(); ++v) {
-                    if (v == vsocket)
-                        continue;
-                    GuestPfn rep = allocGptPage(v);
-                    if (rep == InvalidGuestPfn)
-                        continue;
-                    gptPages.at(rep).level = level - 1;
-                    ringLink(child, rep);
-                    ++stats_.replicaPages;
-                    cost.charge(pvops::PtPageSetupCost);
-                }
-            }
-            setEntry(table, idx,
-                     pt::Pte::make(child, pt::PtePresent | pt::PteWrite),
-                     level);
-            cost.charge(pvops::PteWriteCost);
-            table = child;
-        } else {
-            table = entry.pfn();
-        }
-    }
-
-    // Map the data frame (guest first-touch on the faulting vsocket).
-    GuestPfn data = vm_.allocGuestFrame(vsocket);
-    if (data == InvalidGuestPfn)
-        fatal("guest out of memory");
+    auto data = vm_.memory().allocData(vsocket, GuestPid);
+    if (!data)
+        return std::nullopt;
     cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
-    setEntry(table, ptIndex(gva, PtLevel::L1),
-             pt::Pte::make(data, pt::PtePresent | pt::PteWrite), 1);
-    cost.charge(pvops::PteWriteCost);
+    if (!ops.map4K(roots_, GuestPid, alignDown(gva, PageSize), *data,
+                   pt::PteWrite, ptPolicy, vsocket, &cost)) {
+        vm_.memory().freeData(*data);
+        return std::nullopt;
+    }
     return cost.cycles;
 }
 
-GuestAddressSpace::GuestWalk
+pt::Pte
 GuestAddressSpace::walk(GuestVa gva, int vsocket) const
 {
-    GuestWalk out;
-    GuestPfn table = rootFor(vsocket);
-    for (int level = 4; level >= 1; --level) {
-        pt::Pte entry{tableOf(table)[ptIndex(gva, ptLevel(level))]};
-        if (!entry.present())
-            return out;
-        if (level == 1) {
-            out.mapped = true;
-            out.gpfn = entry.pfn();
-            out.writable = entry.writable();
-            return out;
-        }
+    Pfn table = roots_.rootFor(vsocket);
+    for (int level = 4;; --level) {
+        pt::Pte entry{
+            vm_.memory().tableView(table)[ptIndex(gva, ptLevel(level))]};
+        if (!entry.present() || level == 1)
+            return entry;
         table = entry.pfn();
-    }
-    return out;
-}
-
-GuestPfn
-GuestAddressSpace::replicateSubtree(GuestPfn src, int level, int vsocket)
-{
-    GuestPfn dst = replicaOn(src, vsocket);
-    if (dst == InvalidGuestPfn) {
-        dst = allocGptPage(vsocket);
-        if (dst == InvalidGuestPfn)
-            return InvalidGuestPfn;
-        gptPages.at(dst).level = level;
-        ringLink(src, dst);
-        ++stats_.replicaPages;
-    }
-    const std::uint64_t *src_tbl = tableOf(src);
-    std::uint64_t *dst_tbl = tableOf(dst);
-    for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
-        pt::Pte entry{src_tbl[i]};
-        if (!entry.present()) {
-            dst_tbl[i] = entry.raw();
-            continue;
-        }
-        if (level == 1) {
-            dst_tbl[i] = entry.raw();
-        } else {
-            GuestPfn child =
-                replicateSubtree(entry.pfn(), level - 1, vsocket);
-            dst_tbl[i] = (child != InvalidGuestPfn)
-                             ? entry.withPfn(child).raw()
-                             : entry.raw();
-        }
-    }
-    return dst;
-}
-
-void
-GuestAddressSpace::collectTreePages(
-    std::vector<std::pair<GuestPfn, int>> &out) const
-{
-    std::vector<std::pair<GuestPfn, int>> stack{{primaryRoot, 4}};
-    while (!stack.empty()) {
-        auto [frame, level] = stack.back();
-        stack.pop_back();
-        out.push_back({frame, level});
-        if (level == 1)
-            continue;
-        const std::uint64_t *tbl = tableOf(frame);
-        for (unsigned i = 0; i < PtEntriesPerPage; ++i) {
-            pt::Pte entry{tbl[i]};
-            if (entry.present())
-                stack.push_back({entry.pfn(), level - 1});
-        }
-    }
-}
-
-void
-GuestAddressSpace::setReplication(bool on, pvops::KernelCost *cost)
-{
-    if (on == replicated_)
-        return;
-    if (on) {
-        for (int v = 0; v < vm_.numVSockets(); ++v) {
-            replicateSubtree(primaryRoot, 4, v);
-            if (cost)
-                cost->charge(pvops::PtPageSetupCost);
-        }
-        for (int v = 0; v < vm_.numVSockets(); ++v) {
-            GuestPfn r = replicaOn(primaryRoot, v);
-            rootPerVsocket[static_cast<std::size_t>(v)] =
-                (r != InvalidGuestPfn) ? r : primaryRoot;
-        }
-        replicated_ = true;
-    } else {
-        std::vector<std::pair<GuestPfn, int>> pages;
-        collectTreePages(pages);
-        for (auto [frame, level] : pages) {
-            (void)level;
-            std::vector<GuestPfn> others;
-            GuestPfn p = ringNext(frame);
-            while (p != frame) {
-                others.push_back(p);
-                p = ringNext(p);
-            }
-            for (GuestPfn o : others) {
-                ringUnlink(o);
-                freeGptPage(o);
-                --stats_.replicaPages;
-                if (cost)
-                    cost->charge(pvops::PageFreeCost);
-            }
-        }
-        for (auto &r : rootPerVsocket)
-            r = primaryRoot;
-        replicated_ = false;
     }
 }
 

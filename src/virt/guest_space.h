@@ -6,121 +6,73 @@
  * "replicate both guest page-tables and nested page-tables
  * independently".
  *
- * Guest page-table placement mirrors the native story: a gPT page is
- * allocated from the faulting vCPU's virtual socket (first touch).
- * Replication allocates one copy per virtual socket, keeps a circular
- * replica ring (guest struct-page analogue) and fixes upper-level
- * gPA pointers per replica so every vsocket walks vsocket-local guest
- * frames — which the VM's vNUMA pinning turns into host-local memory.
+ * The gPT runs on the same engine as every host page-table: stores go
+ * through pt::PageTableOps and a guest core::MitosisBackend over the
+ * VM's guest-physical memory. gPT pages are placed first-touch on the
+ * faulting vCPU's virtual socket, and replication is the backend's
+ * replication mask over vsockets, so every vsocket walks vsocket-local
+ * guest frames — which the VM's vNUMA pinning turns into host-local
+ * memory.
  */
 
 #ifndef MITOSIM_VIRT_GUEST_SPACE_H
 #define MITOSIM_VIRT_GUEST_SPACE_H
 
-#include <cstdint>
-#include <memory>
-#include <unordered_map>
-#include <vector>
+#include <optional>
 
+#include "src/core/mitosis.h"
+#include "src/pt/operations.h"
 #include "src/pt/pte.h"
-#include "src/pvops/pvops.h"
+#include "src/pt/root_set.h"
 #include "src/virt/virtual_machine.h"
 
 namespace mitosim::virt
 {
 
-/** Statistics for the guest-side Mitosis. */
-struct GuestSpaceStats
-{
-    std::uint64_t gptPages = 0;         //!< live gPT pages incl. replicas
-    std::uint64_t replicaPages = 0;     //!< extra replica pages
-    std::uint64_t eagerUpdates = 0;     //!< propagated gPTE stores
-    std::uint64_t guestFaults = 0;
-};
-
-/** The guest kernel's address-space manager. */
+/** The guest kernel's address-space manager (one guest process). */
 class GuestAddressSpace
 {
   public:
     explicit GuestAddressSpace(VirtualMachine &vm);
 
-    /** Root gPT frame the vCPUs of @p vsocket load (guest CR3, §5.3). */
-    GuestPfn rootFor(int vsocket) const;
-
-    /** Whether gPT replication is active. */
-    bool replicated() const { return replicated_; }
+    /** The gPT's CR3 array: rootFor(v) is what vsocket v's vCPUs load. */
+    const pt::RootSet &roots() const { return roots_; }
 
     /**
-     * Replicate the gPT onto every virtual socket (true) or tear the
-     * replicas down (false). The guest-side equivalent of
-     * numa_set_pgtable_replication_mask(all).
+     * The guest's numa_set_pgtable_replication_mask(): replicate the
+     * gPT onto every vsocket in @p mask, or tear replicas down for an
+     * empty mask.
      */
-    void setReplication(bool on, pvops::KernelCost *cost = nullptr);
+    bool setReplicationMask(SocketMask mask,
+                            pvops::KernelCost *cost = nullptr);
 
     /**
-     * Demand-fault @p gva from a vCPU on @p vsocket: allocates a data
-     * frame on the vsocket (guest first-touch) and maps it, allocating
-     * gPT pages as needed.
+     * Demand-fault @p gva from a vCPU on @p vsocket, as the host demand
+     * fault does: allocate a data frame on the vsocket (guest first
+     * touch), then map it, allocating gPT pages as needed.
      *
-     * @return kernel cycles spent.
+     * @return kernel cycles spent, or nullopt when guest memory is
+     *         exhausted (nothing is mapped then).
      */
-    Cycles handleGuestFault(GuestVa gva, int vsocket);
-
-    /** Software walk from @p vsocket's root (no timing). */
-    struct GuestWalk
-    {
-        bool mapped = false;
-        GuestPfn gpfn = InvalidGuestPfn;
-        bool writable = false;
-    };
-    GuestWalk walk(GuestVa gva, int vsocket) const;
+    std::optional<Cycles> handleGuestFault(GuestVa gva, int vsocket);
 
     /**
-     * Read one gPT entry by guest-physical location (used by the nested
-     * walker, which has already charged the memory access).
+     * Software walk from @p vsocket's root (no timing): the leaf gPTE
+     * of @p gva, not present if unmapped.
      */
-    pt::Pte
-    readEntry(GuestPfn gpt_frame, unsigned index) const
-    {
-        return pt::Pte{tableOf(gpt_frame)[index]};
-    }
+    pt::Pte walk(GuestVa gva, int vsocket) const;
 
-    const GuestSpaceStats &stats() const { return stats_; }
-    VirtualMachine &vm() { return vm_; }
+    const core::MitosisBackend &backend() const { return backend_; }
 
   private:
-    /** Host-side storage for guest frames used as gPT pages. */
-    std::uint64_t *tableOf(GuestPfn gpfn) const;
-
-    GuestPfn allocGptPage(int vsocket);
-    void freeGptPage(GuestPfn gpfn);
-
-    /** Guest replica-ring metadata (guest struct page). */
-    GuestPfn ringNext(GuestPfn gpfn) const;
-    void ringLink(GuestPfn base, GuestPfn added);
-    void ringUnlink(GuestPfn gpfn);
-    GuestPfn replicaOn(GuestPfn gpfn, int vsocket) const;
-
-    /** Store @p value at (frame, index) and propagate to replicas. */
-    void setEntry(GuestPfn gpt_frame, unsigned index, pt::Pte value,
-                  int level);
-
-    GuestPfn replicateSubtree(GuestPfn src, int level, int vsocket);
-    void collectTreePages(std::vector<std::pair<GuestPfn, int>> &out) const;
+    /** Owner id of the guest's page-table and data frames. */
+    static constexpr ProcId GuestPid = 1;
 
     VirtualMachine &vm_;
-    GuestPfn primaryRoot = InvalidGuestPfn;
-    std::vector<GuestPfn> rootPerVsocket;
-    bool replicated_ = false;
-
-    struct GptPage
-    {
-        std::unique_ptr<std::uint64_t[]> table;
-        GuestPfn ringNext = InvalidGuestPfn;
-        int level = 0;
-    };
-    std::unordered_map<GuestPfn, GptPage> gptPages;
-    GuestSpaceStats stats_;
+    core::MitosisBackend backend_;
+    pt::PageTableOps ops;
+    pt::RootSet roots_;
+    pt::PtPlacementPolicy ptPolicy; //!< first touch
 };
 
 } // namespace mitosim::virt

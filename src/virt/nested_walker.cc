@@ -51,9 +51,7 @@ bool
 VCpu::walk2D(GuestVa gva, bool is_write, Cycles &latency)
 {
     auto &hier = vm.kernel().machine().hierarchy();
-    GuestPfn gpt = gspace.rootFor(vs);
-    Cycles start_stall = pc.dataStallCycles;
-    (void)start_stall;
+    Pfn gpt = gspace.roots().rootFor(vs);
 
     for (int level = 4; level >= 1; --level) {
         unsigned idx = ptIndex(gva, ptLevel(level));
@@ -77,7 +75,7 @@ VCpu::walk2D(GuestVa gva, bool is_write, Cycles &latency)
                           topo.socketOfCore(core)] += ref;
         ++pc.walkMemRefs;
 
-        pt::Pte entry = gspace.readEntry(gpt, idx);
+        pt::Pte entry{vm.memory().tableView(gpt)[idx]};
         if (!entry.present())
             return false; // guest fault
 
@@ -146,9 +144,11 @@ VCpu::access(GuestVa gva, bool is_write)
         // access retries.
         total += walk_latency;
         ++pc.pageFaults;
-        Cycles kc = gspace.handleGuestFault(gva, vs);
-        pc.kernelCycles += kc;
-        total += kc;
+        auto kc = gspace.handleGuestFault(gva, vs);
+        if (!kc)
+            break; // guest out of memory
+        pc.kernelCycles += *kc;
+        total += *kc;
     }
     panic("vCPU: unresolved guest fault at gva=0x%llx",
           (unsigned long long)gva);

@@ -11,11 +11,14 @@
  *  - a nested gPA -> hPFN TLB (the "nTLB" of nested-paging hardware),
  *  - a paging-structure cache for the host dimension.
  *
- * Replication applies independently per dimension: the guest replicates
- * its gPT across virtual sockets (GuestAddressSpace::setReplication) and
- * the host replicates the nPT with the ordinary Mitosis backend; the
- * walker picks the vCPU-local root in each dimension, exactly the design
- * the paper proposes.
+ * Both dimensions are radix trees on the same engine: the gPT lives in
+ * the VM's guest-physical memory, the nPT in host memory, and the walker
+ * reads each through its memory's tableView. Replication applies
+ * independently per dimension: the guest replicates its gPT across
+ * virtual sockets (GuestAddressSpace::setReplicationMask) and the host
+ * replicates the nPT, each with its own Mitosis backend; the walker
+ * picks the vCPU-local root in each dimension, exactly the design the
+ * paper proposes.
  */
 
 #ifndef MITOSIM_VIRT_NESTED_WALKER_H

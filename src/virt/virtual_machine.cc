@@ -6,19 +6,18 @@ namespace mitosim::virt
 {
 
 VirtualMachine::VirtualMachine(os::Kernel &kernel, const VmConfig &config)
-    : k(kernel)
+    : k(kernel),
+      guestTopo(numa::TopologyConfig{
+          .numSockets = kernel.machine().numSockets(),
+          .memPerSocket = config.guestMemPerVSocket}),
+      guestMem(guestTopo)
 {
-    vsockets = k.machine().numSockets();
-    framesPerVs = config.guestMemPerVSocket / PageSize;
-    if (framesPerVs == 0)
-        fatal("VM needs at least one guest frame per virtual socket");
-
     proc = &k.createProcess("vm", 0);
 
     // Pin guest memory: one host region per virtual socket, populated
     // eagerly on the matching host socket. Regions are mapped
     // back-to-back so gPA -> hVA is a single offset.
-    for (int v = 0; v < vsockets; ++v) {
+    for (int v = 0; v < numVSockets(); ++v) {
         k.setDataPolicy(*proc, os::DataPolicy::Fixed, hostSocketOf(v));
         // Intermediate nPT pages follow the vsocket they serve.
         k.setPtPlacement(*proc, pt::PtPlacement::Fixed, hostSocketOf(v));
@@ -32,53 +31,11 @@ VirtualMachine::VirtualMachine(os::Kernel &kernel, const VmConfig &config)
             fatal("VM backing regions are not contiguous");
         }
     }
-
-    bump.assign(static_cast<std::size_t>(vsockets), 0);
-    for (int v = 0; v < vsockets; ++v) {
-        bump[static_cast<std::size_t>(v)] =
-            static_cast<GuestPfn>(v) * framesPerVs;
-    }
-    freeList.assign(static_cast<std::size_t>(vsockets), {});
 }
 
 VirtualMachine::~VirtualMachine()
 {
     k.destroyProcess(*proc);
-}
-
-GuestPfn
-VirtualMachine::allocGuestFrame(int vsocket)
-{
-    MITOSIM_ASSERT(vsocket >= 0 && vsocket < vsockets);
-    auto vs = static_cast<std::size_t>(vsocket);
-    if (!freeList[vs].empty()) {
-        GuestPfn gpfn = freeList[vs].back();
-        freeList[vs].pop_back();
-        return gpfn;
-    }
-    GuestPfn limit =
-        (static_cast<GuestPfn>(vsocket) + 1) * framesPerVs;
-    if (bump[vs] >= limit)
-        return InvalidGuestPfn;
-    return bump[vs]++;
-}
-
-void
-VirtualMachine::freeGuestFrame(GuestPfn gpfn)
-{
-    MITOSIM_ASSERT(gpfn != InvalidGuestPfn);
-    int v = vsocketOfGuestFrame(gpfn);
-    MITOSIM_ASSERT(v >= 0 && v < vsockets);
-    freeList[static_cast<std::size_t>(v)].push_back(gpfn);
-}
-
-std::uint64_t
-VirtualMachine::freeGuestFrames(int vsocket) const
-{
-    MITOSIM_ASSERT(vsocket >= 0 && vsocket < vsockets);
-    auto vs = static_cast<std::size_t>(vsocket);
-    GuestPfn limit = (static_cast<GuestPfn>(vsocket) + 1) * framesPerVs;
-    return (limit - bump[vs]) + freeList[vs].size();
 }
 
 } // namespace mitosim::virt

@@ -9,31 +9,33 @@
  * *nested* page-table replication falls out of the existing Mitosis
  * backend: replicate the backing process's tree.
  *
- * Guest physical memory is identity-offset into one large host mapping:
- * hVA = regionBase + gPA. Virtual socket v owns the gPA range
- * [v * guestMemPerVSocket, (v+1) * guestMemPerVSocket), and that range
- * is populated on host socket v at boot (pinned VM memory), so guest
- * NUMA decisions translate 1:1 to host locality — the "underlying NUMA
- * architecture is exposed to the guest OS" premise of §7.4.
+ * Guest-physical memory is an ordinary mem::PhysicalMemory over a
+ * topology with one socket per virtual socket, so the guest allocates
+ * frames, page-table pages and replica rings with the host's own
+ * machinery. Virtual socket v owns the guest frames [v * N, (v+1) * N)
+ * for N = guestMemPerVSocket / PageSize. Guest physical memory is
+ * identity-offset into one large host mapping, hVA = regionBase + gPA,
+ * and vsocket v's range is populated on host socket v at boot (pinned
+ * VM memory), so guest NUMA decisions translate 1:1 to host locality —
+ * the "underlying NUMA architecture is exposed to the guest OS"
+ * premise of §7.4.
  */
 
 #ifndef MITOSIM_VIRT_VIRTUAL_MACHINE_H
 #define MITOSIM_VIRT_VIRTUAL_MACHINE_H
 
 #include <cstdint>
-#include <vector>
 
+#include "src/mem/physical_memory.h"
+#include "src/numa/topology.h"
 #include "src/os/kernel.h"
 
 namespace mitosim::virt
 {
 
-/** Guest-physical frame number / address / virtual address. */
-using GuestPfn = std::uint64_t;
+/** Guest-physical address / guest virtual address. */
 using GuestPa = std::uint64_t;
 using GuestVa = std::uint64_t;
-
-inline constexpr GuestPfn InvalidGuestPfn = ~0ull;
 
 /** VM sizing. */
 struct VmConfig
@@ -56,7 +58,7 @@ class VirtualMachine
     VirtualMachine(const VirtualMachine &) = delete;
     VirtualMachine &operator=(const VirtualMachine &) = delete;
 
-    int numVSockets() const { return vsockets; }
+    int numVSockets() const { return guestTopo.numSockets(); }
 
     /** Host socket backing virtual socket @p v (identity mapping). */
     SocketId hostSocketOf(int vsocket) const
@@ -64,18 +66,9 @@ class VirtualMachine
         return static_cast<SocketId>(vsocket);
     }
 
-    int
-    vsocketOfGuestFrame(GuestPfn gpfn) const
-    {
-        return static_cast<int>(gpfn / framesPerVs);
-    }
-
-    /// @name Guest frame allocation (the guest's buddy allocator)
-    /// @{
-    GuestPfn allocGuestFrame(int vsocket);
-    void freeGuestFrame(GuestPfn gpfn);
-    std::uint64_t freeGuestFrames(int vsocket) const;
-    /// @}
+    /** Guest-physical memory; its socket v is virtual socket v. */
+    mem::PhysicalMemory &memory() { return guestMem; }
+    const mem::PhysicalMemory &memory() const { return guestMem; }
 
     /** Host virtual address backing @p gpa (for nested translation). */
     VirtAddr
@@ -90,14 +83,10 @@ class VirtualMachine
 
   private:
     os::Kernel &k;
+    numa::Topology guestTopo;
+    mem::PhysicalMemory guestMem;
     os::Process *proc;
-    int vsockets;
-    std::uint64_t framesPerVs;
     VirtAddr regionBase = 0;
-
-    // Per-vsocket bump pointer + free list over guest frames.
-    std::vector<GuestPfn> bump;
-    std::vector<std::vector<GuestPfn>> freeList;
 };
 
 } // namespace mitosim::virt

@@ -1,12 +1,14 @@
 /**
  * @file
  * Tests for the §7.4 virtualization extension: VM boot with vNUMA-pinned
- * memory, guest frame allocation, gPT management and replication, the 2D
- * nested walker's reference counts, and independent gPT/nPT replication
- * effects on walk locality.
+ * memory, the guest-physical frame layout, gPT faults and replication
+ * on the shared page-table engine, the 2D nested walker's reference
+ * counts, and independent gPT/nPT replication effects on walk locality.
  */
 
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "src/core/mitosis.h"
 #include "src/virt/nested_walker.h"
@@ -52,46 +54,42 @@ TEST_F(VirtTest, VmMemoryIsPinnedPerVSocket)
     auto &pm = machine.physmem();
     auto &ops = kernel.ptOps();
     for (int v = 0; v < vm.numVSockets(); ++v) {
-        GuestPfn gpfn = vm.allocGuestFrame(v);
-        ASSERT_NE(gpfn, InvalidGuestPfn);
-        VirtAddr hva = vm.hostVaOf(gpfn << PageShift);
+        auto gpfn = vm.memory().allocData(v, 1);
+        ASSERT_TRUE(gpfn);
+        VirtAddr hva = vm.hostVaOf(*gpfn << PageShift);
         auto leaf = ops.walk(vm.process().roots(), hva);
         ASSERT_TRUE(leaf.mapped);
         EXPECT_EQ(pm.socketOf(leaf.leaf.pfn()), vm.hostSocketOf(v));
-        vm.freeGuestFrame(gpfn);
+        vm.memory().freeData(*gpfn);
     }
 }
 
 TEST_F(VirtTest, GuestFrameAllocatorRespectsVSocketRanges)
 {
-    GuestPfn a = vm.allocGuestFrame(0);
-    GuestPfn b = vm.allocGuestFrame(1);
-    EXPECT_EQ(vm.vsocketOfGuestFrame(a), 0);
-    EXPECT_EQ(vm.vsocketOfGuestFrame(b), 1);
-    vm.freeGuestFrame(a);
-    vm.freeGuestFrame(b);
-}
-
-TEST_F(VirtTest, GuestFrameFreeListRecycles)
-{
-    std::uint64_t before = vm.freeGuestFrames(0);
-    GuestPfn a = vm.allocGuestFrame(0);
-    EXPECT_EQ(vm.freeGuestFrames(0), before - 1);
-    vm.freeGuestFrame(a);
-    EXPECT_EQ(vm.freeGuestFrames(0), before);
-    EXPECT_EQ(vm.allocGuestFrame(0), a);
-    vm.freeGuestFrame(a);
+    // vsocket v owns the guest frames [v * N, (v+1) * N), the layout
+    // hostVaOf's single offset relies on.
+    const std::uint64_t frames_per_vs = (32ull << 20) / PageSize;
+    auto a = vm.memory().allocData(0, 1);
+    auto b = vm.memory().allocData(1, 1);
+    ASSERT_TRUE(a && b);
+    EXPECT_EQ(*a / frames_per_vs, 0u);
+    EXPECT_EQ(*b / frames_per_vs, 1u);
+    EXPECT_EQ(vm.memory().socketOf(*a), 0);
+    EXPECT_EQ(vm.memory().socketOf(*b), 1);
+    vm.memory().freeData(*a);
+    vm.memory().freeData(*b);
 }
 
 TEST_F(VirtTest, GuestFaultMapsPage)
 {
     GuestVa gva = 0x1000;
-    EXPECT_FALSE(gspace.walk(gva, 0).mapped);
-    Cycles kc = gspace.handleGuestFault(gva, 0);
-    EXPECT_GT(kc, 0u);
-    auto w = gspace.walk(gva, 0);
-    EXPECT_TRUE(w.mapped);
-    EXPECT_EQ(vm.vsocketOfGuestFrame(w.gpfn), 0); // guest first-touch
+    EXPECT_FALSE(gspace.walk(gva, 0).present());
+    auto kc = gspace.handleGuestFault(gva, 0);
+    ASSERT_TRUE(kc);
+    EXPECT_GT(*kc, 0u);
+    pt::Pte w = gspace.walk(gva, 0);
+    EXPECT_TRUE(w.present());
+    EXPECT_EQ(vm.memory().socketOf(w.pfn()), 0); // guest first-touch
 }
 
 TEST_F(VirtTest, GuestReplicationGivesVSocketLocalRoots)
@@ -99,39 +97,66 @@ TEST_F(VirtTest, GuestReplicationGivesVSocketLocalRoots)
     gspace.handleGuestFault(0x1000, 0);
     gspace.handleGuestFault(0x40000000ull, 1);
     pvops::KernelCost cost;
-    gspace.setReplication(true, &cost);
-    EXPECT_TRUE(gspace.replicated());
+    ASSERT_TRUE(gspace.setReplicationMask(
+        SocketMask::all(vm.numVSockets()), &cost));
+    EXPECT_TRUE(gspace.roots().replicated());
     EXPECT_GT(cost.cycles, 0u);
     for (int v = 0; v < vm.numVSockets(); ++v) {
-        GuestPfn root = gspace.rootFor(v);
-        EXPECT_EQ(vm.vsocketOfGuestFrame(root), v);
+        Pfn root = gspace.roots().rootFor(v);
+        EXPECT_EQ(vm.memory().socketOf(root), v);
         // Both mappings visible from every replica.
-        EXPECT_TRUE(gspace.walk(0x1000, v).mapped);
-        EXPECT_TRUE(gspace.walk(0x40000000ull, v).mapped);
+        EXPECT_TRUE(gspace.walk(0x1000, v).present());
+        EXPECT_TRUE(gspace.walk(0x40000000ull, v).present());
     }
     // Same translation from every root.
-    EXPECT_EQ(gspace.walk(0x1000, 0).gpfn, gspace.walk(0x1000, 1).gpfn);
+    EXPECT_EQ(gspace.walk(0x1000, 0).pfn(), gspace.walk(0x1000, 1).pfn());
 }
 
 TEST_F(VirtTest, GuestReplicationPropagatesNewMappings)
 {
-    gspace.setReplication(true);
+    gspace.setReplicationMask(SocketMask::all(vm.numVSockets()));
     gspace.handleGuestFault(0x2000, 1);
-    for (int v = 0; v < vm.numVSockets(); ++v)
-        EXPECT_TRUE(gspace.walk(0x2000, v).mapped);
-    EXPECT_GT(gspace.stats().eagerUpdates, 0u);
+    const auto &gmem = vm.memory();
+    for (int v = 0; v < vm.numVSockets(); ++v) {
+        EXPECT_TRUE(gspace.walk(0x2000, v).present());
+        // Locality: every table on vsocket v's path lives on v.
+        Pfn table = gspace.roots().rootFor(v);
+        for (int level = 4; level >= 1; --level) {
+            EXPECT_EQ(gmem.socketOf(table), v) << "level " << level;
+            pt::Pte e{gmem.tableView(table)[ptIndex(0x2000, ptLevel(level))]};
+            ASSERT_TRUE(e.present());
+            table = e.pfn();
+        }
+    }
+    EXPECT_GT(gspace.backend().stats().eagerUpdates, 0u);
 }
 
 TEST_F(VirtTest, GuestReplicationTeardownFreesReplicas)
 {
     gspace.handleGuestFault(0x3000, 0);
-    std::uint64_t base_pages = gspace.stats().gptPages;
-    gspace.setReplication(true);
-    EXPECT_GT(gspace.stats().gptPages, base_pages);
-    gspace.setReplication(false);
-    EXPECT_EQ(gspace.stats().gptPages, base_pages);
-    EXPECT_EQ(gspace.stats().replicaPages, 0u);
-    EXPECT_TRUE(gspace.walk(0x3000, 0).mapped);
+    const auto &gmem = vm.memory();
+    auto pt_pages = [&] {
+        std::uint64_t n = 0;
+        for (int v = 0; v < vm.numVSockets(); ++v)
+            n += gmem.stats(v).ptPages;
+        return n;
+    };
+    std::uint64_t base_pages = pt_pages();
+    std::vector<std::uint64_t> free_before;
+    for (int v = 0; v < vm.numVSockets(); ++v)
+        free_before.push_back(gmem.freeFrames(v));
+
+    gspace.setReplicationMask(SocketMask::all(vm.numVSockets()));
+    EXPECT_GT(pt_pages(), base_pages);
+    gspace.setReplicationMask(SocketMask::none());
+    EXPECT_EQ(pt_pages(), base_pages);
+    const auto &st = gspace.backend().stats();
+    EXPECT_GT(st.replicaPagesCreated, 0u);
+    EXPECT_EQ(st.replicaPagesFreed, st.replicaPagesCreated);
+    for (int v = 0; v < vm.numVSockets(); ++v)
+        EXPECT_EQ(gmem.freeFrames(v), free_before[static_cast<std::size_t>(v)])
+            << "vsocket " << v;
+    EXPECT_TRUE(gspace.walk(0x3000, 0).present());
 }
 
 TEST_F(VirtTest, VCpuAccessFaultsThenHits)
@@ -193,7 +218,7 @@ TEST_F(VirtTest, GptReplicationLocalizesGuestDimension)
     auto before = run();
     EXPECT_GT(before.ptDramRemote, 0u);
 
-    gspace.setReplication(true);
+    gspace.setReplicationMask(SocketMask::all(vm.numVSockets()));
     auto after = run();
     EXPECT_LT(after.ptDramRemote, before.ptDramRemote / 2);
 }
@@ -205,7 +230,8 @@ TEST_F(VirtTest, NptReplicationLocalizesHostDimension)
     // nPT with stock Mitosis.
     for (GuestVa gva = 0; gva < 64 * PageSize; gva += PageSize)
         gspace.handleGuestFault(gva, 0);
-    gspace.setReplication(true); // isolate the nested dimension
+    // Isolate the nested dimension.
+    gspace.setReplicationMask(SocketMask::all(vm.numVSockets()));
 
     VCpu remote(vm, gspace, 1, machine.topology().firstCoreOf(1));
     auto run = [&]() {
@@ -224,17 +250,22 @@ TEST_F(VirtTest, NptReplicationLocalizesHostDimension)
     EXPECT_LT(after.ptDramRemote, before.ptDramRemote);
 }
 
-TEST_F(VirtTest, GuestOutOfMemoryIsFatal)
+TEST_F(VirtTest, GuestAllocFailsAfter512FramesOtherVSocketUntouched)
 {
     VmConfig tiny;
     tiny.guestMemPerVSocket = 2ull << 20; // 512 frames per vsocket
     VirtualMachine small(kernel, tiny);
-    int v = 0;
-    while (small.allocGuestFrame(0) != InvalidGuestPfn)
-        ++v;
-    EXPECT_EQ(v, 512);
-    EXPECT_EQ(small.allocGuestFrame(0), InvalidGuestPfn);
-    EXPECT_GT(small.freeGuestFrames(1), 0u);
+    auto &gmem = small.memory();
+    int n = 0;
+    while (gmem.allocData(0, 1))
+        ++n;
+    EXPECT_EQ(n, 512);
+    EXPECT_FALSE(gmem.allocData(0, 1));
+    EXPECT_EQ(gmem.freeFrames(1), 512u);
+
+    // A guest fault on the full vsocket fails instead of aborting.
+    GuestAddressSpace small_space(small);
+    EXPECT_FALSE(small_space.handleGuestFault(0x1000, 0));
 }
 
 } // namespace
