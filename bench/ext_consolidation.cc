@@ -98,6 +98,7 @@ struct Tenant
 driver::JobResult
 run(bool use_mitosis, bool pcid)
 {
+    PhaseTimer phases;
     sim::Machine machine(benchMachine());
 
     std::unique_ptr<pvops::PvOps> backend;
@@ -141,6 +142,7 @@ run(bool use_mitosis, bool pcid)
         t.work = workloads::makeWorkload(Tenants[i].workload, params);
         t.work->setup(*t.ctx);
     }
+    phases.populateDone();
 
     // Round-robin slices: each tenant runs a burst of operations, then
     // the next tenant's dispatch context-switches the shared core.
@@ -154,6 +156,7 @@ run(bool use_mitosis, bool pcid)
     for (auto &t : tenants)
         t.ctx->resetCounters();
     rounds(MeasureRounds);
+    phases.runDone();
 
     driver::RunOutcome out;
     for (auto &t : tenants) {
@@ -188,6 +191,7 @@ run(bool use_mitosis, bool pcid)
     // Under MITOSIM_CHECK=1 CI runs this bench and asserts that every
     // job's metrics carry check_violations == 0.
     recordJobStats(kernel, res);
+    phases.stamp(res);
     return res;
 }
 

@@ -44,6 +44,7 @@ constexpr Config Configs[] = {
 driver::JobResult
 run(bool gpt_replicated, bool npt_replicated)
 {
+    PhaseTimer phases;
     sim::Machine machine(benchMachine());
     core::MitosisBackend backend(machine.physmem());
     os::Kernel kernel(machine, backend);
@@ -75,6 +76,8 @@ run(bool gpt_replicated, bool npt_replicated)
             machine.topology().firstCoreOf(vm.hostSocketOf(v))));
     }
 
+    phases.populateDone();
+
     std::uint64_t pages = working_set / PageSize;
     auto one_round = [&](std::uint64_t ops, std::uint64_t seed) {
         std::vector<Rng> rngs;
@@ -93,13 +96,16 @@ run(bool gpt_replicated, bool npt_replicated)
     for (auto &v : vcpus)
         v->resetCounters();
     one_round(6000, 18);
+    phases.runDone();
 
     driver::RunOutcome out;
     for (auto &v : vcpus) {
         out.totals.add(v->counters());
         out.runtime = std::max(out.runtime, v->counters().cycles);
     }
-    return driver::JobResult::of(out);
+    driver::JobResult res = driver::JobResult::of(out);
+    phases.stamp(res);
+    return res;
 }
 
 } // namespace

@@ -1,6 +1,7 @@
 #include "vmcheck.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdlib>
 #include <unordered_map>
 #include <unordered_set>
@@ -428,8 +429,14 @@ Checker::checkFrameAccounting()
                        (unsigned long long)m.pfn)});
     }
 
-    // Phase 2: sweep every physical frame and reconcile allocator
-    // state, PageMeta and reachability, merging in the sorted marks.
+    // Phase 2: sweep the physical frames and reconcile allocator
+    // state, the pin bitmap, PageMeta and reachability, merging in the
+    // sorted marks. The allocator's bitmap is read a 64-frame word at
+    // a time. In a metadata chunk never materialized every frame reads
+    // pristine Free, so only allocated, pinned or reached frames can be
+    // at fault there and the sweep visits just those: its cost follows
+    // the frames in use, not the machine size. Frames are visited in
+    // pfn order either way, so reports come in the same order.
     for (SocketId s = 0; s < k.machine().numSockets(); ++s) {
         const mem::FrameAllocator &alloc = pm.allocator(s);
         Pfn base = alloc.firstPfn();
@@ -437,137 +444,163 @@ Checker::checkFrameAccounting()
         auto next = std::lower_bound(
             marks.begin(), marks.end(), base,
             [](const Mark &m, Pfn pfn) { return m.pfn < pfn; });
-        constexpr Pfn ChunkMask = mem::PhysicalMemory::MetaChunkSize - 1;
-        for (Pfn pfn = base; pfn < limit; ++pfn) {
-            if ((pfn == base || (pfn & ChunkMask) == 0) &&
-                !pm.metaMaterialized(pfn)) {
-                // Untouched metadata reads Free: nothing to report
-                // unless a frame of the chunk is allocated or reached.
-                Pfn end = std::min(limit, (pfn | ChunkMask) + 1);
-                bool quiet = next == marks.end() || next->pfn >= end;
-                for (Pfn b = pfn; quiet && b < end; b += FramesPerLargePage)
-                    quiet = alloc.blockUsedCount((b - base) /
-                                                 FramesPerLargePage) == 0;
-                if (quiet) {
-                    pfn = end - 1;
-                    continue;
-                }
+        for (Pfn word = base; word < limit; word += 64) {
+            std::uint64_t used = alloc.usedWord((word - base) >> 6);
+            std::uint64_t pins = pm.pinWord(word);
+            std::uint64_t visit = ~0ull;
+            if (!pm.metaMaterialized(word)) {
+                visit = used | pins;
+                for (auto m = next; m != marks.end() && m->pfn < word + 64;
+                     ++m)
+                    visit |= 1ull << (m->pfn - word);
             }
-            const mem::PageMeta &m = pm.meta(pfn);
-            const Mark *it = nullptr;
-            if (next != marks.end() && next->pfn == pfn) {
-                it = &*next;
-                while (next != marks.end() && next->pfn == pfn)
-                    ++next;
-            }
-            if (!alloc.isAllocated(pfn)) {
-                if (!m.isFree()) {
-                    report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
-                            "FrameType::Free",
-                            format("type %d", (int)m.type),
-                            format("pfn %llu free in the allocator but "
-                                   "typed as in-use",
-                                   (unsigned long long)pfn)});
+            for (; visit != 0; visit &= visit - 1) {
+                unsigned bit = static_cast<unsigned>(std::countr_zero(visit));
+                Pfn pfn = word + bit;
+                const mem::PageMeta &m = pm.meta(pfn);
+                const Mark *it = nullptr;
+                if (next != marks.end() && next->pfn == pfn) {
+                    it = &*next;
+                    while (next != marks.end() && next->pfn == pfn)
+                        ++next;
                 }
-                if (it) {
-                    report({CheckClass::FrameAccounting, it->pid,
-                            0, 0, s, "allocated frame",
-                            "free frame",
-                            format("page-tables reference freed pfn %llu "
-                                   "as %s",
-                                   (unsigned long long)pfn,
-                                   reachName(it->reach))});
-                }
-                continue;
-            }
-            ++stats_.framesAccounted;
-            switch (m.type) {
-              case mem::FrameType::Free:
-                report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
-                        "in-use frame type",
-                        "FrameType::Free",
-                        format("pfn %llu allocated but typed Free",
-                               (unsigned long long)pfn)});
-                break;
-              case mem::FrameType::Reserved:
-                // Legal reserves: fragmentation-injector fillers and
-                // the per-socket PT page caches. Both are invisible to
-                // page-tables.
-                if (!m.hasFlag(mem::FrameFlagFragPin) &&
-                    !m.hasFlag(mem::FrameFlagPtReserve)) {
-                    report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
-                            "FragPin or PtReserve flag",
-                            format("flags 0x%x", m.flags),
-                            format("reserved pfn %llu belongs to no "
-                                   "known reserve",
-                                   (unsigned long long)pfn)});
-                }
-                if (it) {
-                    report({CheckClass::FrameAccounting, it->pid,
-                            0, 0, s, "unreferenced reserve frame",
-                            reachName(it->reach),
-                            format("page-tables reference reserved pfn "
-                                   "%llu",
-                                   (unsigned long long)pfn)});
-                }
-                break;
-              case mem::FrameType::PageTable:
-                if (!m.hasTable()) {
-                    report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
-                            "host-backed table storage",
-                            "null", format("PT pfn %llu has no storage",
-                                           (unsigned long long)pfn)});
-                }
-                if (!it) {
-                    // Frames of processes this kernel does not know
-                    // (another kernel sharing the machine) cannot be
-                    // classified; orphans are only provable for our
-                    // own live processes.
-                    if (live_pids.count(m.owner)) {
-                        report({CheckClass::FrameAccounting, m.owner, 0,
-                                0, s, "reachable from owner's tables",
-                                "orphaned",
-                                format("PT pfn %llu (L%d) unreachable "
-                                       "from pid %d's replica rings",
-                                       (unsigned long long)pfn, m.level,
-                                       m.owner)});
-                    }
-                } else if (it->reach != Reach::Pt) {
-                    report({CheckClass::FrameAccounting, it->pid,
-                            0, 0, s, "page-table reference",
-                            reachName(it->reach),
-                            format("pfn %llu typed PageTable but mapped "
-                                   "as data",
-                                   (unsigned long long)pfn)});
-                }
-                break;
-              case mem::FrameType::Data:
-                if (!it) {
-                    if (live_pids.count(m.owner)) {
-                        report({CheckClass::FrameAccounting, m.owner, 0,
-                                0, s, "reachable from owner's leaves",
-                                "orphaned",
-                                format("data pfn %llu unreachable from "
-                                       "pid %d's page-tables",
-                                       (unsigned long long)pfn,
-                                       m.owner)});
-                    }
-                } else {
-                    bool head = m.hasFlag(mem::FrameFlagLargeHead);
-                    bool tail = m.hasFlag(mem::FrameFlagLargeTail);
-                    Reach expect = head ? Reach::LargeHead
-                                   : tail ? Reach::LargeTail
-                                          : Reach::Data;
-                    if (it->reach != expect) {
-                        report({CheckClass::FrameAccounting,
-                                it->pid, 0, 0, s,
-                                reachName(expect),
-                                reachName(it->reach),
-                                format("pfn %llu size-class confusion",
+                bool allocated = (used >> bit) & 1;
+                bool pinned = (pins >> bit) & 1;
+                if (!allocated) {
+                    if (!m.isFree()) {
+                        report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
+                                "FrameType::Free",
+                                format("type %d", (int)m.type),
+                                format("pfn %llu free in the allocator but "
+                                       "typed as in-use",
                                        (unsigned long long)pfn)});
                     }
+                    if (it) {
+                        report({CheckClass::FrameAccounting, it->pid,
+                                0, 0, s, "allocated frame",
+                                "free frame",
+                                format("page-tables reference freed pfn %llu "
+                                       "as %s",
+                                       (unsigned long long)pfn,
+                                       reachName(it->reach))});
+                    }
+                    if (pinned) {
+                        report({CheckClass::FrameAccounting, -1, 0, 0, s,
+                                "allocated filler", "free frame",
+                                format("pin bit set on pfn %llu, free in "
+                                       "the allocator",
+                                       (unsigned long long)pfn)});
+                    }
+                    continue;
                 }
-                break;
+                ++stats_.framesAccounted;
+                if (pinned) {
+                    // A fragmentation filler: allocated, its metadata left
+                    // Free, and invisible to page-tables.
+                    if (!m.isFree()) {
+                        report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
+                                "FrameType::Free",
+                                format("type %d", (int)m.type),
+                                format("pinned pfn %llu typed as in-use",
+                                       (unsigned long long)pfn)});
+                    }
+                    if (it) {
+                        report({CheckClass::FrameAccounting, it->pid,
+                                0, 0, s, "unreferenced filler frame",
+                                reachName(it->reach),
+                                format("page-tables reference pinned pfn "
+                                       "%llu",
+                                       (unsigned long long)pfn)});
+                    }
+                    continue;
+                }
+                switch (m.type) {
+                  case mem::FrameType::Free:
+                    report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
+                            "in-use frame type",
+                            "FrameType::Free",
+                            format("pfn %llu allocated but typed Free",
+                                   (unsigned long long)pfn)});
+                    break;
+                  case mem::FrameType::Reserved:
+                    // The one legal reserve is the per-socket PT page
+                    // cache, invisible to page-tables. (Fragmentation
+                    // fillers are typed Free and handled above.)
+                    if (!m.hasFlag(mem::FrameFlagPtReserve)) {
+                        report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
+                                "PtReserve flag",
+                                format("flags 0x%x", m.flags),
+                                format("reserved pfn %llu belongs to no "
+                                       "known reserve",
+                                       (unsigned long long)pfn)});
+                    }
+                    if (it) {
+                        report({CheckClass::FrameAccounting, it->pid,
+                                0, 0, s, "unreferenced reserve frame",
+                                reachName(it->reach),
+                                format("page-tables reference reserved pfn "
+                                       "%llu",
+                                       (unsigned long long)pfn)});
+                    }
+                    break;
+                  case mem::FrameType::PageTable:
+                    if (!m.hasTable()) {
+                        report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
+                                "host-backed table storage",
+                                "null", format("PT pfn %llu has no storage",
+                                               (unsigned long long)pfn)});
+                    }
+                    if (!it) {
+                        // Frames of processes this kernel does not know
+                        // (another kernel sharing the machine) cannot be
+                        // classified; orphans are only provable for our
+                        // own live processes.
+                        if (live_pids.count(m.owner)) {
+                            report({CheckClass::FrameAccounting, m.owner, 0,
+                                    0, s, "reachable from owner's tables",
+                                    "orphaned",
+                                    format("PT pfn %llu (L%d) unreachable "
+                                           "from pid %d's replica rings",
+                                           (unsigned long long)pfn, m.level,
+                                           m.owner)});
+                        }
+                    } else if (it->reach != Reach::Pt) {
+                        report({CheckClass::FrameAccounting, it->pid,
+                                0, 0, s, "page-table reference",
+                                reachName(it->reach),
+                                format("pfn %llu typed PageTable but mapped "
+                                       "as data",
+                                       (unsigned long long)pfn)});
+                    }
+                    break;
+                  case mem::FrameType::Data:
+                    if (!it) {
+                        if (live_pids.count(m.owner)) {
+                            report({CheckClass::FrameAccounting, m.owner, 0,
+                                    0, s, "reachable from owner's leaves",
+                                    "orphaned",
+                                    format("data pfn %llu unreachable from "
+                                           "pid %d's page-tables",
+                                           (unsigned long long)pfn,
+                                           m.owner)});
+                        }
+                    } else {
+                        bool head = m.hasFlag(mem::FrameFlagLargeHead);
+                        bool tail = m.hasFlag(mem::FrameFlagLargeTail);
+                        Reach expect = head ? Reach::LargeHead
+                                       : tail ? Reach::LargeTail
+                                              : Reach::Data;
+                        if (it->reach != expect) {
+                            report({CheckClass::FrameAccounting,
+                                    it->pid, 0, 0, s,
+                                    reachName(expect),
+                                    reachName(it->reach),
+                                    format("pfn %llu size-class confusion",
+                                           (unsigned long long)pfn)});
+                        }
+                    }
+                    break;
+                }
             }
         }
     }
@@ -782,29 +815,33 @@ Checker::checkChargeConservation()
         std::uint64_t n_pt = 0;
         std::uint64_t n_pt_reserve = 0;
         std::uint64_t n_alloc = 0;
-        for (Pfn pfn = base; pfn < limit; ++pfn) {
-            if (!alloc.isAllocated(pfn))
-                continue;
-            ++n_alloc;
-            const mem::PageMeta &m = pm.meta(pfn);
-            switch (m.type) {
-              case mem::FrameType::Data:
-                if (m.hasFlag(mem::FrameFlagLargeHead))
-                    ++n_heads;
-                else if (m.hasFlag(mem::FrameFlagLargeTail))
-                    ++n_tails;
-                else
-                    ++n_data;
-                break;
-              case mem::FrameType::PageTable:
-                ++n_pt;
-                break;
-              case mem::FrameType::Reserved:
-                if (m.hasFlag(mem::FrameFlagPtReserve))
-                    ++n_pt_reserve;
-                break;
-              default:
-                break;
+        // Allocated frames only, a bitmap word at a time.
+        for (Pfn word = base; word < limit; word += 64) {
+            for (std::uint64_t bits = alloc.usedWord((word - base) >> 6);
+                 bits != 0; bits &= bits - 1) {
+                ++n_alloc;
+                const mem::PageMeta &m =
+                    pm.meta(word + static_cast<unsigned>(
+                                       std::countr_zero(bits)));
+                switch (m.type) {
+                  case mem::FrameType::Data:
+                    if (m.hasFlag(mem::FrameFlagLargeHead))
+                        ++n_heads;
+                    else if (m.hasFlag(mem::FrameFlagLargeTail))
+                        ++n_tails;
+                    else
+                        ++n_data;
+                    break;
+                  case mem::FrameType::PageTable:
+                    ++n_pt;
+                    break;
+                  case mem::FrameType::Reserved:
+                    if (m.hasFlag(mem::FrameFlagPtReserve))
+                        ++n_pt_reserve;
+                    break;
+                  default:
+                    break;
+                }
             }
         }
 

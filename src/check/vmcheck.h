@@ -16,7 +16,7 @@
  *  2. VMA <-> PTE agreement: every present leaf lies inside a VMA, and
  *     a writable PTE never maps a read-only VMA.
  *  3. Frame accounting: walking every page-table (all replicas) plus
- *     the fragmentation injector and PT reserve caches reaches exactly
+ *     the fragmentation pin bitmap and PT reserve caches reaches exactly
  *     the frames the allocators say are allocated — no orphans, no
  *     double owners, no type confusion.
  *  4. CR3/ASID liveness: every loaded CR3 points into a live process's

@@ -111,10 +111,21 @@ class FrameAllocator
     bool isAllocated(Pfn pfn) const;
 
     /**
+     * Allocation bits of frames [firstPfn() + 64 * @p w, + 64): bit i
+     * is set when frame firstPfn() + 64 * w + i is allocated. Sweeps
+     * over every frame read the bitmap a word at a time through here.
+     */
+    std::uint64_t
+    usedWord(std::uint64_t w) const
+    {
+        return blocks[w >> 3].used[w & 7];
+    }
+
+    /**
      * Fragmentation injector: for each fully-free 2 MB block, with
      * probability @p fraction allocate one interior frame and report it.
-     * The caller marks those frames Reserved so they are never reused as
-     * data; PhysicalMemory::defragment frees them again.
+     * The caller records those frames in its pin bitmap;
+     * PhysicalMemory::defragment frees them again.
      *
      * @return the pinned frames.
      */

@@ -27,18 +27,20 @@ enum class FrameType : std::uint8_t
     Free,      //!< on a free list
     Data,      //!< application data (unbacked in the host)
     PageTable, //!< one page of a process page-table (host-backed)
-    Reserved,  //!< kernel junk, e.g. fragmentation filler
+    Reserved,  //!< a per-socket PT page cache frame (FrameFlagPtReserve)
 };
 
-/** Flags on a frame. */
+/**
+ * Flags on a frame. Fragmentation-injector fillers carry none: they
+ * are allocated frames whose metadata stays Free, marked only in
+ * PhysicalMemory's pin bitmap (isFragPinned).
+ */
 enum FrameFlags : std::uint16_t
 {
     FrameFlagNone = 0,
     FrameFlagLargeHead = 1 << 0, //!< first frame of a 2 MB data page
     FrameFlagLargeTail = 1 << 1, //!< interior frame of a 2 MB data page
     FrameFlagPtReserve = 1 << 2, //!< lives in a per-socket PT page cache
-    FrameFlagFragPin = 1 << 3,   //!< fragmentation-injector filler
-                                 //!< (movable by kcompactd)
 };
 
 /** "No table storage" sentinel for PageMeta::tableSlot. */

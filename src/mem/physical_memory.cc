@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <mutex>
 #include <new>
 
@@ -315,14 +316,6 @@ PhysicalMemory::compactData(Pfn pfn)
 }
 
 bool
-PhysicalMemory::isFragPinned(Pfn pfn) const
-{
-    const PageMeta &m = meta(pfn);
-    return m.type == FrameType::Reserved &&
-           m.hasFlag(FrameFlagFragPin);
-}
-
-bool
 PhysicalMemory::compactReservedPin(Pfn pfn)
 {
     MITOSIM_ASSERT(isFragPinned(pfn),
@@ -331,16 +324,8 @@ PhysicalMemory::compactReservedPin(Pfn pfn)
     auto dest = alloc(s).allocFrameForCompaction(pfn);
     if (!dest)
         return false;
-    PageMeta &d = meta(*dest);
-    d.type = FrameType::Reserved;
-    d.owner = -1;
-    d.level = 0;
-    d.flags = FrameFlagFragPin;
-    d.replicaNext = InvalidPfn;
-    PageMeta &m = meta(pfn);
-    m.type = FrameType::Free;
-    m.flags = FrameFlagNone;
-    m.replicaNext = InvalidPfn;
+    fragPins_[*dest >> 6] |= 1ull << (*dest & 63);
+    fragPins_[pfn >> 6] &= ~(1ull << (pfn & 63));
     alloc(s).freeFrame(pfn);
     return true;
 }
@@ -555,29 +540,23 @@ PhysicalMemory::ptPagesAt(SocketId socket, int level) const
 void
 PhysicalMemory::fragment(SocketId socket, double fraction, Rng &rng)
 {
-    for (Pfn pfn : alloc(socket).fragment(fraction, rng)) {
-        PageMeta &m = meta(pfn);
-        m.type = FrameType::Reserved;
-        m.flags = FrameFlagFragPin;
-    }
+    if (fragPins_.empty())
+        fragPins_.assign((totalFrames_ + 63) >> 6, 0);
+    for (Pfn pfn : alloc(socket).fragment(fraction, rng))
+        fragPins_[pfn >> 6] |= 1ull << (pfn & 63);
 }
 
 void
 PhysicalMemory::defragment(SocketId socket)
 {
     FrameAllocator &a = alloc(socket);
-    std::vector<Pfn> pins;
-    for (std::uint64_t b = 0; b < a.numBlocks(); ++b) {
-        a.forEachAllocatedInBlock(b, [&](Pfn pfn) {
-            if (isFragPinned(pfn))
-                pins.push_back(pfn);
-        });
-    }
-    for (Pfn pfn : pins) {
-        PageMeta &m = meta(pfn);
-        m.type = FrameType::Free;
-        m.flags = FrameFlagNone;
-        a.freeFrame(pfn);
+    std::size_t end = std::min<std::size_t>(
+        (a.firstPfn() + a.totalFrames()) >> 6, fragPins_.size());
+    for (std::size_t w = a.firstPfn() >> 6; w < end; ++w) {
+        for (std::uint64_t bits = fragPins_[w]; bits != 0; bits &= bits - 1)
+            a.freeFrame((w << 6) +
+                        static_cast<unsigned>(std::countr_zero(bits)));
+        fragPins_[w] = 0;
     }
 }
 
@@ -648,6 +627,7 @@ PhysicalMemory::cloneStateFrom(const PhysicalMemory &src)
     ptCache = src.ptCache;
     ptCacheTarget = src.ptCacheTarget;
     ptLive = src.ptLive;
+    fragPins_ = src.fragPins_;
     // Copying a CowChunks shares every materialized chunk: the first
     // meta() write or PTE write detaches a private copy. Slot free
     // lists and high-water marks are plain state, copied eagerly.

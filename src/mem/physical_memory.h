@@ -3,9 +3,9 @@
  * Socket-homed simulated physical memory.
  *
  * Combines the NUMA topology, one FrameAllocator per socket, the PageMeta
- * array, and the per-socket page-table reserve caches (paper §5.1: "we
+ * array, the per-socket page-table reserve caches (paper §5.1: "we
  * implemented per-socket page-caches to reserve pages for page-table
- * allocations", sized via sysctl).
+ * allocations", sized via sysctl) and the fragmentation pin bitmap.
  *
  * Data frames are *unbacked*: the simulator never stores data bytes, only
  * placement. Page-table frames are host-backed (512 x u64) because the
@@ -190,13 +190,32 @@ class PhysicalMemory
     /**
      * kcompactd: relocate one fragmentation-injector filler frame
      * (modelled as movable kernel memory) the same way. @p pfn must be
-     * a filler (isFragPinned). The frame it moves to becomes the
-     * filler, so defragment() frees it there.
+     * a filler (isFragPinned). Its pin bit moves to the destination
+     * frame, so defragment() frees the filler there; neither frame's
+     * metadata is written.
      */
     bool compactReservedPin(Pfn pfn);
 
-    /** Is @p pfn a fragmentation-injector filler (movable Reserved)? */
-    bool isFragPinned(Pfn pfn) const;
+    /**
+     * Is @p pfn a fragmentation-injector filler? One test of the pin
+     * bitmap: fillers are allocated frames whose metadata stays Free.
+     */
+    bool
+    isFragPinned(Pfn pfn) const
+    {
+        return (pinWord(pfn) >> (pfn & 63)) & 1;
+    }
+
+    /**
+     * Pin bits of the 64-frame word holding @p pfn: bit i stands for
+     * frame (pfn & ~63) + i. Zero on a machine that never fragmented.
+     */
+    std::uint64_t
+    pinWord(Pfn pfn) const
+    {
+        std::size_t w = pfn >> 6;
+        return w < fragPins_.size() ? fragPins_[w] : 0;
+    }
 
     /** Fraction of @p socket's 2 MB blocks that are fully free. */
     double largeBlockFreeRatio(SocketId socket) const;
@@ -363,7 +382,8 @@ class PhysicalMemory
 
     /**
      * Snapshot restore: copy the full frame state of @p src —
-     * allocators, stats and PT reserve caches are copied eagerly;
+     * allocators, stats, PT reserve caches and the pin bitmap are
+     * copied eagerly;
      * metadata chunks and table-arena chunks (the host-backed
      * 512-entry page-table storage) are shared copy-on-write, so a
      * fork pays for a chunk only when it first writes to it. @p src
@@ -375,18 +395,17 @@ class PhysicalMemory
     /// @{
 
     /**
-     * Pin one filler frame, typed Reserved and flagged FragPin, inside
-     * each of a random @p fraction of @p socket's fully free 2 MB
-     * blocks (FrameAllocator::fragment). No list of the pins is kept:
-     * the flag is what marks them, so set-up pays nothing per pin.
+     * Pin one filler frame inside each of a random @p fraction of
+     * @p socket's fully free 2 MB blocks (FrameAllocator::fragment).
+     * The pin bitmap is what marks them: one bit per frame, allocated
+     * on the first call. A filler's metadata is never written, so a
+     * fragmented machine materializes no metadata chunk for its pins.
      */
     void fragment(SocketId socket, double fraction, Rng &rng);
 
     /**
-     * Free every filler on @p socket, in pfn order, found by sweeping
-     * the allocator's allocated frames for the FragPin flag. That
-     * includes fillers kcompactd has moved since fragment(). Only
-     * tests call this, so the sweep costs no measured run.
+     * Free every filler on @p socket, in pfn order, and clear its pin
+     * bit. That includes fillers kcompactd has moved since fragment().
      */
     void defragment(SocketId socket);
     /// @}
@@ -460,6 +479,12 @@ class PhysicalMemory
     std::vector<TableArena> tableArenas;
 
     std::uint64_t ptEpoch_ = 0; //!< see ptEpoch()
+
+    /**
+     * Fragmentation-filler bitmap, one bit per frame (see pinWord);
+     * empty until the first fragment().
+     */
+    std::vector<std::uint64_t> fragPins_;
 
     std::uint64_t tableSlotRecycles_ = 0; //!< host telemetry
 };

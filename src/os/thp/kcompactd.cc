@@ -230,7 +230,7 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             for (Pfn p : frames) {
                 if (physmem.isFragPinned(p))
                     continue;
-                const mem::PageMeta &m = physmem.meta(p);
+                const mem::PageMeta &m = std::as_const(physmem).meta(p);
                 if (m.type == mem::FrameType::Data &&
                     !m.hasFlag(mem::FrameFlagLargeHead) &&
                     !m.hasFlag(mem::FrameFlagLargeTail) &&

@@ -8,6 +8,7 @@
 #include "thp.h"
 
 #include <array>
+#include <utility>
 
 #include "src/base/logging.h"
 #include "src/os/kernel.h"
@@ -93,7 +94,7 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
             uniform = flags;
         else if (flags != uniform)
             return false;
-        const mem::PageMeta &m = physmem.meta(pfn);
+        const mem::PageMeta &m = std::as_const(physmem).meta(pfn);
         if (m.type != mem::FrameType::Data ||
             m.hasFlag(mem::FrameFlagLargeHead) ||
             m.hasFlag(mem::FrameFlagLargeTail))

@@ -183,6 +183,133 @@ TEST_F(CheckTest, DoubleOwnedFrameTrips)
     kernel.destroyProcess(p);
 }
 
+TEST_F(CheckTest, ReachedFrameInUntouchedChunkTrips)
+{
+    // A free frame whose metadata chunk was never materialized: the
+    // sweep must still visit it when a page-table reaches it.
+    const mem::PhysicalMemory &pm = machine.physmem();
+    Pfn last = machine.topology().totalFrames() - 1;
+    ASSERT_FALSE(pm.metaMaterialized(last));
+    os::Process &p = kernel.createProcess("stray", 0);
+    VirtAddr va = 0x500000000ull;
+    ASSERT_TRUE(kernel.ptOps().map4K(p.roots(), p.id(), va, last,
+                                     pt::PteWrite, p.ptPolicy, 0,
+                                     nullptr));
+    ASSERT_FALSE(pm.metaMaterialized(last));
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    EXPECT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+
+    kernel.ptOps().unmapRange(p.roots(), va, va + PageSize,
+                              [](VirtAddr, pt::Pte, PageSizeKind) {},
+                              nullptr);
+    kernel.destroyProcess(p);
+}
+
+/**
+ * Pin one fragmentation filler in every 2 MB block of the machine and
+ * return the lowest one.
+ */
+Pfn
+fragmentAndFindPin(sim::Machine &machine)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    Rng rng(9);
+    for (SocketId s = 0; s < machine.numSockets(); ++s)
+        pm.fragment(s, 1.0, rng);
+    Pfn pin = 0;
+    while (pin < machine.topology().totalFrames() && !pm.isFragPinned(pin))
+        ++pin;
+    return pin;
+}
+
+TEST_F(CheckTest, FragmentedMachinePasses)
+{
+    fragmentAndFindPin(machine);
+    os::Process &p = kernel.createProcess("fragmented", 0);
+    kernel.mmap(p, 4ull << 20, os::MmapOptions{.populate = true});
+    Checker chk(kernel, collectAll());
+    EXPECT_EQ(chk.runAll("test"), 0u);
+    kernel.destroyProcess(p);
+}
+
+TEST_F(CheckTest, PinOnFreeFrameTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    Pfn pin = fragmentAndFindPin(machine);
+    ASSERT_TRUE(pm.isFragPinned(pin));
+
+    // Free the filler through the data path, behind the pin bitmap's
+    // back: the allocator says free, the bit still says filler.
+    pm.meta(pin).type = mem::FrameType::Data;
+    pm.freeData(pin);
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    EXPECT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+}
+
+TEST_F(CheckTest, RetypedPinTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    Pfn pin = fragmentAndFindPin(machine);
+    ASSERT_TRUE(pm.isFragPinned(pin));
+    pm.meta(pin).type = mem::FrameType::Data;
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    EXPECT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+
+    pm.meta(pin).type = mem::FrameType::Free;
+    chk.clearViolations();
+    chk.checkFrameAccounting();
+    EXPECT_TRUE(chk.violations().empty());
+}
+
+TEST_F(CheckTest, UntypedUnpinnedFrameTripsOnFragmentedMachine)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    fragmentAndFindPin(machine);
+    auto pfn = pm.allocData(0, -1);
+    ASSERT_TRUE(pfn.has_value());
+    ASSERT_FALSE(pm.isFragPinned(*pfn));
+    pm.meta(*pfn).type = mem::FrameType::Free;
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    EXPECT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+
+    pm.meta(*pfn).type = mem::FrameType::Data;
+    pm.freeData(*pfn);
+    chk.clearViolations();
+    chk.checkFrameAccounting();
+    EXPECT_TRUE(chk.violations().empty());
+}
+
+TEST_F(CheckTest, MappedPinTrips)
+{
+    Pfn pin = fragmentAndFindPin(machine);
+    ASSERT_TRUE(machine.physmem().isFragPinned(pin));
+    os::Process &p = kernel.createProcess("mapped-pin", 0);
+    VirtAddr va = 0x500000000ull;
+    ASSERT_TRUE(kernel.ptOps().map4K(p.roots(), p.id(), va, pin,
+                                     pt::PteWrite, p.ptPolicy, 0,
+                                     nullptr));
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    EXPECT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+    for (const Violation &v : chk.violations())
+        EXPECT_EQ(v.pid, p.id());
+
+    // Drop the mapping without freeing the filler.
+    kernel.ptOps().unmapRange(p.roots(), va, va + PageSize,
+                              [](VirtAddr, pt::Pte, PageSizeKind) {},
+                              nullptr);
+    kernel.destroyProcess(p);
+}
+
 TEST_F(CheckTest, StaleCr3Trips)
 {
     os::Process &p = kernel.createProcess("dying", 0);

@@ -238,6 +238,83 @@ TEST_F(PhysicalMemoryTest, FragmentationKillsLargeAllocsUntilDefrag)
     EXPECT_TRUE(pm.allocDataLarge(0, 1).has_value());
 }
 
+TEST(PhysicalMemoryPins, FullFragmentationMaterializesNoMetadata)
+{
+    // The bench machine: 4 x 6 GiB, one metadata chunk per 16 MiB.
+    numa::TopologyConfig cfg;
+    cfg.numSockets = 4;
+    cfg.coresPerSocket = 2;
+    cfg.memPerSocket = 6ull << 30;
+    numa::Topology topo(cfg);
+    PhysicalMemory pm(topo);
+    Rng rng(11);
+    for (SocketId s = 0; s < 4; ++s)
+        pm.fragment(s, 1.0, rng);
+
+    for (Pfn pfn = 0; pfn < topo.totalFrames();
+         pfn += PhysicalMemory::MetaChunkSize)
+        ASSERT_FALSE(pm.metaMaterialized(pfn)) << "chunk of pfn " << pfn;
+
+    // Every 2 MB block holds exactly one pin, and the pins are exactly
+    // the allocated frames.
+    std::uint64_t pins = 0;
+    for (SocketId s = 0; s < 4; ++s) {
+        const FrameAllocator &a = pm.allocator(s);
+        EXPECT_EQ(a.freeLargeBlocks(), 0u);
+        EXPECT_EQ(a.totalFrames() - a.freeFrames(), a.numBlocks());
+        for (Pfn pfn = a.firstPfn(); pfn < a.firstPfn() + a.totalFrames();
+             ++pfn) {
+            ASSERT_EQ(pm.isFragPinned(pfn), a.isAllocated(pfn)) << pfn;
+            pins += pm.isFragPinned(pfn);
+        }
+    }
+    EXPECT_EQ(pins, topo.totalFrames() / FramesPerLargePage);
+}
+
+TEST_F(PhysicalMemoryTest, ForkMovesPinsWithoutTouchingDonor)
+{
+    Rng rng(5);
+    for (SocketId s = 0; s < 4; ++s)
+        pm.fragment(s, 1.0, rng);
+    std::vector<std::uint64_t> donor_words;
+    for (Pfn pfn = 0; pfn < topo.totalFrames(); pfn += 64)
+        donor_words.push_back(pm.pinWord(pfn));
+
+    PhysicalMemory fork(topo);
+    fork.cloneStateFrom(pm);
+    Pfn pin = 0;
+    while (pin < topo.framesPerSocket() && !fork.isFragPinned(pin))
+        ++pin;
+    ASSERT_TRUE(fork.isFragPinned(pin));
+    ASSERT_TRUE(fork.compactReservedPin(pin));
+    EXPECT_FALSE(fork.isFragPinned(pin));
+    EXPECT_FALSE(fork.allocator(0).isAllocated(pin));
+
+    // The pin moved to another allocated frame of the fork only.
+    Pfn moved = InvalidPfn;
+    for (Pfn pfn = 0; pfn < topo.totalFrames(); ++pfn)
+        if (fork.isFragPinned(pfn) && !pm.isFragPinned(pfn))
+            moved = pfn;
+    ASSERT_NE(moved, InvalidPfn);
+    EXPECT_TRUE(fork.allocator(0).isAllocated(moved));
+    EXPECT_FALSE(pm.allocator(0).isAllocated(moved));
+    EXPECT_TRUE(std::as_const(fork).meta(moved).isFree());
+    for (Pfn pfn = 0; pfn < topo.totalFrames(); pfn += 64)
+        ASSERT_EQ(pm.pinWord(pfn), donor_words[pfn / 64]) << pfn;
+
+    // defragment clears every bit and frees every filler, moved or not.
+    for (SocketId s = 0; s < 4; ++s)
+        fork.defragment(s);
+    for (Pfn pfn = 0; pfn < topo.totalFrames(); pfn += 64)
+        ASSERT_EQ(fork.pinWord(pfn), 0u) << pfn;
+    for (SocketId s = 0; s < 4; ++s) {
+        EXPECT_EQ(fork.freeFrames(s), fork.allocator(s).totalFrames());
+        EXPECT_EQ(pm.freeFrames(s) + pm.allocator(s).numBlocks(),
+                  pm.allocator(s).totalFrames());
+    }
+    EXPECT_TRUE(pm.isFragPinned(pin));
+}
+
 TEST_F(PhysicalMemoryTest, StatsTrackLiveCounts)
 {
     auto d = pm.allocData(0, 1);
