@@ -338,7 +338,6 @@ enum class Reach : std::uint8_t
     Pt,
     Data,
     LargeHead,
-    LargeTail,
 };
 
 const char *
@@ -350,9 +349,7 @@ reachName(Reach r)
       case Reach::Data:
         return "4K data";
       case Reach::LargeHead:
-        return "2M head";
-      case Reach::LargeTail:
-        return "2M tail";
+        return "2M page";
     }
     return "?";
 }
@@ -366,9 +363,10 @@ Checker::checkFrameAccounting()
     const auto &pm = k.machine().physmem();
 
     // Phase 1: walk every process's page-tables (full replica rings)
-    // and leaves, recording what each reached frame must be. Marks are
-    // reserved for one per allocated frame, which a consistent machine
-    // never exceeds, so the vector does not grow by doubling.
+    // and leaves, recording what each reached frame must be; a 2 MB
+    // leaf marks its head frame only. Marks are reserved for one per
+    // allocated frame, a 2 MB page counting once, which a consistent
+    // machine never exceeds, so the vector does not grow by doubling.
     struct Mark
     {
         Pfn pfn;
@@ -377,8 +375,12 @@ Checker::checkFrameAccounting()
     };
     std::vector<Mark> marks;
     std::uint64_t allocated = 0;
-    for (SocketId s = 0; s < k.machine().numSockets(); ++s)
-        allocated += pm.allocator(s).totalFrames() - pm.freeFrames(s);
+    for (SocketId s = 0; s < k.machine().numSockets(); ++s) {
+        std::uint64_t used = pm.allocator(s).totalFrames() - pm.freeFrames(s);
+        std::uint64_t tails =
+            (FramesPerLargePage - 1) * pm.stats(s).dataLargePages;
+        allocated += used > tails ? used - tails : 0;
+    }
     marks.reserve(allocated);
     std::unordered_set<ProcId> live_pids;
     auto mark = [&](Pfn pfn, Reach r, ProcId pid) {
@@ -397,13 +399,10 @@ Checker::checkFrameAccounting()
         k.ptOps().forEachLeaf(
             p->roots(),
             [&](VirtAddr, pt::PteLoc, pt::Pte pte, PageSizeKind size) {
-                if (size == PageSizeKind::Large2M) {
-                    mark(pte.pfn(), Reach::LargeHead, p->id());
-                    for (std::uint64_t j = 1; j < FramesPerLargePage; ++j)
-                        mark(pte.pfn() + j, Reach::LargeTail, p->id());
-                } else {
-                    mark(pte.pfn(), Reach::Data, p->id());
-                }
+                mark(pte.pfn(),
+                     size == PageSizeKind::Large2M ? Reach::LargeHead
+                                                   : Reach::Data,
+                     p->id());
             });
     }
 
@@ -430,13 +429,76 @@ Checker::checkFrameAccounting()
     }
 
     // Phase 2: sweep the physical frames and reconcile allocator
-    // state, the pin bitmap, PageMeta and reachability, merging in the
-    // sorted marks. The allocator's bitmap is read a 64-frame word at
-    // a time. In a metadata chunk never materialized every frame reads
-    // pristine Free, so only allocated, pinned or reached frames can be
-    // at fault there and the sweep visits just those: its cost follows
-    // the frames in use, not the machine size. Frames are visited in
-    // pfn order either way, so reports come in the same order.
+    // state, the 2 MB page records, the pin bitmap, PageMeta and
+    // reachability, merging in the sorted marks. The allocator's bitmap
+    // is read a 64-frame word at a time. A block with a 2 MB record is
+    // checked once, from its 8 bitmap words. In a metadata chunk never
+    // materialized every frame reads pristine Free, so only allocated,
+    // pinned or reached frames can be at fault there and the sweep
+    // visits just those: its cost follows the frames in use, not the
+    // machine size. Frames are visited in pfn order either way, so
+    // reports come in the same order.
+    //
+    // A 2 MB record's block must be fully allocated, keep pristine
+    // PageMeta in every frame, and be reached by exactly one mark: a
+    // 2 MB leaf at its head.
+    const mem::PageMeta pristine{};
+    auto check_large = [&](Pfn head, ProcId owner, SocketId s,
+                           const mem::FrameAllocator &alloc, auto &next) {
+        std::uint64_t missing = 0;
+        for (Pfn w = head; w < head + FramesPerLargePage; w += 64) {
+            missing += static_cast<std::uint64_t>(std::popcount(
+                ~alloc.usedWord((w - alloc.firstPfn()) >> 6)));
+        }
+        stats_.framesAccounted += FramesPerLargePage - missing;
+        if (missing) {
+            report({CheckClass::FrameAccounting, owner, 0, 0, s,
+                    "fully allocated block",
+                    format("%llu frames free", (unsigned long long)missing),
+                    format("2M page record at pfn %llu on a block the "
+                           "allocator has partly freed",
+                           (unsigned long long)head)});
+        }
+        if (pm.metaMaterialized(head)) {
+            for (Pfn p = head; p < head + FramesPerLargePage; ++p) {
+                const mem::PageMeta &m = pm.meta(p);
+                if (m == pristine)
+                    continue;
+                report({CheckClass::FrameAccounting, owner, 0, 0, s,
+                        "pristine PageMeta",
+                        format("type %d owner %d", (int)m.type, m.owner),
+                        format("pfn %llu of the 2M page at pfn %llu has "
+                               "its own metadata",
+                               (unsigned long long)p,
+                               (unsigned long long)head)});
+                break;
+            }
+        }
+        bool reached = false;
+        for (Pfn last = InvalidPfn;
+             next != marks.end() && next->pfn < head + FramesPerLargePage;
+             last = next->pfn, ++next) {
+            if (next->pfn == last)
+                continue; // a second owner, reported in phase 1
+            if (next->pfn == head && next->reach == Reach::LargeHead) {
+                reached = true;
+                continue;
+            }
+            report({CheckClass::FrameAccounting, next->pid, 0, 0, s,
+                    "2M leaf at the head", reachName(next->reach),
+                    format("page-tables reference pfn %llu inside the 2M "
+                           "page at pfn %llu",
+                           (unsigned long long)next->pfn,
+                           (unsigned long long)head)});
+        }
+        if (!reached && live_pids.count(owner)) {
+            report({CheckClass::FrameAccounting, owner, 0, 0, s,
+                    "reachable from owner's leaves", "orphaned",
+                    format("2M page at pfn %llu unreachable from pid %d's "
+                           "page-tables",
+                           (unsigned long long)head, owner)});
+        }
+    };
     for (SocketId s = 0; s < k.machine().numSockets(); ++s) {
         const mem::FrameAllocator &alloc = pm.allocator(s);
         Pfn base = alloc.firstPfn();
@@ -445,6 +507,11 @@ Checker::checkFrameAccounting()
             marks.begin(), marks.end(), base,
             [](const Mark &m, Pfn pfn) { return m.pfn < pfn; });
         for (Pfn word = base; word < limit; word += 64) {
+            if (ProcId owner = pm.largeOwner(word); owner != -1) {
+                check_large(word, owner, s, alloc, next);
+                word += FramesPerLargePage - 64;
+                continue;
+            }
             std::uint64_t used = alloc.usedWord((word - base) >> 6);
             std::uint64_t pins = pm.pinWord(word);
             std::uint64_t visit = ~0ull;
@@ -463,6 +530,13 @@ Checker::checkFrameAccounting()
                     it = &*next;
                     while (next != marks.end() && next->pfn == pfn)
                         ++next;
+                }
+                if (it && it->reach == Reach::LargeHead) {
+                    report({CheckClass::FrameAccounting, it->pid, 0, 0, s,
+                            "2M page record", "no record",
+                            format("2M leaf maps pfn %llu, a block with "
+                                   "no 2M page record",
+                                   (unsigned long long)pfn)});
                 }
                 bool allocated = (used >> bit) & 1;
                 bool pinned = (pins >> bit) & 1;
@@ -524,16 +598,9 @@ Checker::checkFrameAccounting()
                     break;
                   case mem::FrameType::Reserved:
                     // The one legal reserve is the per-socket PT page
-                    // cache, invisible to page-tables. (Fragmentation
+                    // cache, invisible to page-tables; charge
+                    // conservation checks its size. (Fragmentation
                     // fillers are typed Free and handled above.)
-                    if (!m.hasFlag(mem::FrameFlagPtReserve)) {
-                        report({CheckClass::FrameAccounting, m.owner, 0, 0, s,
-                                "PtReserve flag",
-                                format("flags 0x%x", m.flags),
-                                format("reserved pfn %llu belongs to no "
-                                       "known reserve",
-                                       (unsigned long long)pfn)});
-                    }
                     if (it) {
                         report({CheckClass::FrameAccounting, it->pid,
                                 0, 0, s, "unreferenced reserve frame",
@@ -584,20 +651,13 @@ Checker::checkFrameAccounting()
                                            (unsigned long long)pfn,
                                            m.owner)});
                         }
-                    } else {
-                        bool head = m.hasFlag(mem::FrameFlagLargeHead);
-                        bool tail = m.hasFlag(mem::FrameFlagLargeTail);
-                        Reach expect = head ? Reach::LargeHead
-                                       : tail ? Reach::LargeTail
-                                              : Reach::Data;
-                        if (it->reach != expect) {
-                            report({CheckClass::FrameAccounting,
-                                    it->pid, 0, 0, s,
-                                    reachName(expect),
-                                    reachName(it->reach),
-                                    format("pfn %llu size-class confusion",
-                                           (unsigned long long)pfn)});
-                        }
+                    } else if (it->reach == Reach::Pt) {
+                        // (A 2 MB leaf here was reported above.)
+                        report({CheckClass::FrameAccounting, it->pid, 0, 0,
+                                s, reachName(Reach::Data),
+                                reachName(it->reach),
+                                format("pfn %llu size-class confusion",
+                                       (unsigned long long)pfn)});
                     }
                     break;
                 }
@@ -810,34 +870,32 @@ Checker::checkChargeConservation()
         Pfn base = alloc.firstPfn();
         Pfn limit = base + alloc.totalFrames();
         std::uint64_t n_data = 0;
-        std::uint64_t n_heads = 0;
-        std::uint64_t n_tails = 0;
+        std::uint64_t n_large = 0;
         std::uint64_t n_pt = 0;
-        std::uint64_t n_pt_reserve = 0;
+        std::uint64_t n_reserved = 0;
         std::uint64_t n_alloc = 0;
-        // Allocated frames only, a bitmap word at a time.
+        // Allocated frames only, a bitmap word at a time; a 2 MB page
+        // counts once, from its record.
         for (Pfn word = base; word < limit; word += 64) {
-            for (std::uint64_t bits = alloc.usedWord((word - base) >> 6);
-                 bits != 0; bits &= bits - 1) {
-                ++n_alloc;
+            std::uint64_t used = alloc.usedWord((word - base) >> 6);
+            n_alloc += static_cast<std::uint64_t>(std::popcount(used));
+            if (pm.largeOwner(word) != -1) {
+                n_large += word % FramesPerLargePage == 0;
+                continue;
+            }
+            for (; used != 0; used &= used - 1) {
                 const mem::PageMeta &m =
                     pm.meta(word + static_cast<unsigned>(
-                                       std::countr_zero(bits)));
+                                       std::countr_zero(used)));
                 switch (m.type) {
                   case mem::FrameType::Data:
-                    if (m.hasFlag(mem::FrameFlagLargeHead))
-                        ++n_heads;
-                    else if (m.hasFlag(mem::FrameFlagLargeTail))
-                        ++n_tails;
-                    else
-                        ++n_data;
+                    ++n_data;
                     break;
                   case mem::FrameType::PageTable:
                     ++n_pt;
                     break;
                   case mem::FrameType::Reserved:
-                    if (m.hasFlag(mem::FrameFlagPtReserve))
-                        ++n_pt_reserve;
+                    ++n_reserved;
                     break;
                   default:
                     break;
@@ -853,26 +911,18 @@ Checker::checkChargeConservation()
             report({CheckClass::ChargeConservation, -1, 0, 0, s,
                     format("%llu", (unsigned long long)counted),
                     format("%llu", (unsigned long long)claimed),
-                    format("MemStats.%s disagrees with a full PageMeta "
+                    format("MemStats.%s disagrees with a full frame "
                            "recount",
                            what)});
         };
         mismatch("dataPages", n_data, st.dataPages);
-        mismatch("dataLargePages", n_heads, st.dataLargePages);
+        mismatch("dataLargePages", n_large, st.dataLargePages);
         mismatch("ptPages", n_pt, st.ptPages);
-        if (n_heads * (FramesPerLargePage - 1) != n_tails) {
-            report({CheckClass::ChargeConservation, -1, 0, 0, s,
-                    format("%llu tails",
-                           (unsigned long long)(n_heads *
-                                                (FramesPerLargePage - 1))),
-                    format("%llu tails", (unsigned long long)n_tails),
-                    "2M head/tail population out of balance"});
-        }
-        if (n_pt_reserve != pm.ptCacheSize(s)) {
+        if (n_reserved != pm.ptCacheSize(s)) {
             report({CheckClass::ChargeConservation, -1, 0, 0, s,
                     format("%llu", (unsigned long long)pm.ptCacheSize(s)),
-                    format("%llu", (unsigned long long)n_pt_reserve),
-                    "PT reserve cache size disagrees with PtReserve "
+                    format("%llu", (unsigned long long)n_reserved),
+                    "PT reserve cache size disagrees with the Reserved "
                     "frame count"});
         }
         std::uint64_t by_level = 0;

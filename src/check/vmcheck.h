@@ -16,16 +16,17 @@
  *  2. VMA <-> PTE agreement: every present leaf lies inside a VMA, and
  *     a writable PTE never maps a read-only VMA.
  *  3. Frame accounting: walking every page-table (all replicas) plus
- *     the fragmentation pin bitmap and PT reserve caches reaches exactly
- *     the frames the allocators say are allocated — no orphans, no
- *     double owners, no type confusion.
+ *     the 2 MB page records, the fragmentation pin bitmap and PT
+ *     reserve caches reaches exactly the frames the allocators say are
+ *     allocated — no orphans, no double owners, no type confusion.
  *  4. CR3/ASID liveness: every loaded CR3 points into a live process's
  *     replica ring; no TLB/PWC entry carries a dead ASID or references
  *     a freed frame (time-shared mode, where stale tags must be
  *     flushed; the pinned seed legally leaves entries behind on
  *     vacated cores).
  *  5. Charge conservation: the per-socket MemStats counters equal a
- *     full PageMeta recount, allocator free+used == total, the Mitosis
+ *     full PageMeta and 2 MB record recount, the Reserved frames number
+ *     the PT reserve cache size, allocator free+used == total, the Mitosis
  *     backend's replica-page counters match the live replica
  *     population, and the kernel's per-fault-kind cycle buckets sum to
  *     the fault-path total.

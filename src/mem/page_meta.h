@@ -5,9 +5,15 @@
  * The paper stores the replica circular-list pointer in struct page (§5.2,
  * Figure 8) so that a PTE write can find all replicas of a page-table page
  * in O(replicas) without walking any page-table. We do the same: every
- * physical frame has a PageMeta; page-table frames additionally reference
- * their 512-entry table storage (a slot in the owning socket's arena, see
- * PhysicalMemory) and participate in a circular replica list.
+ * 4 KB data frame, page-table frame and PT reserve frame has a PageMeta;
+ * page-table frames additionally reference their 512-entry table storage
+ * (a slot in the owning socket's arena, see PhysicalMemory) and
+ * participate in a circular replica list.
+ *
+ * Two kinds of allocated frame keep their PageMeta pristine Free: the
+ * 512 frames of a 2 MB data page, described by one per-block record
+ * (PhysicalMemory::largeOwner), and fragmentation fillers, described by
+ * the pin bitmap (PhysicalMemory::isFragPinned).
  */
 
 #ifndef MITOSIM_MEM_PAGE_META_H
@@ -24,23 +30,10 @@ namespace mitosim::mem
 /** What a physical frame currently holds. */
 enum class FrameType : std::uint8_t
 {
-    Free,      //!< on a free list
-    Data,      //!< application data (unbacked in the host)
+    Free,      //!< free, or described outside PageMeta (see above)
+    Data,      //!< a 4 KB application data frame (unbacked in the host)
     PageTable, //!< one page of a process page-table (host-backed)
-    Reserved,  //!< a per-socket PT page cache frame (FrameFlagPtReserve)
-};
-
-/**
- * Flags on a frame. Fragmentation-injector fillers carry none: they
- * are allocated frames whose metadata stays Free, marked only in
- * PhysicalMemory's pin bitmap (isFragPinned).
- */
-enum FrameFlags : std::uint16_t
-{
-    FrameFlagNone = 0,
-    FrameFlagLargeHead = 1 << 0, //!< first frame of a 2 MB data page
-    FrameFlagLargeTail = 1 << 1, //!< interior frame of a 2 MB data page
-    FrameFlagPtReserve = 1 << 2, //!< lives in a per-socket PT page cache
+    Reserved,  //!< a per-socket PT page cache frame
 };
 
 /** "No table storage" sentinel for PageMeta::tableSlot. */
@@ -78,12 +71,11 @@ struct PageMeta
     /** Page-table level 1..4 for PageTable frames, 0 otherwise. */
     std::uint8_t level = 0;
 
-    std::uint16_t flags = FrameFlagNone;
-
     bool isPageTable() const { return type == FrameType::PageTable; }
     bool isFree() const { return type == FrameType::Free; }
-    bool hasFlag(FrameFlags f) const { return (flags & f) != 0; }
     bool hasTable() const { return tableSlot != NoTableSlot; }
+
+    bool operator==(const PageMeta &) const = default;
 };
 
 static_assert(std::is_trivially_copyable_v<PageMeta>,

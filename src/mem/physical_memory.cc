@@ -178,7 +178,6 @@ PhysicalMemory::allocData(SocketId socket, ProcId owner)
     m.type = FrameType::Data;
     m.owner = owner;
     m.level = 0;
-    m.flags = FrameFlagNone;
     m.replicaNext = *pfn;
     ++perSocket[static_cast<std::size_t>(socket)].dataPages;
     return pfn;
@@ -202,17 +201,14 @@ PhysicalMemory::allocDataAny(SocketId preferred, ProcId owner)
 std::optional<Pfn>
 PhysicalMemory::allocDataLarge(SocketId socket, ProcId owner)
 {
+    MITOSIM_ASSERT(owner != -1, "allocDataLarge: -1 marks a block with "
+                                "no 2 MB page");
     auto head = alloc(socket).allocLargeBlock();
     if (!head)
         return std::nullopt;
-    for (Pfn p = *head; p < *head + FramesPerLargePage; ++p) {
-        PageMeta &m = meta(p);
-        m.type = FrameType::Data;
-        m.owner = owner;
-        m.level = 0;
-        m.flags = (p == *head) ? FrameFlagLargeHead : FrameFlagLargeTail;
-        m.replicaNext = p;
-    }
+    if (largeOwners_.empty())
+        largeOwners_.assign(totalFrames_ / FramesPerLargePage, -1);
+    largeOwners_[*head / FramesPerLargePage] = owner;
     ++perSocket[static_cast<std::size_t>(socket)].dataLargePages;
     return head;
 }
@@ -221,8 +217,7 @@ void
 PhysicalMemory::freeData(Pfn pfn)
 {
     PageMeta &m = meta(pfn);
-    MITOSIM_ASSERT(m.type == FrameType::Data && !m.hasFlag(FrameFlagLargeHead)
-                       && !m.hasFlag(FrameFlagLargeTail),
+    MITOSIM_ASSERT(m.type == FrameType::Data,
                    "freeData: not a small data frame");
     m.type = FrameType::Free;
     m.owner = -1;
@@ -235,17 +230,9 @@ PhysicalMemory::freeData(Pfn pfn)
 void
 PhysicalMemory::freeDataLarge(Pfn head)
 {
-    PageMeta &hm = meta(head);
-    MITOSIM_ASSERT(hm.type == FrameType::Data &&
-                       hm.hasFlag(FrameFlagLargeHead),
+    MITOSIM_ASSERT(head % FramesPerLargePage == 0 && largeOwner(head) != -1,
                    "freeDataLarge: not a large-page head");
-    for (Pfn p = head; p < head + FramesPerLargePage; ++p) {
-        PageMeta &m = meta(p);
-        m.type = FrameType::Free;
-        m.owner = -1;
-        m.flags = FrameFlagNone;
-        m.replicaNext = InvalidPfn;
-    }
+    largeOwners_[head / FramesPerLargePage] = -1;
     SocketId s = socketOf(head);
     --perSocket[static_cast<std::size_t>(s)].dataLargePages;
     alloc(s).freeLargeBlock(head);
@@ -254,12 +241,16 @@ PhysicalMemory::freeDataLarge(Pfn head)
 std::optional<Pfn>
 PhysicalMemory::migrateData(Pfn pfn, SocketId target)
 {
-    PageMeta &m = meta(pfn);
-    MITOSIM_ASSERT(m.type == FrameType::Data, "migrateData: not data");
-    bool large = m.hasFlag(FrameFlagLargeHead);
-    MITOSIM_ASSERT(!m.hasFlag(FrameFlagLargeTail),
-                   "migrateData: interior of a large page");
-    ProcId owner = m.owner;
+    ProcId owner = largeOwner(pfn);
+    bool large = owner != -1;
+    if (large) {
+        MITOSIM_ASSERT(pfn % FramesPerLargePage == 0,
+                       "migrateData: interior of a large page");
+    } else {
+        const PageMeta &m = std::as_const(*this).meta(pfn);
+        MITOSIM_ASSERT(m.type == FrameType::Data, "migrateData: not data");
+        owner = m.owner;
+    }
     std::optional<Pfn> fresh = large ? allocDataLarge(target, owner)
                                      : allocData(target, owner);
     if (!fresh)
@@ -274,13 +265,14 @@ PhysicalMemory::migrateData(Pfn pfn, SocketId target)
 void
 PhysicalMemory::splitLargeData(Pfn head)
 {
-    PageMeta &hm = meta(head);
-    MITOSIM_ASSERT(hm.type == FrameType::Data &&
-                       hm.hasFlag(FrameFlagLargeHead),
+    ProcId owner = largeOwner(head);
+    MITOSIM_ASSERT(head % FramesPerLargePage == 0 && owner != -1,
                    "splitLargeData: not a large-page head");
+    largeOwners_[head / FramesPerLargePage] = -1;
     for (Pfn p = head; p < head + FramesPerLargePage; ++p) {
         PageMeta &m = meta(p);
-        m.flags = FrameFlagNone;
+        m.type = FrameType::Data;
+        m.owner = owner;
         m.replicaNext = p;
     }
     auto &st = perSocket[static_cast<std::size_t>(socketOf(head))];
@@ -292,9 +284,7 @@ std::optional<Pfn>
 PhysicalMemory::compactData(Pfn pfn)
 {
     PageMeta &m = meta(pfn);
-    MITOSIM_ASSERT(m.type == FrameType::Data &&
-                       !m.hasFlag(FrameFlagLargeHead) &&
-                       !m.hasFlag(FrameFlagLargeTail),
+    MITOSIM_ASSERT(m.type == FrameType::Data,
                    "compactData: not a small data frame");
     SocketId s = socketOf(pfn);
     auto dest = alloc(s).allocFrameForCompaction(pfn);
@@ -304,7 +294,6 @@ PhysicalMemory::compactData(Pfn pfn)
     d.type = FrameType::Data;
     d.owner = m.owner;
     d.level = 0;
-    d.flags = FrameFlagNone;
     d.replicaNext = *dest;
     m.type = FrameType::Free;
     m.owner = -1;
@@ -369,7 +358,6 @@ PhysicalMemory::allocPt(SocketId socket, int level, ProcId owner)
     m.type = FrameType::PageTable;
     m.owner = owner;
     m.level = static_cast<std::uint8_t>(level);
-    m.flags = FrameFlagNone;
     m.replicaNext = *pfn; // self-linked until replicated
     m.tableSlot = allocTableSlot(socket);
 
@@ -402,11 +390,9 @@ PhysicalMemory::freePt(Pfn pfn)
     auto &cache = ptCache[static_cast<std::size_t>(s)];
     if (cache.size() < ptCacheTarget[static_cast<std::size_t>(s)]) {
         m.type = FrameType::Reserved;
-        m.flags = FrameFlagPtReserve;
         cache.push_back(pfn);
     } else {
         m.type = FrameType::Free;
-        m.flags = FrameFlagNone;
         alloc(s).freeFrame(pfn);
     }
 }
@@ -423,18 +409,14 @@ PhysicalMemory::setPtCacheTarget(SocketId socket, std::uint64_t frames)
         auto pfn = alloc(socket).allocFrame();
         if (!pfn)
             break;
-        PageMeta &m = meta(*pfn);
-        m.type = FrameType::Reserved;
-        m.flags = FrameFlagPtReserve;
+        meta(*pfn).type = FrameType::Reserved;
         cache.push_back(*pfn);
     }
     // Shrink eagerly when the target drops.
     while (cache.size() > frames) {
         Pfn pfn = cache.back();
         cache.pop_back();
-        PageMeta &m = meta(pfn);
-        m.type = FrameType::Free;
-        m.flags = FrameFlagNone;
+        meta(pfn).type = FrameType::Free;
         alloc(socket).freeFrame(pfn);
     }
 }
@@ -627,6 +609,7 @@ PhysicalMemory::cloneStateFrom(const PhysicalMemory &src)
     ptCache = src.ptCache;
     ptCacheTarget = src.ptCacheTarget;
     ptLive = src.ptLive;
+    largeOwners_ = src.largeOwners_;
     fragPins_ = src.fragPins_;
     // Copying a CowChunks shares every materialized chunk: the first
     // meta() write or PTE write detaches a private copy. Slot free

@@ -5,7 +5,8 @@
  * Combines the NUMA topology, one FrameAllocator per socket, the PageMeta
  * array, the per-socket page-table reserve caches (paper §5.1: "we
  * implemented per-socket page-caches to reserve pages for page-table
- * allocations", sized via sysctl) and the fragmentation pin bitmap.
+ * allocations", sized via sysctl), the per-block records of 2 MB data
+ * pages and the fragmentation pin bitmap.
  *
  * Data frames are *unbacked*: the simulator never stores data bytes, only
  * placement. Page-table frames are host-backed (512 x u64) because the
@@ -156,7 +157,12 @@ class PhysicalMemory
      */
     std::optional<Pfn> allocDataAny(SocketId preferred, ProcId owner);
 
-    /** Strictly allocate a 2 MB data page on @p socket. */
+    /**
+     * Strictly allocate a 2 MB data page on @p socket for @p owner
+     * (not -1). Its one record is the block's largeOwner entry; no
+     * PageMeta is written, so the block's 512 frames keep reading as
+     * pristine Free.
+     */
     std::optional<Pfn> allocDataLarge(SocketId socket, ProcId owner);
 
     void freeData(Pfn pfn);
@@ -171,11 +177,12 @@ class PhysicalMemory
 
     /**
      * Demote a live 2 MB data page into 512 individually-freeable 4 KB
-     * data frames (same pfns, same socket): the huge-head/tail flags
-     * are dropped and the per-socket accounting moves from
-     * dataLargePages to dataPages. The frame allocator's bitmap needs
-     * no change — the block stays fully allocated, it just becomes
-     * per-frame reclaimable.
+     * data frames (same pfns, same socket, same owner): the block's
+     * record is cleared, each frame gets its own Data PageMeta (the
+     * one place a huge page's frames are written), and the per-socket
+     * accounting moves from dataLargePages to dataPages. The frame
+     * allocator's bitmap needs no change — the block stays fully
+     * allocated, it just becomes per-frame reclaimable.
      */
     void splitLargeData(Pfn head);
 
@@ -215,6 +222,18 @@ class PhysicalMemory
     {
         std::size_t w = pfn >> 6;
         return w < fragPins_.size() ? fragPins_[w] : 0;
+    }
+
+    /**
+     * Owner of the live 2 MB data page whose block holds @p pfn, or -1
+     * when the block holds none: one read of the per-block records,
+     * which stay empty until the first allocDataLarge.
+     */
+    ProcId
+    largeOwner(Pfn pfn) const
+    {
+        std::size_t b = pfn / FramesPerLargePage;
+        return b < largeOwners_.size() ? largeOwners_[b] : -1;
     }
 
     /** Fraction of @p socket's 2 MB blocks that are fully free. */
@@ -382,8 +401,8 @@ class PhysicalMemory
 
     /**
      * Snapshot restore: copy the full frame state of @p src —
-     * allocators, stats, PT reserve caches and the pin bitmap are
-     * copied eagerly;
+     * allocators, stats, PT reserve caches, the 2 MB page records and
+     * the pin bitmap are copied eagerly;
      * metadata chunks and table-arena chunks (the host-backed
      * 512-entry page-table storage) are shared copy-on-write, so a
      * fork pays for a chunk only when it first writes to it. @p src
@@ -479,6 +498,12 @@ class PhysicalMemory
     std::vector<TableArena> tableArenas;
 
     std::uint64_t ptEpoch_ = 0; //!< see ptEpoch()
+
+    /**
+     * Owner of each 2 MB block's live huge data page, -1 for none (see
+     * largeOwner); empty until the first allocDataLarge().
+     */
+    std::vector<ProcId> largeOwners_;
 
     /**
      * Fragmentation-filler bitmap, one bit per frame (see pinWord);

@@ -225,15 +225,14 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             // Movability pre-check: one immovable frame pins the
             // block. Unmovable candidates cost no budget — a socket
             // full of PT-pinned near-empty blocks must not starve the
-            // drainable ones behind them in the list.
+            // drainable ones behind them in the list. Only 4 KB data
+            // frames move: a huge page's frames keep Free metadata.
             bool movable = true;
             for (Pfn p : frames) {
                 if (physmem.isFragPinned(p))
                     continue;
-                const mem::PageMeta &m = std::as_const(physmem).meta(p);
-                if (m.type == mem::FrameType::Data &&
-                    !m.hasFlag(mem::FrameFlagLargeHead) &&
-                    !m.hasFlag(mem::FrameFlagLargeTail) &&
+                if (std::as_const(physmem).meta(p).type ==
+                        mem::FrameType::Data &&
                     rmap.find(p))
                     continue;
                 movable = false;

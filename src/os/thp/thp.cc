@@ -94,10 +94,7 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
             uniform = flags;
         else if (flags != uniform)
             return false;
-        const mem::PageMeta &m = std::as_const(physmem).meta(pfn);
-        if (m.type != mem::FrameType::Data ||
-            m.hasFlag(mem::FrameFlagLargeHead) ||
-            m.hasFlag(mem::FrameFlagLargeTail))
+        if (std::as_const(physmem).meta(pfn).type != mem::FrameType::Data)
             return false;
         ++per_socket[static_cast<std::size_t>(physmem.socketOf(pfn))];
         old_frames[i] = pfn;

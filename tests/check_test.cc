@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
 
 #include "src/base/logging.h"
 #include "src/check/vmcheck.h"
@@ -308,6 +309,141 @@ TEST_F(CheckTest, MappedPinTrips)
                               [](VirtAddr, pt::Pte, PageSizeKind) {},
                               nullptr);
     kernel.destroyProcess(p);
+}
+
+/** Owner of hand-made 2 MB pages: a pid no test process has. */
+constexpr ProcId NoProc = 99;
+
+/** No-op unmap callback: drop a hand-made mapping, free no frame. */
+void
+keepFrames(VirtAddr, pt::Pte, PageSizeKind)
+{
+}
+
+TEST_F(CheckTest, PartlyFreedLargeBlockTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    auto head = pm.allocDataLarge(0, NoProc);
+    ASSERT_TRUE(head.has_value());
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    ASSERT_TRUE(chk.violations().empty());
+
+    // Free one frame through the 4 KB path, behind the record's back:
+    // the frame's metadata ends pristine, the block partly free.
+    pm.meta(*head + 3).type = mem::FrameType::Data;
+    pm.freeData(*head + 3);
+    chk.checkFrameAccounting();
+    EXPECT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+}
+
+TEST_F(CheckTest, LargePageFrameWithOwnMetaTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    auto head = pm.allocDataLarge(0, NoProc);
+    ASSERT_TRUE(head.has_value());
+    pm.meta(*head + 7).owner = 3;
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    EXPECT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+
+    pm.meta(*head + 7).owner = -1;
+    chk.clearViolations();
+    chk.checkFrameAccounting();
+    EXPECT_TRUE(chk.violations().empty());
+    pm.freeDataLarge(*head);
+}
+
+TEST_F(CheckTest, LargeLeafWithoutRecordTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    os::Process &p = kernel.createProcess("no-record", 0);
+    // A split block: fully allocated, 512 Data frames, no 2 MB record.
+    auto head = pm.allocDataLarge(0, NoProc);
+    ASSERT_TRUE(head.has_value());
+    pm.splitLargeData(*head);
+    VirtAddr va = 0x40000000ull;
+    ASSERT_TRUE(kernel.ptOps().map2M(p.roots(), p.id(), va, *head,
+                                     pt::PteWrite, p.ptPolicy, 0,
+                                     nullptr));
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    ASSERT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+    EXPECT_EQ(chk.violations().front().pid, p.id());
+
+    kernel.ptOps().unmapRange(p.roots(), va, va + LargePageSize,
+                              keepFrames, nullptr);
+    kernel.destroyProcess(p);
+}
+
+TEST_F(CheckTest, SmallLeafInsideLargePageTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    os::Process &p = kernel.createProcess("inside-2m", 0);
+    auto head = pm.allocDataLarge(0, NoProc);
+    ASSERT_TRUE(head.has_value());
+    VirtAddr va = 0x500000000ull;
+    ASSERT_TRUE(kernel.ptOps().map4K(p.roots(), p.id(), va, *head + 5,
+                                     pt::PteWrite, p.ptPolicy, 0,
+                                     nullptr));
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    ASSERT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+    EXPECT_EQ(chk.violations().front().pid, p.id());
+
+    kernel.ptOps().unmapRange(p.roots(), va, va + PageSize, keepFrames,
+                              nullptr);
+    kernel.destroyProcess(p);
+    pm.freeDataLarge(*head);
+}
+
+TEST_F(CheckTest, OrphanedLargePageTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    os::Process &p = kernel.createProcess("orphan-2m", 0);
+    auto head = pm.allocDataLarge(0, p.id());
+    ASSERT_TRUE(head.has_value());
+
+    Checker chk(kernel, collectAll());
+    chk.checkFrameAccounting();
+    ASSERT_EQ(countClass(chk, CheckClass::FrameAccounting), 1);
+    EXPECT_EQ(chk.violations().front().pid, p.id());
+
+    pm.freeDataLarge(*head);
+    chk.clearViolations();
+    chk.checkFrameAccounting();
+    EXPECT_TRUE(chk.violations().empty());
+    kernel.destroyProcess(p);
+}
+
+TEST_F(CheckTest, ReservedCountOffPtCacheSizeTrips)
+{
+    mem::PhysicalMemory &pm = machine.physmem();
+    pm.setPtCacheTarget(0, 4);
+    ASSERT_EQ(pm.ptCacheSize(0), 4u);
+    Pfn reserved = 0;
+    while (reserved < machine.topology().framesPerSocket() &&
+           std::as_const(pm).meta(reserved).type != mem::FrameType::Reserved)
+        ++reserved;
+    ASSERT_LT(reserved, machine.topology().framesPerSocket());
+
+    Checker chk(kernel, collectAll());
+    chk.checkChargeConservation();
+    ASSERT_TRUE(chk.violations().empty());
+
+    // Retype one cached frame: the cache still counts 4, the frames 3.
+    pm.meta(reserved).type = mem::FrameType::Free;
+    chk.checkChargeConservation();
+    EXPECT_EQ(countClass(chk, CheckClass::ChargeConservation), 1);
+
+    pm.meta(reserved).type = mem::FrameType::Reserved;
+    chk.clearViolations();
+    chk.checkChargeConservation();
+    EXPECT_TRUE(chk.violations().empty());
+    pm.setPtCacheTarget(0, 0);
 }
 
 TEST_F(CheckTest, StaleCr3Trips)

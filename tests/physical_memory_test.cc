@@ -59,17 +59,43 @@ TEST_F(PhysicalMemoryTest, DataAnyFallsBackWhenSocketFull)
     EXPECT_NE(pm.socketOf(*pfn), 0);
 }
 
-TEST_F(PhysicalMemoryTest, LargeDataPageMarksHeadAndTails)
+TEST_F(PhysicalMemoryTest, LargeDataPageKeepsOneBlockRecord)
 {
+    EXPECT_EQ(pm.largeOwner(0), -1);
     auto head = pm.allocDataLarge(2, 7);
     ASSERT_TRUE(head.has_value());
-    EXPECT_TRUE(pm.meta(*head).hasFlag(FrameFlagLargeHead));
-    EXPECT_TRUE(pm.meta(*head + 1).hasFlag(FrameFlagLargeTail));
-    EXPECT_TRUE(pm.meta(*head + 511).hasFlag(FrameFlagLargeTail));
+    EXPECT_EQ(pm.largeOwner(*head), 7);
+    EXPECT_EQ(pm.largeOwner(*head + 1), 7);
+    EXPECT_EQ(pm.largeOwner(*head + 511), 7);
+    EXPECT_EQ(pm.largeOwner(*head + 512), -1);
     EXPECT_EQ(pm.stats(2).dataLargePages, 1u);
+    // The record is the page's only metadata: no chunk is touched.
+    EXPECT_FALSE(pm.metaMaterialized(*head));
+    EXPECT_TRUE(std::as_const(pm).meta(*head + 5).isFree());
     pm.freeDataLarge(*head);
     EXPECT_EQ(pm.stats(2).dataLargePages, 0u);
-    EXPECT_TRUE(pm.meta(*head).isFree());
+    EXPECT_EQ(pm.largeOwner(*head), -1);
+    EXPECT_FALSE(pm.metaMaterialized(*head));
+}
+
+TEST_F(PhysicalMemoryTest, SplitGivesEveryFrameItsOwnRecord)
+{
+    auto head = pm.allocDataLarge(1, 4);
+    ASSERT_TRUE(head.has_value());
+    pm.splitLargeData(*head);
+    EXPECT_EQ(pm.largeOwner(*head), -1);
+    EXPECT_EQ(pm.stats(1).dataLargePages, 0u);
+    EXPECT_EQ(pm.stats(1).dataPages, FramesPerLargePage);
+    for (Pfn p = *head; p < *head + FramesPerLargePage; ++p) {
+        const PageMeta &m = std::as_const(pm).meta(p);
+        ASSERT_EQ(m.type, FrameType::Data) << p;
+        ASSERT_EQ(m.owner, 4) << p;
+        ASSERT_EQ(m.replicaNext, p) << p;
+    }
+    for (Pfn p = *head; p < *head + FramesPerLargePage; ++p)
+        pm.freeData(p);
+    EXPECT_EQ(pm.stats(1).dataPages, 0u);
+    EXPECT_EQ(pm.freeLargeBlocks(1), pm.allocator(1).numBlocks());
 }
 
 TEST_F(PhysicalMemoryTest, FreeDataRejectsLargePages)
@@ -225,7 +251,8 @@ TEST_F(PhysicalMemoryTest, MigrateLargeDataPage)
     auto fresh = pm.migrateData(*head, 2);
     ASSERT_TRUE(fresh.has_value());
     EXPECT_EQ(pm.socketOf(*fresh), 2);
-    EXPECT_TRUE(pm.meta(*fresh).hasFlag(FrameFlagLargeHead));
+    EXPECT_EQ(pm.largeOwner(*fresh), 5);
+    EXPECT_EQ(pm.largeOwner(*head), -1);
 }
 
 TEST_F(PhysicalMemoryTest, FragmentationKillsLargeAllocsUntilDefrag)

@@ -159,6 +159,42 @@ TEST(SnapshotTest, ForkAfterCollapseSplitRecyclesTableSlots)
     check::Checker sibchk(sibling->kernel, check::CheckConfig{});
     EXPECT_EQ(sibchk.runAll("sibling fork"), 0u);
 
+    // A fork of the reshaped universe frees one huge page and splits
+    // another; its donor keeps its 2 MB records, stats and invariants.
+    const VirtAddr freed = heap + LargePageSize;
+    const VirtAddr halved = heap + 2 * LargePageSize;
+    auto head_of = [&](VirtAddr va) {
+        pt::WalkResult w = u->kernel.ptOps().walk(u->proc->roots(), va);
+        EXPECT_EQ(w.size, PageSizeKind::Large2M);
+        return w.leaf.pfn();
+    };
+    const Pfn freed_head = head_of(freed);
+    const Pfn halved_head = head_of(halved);
+    std::vector<mem::MemStats> donor_stats;
+    for (SocketId s = 0; s < u->machine.numSockets(); ++s)
+        donor_stats.push_back(pm.stats(s));
+
+    auto child = u->fork(spec.kernelCfg);
+    child->kernel.munmap(*child->proc, freed, LargePageSize);
+    ASSERT_TRUE(child->kernel.thp().splitAt(*child->proc, halved, nullptr));
+    const mem::PhysicalMemory &cpm = child->machine.physmem();
+    EXPECT_EQ(cpm.largeOwner(freed_head), -1);
+    EXPECT_EQ(cpm.largeOwner(halved_head), -1);
+    check::Checker childchk(child->kernel, check::CheckConfig{});
+    EXPECT_EQ(childchk.runAll("fork frees and splits"), 0u);
+
+    EXPECT_EQ(pm.largeOwner(freed_head), u->proc->id());
+    EXPECT_EQ(pm.largeOwner(halved_head), u->proc->id());
+    for (SocketId s = 0; s < u->machine.numSockets(); ++s) {
+        const mem::MemStats &a = pm.stats(s);
+        const mem::MemStats &b = donor_stats[static_cast<std::size_t>(s)];
+        EXPECT_EQ(a.dataPages, b.dataPages) << s;
+        EXPECT_EQ(a.dataLargePages, b.dataLargePages) << s;
+        EXPECT_EQ(a.ptPages, b.ptPages) << s;
+    }
+    EXPECT_EQ(checker.runAll("donor after its fork"), 0u);
+
+    child->finalize();
     u->finalize();
     sibling->finalize();
 }

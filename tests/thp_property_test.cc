@@ -563,8 +563,12 @@ runRecoveryProperty(BackendKind kind, std::uint64_t seed)
                                       ? FramesPerLargePage
                                       : 1;
                 mapped_units += n;
-                const mem::PageMeta &meta =
-                    machine.physmem().meta(pte.pfn());
+                const mem::PhysicalMemory &pm = machine.physmem();
+                if (size == PageSizeKind::Large2M) {
+                    EXPECT_EQ(pm.largeOwner(pte.pfn()), p.id()) << what;
+                    return;
+                }
+                const mem::PageMeta &meta = pm.meta(pte.pfn());
                 EXPECT_EQ(meta.type, mem::FrameType::Data) << what;
                 EXPECT_EQ(meta.owner, p.id()) << what;
             });
