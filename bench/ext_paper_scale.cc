@@ -13,8 +13,7 @@
  * reaches paper-scale: page metadata is chunked and materialized on
  * touch, data frames are unbacked (placement only), and page-table
  * frames are the only host-backed state — so a 512 GiB machine costs
- * host memory proportional to the *touched* footprint, and snapshot
- * forking shares even that copy-on-write across the F / F+M pair.
+ * host memory proportional to the *touched* footprint.
  *
  * Reported per job besides the usual counters: host wall-clock phases
  * and the process's peak RSS, the honest footprint-to-host-cost story
@@ -77,9 +76,7 @@ run(const std::string &workload, bool replicate)
     for (SocketId s = 0; s < spec.machine.topo.numSockets; ++s)
         spec.threadSockets.push_back(s);
 
-    // F and F+M differ only post-populate (the replication mask), so
-    // they fork one 64 GiB donor: the second job's populate is a CoW
-    // fork instead of re-faulting 32k large pages.
+    // F and F+M differ only post-populate (the replication mask).
     auto u = preparePopulated(spec);
     if (replicate) {
         u->mitosis().setReplicationMask(

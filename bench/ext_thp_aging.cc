@@ -77,10 +77,9 @@ run(const std::string &workload, bool use_mitosis, bool daemon)
 
     // The daemon flags only act through thpTick() during measurement,
     // so the daemon-on and daemon-off jobs of one (workload, backend)
-    // pair share a populate snapshot — the spec (and hence the cache
-    // key) carries everything that ages the machine: fragmentation
-    // 1.0 before any allocation (the fig11 injector), the THP-eligible
-    // 4 KB-degraded setup, splitPartial.
+    // pair populate identically. The spec carries everything that ages
+    // the machine: fragmentation 1.0 before any allocation (the fig11
+    // injector), the THP-eligible 4 KB-degraded setup, splitPartial.
     PopulateSpec spec;
     spec.machine = benchMachine();
     spec.backend = use_mitosis ? snapshot::BackendKind::Mitosis

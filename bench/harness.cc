@@ -76,83 +76,30 @@ runMeasured(os::Kernel &kernel, os::ExecContext &ctx,
     }
 }
 
-/**
- * Serialize everything in @p s that influences populate into the
- * snapshot-cache key. Op counts and post-populate config (masks,
- * daemons, interferers, AutoNUMA) are deliberately absent — sharing
- * donors across them is the whole point.
- */
-std::string
-populateKey(const PopulateSpec &s)
-{
-    const sim::MachineConfig &m = s.machine;
-    std::string key = format(
-        "%s|fp=%llu|seed=%llu|thp=%d|init=%d.%d|frag=%g@%llu|home=%d|"
-        "data=%d.%d|pt=%d.%d|be=%d|mi=%d.%d.%d.%d.%d|"
-        "kc=%d.%d.%llu.%d.%d|ma=%d.%d.%llu.%llu.%llu.%d",
-        s.workload.c_str(),
-        static_cast<unsigned long long>(s.params.footprint),
-        static_cast<unsigned long long>(s.params.seed),
-        s.params.thp ? 1 : 0, static_cast<int>(s.params.initMode),
-        s.params.initModeOverridden ? 1 : 0, s.fragmentation,
-        static_cast<unsigned long long>(s.fragSeed), s.homeSocket,
-        static_cast<int>(s.dataPolicy), s.dataFixedSocket,
-        static_cast<int>(s.ptPlacement), s.ptFixedSocket,
-        static_cast<int>(s.backend),
-        static_cast<int>(s.mitosisCfg.policy), s.mitosisCfg.fixedSocket,
-        static_cast<int>(s.mitosisCfg.updateMode),
-        s.mitosisCfg.eagerFreeOnMigration ? 1 : 0,
-        s.mitosisCfg.migrateOnProcessMove ? 1 : 0,
-        s.kernelCfg.sched.timeShared ? 1 : 0,
-        s.kernelCfg.sched.pcid ? 1 : 0,
-        static_cast<unsigned long long>(s.kernelCfg.sched.timeslice),
-        s.kernelCfg.sched.maxAsids,
-        s.kernelCfg.thp.splitPartial ? 1 : 0, m.topo.numSockets,
-        m.topo.coresPerSocket,
-        static_cast<unsigned long long>(m.topo.memPerSocket),
-        static_cast<unsigned long long>(m.hier.l3BytesPerSocket),
-        static_cast<unsigned long long>(m.hier.l1dBytes),
-        m.tlb.l2Holds2M ? 1 : 0);
-    key += "|th=";
-    for (SocketId t : s.threadSockets)
-        key += std::to_string(t) + ",";
-    return key;
-}
-
 } // namespace
 
 std::unique_ptr<snapshot::Universe>
 preparePopulated(const PopulateSpec &spec)
 {
-    auto build = [&spec]() {
-        auto u = std::make_unique<snapshot::Universe>(
-            spec.machine, spec.backend, spec.mitosisCfg, spec.kernelCfg);
-        if (spec.fragmentation > 0.0) {
-            Rng frag_rng(spec.fragSeed);
-            for (SocketId s = 0; s < u->machine.numSockets(); ++s)
-                u->machine.physmem().fragment(s, spec.fragmentation,
-                                              frag_rng);
-        }
-        u->proc = &u->kernel.createProcess(spec.workload,
-                                           spec.homeSocket);
-        u->kernel.setDataPolicy(*u->proc, spec.dataPolicy,
-                                spec.dataFixedSocket);
-        u->kernel.setPtPlacement(*u->proc, spec.ptPlacement,
-                                 spec.ptFixedSocket);
-        u->ctx = std::make_unique<os::ExecContext>(u->kernel, *u->proc);
-        for (SocketId s : spec.threadSockets)
-            u->ctx->addThread(s);
-        u->workload = workloads::makeWorkload(spec.workload, spec.params);
-        u->workload->setup(*u->ctx);
-        return u;
-    };
-    auto u = snapshot::SnapshotCache::instance().populated(
-        populateKey(spec), spec.kernelCfg, build);
+    auto u = std::make_unique<snapshot::Universe>(
+        spec.machine, spec.backend, spec.mitosisCfg, spec.kernelCfg);
+    if (spec.fragmentation > 0.0) {
+        Rng frag_rng(spec.fragSeed);
+        for (SocketId s = 0; s < u->machine.numSockets(); ++s)
+            u->machine.physmem().fragment(s, spec.fragmentation, frag_rng);
+    }
+    u->proc = &u->kernel.createProcess(spec.workload, spec.homeSocket);
+    u->kernel.setDataPolicy(*u->proc, spec.dataPolicy,
+                            spec.dataFixedSocket);
+    u->kernel.setPtPlacement(*u->proc, spec.ptPlacement,
+                             spec.ptFixedSocket);
+    u->ctx = std::make_unique<os::ExecContext>(u->kernel, *u->proc);
+    for (SocketId s : spec.threadSockets)
+        u->ctx->addThread(s);
+    u->workload = workloads::makeWorkload(spec.workload, spec.params);
+    u->workload->setup(*u->ctx);
     // Discard populate-phase observability: a job's metrics and trace
-    // describe only what happens after this point, which also keeps a
-    // fork of a cached donor (whose obs state is never cloned, see
-    // Machine::cloneStateFrom) byte-identical to a fresh
-    // MITOSIM_SNAPSHOTS=0 build-and-populate.
+    // describe only what happens after this point.
     u->machine.metrics().reset();
     u->machine.tracer().reset();
     return u;
@@ -189,9 +136,7 @@ runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
     os::Process &proc = *u->proc;
 
     // Post-populate config: the AutoNUMA flag only matters once scan
-    // ticks run, and the replication mask diverges the configs — both
-    // act on the shared populate state, so forks stay byte-identical
-    // to a from-scratch run.
+    // ticks run, and the replication mask diverges the configs.
     kernel.enableAutoNuma(proc, autonuma);
     if (mitosis) {
         u->mitosis().setReplicationMask(
@@ -707,7 +652,7 @@ namespace
  * Host-side hot-path telemetry: fused replay activity summed over cores
  * (Core::fusedRuns / fusedOps) and table-arena slab/chunk counters
  * (PhysicalMemory). Host throughput context like host_ops_per_sec, it
- * varies legitimately with MITOSIM_FUSE and snapshot donor reuse.
+ * varies legitimately with MITOSIM_FUSE.
  */
 void
 recordHostStats(sim::Machine &machine, driver::JobResult &res)

@@ -101,24 +101,21 @@ class PhaseTimer
     double runMs_ = 0.0;
 };
 
-/// @name Shared populate path (snapshot-cached)
+/// @name Shared populate path
 /// @{
 
 /**
  * Everything that determines the state of a populated universe: one
- * spec = one deterministic populate = one snapshot-cache key. The
- * matrix runners and ext_thp_aging all build their machine through
- * this single helper, so config points that share a populate (e.g.
- * the six Table 3 configs of one workload, or a daemon-on/off pair)
- * fork one cached donor instead of re-faulting the footprint.
+ * spec = one deterministic populate. The matrix runners,
+ * ext_paper_scale and ext_thp_aging all build their machine through
+ * this single helper.
  *
- * Deliberately *not* part of the spec (and of the key): anything that
- * acts only after populate — AutoNUMA enablement, the Mitosis
- * replication mask, page-table migration, bandwidth interferers, THP
- * daemon settings, warmup/measure op counts. Callers apply those to
- * the returned fork. The determinism rule: a job run from a fork must
- * be byte-identical to the same job run from a fresh populate
- * (MITOSIM_SNAPSHOTS=0), which CI enforces.
+ * Deliberately *not* part of the spec: anything that acts only after
+ * populate — AutoNUMA enablement, the Mitosis replication mask,
+ * page-table migration, bandwidth interferers, warmup/measure op
+ * counts. Callers apply those to the returned universe. THP daemon
+ * settings ride in kernelCfg but act only through ticks after
+ * populate.
  */
 struct PopulateSpec
 {
@@ -139,10 +136,10 @@ struct PopulateSpec
 };
 
 /**
- * A populated universe per @p spec: a fork of the process-wide cached
- * donor (built on first use), or a fresh build when MITOSIM_SNAPSHOTS=0.
- * The caller owns the result, applies its post-populate config, runs,
- * records metrics, then calls Universe::finalize().
+ * A freshly built universe, populated per @p spec, with the populate
+ * phase's metrics and trace discarded. The caller owns the result,
+ * applies its post-populate config, runs, records metrics, then calls
+ * Universe::finalize().
  */
 std::unique_ptr<snapshot::Universe>
 preparePopulated(const PopulateSpec &spec);
@@ -166,9 +163,8 @@ const char *msConfigName(MsConfig config, bool thp);
 /**
  * Threads on every socket; returns aggregate counters + runtime. When
  * @p sink is non-null and the kernel ran with vmcheck enabled
- * (MITOSIM_CHECK=1 or a Debug build with MITOSIM_CHECK_DEFAULT), the
- * end-of-run invariant battery fires and its counters land in
- * @p sink's "metrics" section (see recordJobStats).
+ * (MITOSIM_CHECK=1), the end-of-run invariant battery fires and its
+ * counters land in @p sink's "metrics" section (see recordJobStats).
  */
 RunOutcome runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
                           driver::JobResult *sink = nullptr);

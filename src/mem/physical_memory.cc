@@ -22,10 +22,10 @@ namespace
  * Process-wide slab arena + recycling pool for one element type's
  * CowChunks.
  *
- * Chunks churn constantly (snapshot forks detach CoW copies, machines
- * are built and torn down mid-run), and the snapshot cache keeps donor
- * machines alive, so a large share of chunk requests cannot be served
- * by recycling at all — they are fresh, and a per-chunk host
+ * Chunks churn constantly (machines are built and torn down mid-run,
+ * forks detach CoW copies), and concurrent bench jobs each keep a whole
+ * populated machine alive, so a large share of chunk requests cannot be
+ * served by recycling at all — they are fresh, and a per-chunk host
  * allocation pays a page-fault per 4 KiB. Minting chunks out of
  * multi-megabyte value-initialized slabs faults the host pages
  * sequentially (and lets the kernel use transparent huge pages),

@@ -42,12 +42,7 @@ Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend,
         },
         this);
 
-    check::CheckConfig cc = config.check;
-#ifdef MITOSIM_CHECK_DEFAULT
-    cc.enabled = true; // -DMITOSIM_CHECK_DEFAULT=ON build: on unless
-                       // MITOSIM_CHECK=0 overrides below
-#endif
-    cc = check::CheckConfig::fromEnv(cc);
+    check::CheckConfig cc = check::CheckConfig::fromEnv(config.check);
     if (cc.enabled) {
         chk = std::make_unique<check::Checker>(*this, cc);
         sched.setDispatchHook([this] { chk->atDispatch(); });

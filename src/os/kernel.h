@@ -115,8 +115,7 @@ struct KernelConfig
     /**
      * vmcheck: whole-machine invariant checking at syscall/dispatch/THP
      * checkpoints. Off by default (zero cost, zero metric impact); the
-     * MITOSIM_CHECK environment overrides whatever is set here, and a
-     * MITOSIM_CHECK_DEFAULT build flips the default on (Debug CI).
+     * MITOSIM_CHECK environment overrides whatever is set here.
      */
     check::CheckConfig check;
 };

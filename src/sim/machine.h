@@ -59,8 +59,8 @@ class Machine
      * Observability (src/obs): per-machine — and therefore per-job —
      * metrics registry and event tracer. Deliberately NOT part of
      * cloneStateFrom: observability is host telemetry, not simulated
-     * hardware state, and snapshot forks reset it instead (see
-     * bench::preparePopulated).
+     * hardware state, so a fork starts with an empty registry and
+     * bench::preparePopulated resets it after populate.
      */
     obs::MetricsRegistry &metrics() { return metrics_; }
     obs::Tracer &tracer() { return tracer_; }

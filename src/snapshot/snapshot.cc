@@ -1,7 +1,5 @@
 #include "snapshot.h"
 
-#include <cstdlib>
-
 #include "src/base/logging.h"
 
 namespace mitosim::snapshot
@@ -72,62 +70,6 @@ Universe::fork(const os::KernelConfig &kernel_cfg) const
     u->workload = workload->clone();
     u->ctx = std::make_unique<os::ExecContext>(u->kernel, *u->proc, *ctx);
     return u;
-}
-
-SnapshotCache &
-SnapshotCache::instance()
-{
-    static SnapshotCache cache;
-    return cache;
-}
-
-bool
-SnapshotCache::enabled()
-{
-    const char *env = std::getenv("MITOSIM_SNAPSHOTS");
-    return !(env && env[0] == '0' && env[1] == '\0');
-}
-
-std::unique_ptr<Universe>
-SnapshotCache::populated(const std::string &key,
-                         const os::KernelConfig &kernel_cfg,
-                         const Builder &build)
-{
-    if (!enabled())
-        return build();
-
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = donors.find(key);
-    if (it == donors.end()) {
-        std::unique_ptr<Universe> donor = build();
-        MITOSIM_ASSERT(donor && donor->proc && donor->workload &&
-                           donor->ctx,
-                       "snapshot builder returned an uncaptured universe");
-        it = donors.emplace(key, std::move(donor)).first;
-        lru.push_front(key);
-        evictIfNeeded();
-    } else {
-        lru.remove(key);
-        lru.push_front(key);
-    }
-    return it->second->fork(kernel_cfg);
-}
-
-void
-SnapshotCache::clear()
-{
-    std::lock_guard<std::mutex> lock(mu);
-    donors.clear();
-    lru.clear();
-}
-
-void
-SnapshotCache::evictIfNeeded()
-{
-    while (donors.size() > Cap && !lru.empty()) {
-        donors.erase(lru.back());
-        lru.pop_back();
-    }
 }
 
 } // namespace mitosim::snapshot

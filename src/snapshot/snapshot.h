@@ -1,15 +1,7 @@
 /**
  * @file
- * Populate-phase checkpointing: capture a fully populated Machine +
- * Kernel once, then fork every bench job that shares the populate from
- * the captured state instead of re-faulting gigabytes of pages.
+ * One complete simulation stack, and an exact fork of a populated one.
  *
- * A paper-scale matrix (registerMsMatrix, registerWmTrio, the THP aging
- * study) runs the *same* deterministic populate — same workload, seed,
- * footprint, placement policies, fragmentation — under many measurement
- * configs (replication mask on/off, AutoNUMA on/off, THP daemons
- * on/off, interferers). Everything that distinguishes those configs
- * acts strictly *after* populate, so the post-populate state is shared.
  * MitoSim state is small and explicit (frame allocators, PageMeta,
  * host-backed page-table pages, caches, TLBs, run queues), which makes
  * a checkpoint an exact deep copy rather than a serialization format:
@@ -17,31 +9,21 @@
  *  - Universe owns one complete simulation stack (Machine, PV-Ops
  *    backend, Kernel, the populated Process, the Workload generator
  *    and its ExecContext) with the construction-order dependencies
- *    encoded once.
+ *    encoded once. bench::preparePopulated builds every bench job's
+ *    universe this way, from scratch.
  *  - Universe::fork() builds a *fresh* stack from the same configs and
  *    restores every piece of donor state into it via the per-class
- *    cloneStateFrom members. Byte-identity rule: a forked job must
- *    report exactly what a from-scratch populate + run would.
- *  - SnapshotCache keys donors by a caller-built string of everything
- *    that influences populate. It ALWAYS hands out a fork and never
- *    the donor itself, so a job's starting state does not depend on
- *    whether it hit or missed, or on matrix execution order.
- *
- * MITOSIM_SNAPSHOTS=0 disables reuse (every request builds fresh);
- * the cache keeps at most SnapshotCache::Cap live donors and evicts
- * least-recently used — an evicted donor just costs one re-populate
- * later.
+ *    cloneStateFrom members, sharing page metadata and page-table
+ *    chunks copy-on-write. Byte-identity rule: a forked job must
+ *    report exactly what a from-scratch populate + run would. The
+ *    host-cost benchmark times a fork, and tests/snapshot_test.cc
+ *    holds forks to the rule; no bench job forks.
  */
 
 #ifndef MITOSIM_SNAPSHOT_SNAPSHOT_H
 #define MITOSIM_SNAPSHOT_SNAPSHOT_H
 
-#include <functional>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <string>
 
 #include "src/core/mitosis.h"
 #include "src/os/exec_context.h"
@@ -86,8 +68,8 @@ class Universe
      * End-of-life teardown of the captured process via
      * Kernel::finalizeProcess (skipping the simulated free sweep that
      * nothing can observe). Jobs call this after recording metrics;
-     * the destructor calls it for cached donors, so a bench process
-     * never pays the multi-GiB teardown at exit either.
+     * the destructor calls it for a universe nobody finalized, so
+     * dropping one never pays the multi-GiB teardown either.
      */
     void finalize();
 
@@ -114,48 +96,6 @@ class Universe
 
     /** Execution context driving proc's threads; set by the builder. */
     std::unique_ptr<os::ExecContext> ctx;
-};
-
-/**
- * Process-wide donor cache. Thread-safe: bench drivers run jobs on
- * worker threads (--jobs=N), and build/fork both mutate or read large
- * donor state, so the whole operation is serialized per cache.
- */
-class SnapshotCache
-{
-  public:
-    /** A builder constructs and populates a donor (cache miss path). */
-    using Builder = std::function<std::unique_ptr<Universe>()>;
-
-    /** Live donors kept before least-recently-used eviction. */
-    static constexpr std::size_t Cap = 32;
-
-    /** The process-wide instance benches share. */
-    static SnapshotCache &instance();
-
-    /** False when MITOSIM_SNAPSHOTS=0 disables checkpoint reuse. */
-    static bool enabled();
-
-    /**
-     * A universe populated per @p key: with snapshots enabled, build
-     * the donor once via @p build and return a fork of it (always a
-     * fork — hit and miss paths hand out identical state); disabled,
-     * just build fresh. @p kernel_cfg configures the returned
-     * universe's kernel (see Universe::fork).
-     */
-    std::unique_ptr<Universe> populated(const std::string &key,
-                                        const os::KernelConfig &kernel_cfg,
-                                        const Builder &build);
-
-    /** Drop every donor (tests; also frees the host memory). */
-    void clear();
-
-  private:
-    void evictIfNeeded();
-
-    std::mutex mu;
-    std::map<std::string, std::unique_ptr<Universe>> donors;
-    std::list<std::string> lru; //!< front = most recently used
 };
 
 } // namespace mitosim::snapshot

@@ -61,9 +61,9 @@ class Workload
 
     /**
      * Deep copy (same dynamic type, same post-setup state: region
-     * addresses, per-thread RNG streams, cursors). The populate
-     * snapshot cache forks workloads with this right after setup() so
-     * every forked run replays the donor's exact access stream.
+     * addresses, per-thread RNG streams, cursors). Universe::fork
+     * copies the workload with this, so a forked run replays the
+     * donor's exact access stream.
      */
     virtual std::unique_ptr<Workload> clone() const = 0;
 

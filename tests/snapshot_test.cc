@@ -1,14 +1,14 @@
 /**
  * @file
- * Tests for the snapshot subsystem (src/snapshot/): Universe forking,
- * the populate cache, and the determinism contract — a job run from a
- * fork must be byte-identical to the same job run from a fresh
- * populate, and sibling forks must never observe each other's writes.
+ * Tests for the snapshot subsystem (src/snapshot/): Universe forking
+ * and its determinism contract — a job run from a fork of a populated
+ * donor must be byte-identical to the same job run from a fresh
+ * populate, sibling forks must never observe each other's writes, and
+ * read-only sweeps of a fork must leave its copy-on-write chunks shared.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -16,6 +16,7 @@
 
 #include "bench/harness.h"
 #include "src/analysis/pt_dump.h"
+#include "src/base/rng.h"
 #include "src/check/vmcheck.h"
 #include "src/workloads/workload.h"
 
@@ -45,8 +46,10 @@ measure(Universe &u, std::uint64_t ops)
     return u.ctx->totals();
 }
 
+/** Field-for-field equality of a plain counter struct. */
+template <typename Stats>
 bool
-countersEqual(const sim::PerfCounters &a, const sim::PerfCounters &b)
+statsEqual(const Stats &a, const Stats &b)
 {
     return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
@@ -54,16 +57,9 @@ countersEqual(const sim::PerfCounters &a, const sim::PerfCounters &b)
 TEST(SnapshotTest, ForkMatchesFreshPopulate)
 {
     auto spec = testSpec("gups", BackendKind::Mitosis);
-
-    // Twice through the cache: first call builds the donor, second
-    // forks it. Both are forks (the cache always returns forks), so
-    // this also covers fork-of-just-built.
-    auto forked = bench::preparePopulated(spec);
-
-    // Fresh build with the cache bypassed.
-    setenv("MITOSIM_SNAPSHOTS", "0", 1);
+    auto donor = bench::preparePopulated(spec);
+    auto forked = donor->fork(spec.kernelCfg);
     auto fresh = bench::preparePopulated(spec);
-    unsetenv("MITOSIM_SNAPSHOTS");
 
     // Same per-socket frame accounting after populate.
     for (SocketId s = 0; s < forked->machine.numSockets(); ++s) {
@@ -77,30 +73,99 @@ TEST(SnapshotTest, ForkMatchesFreshPopulate)
     // Byte-identical measurement from either starting point.
     sim::PerfCounters a = measure(*forked, 3000);
     sim::PerfCounters b = measure(*fresh, 3000);
-    EXPECT_TRUE(countersEqual(a, b));
+    EXPECT_TRUE(statsEqual(a, b));
 
     forked->finalize();
     fresh->finalize();
+    donor->finalize();
 }
 
 TEST(SnapshotTest, SiblingForksAreIsolated)
 {
     auto spec = testSpec("memcached", BackendKind::Mitosis);
+    auto donor = bench::preparePopulated(spec);
 
     // Run a workload on the first fork: sets A/D bits, rotates cache
     // and TLB state, moves counters.
-    auto first = bench::preparePopulated(spec);
+    auto first = donor->fork(spec.kernelCfg);
     sim::PerfCounters a = measure(*first, 3000);
 
     // A second fork from the same (now heavily exercised donor-shared
     // CoW chunks) must start from pristine populate state and produce
     // the identical measurement.
-    auto second = bench::preparePopulated(spec);
+    auto second = donor->fork(spec.kernelCfg);
     sim::PerfCounters b = measure(*second, 3000);
-    EXPECT_TRUE(countersEqual(a, b));
+    EXPECT_TRUE(statsEqual(a, b));
 
     first->finalize();
     second->finalize();
+    donor->finalize();
+}
+
+/**
+ * Age @p u the way ext_thp_aging does after populate: replicate, then
+ * phases of replay followed by THP daemon and AutoNUMA ticks.
+ */
+void
+ageUnderDaemons(Universe &u)
+{
+    ASSERT_TRUE(u.mitosis().setReplicationMask(
+        u.proc->roots(), u.proc->id(),
+        SocketMask::all(u.machine.numSockets())));
+    u.kernel.reloadContexts(*u.proc);
+    u.kernel.enableAutoNuma(*u.proc, true);
+    Rng rng(0x5eedull);
+    for (int phase = 0; phase < 4; ++phase) {
+        workloads::runInterleaved(*u.ctx, *u.workload, 2000);
+        u.kernel.thpTick();
+        u.kernel.thpTick();
+        u.kernel.autoNumaTick(0.05, rng);
+    }
+}
+
+TEST(SnapshotTest, ForkMatchesFreshUnderThpDaemonsAndAutoNuma)
+{
+    // ext_thp_aging's shape: a THP populate into half-fragmented
+    // memory, then khugepaged, kcompactd and AutoNUMA all acting on
+    // the fork. Every frame pin, 2 MB record and daemon cursor the
+    // fork missed would surface as a diverging decision here. 64 MiB
+    // sockets make the 160 MiB footprint outgrow the unfragmented
+    // blocks, so populate mixes 2 MB and 4 KB pages.
+    auto spec = testSpec("memcached", BackendKind::Mitosis);
+    spec.machine.topo.memPerSocket = 64ull << 20;
+    spec.params.footprint = 160ull << 20;
+    spec.params.thp = true;
+    spec.fragmentation = 0.5;
+    spec.fragSeed = 0xf7a6ull;
+    spec.kernelCfg.thp.splitPartial = true;
+    spec.kernelCfg.thp.khugepaged = true;
+    spec.kernelCfg.thp.kcompactd = true;
+
+    auto donor = bench::preparePopulated(spec);
+    auto forked = donor->fork(spec.kernelCfg);
+    auto fresh = bench::preparePopulated(spec);
+    ageUnderDaemons(*forked);
+    ageUnderDaemons(*fresh);
+
+    EXPECT_TRUE(statsEqual(forked->ctx->totals(), fresh->ctx->totals()));
+    for (SocketId s = 0; s < fresh->machine.numSockets(); ++s)
+        EXPECT_TRUE(statsEqual(forked->machine.physmem().stats(s),
+                               fresh->machine.physmem().stats(s)))
+            << "socket " << s;
+    const os::thp::ThpStats &ts = fresh->kernel.thp().stats();
+    EXPECT_TRUE(statsEqual(forked->kernel.thp().stats(), ts));
+    const os::AutoNuma::Stats &as = fresh->kernel.autoNuma().stats();
+    EXPECT_TRUE(statsEqual(forked->kernel.autoNuma().stats(), as));
+    EXPECT_EQ(forked->machine.metrics().flatten(),
+              fresh->machine.metrics().flatten());
+    // The daemons really acted, or the comparison proves little.
+    EXPECT_GT(ts.collapses, 0u);
+    EXPECT_GT(ts.compactionPagesMoved, 0u);
+    EXPECT_GT(as.hintFaults, 0u);
+
+    forked->finalize();
+    fresh->finalize();
+    donor->finalize();
 }
 
 TEST(SnapshotTest, ForkPassesInvariantBattery)
@@ -108,7 +173,8 @@ TEST(SnapshotTest, ForkPassesInvariantBattery)
     for (BackendKind backend :
          {BackendKind::Native, BackendKind::Mitosis}) {
         auto spec = testSpec("xsbench", backend);
-        auto u = bench::preparePopulated(spec);
+        auto donor = bench::preparePopulated(spec);
+        auto u = donor->fork(spec.kernelCfg);
         measure(*u, 1000);
 
         // The full vmcheck battery over the forked universe: replica
@@ -117,6 +183,7 @@ TEST(SnapshotTest, ForkPassesInvariantBattery)
         check::Checker checker(u->kernel, check::CheckConfig{});
         EXPECT_EQ(checker.runAll("snapshot fork"), 0u);
         u->finalize();
+        donor->finalize();
     }
 }
 
@@ -125,7 +192,8 @@ TEST(SnapshotTest, ForkAfterCollapseSplitRecyclesTableSlots)
     auto spec = testSpec("gups", BackendKind::Mitosis);
     spec.params.thp = true; // huge-page-backed heap: splittable
 
-    auto u = bench::preparePopulated(spec);
+    auto donor = bench::preparePopulated(spec);
+    auto u = donor->fork(spec.kernelCfg);
     mem::PhysicalMemory &pm = u->machine.physmem();
     ASSERT_FALSE(u->proc->vmas().empty());
     const VirtAddr heap = u->proc->vmas().begin()->first;
@@ -151,7 +219,7 @@ TEST(SnapshotTest, ForkAfterCollapseSplitRecyclesTableSlots)
 
     // ...and a sibling fork starts from the pristine donor state —
     // huge mapping intact, its own arena untouched by the reshaping.
-    auto sibling = bench::preparePopulated(spec);
+    auto sibling = donor->fork(spec.kernelCfg);
     EXPECT_EQ(sibling->kernel.ptOps()
                   .walk(sibling->proc->roots(), heap)
                   .size,
@@ -197,6 +265,7 @@ TEST(SnapshotTest, ForkAfterCollapseSplitRecyclesTableSlots)
     child->finalize();
     u->finalize();
     sibling->finalize();
+    donor->finalize();
 }
 
 TEST(SnapshotTest, ReadOnlyPageTableSweepsNeverDetach)
@@ -204,8 +273,9 @@ TEST(SnapshotTest, ReadOnlyPageTableSweepsNeverDetach)
     // A fork shares its donor's page-table arena chunks copy-on-write.
     // Reading the tree (both THP daemons sweep every leaf per tick)
     // must not copy a chunk; only a PTE store may.
-    auto u = bench::preparePopulated(testSpec("xsbench",
-                                              BackendKind::Mitosis));
+    auto spec = testSpec("xsbench", BackendKind::Mitosis);
+    auto donor = bench::preparePopulated(spec);
+    auto u = donor->fork(spec.kernelCfg);
     mem::PhysicalMemory &pm = u->machine.physmem();
     pt::PageTableOps &ops = u->kernel.ptOps();
     const pt::RootSet &roots = u->proc->roots();
@@ -236,6 +306,7 @@ TEST(SnapshotTest, ReadOnlyPageTableSweepsNeverDetach)
     u->kernel.mprotect(*u->proc, first, PageSize, os::ProtRead);
     EXPECT_GT(pm.tableArenaStats().detaches, detaches);
     u->finalize();
+    donor->finalize();
 }
 
 TEST(SnapshotTest, BackendPteReadsNeverDetach)
@@ -316,78 +387,20 @@ TEST(SnapshotTest, AnalysesAndChecksNeverDetach)
     donor->finalize();
 }
 
-/** A captured native universe on the tiny machine, populated by gups. */
-std::unique_ptr<Universe>
-tinyDonor(std::uint64_t seed)
-{
-    auto u = std::make_unique<Universe>(sim::MachineConfig::tiny(),
-                                        BackendKind::Native,
-                                        core::MitosisConfig{},
-                                        os::KernelConfig{});
-    u->proc = &u->kernel.createProcess("gups", 0);
-    u->ctx = std::make_unique<os::ExecContext>(u->kernel, *u->proc);
-    u->ctx->addThread(0);
-    workloads::WorkloadParams params;
-    params.footprint = 1ull << 20;
-    params.seed = seed;
-    u->workload = workloads::makeWorkload("gups", params);
-    u->workload->setup(*u->ctx);
-    return u;
-}
-
-TEST(SnapshotTest, CacheEvictsLeastRecentlyUsedDonor)
-{
-    if (!SnapshotCache::enabled())
-        GTEST_SKIP() << "MITOSIM_SNAPSHOTS=0 disables the cache";
-
-    SnapshotCache cache; // local: the process-wide instance is untouched
-    std::vector<int> builds(SnapshotCache::Cap + 1, 0);
-    auto request = [&](std::size_t i) {
-        return cache.populated(std::to_string(i), os::KernelConfig{},
-                               [&builds, i] {
-                                   ++builds[i];
-                                   return tinyDonor(i);
-                               });
-    };
-
-    for (std::size_t i = 0; i < SnapshotCache::Cap; ++i)
-        request(i)->finalize();
-    // Touch key 0 so key 1 becomes least recently used, then add one
-    // key past the cap.
-    request(0)->finalize();
-    request(SnapshotCache::Cap)->finalize();
-    ASSERT_EQ(builds[0], 1);
-    ASSERT_EQ(builds[1], 1);
-
-    request(0)->finalize();
-    EXPECT_EQ(builds[0], 1) << "recently used donor was evicted";
-    auto rebuilt = request(1);
-    EXPECT_EQ(builds[1], 2) << "least recently used donor was kept";
-
-    // The fork of the rebuilt donor starts from exactly the state a
-    // fresh populate reaches.
-    auto fresh = tinyDonor(1);
-    for (SocketId s = 0; s < fresh->machine.numSockets(); ++s) {
-        const mem::MemStats &a = rebuilt->machine.physmem().stats(s);
-        const mem::MemStats &b = fresh->machine.physmem().stats(s);
-        EXPECT_EQ(a.dataPages, b.dataPages) << "socket " << s;
-        EXPECT_EQ(a.ptPages, b.ptPages) << "socket " << s;
-    }
-    EXPECT_TRUE(countersEqual(measure(*rebuilt, 2000),
-                              measure(*fresh, 2000)));
-}
-
 TEST(SnapshotTest, FinalizeIsIdempotentAndDtorSafe)
 {
     auto spec = testSpec("gups", BackendKind::Native);
-    auto u = bench::preparePopulated(spec);
+    auto donor = bench::preparePopulated(spec);
+    auto u = donor->fork(spec.kernelCfg);
     u->finalize();
     u->finalize(); // second call: no-op
     u.reset();     // dtor after finalize: no double teardown
 
-    // Dtor without explicit finalize must also clean up.
-    auto v = bench::preparePopulated(spec);
+    // Dtor without explicit finalize must also clean up, for a fork
+    // and for the donor it came from.
+    auto v = donor->fork(spec.kernelCfg);
     v.reset();
+    donor.reset();
 }
 
 } // namespace

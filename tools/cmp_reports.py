@@ -2,15 +2,15 @@
 """Diff two bench reports, ignoring host wall-clock telemetry.
 
 The simulated metrics in a BENCH_<name>.json report are deterministic:
-they must be byte-identical across MITOSIM_SNAPSHOTS={0,1}, across
-MITOSIM_BATCH={0,1} and MITOSIM_FUSE={0,1}, across MITOSIM_TRACE, across
---jobs values, and (unless the model changed) across commits.
+they must be byte-identical across MITOSIM_BATCH={0,1} and
+MITOSIM_FUSE={0,1}, across MITOSIM_TRACE, across --jobs values, and
+(unless the model changed) across commits.
 
 The command line strips only the top-level "wall_ms" section (host
 wall-clock telemetry) and requires everything else to be equal: every
 per-run metric and the "metrics" section (the src/obs registry flatten).
-CI uses it as the determinism wall for the populate snapshot cache, the
-batched and fused replay paths and the tracer.
+CI uses it as the determinism wall for the batched and fused replay
+paths and the tracer.
 
 strip_host_telemetry() also drops "metrics": the vmcheck CI steps import
 it to compare a MITOSIM_CHECK=1 run with an unchecked one, and vmcheck

@@ -6,8 +6,7 @@ Every bench report (BENCH_<name>.json) carries a host-telemetry
 split, plus the invocation total. This tool diffs the totals of one or
 more fresh reports against bench/baselines/wall_ms.json and fails when
 a bench slowed down beyond the tolerance — the cheap guard against
-accidentally serializing the populate path or breaking the snapshot
-cache.
+accidentally serializing the populate path or losing a fast path.
 
 Wall clock is host-dependent: the committed baseline records the
 reference host in "_host" and CI uses a generous tolerance. Simulated
