@@ -73,6 +73,7 @@ run(const std::string &workload, Mode mode)
     driver::JobResult result;
     result.value("runtime_cycles", static_cast<double>(ctx.runtime()));
     result.value("replicated", proc.roots().replicated() ? 1.0 : 0.0);
+    recordCheckStats(kernel, result);
     kernel.finalizeProcess(proc);
     return result;
 }

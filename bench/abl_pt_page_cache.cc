@@ -70,6 +70,7 @@ runWithReserve(std::uint64_t reserve_frames)
     result.value("remote_pt_pages", static_cast<double>(remote));
     result.value("reserve_hits",
                  static_cast<double>(pm.stats(0).ptCacheHits));
+    recordCheckStats(kernel, result);
     kernel.finalizeProcess(proc);
     return result;
 }

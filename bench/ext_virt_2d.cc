@@ -105,6 +105,7 @@ run(bool gpt_replicated, bool npt_replicated)
     }
     driver::JobResult res = driver::JobResult::of(out);
     phases.stamp(res);
+    recordCheckStats(kernel, res);
     return res;
 }
 

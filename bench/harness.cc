@@ -167,7 +167,8 @@ runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
 }
 
 PlacementAnalysis
-analyzePlacement(const ScenarioConfig &scenario, bool interleave)
+analyzePlacement(const ScenarioConfig &scenario, bool interleave,
+                 driver::JobResult *sink)
 {
     PhaseTimer phases;
 
@@ -200,6 +201,8 @@ analyzePlacement(const ScenarioConfig &scenario, bool interleave)
     for (SocketId s = 0; s < u->machine.numSockets(); ++s)
         out.remoteLeafFraction.push_back(snap.remoteLeafFractionFrom(s));
     out.figure3Dump = snap.str();
+    if (sink)
+        recordCheckStats(u->kernel, *sink);
     u->finalize();
     return out;
 }
@@ -309,8 +312,9 @@ migrationJob(const ScenarioConfig &scenario, const std::string &placement)
 driver::JobResult
 placementJob(const ScenarioConfig &scenario, bool interleave)
 {
-    PlacementAnalysis analysis = analyzePlacement(scenario, interleave);
     driver::JobResult result;
+    PlacementAnalysis analysis =
+        analyzePlacement(scenario, interleave, &result);
     for (std::size_t s = 0; s < analysis.remoteLeafFraction.size(); ++s)
         result.value("remote_leaf_socket" + std::to_string(s),
                      analysis.remoteLeafFraction[s]);
@@ -650,9 +654,9 @@ namespace
 
 /**
  * Host-side hot-path telemetry: fused replay activity summed over cores
- * (Core::fusedRuns / fusedOps) and table-arena slab/chunk counters
- * (PhysicalMemory). Host throughput context like host_ops_per_sec, it
- * varies legitimately with MITOSIM_FUSE.
+ * (Core::fusedRuns / fusedOps) and metadata/table-arena slab and chunk
+ * counters (PhysicalMemory). Host throughput context like
+ * host_ops_per_sec, it varies legitimately with MITOSIM_FUSE.
  */
 void
 recordHostStats(sim::Machine &machine, driver::JobResult &res)
@@ -666,10 +670,11 @@ recordHostStats(sim::Machine &machine, driver::JobResult &res)
     res.hostStat("fused_runs", static_cast<double>(runs));
     res.hostStat("fused_ops", static_cast<double>(ops));
 
-    mem::TableArenaStats arena = machine.physmem().tableArenaStats();
+    const mem::PhysicalMemory &pm = machine.physmem();
+    mem::TableArenaStats arena = pm.tableArenaStats();
+    res.hostStat("arena_meta_chunks",
+                 static_cast<double>(pm.metaChunksMaterialized()));
     res.hostStat("arena_table_chunks", static_cast<double>(arena.chunks));
-    res.hostStat("arena_table_detaches",
-                 static_cast<double>(arena.detaches));
     res.hostStat("arena_slot_recycles",
                  static_cast<double>(arena.slotRecycles));
 
@@ -681,12 +686,10 @@ recordHostStats(sim::Machine &machine, driver::JobResult &res)
                                      pool.tableRecycles));
 }
 
-/**
- * Run the kernel's end-of-run vmcheck battery and copy the checker's
- * counters in as check_* metrics; a no-op without a checker. The
- * counters stay out of the machine registry because a standalone
- * Checker (built outside a kernel) has no registry to feed.
- */
+} // namespace
+
+// The check_* counters stay out of the machine registry because a
+// standalone Checker (built outside a kernel) has no registry to feed.
 void
 recordCheckStats(os::Kernel &kernel, driver::JobResult &res)
 {
@@ -708,8 +711,6 @@ recordCheckStats(os::Kernel &kernel, driver::JobResult &res)
     res.metricStat("check_frames_accounted",
                    static_cast<double>(s.framesAccounted));
 }
-
-} // namespace
 
 void
 recordJobStats(os::Kernel &kernel, driver::JobResult &res)

@@ -182,8 +182,10 @@ struct PlacementAnalysis
     double wallRunMs = 0.0;
 };
 
+/** With @p sink, vmcheck's counters land there (see recordCheckStats). */
 PlacementAnalysis analyzePlacement(const ScenarioConfig &scenario,
-                                   bool interleave = false);
+                                   bool interleave = false,
+                                   driver::JobResult *sink = nullptr);
 
 /// @}
 /// @name Workload migration scenario (Table 2 configs)
@@ -330,6 +332,14 @@ BenchRun &recordOutcome(BenchReport &report, const std::string &label,
  * Call once per job, after Universe::finalize() / finalizeProcess().
  */
 void recordJobStats(os::Kernel &kernel, driver::JobResult &res);
+
+/**
+ * The check_* part of recordJobStats alone, for jobs whose reports
+ * carry no registry metrics: runs the kernel's end-of-run vmcheck
+ * battery and records its counters. A no-op without a checker, so an
+ * unchecked report is unchanged.
+ */
+void recordCheckStats(os::Kernel &kernel, driver::JobResult &res);
 
 /**
  * Record @p totals' walk-cycle attribution (PerfCounters::walkCyclesAttr)

@@ -77,6 +77,7 @@ liveCrossCheckJob()
     result.value("measured_overhead", measured);
     result.value("model_overhead",
                  analysis::replicationMemOverhead(64ull << 20, 4));
+    recordCheckStats(kernel, result);
     kernel.finalizeProcess(proc);
     return result;
 }

@@ -52,6 +52,7 @@ endToEnd(bool mitosis_backend, const std::string &workload)
     workloads::runInterleaved(ctx, *w, 20000);
     driver::JobResult result;
     result.value("runtime_cycles", static_cast<double>(ctx.runtime()));
+    recordCheckStats(kernel, result);
     kernel.finalizeProcess(proc);
     return result;
 }

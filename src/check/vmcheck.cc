@@ -72,9 +72,9 @@ CheckConfig::fromEnv(CheckConfig base)
             base.atThpTicks = true;
             base.atDispatch = true;
         } else {
-            warn("MITOSIM_CHECK_LEVEL: unknown level '%s' "
-                 "(want end|syscall|dispatch)",
-                 v);
+            fatal("MITOSIM_CHECK_LEVEL: unknown level '%s' "
+                  "(want end|syscall|dispatch)",
+                  v);
         }
     }
     if (const char *v = std::getenv("MITOSIM_CHECK_FAILFAST"))

@@ -93,6 +93,7 @@ struct CheckConfig
      *                     =syscall syscalls + THP ticks (default)
      *                     =dispatch syscalls + THP ticks + dispatch
      *   MITOSIM_CHECK_FAILFAST=0   collect violations instead of dying
+     * Any other MITOSIM_CHECK_LEVEL is fatal().
      */
     static CheckConfig fromEnv(CheckConfig base);
 };

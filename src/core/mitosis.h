@@ -264,11 +264,7 @@ class MitosisBackend : public pvops::PvOps
     void writeReplicaEntry(Pfn replica, unsigned index, pt::Pte value,
                            int level, pvops::KernelCost *cost);
 
-    /**
-     * Next page in @p pfn's replica ring. A read, so through the const
-     * meta(): on a snapshot fork the mutable one would copy a shared
-     * metadata chunk.
-     */
+    /** Next page in @p pfn's replica ring (a read: the const meta()). */
     Pfn
     nextReplica(Pfn pfn) const
     {

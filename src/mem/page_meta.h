@@ -42,7 +42,7 @@ inline constexpr std::uint32_t NoTableSlot = 0xffffffffu;
 /**
  * Metadata for one 4 KB physical frame.
  *
- * Trivially copyable by design: metadata chunks are detached (CoW) and
+ * Trivially copyable by design: metadata chunks are copied by forks and
  * recycled wholesale, and the 512 x u64 table storage of PageTable
  * frames lives in the per-socket slot arenas of PhysicalMemory, not
  * inline here.

@@ -20,10 +20,10 @@ namespace
 
 /**
  * Process-wide slab arena + recycling pool for one element type's
- * CowChunks.
+ * ChunkStores.
  *
  * Chunks churn constantly (machines are built and torn down mid-run,
- * forks detach CoW copies), and concurrent bench jobs each keep a whole
+ * forks copy them), and concurrent bench jobs each keep a whole
  * populated machine alive, so a large share of chunk requests cannot be
  * served by recycling at all — they are fresh, and a per-chunk host
  * allocation pays a page-fault per 4 KiB. Minting chunks out of
@@ -97,45 +97,40 @@ slabPoolStats()
 
 template <typename T, std::size_t ChunkElems, std::size_t SlabChunks>
 void
-CowChunks<T, ChunkElems, SlabChunks>::makePrivate(Ptr &chunk)
+ChunkStore<T, ChunkElems, SlabChunks>::materialize(Ptr &chunk)
 {
     SlabPool<T> &pool = SlabPool<T>::instance();
-    T *raw = nullptr;
-    {
-        std::lock_guard<std::mutex> g(pool.mu);
-        if (pool.free.empty()) {
-            T *base = newSlab<T>(SlabChunks * ChunkElems);
-            ++pool.slabs;
-            // Push in descending address order so chunks are handed
-            // out ascending, matching the slab's fault order.
-            for (std::size_t c = SlabChunks; c-- > 0;)
-                pool.free.push_back(base + c * ChunkElems);
-        }
-        raw = pool.free.back();
-        pool.free.pop_back();
+    std::lock_guard<std::mutex> g(pool.mu);
+    if (pool.free.empty()) {
+        T *base = newSlab<T>(SlabChunks * ChunkElems);
+        ++pool.slabs;
+        // Push in descending address order so chunks are handed out
+        // ascending, matching the slab's fault order.
+        for (std::size_t c = SlabChunks; c-- > 0;)
+            pool.free.push_back(base + c * ChunkElems);
     }
-    // The deleter scrubs the chunk back to pristine (indistinguishable
-    // from a fresh one) and parks it for reuse.
-    Ptr copy(raw, [](T *p) {
-        std::fill_n(p, ChunkElems, T{});
-        SlabPool<T> &pl = SlabPool<T>::instance();
-        std::lock_guard<std::mutex> g(pl.mu);
-        pl.free.push_back(p);
-        ++pl.recycles;
-    });
-    if (chunk) {
-        std::copy(chunk.get(), chunk.get() + ChunkElems, copy.get());
-        retired_.push_back(std::move(chunk));
-        ++detaches_;
-    }
-    chunk = std::move(copy);
+    chunk.reset(pool.free.back());
+    pool.free.pop_back();
+}
+
+template <typename T, std::size_t ChunkElems, std::size_t SlabChunks>
+void
+ChunkStore<T, ChunkElems, SlabChunks>::Release::operator()(T *chunk) const
+{
+    // Scrubbed back to pristine, a chunk is indistinguishable from a
+    // fresh one.
+    std::fill_n(chunk, ChunkElems, T{});
+    SlabPool<T> &pool = SlabPool<T>::instance();
+    std::lock_guard<std::mutex> g(pool.mu);
+    pool.free.push_back(chunk);
+    ++pool.recycles;
 }
 
 // The two stores PhysicalMemory keeps (see MetaChunks / TableChunks).
-template class CowChunks<PageMeta, PhysicalMemory::MetaChunkSize,
-                         PhysicalMemory::MetaSlabChunks>;
-template class CowChunks<std::uint64_t, PhysicalMemory::TableChunkElems,
-                         PhysicalMemory::TableSlabChunks>;
+template class ChunkStore<PageMeta, PhysicalMemory::MetaChunkSize,
+                          PhysicalMemory::MetaSlabChunks>;
+template class ChunkStore<std::uint64_t, PhysicalMemory::TableChunkElems,
+                          PhysicalMemory::TableSlabChunks>;
 
 PhysicalMemory::PhysicalMemory(const numa::Topology &topology)
     : topo(topology),
@@ -559,20 +554,11 @@ PhysicalMemory::allocTableSlot(SocketId socket)
     std::size_t c = slot >> TableChunkShift;
     if (c >= arena.words.size())
         arena.words.resize(c + 1);
-    if (recycled) {
-        // A recycled slot still holds the retired table's stale PTEs
-        // (releaseTableSlot never scrubs — that would detach chunks a
-        // fork shares). Zero it through the detaching path so a donor
-        // never observes the scrub.
-        std::fill_n(arena.words.mut(c) + slotOffset(slot), PtEntriesPerPage,
-                    0);
-    } else if (!arena.words.view(c)) {
-        arena.words.mut(c); // materializes a zeroed chunk
-    }
-    // Never-yet-used slots of an existing chunk are zero by
-    // construction (chunks are born zeroed and detach copies preserve
-    // that), so the fresh-highWater case needs no scrub either. Nor
-    // does it detach: a fork pays for the chunk at its first PTE write.
+    std::uint64_t *chunk = arena.words.mut(c); // born zeroed
+    // A recycled slot still holds the freed table's stale PTEs; a
+    // never-used slot is zero already.
+    if (recycled)
+        std::fill_n(chunk + slotOffset(slot), PtEntriesPerPage, 0);
     return slot;
 }
 
@@ -589,10 +575,7 @@ PhysicalMemory::tableArenaStats() const
     TableArenaStats out;
     out.slotRecycles = tableSlotRecycles_;
     for (const TableArena &arena : tableArenas) {
-        for (std::size_t c = 0; c < arena.words.size(); ++c)
-            if (arena.words.view(c))
-                ++out.chunks;
-        out.detaches += arena.words.detaches();
+        out.chunks += arena.words.materialized();
         out.liveSlots += arena.highWater - arena.freeSlots.size();
     }
     return out;
@@ -611,9 +594,6 @@ PhysicalMemory::cloneStateFrom(const PhysicalMemory &src)
     ptLive = src.ptLive;
     largeOwners_ = src.largeOwners_;
     fragPins_ = src.fragPins_;
-    // Copying a CowChunks shares every materialized chunk: the first
-    // meta() write or PTE write detaches a private copy. Slot free
-    // lists and high-water marks are plain state, copied eagerly.
     metaChunks = src.metaChunks;
     tableArenas = src.tableArenas;
     tableSlotRecycles_ = src.tableSlotRecycles_;

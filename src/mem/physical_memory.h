@@ -63,77 +63,83 @@ SlabPoolStats slabPoolStats();
 /** Per-instance table-arena telemetry (host-side, see wall_ms). */
 struct TableArenaStats
 {
-    std::uint64_t chunks = 0;       //!< arena chunks referenced
-    std::uint64_t detaches = 0;     //!< CoW chunk detaches performed
+    std::uint64_t chunks = 0;       //!< arena chunks materialized
     std::uint64_t slotRecycles = 0; //!< slots served from free lists
     std::uint64_t liveSlots = 0;    //!< slots currently allocated
 };
 
 /**
- * Copy-on-write chunked storage: a vector of ChunkElems-element chunks
- * of T, each materialized on first mutable touch. Copying a CowChunks
- * shares every chunk by reference (a snapshot fork); the first mutable
- * touch of a shared chunk detaches a private copy, so neither side ever
- * observes the other's later writes. The shared original is retired,
- * not dropped: callers may still hold const pointers into it, and the
- * instance that also owned it can be destroyed at any time.
+ * Chunked storage with one owner per chunk: a vector of
+ * ChunkElems-element chunks of T, each materialized on first mutable
+ * touch. Copying a ChunkStore copies every materialized chunk at once
+ * and leaves the others unmaterialized, so two stores never share a
+ * chunk.
  *
  * Chunks come from a process-wide slab pool per element type, minted
  * SlabChunks at a time; a released chunk is scrubbed back to T{} and
  * reused, so a fresh chunk always reads as value-initialized.
  */
 template <typename T, std::size_t ChunkElems, std::size_t SlabChunks>
-class CowChunks
+class ChunkStore
 {
   public:
-    CowChunks() = default;
-    explicit CowChunks(std::size_t n) : chunks_(n) {}
+    ChunkStore() = default;
+    explicit ChunkStore(std::size_t n) : chunks_(n) {}
 
-    /** Shares @p o's chunks; retired chunks are per instance. */
-    CowChunks(const CowChunks &o) : chunks_(o.chunks_), detaches_(o.detaches_)
+    ChunkStore(const ChunkStore &o) : chunks_(o.chunks_.size())
     {
+        for (std::size_t c = 0; c < chunks_.size(); ++c)
+            if (const T *src = o.view(c))
+                std::copy_n(src, ChunkElems, mut(c));
     }
 
-    CowChunks &
-    operator=(const CowChunks &o)
+    ChunkStore &
+    operator=(const ChunkStore &o)
     {
-        chunks_ = o.chunks_;
-        detaches_ = o.detaches_;
-        retired_.clear();
+        *this = ChunkStore(o);
         return *this;
     }
 
-    CowChunks(CowChunks &&) = default;
-    CowChunks &operator=(CowChunks &&) = default;
+    ChunkStore(ChunkStore &&) = default;
+    ChunkStore &operator=(ChunkStore &&) = default;
 
     std::size_t size() const { return chunks_.size(); }
     void resize(std::size_t n) { chunks_.resize(n); }
 
-    /** Chunk @p c read-only: never copies; null if never materialized. */
+    /** Chunk @p c read-only; null if never materialized. */
     const T *view(std::size_t c) const { return chunks_[c].get(); }
 
-    /** Chunk @p c writable: materialized or detached first. */
+    /** Chunk @p c writable: materialized first if untouched. */
     T *
     mut(std::size_t c)
     {
         Ptr &chunk = chunks_[c];
-        if (chunk.use_count() != 1) [[unlikely]] // unmaterialized or shared
-            makePrivate(chunk);
+        if (!chunk) [[unlikely]]
+            materialize(chunk);
         return chunk.get();
     }
 
-    /** Detaches so far, counting those of the instance copied from. */
-    std::uint64_t detaches() const { return detaches_; }
+    /** Number of materialized chunks. */
+    std::size_t
+    materialized() const
+    {
+        return static_cast<std::size_t>(
+            std::count_if(chunks_.begin(), chunks_.end(),
+                          [](const Ptr &chunk) { return chunk != nullptr; }));
+    }
 
   private:
-    using Ptr = std::shared_ptr<T[]>;
+    /** Scrubs a chunk back to T{} and parks it in the pool. */
+    struct Release
+    {
+        void operator()(T *chunk) const;
+    };
+    using Ptr = std::unique_ptr<T[], Release>;
 
-    /** Replace @p chunk (null or shared) with a private pooled chunk. */
-    void makePrivate(Ptr &chunk);
+    /** Point the null @p chunk at a pooled chunk that reads as T{}. */
+    static void materialize(Ptr &chunk);
 
     std::vector<Ptr> chunks_;
-    std::vector<Ptr> retired_; //!< detached originals, kept alive
-    std::uint64_t detaches_ = 0;
 };
 
 /** All simulated physical memory of the machine. */
@@ -259,12 +265,9 @@ class PhysicalMemory
     /**
      * Backing storage of a PT frame (512 entries), writable: the
      * accessor for stores only (reads use tableView). Table storage
-     * lives in per-socket slot arenas whose 256 KiB chunks are shared
-     * copy-on-write across snapshot forks; this accessor detaches a
-     * shared chunk before handing out the pointer, so a fork can never
-     * write through to its donor. Note it does NOT detach (or even
-     * materialize) the frame's *metadata* chunk — a PTE store is not a
-     * metadata write.
+     * lives in per-socket slot arenas of 256 KiB chunks. A PTE store is
+     * not a metadata write, so this reads the frame's metadata through
+     * the const meta().
      */
     std::uint64_t *
     table(Pfn pfn)
@@ -279,9 +282,9 @@ class PhysicalMemory
     }
 
     /**
-     * Flat read-only view of a PT frame's 512-entry storage: never
-     * detaches, never materializes. The walker's descent, pt/operations
-     * range sweeps and vmcheck's coherence scan all read through here.
+     * Flat read-only view of a PT frame's 512-entry storage. The
+     * walker's descent, pt/operations range sweeps and vmcheck's
+     * coherence scan all read through here.
      */
     const std::uint64_t *
     tableView(Pfn pfn) const
@@ -331,11 +334,11 @@ class PhysicalMemory
 
     /**
      * 4096 frames (16 MiB of simulated memory) per metadata chunk —
-     * the materialization / copy-on-write granule. Kept small so a
-     * fork's first write detaches (and a sparse touch initializes)
-     * roughly what it uses rather than a 128 MiB-of-memory span, while
-     * staying large enough that the chunk pointer table is trivial.
-     * 64 chunks (6 MiB) per slab, the host-fault granule.
+     * the materialization granule. Kept small so a sparse touch
+     * initializes (and a fork copies) roughly what is used rather than
+     * a 128 MiB-of-memory span, while staying large enough that the
+     * chunk pointer table is trivial. 64 chunks (6 MiB) per slab, the
+     * host-fault granule.
      */
     static constexpr unsigned MetaChunkShift = 12;
     static constexpr std::uint64_t MetaChunkSize = 1ull << MetaChunkShift;
@@ -352,19 +355,19 @@ class PhysicalMemory
         return metaChunks.view(pfn >> MetaChunkShift) != nullptr;
     }
 
+    /** Host telemetry: metadata chunks materialized (see wall_ms). */
+    std::size_t
+    metaChunksMaterialized() const
+    {
+        return metaChunks.materialized();
+    }
+
     /**
      * Metadata of frame @p pfn. Storage is chunked and materialized on
      * first (mutable) touch: a multi-TiB simulated machine costs host
      * memory only for the frames actually used, and constructing /
      * destroying a PhysicalMemory is O(chunks touched), not O(frames).
-     *
-     * Chunks are copy-on-write: cloneStateFrom (snapshot forking)
-     * shares the donor's chunks by reference, and the first mutable
-     * touch of a shared chunk detaches a private copy. Every metadata
-     * write reaches the chunk through this accessor, so a clone can
-     * never write through to its donor. (PTE writes go through
-     * table(), which detaches the *table arena* chunk the same way —
-     * they do not touch metadata chunks.)
+     * Reads use the const overload, which never materializes.
      */
     PageMeta &
     meta(Pfn pfn)
@@ -401,12 +404,11 @@ class PhysicalMemory
 
     /**
      * Snapshot restore: copy the full frame state of @p src —
-     * allocators, stats, PT reserve caches, the 2 MB page records and
-     * the pin bitmap are copied eagerly;
-     * metadata chunks and table-arena chunks (the host-backed
-     * 512-entry page-table storage) are shared copy-on-write, so a
-     * fork pays for a chunk only when it first writes to it. @p src
-     * must describe the same topology.
+     * allocators, stats, PT reserve caches, the 2 MB page records, the
+     * pin bitmap, and every materialized metadata and table-arena chunk
+     * (the host-backed 512-entry page-table storage). The two instances
+     * share no storage afterwards. @p src must describe the same
+     * topology.
      */
     void cloneStateFrom(const PhysicalMemory &src);
 
@@ -431,11 +433,9 @@ class PhysicalMemory
 
   private:
     /**
-     * 64 tables (256 KiB) per table-arena chunk — the CoW granule for
-     * page-table storage. An order of magnitude smaller than a 2 MiB
-     * slab so a fork's first PTE write copies roughly the tables it
-     * mutates, while staying large enough that eight chunks tile one
-     * THP-advised slab exactly.
+     * 64 tables (256 KiB) per table-arena chunk — the materialization
+     * granule for page-table storage, sized so that eight chunks tile
+     * one THP-advised 2 MiB slab exactly.
      */
     static constexpr unsigned TableChunkShift = 6;
     static constexpr std::uint32_t TableChunkTables = 1u << TableChunkShift;
@@ -443,18 +443,15 @@ class PhysicalMemory
         static_cast<std::size_t>(TableChunkTables) * PtEntriesPerPage;
     static constexpr std::size_t TableSlabChunks = 8;
 
-    using MetaChunks = CowChunks<PageMeta, MetaChunkSize, MetaSlabChunks>;
+    using MetaChunks = ChunkStore<PageMeta, MetaChunkSize, MetaSlabChunks>;
     using TableChunks =
-        CowChunks<std::uint64_t, TableChunkElems, TableSlabChunks>;
+        ChunkStore<std::uint64_t, TableChunkElems, TableSlabChunks>;
 
     /**
      * One per-socket arena of page-table storage: a growable sequence
      * of slots (512 x u64 each), addressed by PageMeta::tableSlot and
-     * packed into chunks of TableChunkTables tables. The chunk is the
-     * CoW granule. Freed slots are recycled LIFO *without* scrubbing
-     * (scrubbing would detach chunks a fork still shares);
-     * allocTableSlot zeroes a recycled slot through the detaching path
-     * instead.
+     * packed into chunks of TableChunkTables tables. Freed slots are
+     * recycled LIFO; allocTableSlot zeroes a recycled slot.
      */
     struct TableArena
     {

@@ -268,10 +268,6 @@ PageTableOps::forEachLeafRun(
                 ++i;
             fn(table, level, base, run_start, i - run_start);
         }
-        // unmapRange/protectRange store through the backend, which
-        // may detach this table's shared arena chunk: read on from
-        // the current copy.
-        tbl = mem.tableView(table);
     }
 }
 

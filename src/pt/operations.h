@@ -31,8 +31,7 @@ namespace mitosim::pt
  * @p root as @p fn (pt_pfn, level): depth first, parents before
  * children, a table's children in reverse slot order. @p fn runs
  * before the table's entries are read, so it may free the table's
- * replicas. Reads go through tableView: a sweep never detaches a
- * snapshot fork's shared chunks.
+ * replicas. Reads go through tableView.
  */
 template <typename Fn>
 void

@@ -70,11 +70,9 @@ class PageWalker
     {
         WalkOutcome out;
         MITOSIM_DASSERT(cr3 != InvalidPfn, "walk with no CR3 loaded");
-        // Read PTEs through tableView: a mutable table() touch on a
-        // snapshot-shared arena chunk detaches a 256 KiB copy, and the
-        // steady state of a forked run sets no new A/D bits, so walks
-        // must not pay that. The mutable slot is fetched only when the
-        // store below actually happens.
+        // Read PTEs through tableView: table() is for stores, and the
+        // mutable slot is fetched only when the A/D store below
+        // actually happens.
         const mem::PhysicalMemory &cmem = mem;
         const numa::Topology &topo = hier.topology();
         const SocketId here = topo.socketOfCore(core);

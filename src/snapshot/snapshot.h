@@ -13,11 +13,12 @@
  *    universe this way, from scratch.
  *  - Universe::fork() builds a *fresh* stack from the same configs and
  *    restores every piece of donor state into it via the per-class
- *    cloneStateFrom members, sharing page metadata and page-table
- *    chunks copy-on-write. Byte-identity rule: a forked job must
- *    report exactly what a from-scratch populate + run would. The
- *    host-cost benchmark times a fork, and tests/snapshot_test.cc
- *    holds forks to the rule; no bench job forks.
+ *    cloneStateFrom members, copying every materialized page-metadata
+ *    and page-table chunk, so the two share no state. Byte-identity
+ *    rule: a forked job must report exactly what a from-scratch
+ *    populate + run would. The host-cost benchmark times a fork, and
+ *    tests/snapshot_test.cc holds forks to the rule; no bench job
+ *    forks.
  */
 
 #ifndef MITOSIM_SNAPSHOT_SNAPSHOT_H

@@ -528,6 +528,22 @@ TEST_F(CheckTest, EnvConfigParsing)
     unsetenv("MITOSIM_CHECK_FAILFAST");
 }
 
+TEST_F(CheckTest, UnknownCheckLevelIsFatal)
+{
+    // A misspelt level must not silently check at the default one.
+    // fatal() throws SimError, which is how the simulator dies.
+    setenv("MITOSIM_CHECK_LEVEL", "syscalls", 1);
+    try {
+        CheckConfig::fromEnv(CheckConfig{});
+        ADD_FAILURE() << "unknown MITOSIM_CHECK_LEVEL was accepted";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("'syscalls'"),
+                  std::string::npos)
+            << e.what();
+    }
+    unsetenv("MITOSIM_CHECK_LEVEL");
+}
+
 TEST_F(CheckTest, KernelRunsCheckpointsWhenConfigured)
 {
     os::KernelConfig kc;

@@ -379,66 +379,52 @@ TEST_F(PhysicalMemoryTest, TableArenaGrowsInChunksAndRecyclesSlots)
         ASSERT_EQ(tbl[i], 0u);
 }
 
-TEST_F(PhysicalMemoryTest, ClonedArenasShareChunksUntilTableWrite)
-{
-    Pfn pt = *pm.allocPt(2, 2, 5);
-    pm.table(pt)[0] = 0x42;
-
-    PhysicalMemory clone(topo);
-    clone.cloneStateFrom(pm);
-    // The read path (tableView) sees the donor's bytes through the
-    // shared chunk without copying it.
-    EXPECT_EQ(clone.tableView(pt)[0], 0x42u);
-    EXPECT_EQ(clone.tableArenaStats().detaches, 0u);
-
-    // First mutable touch detaches exactly one chunk, privately.
-    clone.table(pt)[1] = 0x99;
-    EXPECT_EQ(clone.tableArenaStats().detaches, 1u);
-    EXPECT_EQ(pm.tableView(pt)[1], 0u);
-    EXPECT_EQ(clone.tableView(pt)[0], 0x42u);
-
-    // Later touches of the now-private chunk copy nothing.
-    clone.table(pt)[2] = 0x7;
-    EXPECT_EQ(clone.tableArenaStats().detaches, 1u);
-
-    // The fork allocates and frees independently: a new PT in the
-    // clone must not disturb the donor's slot accounting.
-    TableArenaStats donor = pm.tableArenaStats();
-    Pfn extra = *clone.allocPt(2, 1, 5);
-    EXPECT_EQ(pm.tableArenaStats().liveSlots, donor.liveSlots);
-    clone.freePt(extra);
-}
-
-TEST_F(PhysicalMemoryTest, ClonedMetadataSharesChunksUntilMetaWrite)
+TEST_F(PhysicalMemoryTest, ClonesAreIsolatedExactCopies)
 {
     auto donor = std::make_unique<PhysicalMemory>(topo);
-    Pfn pfn = *donor->allocData(1, 3);
+    Pfn data = *donor->allocData(1, 3);
+    Pfn pt = *donor->allocPt(2, 2, 5);
+    donor->table(pt)[0] = 0x42;
 
     PhysicalMemory clone(topo);
     clone.cloneStateFrom(*donor);
-    // Reads share the donor's chunk: same storage, nothing copied.
-    const PageMeta &shared = std::as_const(clone).meta(pfn);
-    EXPECT_EQ(&shared, &std::as_const(*donor).meta(pfn));
-    EXPECT_EQ(shared.owner, 3);
+    // The clone holds the donor's materialized chunks, and only those:
+    // one metadata chunk per socket touched (1 and 2), of four.
+    EXPECT_EQ(clone.metaChunksMaterialized(),
+              donor->metaChunksMaterialized());
+    EXPECT_EQ(clone.metaChunksMaterialized(), 2u);
+    EXPECT_EQ(clone.tableArenaStats().chunks,
+              donor->tableArenaStats().chunks);
+    EXPECT_EQ(std::as_const(clone).meta(data).owner, 3);
+    EXPECT_EQ(clone.tableView(pt)[0], 0x42u);
 
-    // The first mutable touch detaches a private copy; the donor keeps
-    // its value.
-    clone.meta(pfn).owner = 9;
-    const PageMeta &priv = std::as_const(clone).meta(pfn);
-    EXPECT_NE(&priv, &shared);
-    EXPECT_EQ(priv.owner, 9);
-    EXPECT_EQ(std::as_const(*donor).meta(pfn).owner, 3);
+    // Writes in the clone never reach the donor...
+    clone.meta(data).owner = 9;
+    clone.table(pt)[1] = 0x99;
+    EXPECT_EQ(std::as_const(*donor).meta(data).owner, 3);
+    EXPECT_EQ(donor->tableView(pt)[1], 0u);
 
-    // Later writes land in the now-private chunk without copying again.
-    clone.meta(pfn).level = 0;
-    EXPECT_EQ(&std::as_const(clone).meta(pfn), &priv);
+    // ...nor the other way round.
+    donor->meta(data).owner = 4;
+    donor->table(pt)[0] = 0x43;
+    EXPECT_EQ(std::as_const(clone).meta(data).owner, 9);
+    EXPECT_EQ(clone.tableView(pt)[0], 0x42u);
 
-    // The clone retired the shared original, so a reference taken
-    // before the detach outlives the donor (which would otherwise
-    // scrub the chunk back into the pool).
+    // Slot accounting is per instance: a new PT in the clone must not
+    // disturb the donor's.
+    TableArenaStats before = donor->tableArenaStats();
+    Pfn extra = *clone.allocPt(2, 1, 5);
+    EXPECT_EQ(donor->tableArenaStats().liveSlots, before.liveSlots);
+    clone.freePt(extra);
+
+    // The donor's chunks go back to the pool scrubbed when it dies;
+    // the clone's stay as they were.
     donor.reset();
-    EXPECT_EQ(shared.owner, 3);
-    EXPECT_EQ(shared.type, FrameType::Data);
+    const PageMeta &m = std::as_const(clone).meta(data);
+    EXPECT_EQ(m.owner, 9);
+    EXPECT_EQ(m.type, FrameType::Data);
+    EXPECT_EQ(clone.tableView(pt)[0], 0x42u);
+    EXPECT_EQ(clone.tableView(pt)[1], 0x99u);
 }
 
 TEST_F(PhysicalMemoryTest, MetaChunksReturnToSlabPool)

@@ -4,7 +4,7 @@
  * and its determinism contract — a job run from a fork of a populated
  * donor must be byte-identical to the same job run from a fresh
  * populate, sibling forks must never observe each other's writes, and
- * read-only sweeps of a fork must leave its copy-on-write chunks shared.
+ * read-only sweeps of a fork must materialize no chunk of its store.
  */
 
 #include <gtest/gtest.h>
@@ -54,6 +54,25 @@ statsEqual(const Stats &a, const Stats &b)
     return std::memcmp(&a, &b, sizeof(a)) == 0;
 }
 
+/**
+ * The materialized chunks of a universe's store. Reads take const views
+ * only (tableView, const meta), which never materialize a chunk, so a
+ * read-only sweep leaves this unchanged; a detach, in these tests'
+ * names, is any chunk a read would make.
+ */
+struct StoreChunks
+{
+    std::size_t meta;
+    std::uint64_t table;
+
+    explicit StoreChunks(const mem::PhysicalMemory &pm)
+        : meta(pm.metaChunksMaterialized()), table(pm.tableArenaStats().chunks)
+    {
+    }
+
+    bool operator==(const StoreChunks &) const = default;
+};
+
 TEST(SnapshotTest, ForkMatchesFreshPopulate)
 {
     auto spec = testSpec("gups", BackendKind::Mitosis);
@@ -90,9 +109,8 @@ TEST(SnapshotTest, SiblingForksAreIsolated)
     auto first = donor->fork(spec.kernelCfg);
     sim::PerfCounters a = measure(*first, 3000);
 
-    // A second fork from the same (now heavily exercised donor-shared
-    // CoW chunks) must start from pristine populate state and produce
-    // the identical measurement.
+    // A second fork from the same donor must start from pristine
+    // populate state and produce the identical measurement.
     auto second = donor->fork(spec.kernelCfg);
     sim::PerfCounters b = measure(*second, 3000);
     EXPECT_TRUE(statsEqual(a, b));
@@ -270,16 +288,16 @@ TEST(SnapshotTest, ForkAfterCollapseSplitRecyclesTableSlots)
 
 TEST(SnapshotTest, ReadOnlyPageTableSweepsNeverDetach)
 {
-    // A fork shares its donor's page-table arena chunks copy-on-write.
-    // Reading the tree (both THP daemons sweep every leaf per tick)
-    // must not copy a chunk; only a PTE store may.
+    // Reading a fork's tree (both THP daemons sweep every leaf per
+    // tick) must materialize no chunk of its store, and a PTE store in
+    // the fork must not reach the donor.
     auto spec = testSpec("xsbench", BackendKind::Mitosis);
     auto donor = bench::preparePopulated(spec);
     auto u = donor->fork(spec.kernelCfg);
     mem::PhysicalMemory &pm = u->machine.physmem();
     pt::PageTableOps &ops = u->kernel.ptOps();
     const pt::RootSet &roots = u->proc->roots();
-    const std::uint64_t detaches = pm.tableArenaStats().detaches;
+    const StoreChunks chunks(pm);
 
     std::uint64_t leaves = 0;
     VirtAddr first = 0;
@@ -300,21 +318,26 @@ TEST(SnapshotTest, ReadOnlyPageTableSweepsNeverDetach)
     ASSERT_GT(leaves, 0u);
     EXPECT_EQ(ranged, leaves);
     EXPECT_NE(ops.tableFor(roots, first, 1), InvalidPfn);
-    EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+    EXPECT_EQ(StoreChunks(pm), chunks);
 
-    // The chunks really were shared: the first store detaches one.
+    // The first store lands in the fork's own copy only.
+    pt::PageTableOps &donorOps = donor->kernel.ptOps();
+    const pt::RootSet &donorRoots = donor->proc->roots();
+    const pt::Pte donorLeaf = donorOps.walk(donorRoots, first).leaf;
+    ASSERT_TRUE(donorLeaf.writable());
     u->kernel.mprotect(*u->proc, first, PageSize, os::ProtRead);
-    EXPECT_GT(pm.tableArenaStats().detaches, detaches);
+    EXPECT_FALSE(ops.walk(roots, first).leaf.writable());
+    EXPECT_EQ(donorOps.walk(donorRoots, first).leaf, donorLeaf);
     u->finalize();
     donor->finalize();
 }
 
 TEST(SnapshotTest, BackendPteReadsNeverDetach)
 {
-    // The backends' PTE reads must leave a fork's shared page-table
-    // arena chunks shared too. The Mitosis fork is taken from a
-    // replicated universe, so its reads cross the replica rings, and
-    // dropping the replicas sweeps the (read-only) primary tree.
+    // The backends' PTE reads must materialize no chunk of a fork's
+    // store either. The Mitosis fork is taken from a replicated
+    // universe, so its reads cross the replica rings, and dropping the
+    // replicas sweeps the (read-only) primary tree.
     for (BackendKind backend :
          {BackendKind::Native, BackendKind::Mitosis}) {
         SCOPED_TRACE(backend == BackendKind::Native ? "native" : "mitosis");
@@ -330,7 +353,7 @@ TEST(SnapshotTest, BackendPteReadsNeverDetach)
         mem::PhysicalMemory &pm = u->machine.physmem();
         pvops::PvOps &pv = u->kernel.backend();
         pt::RootSet &roots = u->proc->roots();
-        const std::uint64_t detaches = pm.tableArenaStats().detaches;
+        const StoreChunks chunks(pm);
 
         std::vector<pt::PteLoc> locs;
         u->kernel.ptOps().forEachLeaf(
@@ -350,7 +373,9 @@ TEST(SnapshotTest, BackendPteReadsNeverDetach)
                 roots, u->proc->id(), SocketMask::none()));
             u->kernel.reloadContexts(*u->proc);
         }
-        EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+        // Dropping replicas frees table slots; it allocates no chunk.
+        EXPECT_EQ(StoreChunks(pm).meta, chunks.meta);
+        EXPECT_LE(StoreChunks(pm).table, chunks.table);
         u->finalize();
         donor->finalize();
     }
@@ -359,8 +384,8 @@ TEST(SnapshotTest, BackendPteReadsNeverDetach)
 TEST(SnapshotTest, AnalysesAndChecksNeverDetach)
 {
     // The page-table dump and the vmcheck battery only read the tree,
-    // so on a fork of a replicated universe neither may copy a shared
-    // page-table chunk.
+    // so on a fork of a replicated universe neither may materialize a
+    // chunk of its store.
     bench::PopulateSpec spec = testSpec("xsbench", BackendKind::Mitosis);
     auto donor = bench::preparePopulated(spec);
     ASSERT_TRUE(donor->mitosis().setReplicationMask(
@@ -370,19 +395,19 @@ TEST(SnapshotTest, AnalysesAndChecksNeverDetach)
     donor->kernel.reloadContexts(*donor->proc);
     auto u = donor->fork(spec.kernelCfg);
     mem::PhysicalMemory &pm = u->machine.physmem();
-    const std::uint64_t detaches = pm.tableArenaStats().detaches;
+    const StoreChunks chunks(pm);
 
     analysis::PtAnalyzer analyzer(pm, u->kernel.ptOps());
     EXPECT_GT(analyzer.snapshot(u->proc->roots()).totalLeafPtes(), 0u);
     for (SocketId s = 0; s < u->machine.numSockets(); ++s)
         EXPECT_GT(analyzer.snapshotFor(u->proc->roots(), s).totalLeafPtes(),
                   0u);
-    EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+    EXPECT_EQ(StoreChunks(pm), chunks);
 
     check::Checker checker(u->kernel, check::CheckConfig{});
     EXPECT_EQ(checker.runAll("replicated fork"), 0u);
     EXPECT_GT(checker.stats().replicaTablesCompared, 0u);
-    EXPECT_EQ(pm.tableArenaStats().detaches, detaches);
+    EXPECT_EQ(StoreChunks(pm), chunks);
     u->finalize();
     donor->finalize();
 }

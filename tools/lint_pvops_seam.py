@@ -9,10 +9,10 @@ benches — must go through a backend, or replicas silently diverge and
 the Mitosis model breaks (vmcheck class 1 catches that at runtime;
 this lint catches it at review time).
 
-Concretely: `PhysicalMemory::table(pfn)` means "I will write" — it
-detaches a snapshot fork's shared copy-on-write table chunk — and
-every read goes through `PhysicalMemory::tableView(pfn)` (reads are
-fine and ubiquitous: dumps, checks, the walker's lookups). The lint
+Concretely: `PhysicalMemory::table(pfn)` is the write accessor and
+means "I will write", and every read goes through
+`PhysicalMemory::tableView(pfn)` (reads are fine and ubiquitous:
+dumps, checks, the walker's lookups). The lint
 flags, for every `.cc`/`.h` under `src/` outside the seam:
 
   * direct element writes:        `...table(pfn)[i] = / |= / &= ...`
@@ -77,7 +77,7 @@ NONCONST_PTR_RE = re.compile(
 # `&...table(...)[...]` — mutable element address escapes.
 ADDR_RE = re.compile(r"&\s*[\w.()\->]*\.table\s*\([^()]*\)\s*\[")
 # `const std::uint64_t *p = ...table(...)` — a read through the write
-# accessor, which detaches a shared chunk for nothing.
+# accessor, which would hide a store site among the reads.
 CONST_PTR_RE = re.compile(
     r"\bconst\s+std::uint64_t\s*\*\s*\w+\s*=[^;]*(?:\.|->)table\s*\("
 )
