@@ -110,7 +110,7 @@ run(bool use_mitosis, bool pcid)
         auto owned = std::make_unique<core::MitosisBackend>(
             machine.physmem(), mcfg);
         mitosis = owned.get();
-        mitosis->attachObs(&machine.metrics(), &machine.tracer());
+        mitosis->attachObs(machine.metrics());
         backend = std::move(owned);
     } else {
         backend =

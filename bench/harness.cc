@@ -98,10 +98,9 @@ preparePopulated(const PopulateSpec &spec)
         u->ctx->addThread(s);
     u->workload = workloads::makeWorkload(spec.workload, spec.params);
     u->workload->setup(*u->ctx);
-    // Discard populate-phase observability: a job's metrics and trace
-    // describe only what happens after this point.
+    // Discard populate-phase observability: a job's metrics describe
+    // only what happens after this point.
     u->machine.metrics().reset();
-    u->machine.tracer().reset();
     return u;
 }
 
@@ -720,7 +719,6 @@ recordJobStats(os::Kernel &kernel, driver::JobResult &res)
     for (const auto &[key, value] : machine.metrics().flatten())
         res.metricStat(key, value);
     recordCheckStats(kernel, res);
-    res.traceJson = machine.tracer().exportJson();
 }
 
 void

@@ -137,7 +137,7 @@ struct PopulateSpec
 
 /**
  * A freshly built universe, populated per @p spec, with the populate
- * phase's metrics and trace discarded. The caller owns the result,
+ * phase's metrics discarded. The caller owns the result,
  * applies its post-populate config, runs, records metrics, then calls
  * Universe::finalize().
  */
@@ -325,10 +325,9 @@ BenchRun &recordOutcome(BenchReport &report, const std::string &label,
  * when the kernel runs vmcheck, the end-of-run battery's counters as
  * check_* keys land in the "metrics" section; host hot-path telemetry
  * (fused replay activity, table-arena counters) lands in the per-job
- * "wall_ms" entry; the exported trace JSON (empty unless MITOSIM_TRACE
- * enabled categories) goes to its own file. With the default
- * fail-fast checker a violation fatal()s here, so a report whose
- * metrics carry check_violations == 0 really did pass the battery.
+ * "wall_ms" entry. With the default fail-fast checker a violation
+ * fatal()s here, so a report whose metrics carry check_violations == 0
+ * really did pass the battery.
  * Call once per job, after Universe::finalize() / finalizeProcess().
  */
 void recordJobStats(os::Kernel &kernel, driver::JobResult &res);

@@ -28,19 +28,15 @@ MitosisBackend::MitosisBackend(mem::PhysicalMemory &physmem,
 }
 
 void
-MitosisBackend::attachObs(obs::MetricsRegistry *metrics,
-                          obs::Tracer *tracer)
+MitosisBackend::attachObs(obs::MetricsRegistry &metrics)
 {
-    trc_ = tracer;
-    if (!metrics)
-        return;
-    mReplCreated = &metrics->counter("mitosis_replica_pages_created");
-    mReplFreed = &metrics->counter("mitosis_replica_pages_freed");
-    gReplLive = &metrics->gauge("mitosis_replica_pages_live");
-    mEagerUpdates = &metrics->counter("mitosis_eager_updates");
-    mTreeRepl = &metrics->counter("mitosis_tree_replications");
-    mTreeMigr = &metrics->counter("mitosis_tree_migrations");
-    mSchedRepl = &metrics->counter("mitosis_schedule_replications");
+    mReplCreated = &metrics.counter("mitosis_replica_pages_created");
+    mReplFreed = &metrics.counter("mitosis_replica_pages_freed");
+    gReplLive = &metrics.gauge("mitosis_replica_pages_live");
+    mEagerUpdates = &metrics.counter("mitosis_eager_updates");
+    mTreeRepl = &metrics.counter("mitosis_tree_replications");
+    mTreeMigr = &metrics.counter("mitosis_tree_migrations");
+    mSchedRepl = &metrics.counter("mitosis_schedule_replications");
 }
 
 void
@@ -158,9 +154,6 @@ MitosisBackend::createReplica(Pfn base, int level, SocketId socket,
     bump(mReplCreated);
     if (gReplLive)
         gReplLive->add(1);
-    if (trc_)
-        trc_->instant(obs::TraceCat::Replica, "replica_create", owner, 0,
-                      "socket", static_cast<std::uint64_t>(socket));
     return *page;
 }
 
@@ -177,9 +170,6 @@ MitosisBackend::freeReplica(Pfn replica, KernelCost *cost)
     bump(mReplFreed);
     if (gReplLive)
         gReplLive->sub(1);
-    if (trc_)
-        trc_->instant(obs::TraceCat::Replica, "replica_free", 0, 0, "pfn",
-                      replica);
 }
 
 void
@@ -416,10 +406,6 @@ MitosisBackend::setReplicationMask(pt::RootSet &roots, ProcId owner,
         replicateSubtree(roots.primaryRoot, 4, s, owner, cost);
         ++stats_.treeReplications;
         bump(mTreeRepl);
-        if (trc_)
-            trc_->instant(obs::TraceCat::Replica, "tree_replicate",
-                          owner, 0, "socket",
-                          static_cast<std::uint64_t>(s));
     }
 
     // Tear down replicas for sockets no longer in the mask. Primary-tree
@@ -474,9 +460,6 @@ MitosisBackend::migratePageTables(pt::RootSet &roots, ProcId owner,
         return false;
     ++stats_.treeMigrations;
     bump(mTreeMigr);
-    if (trc_)
-        trc_->instant(obs::TraceCat::Replica, "tree_migrate", owner, 0,
-                      "socket", static_cast<std::uint64_t>(target));
 
     Pfn old_root = roots.primaryRoot;
     roots.primaryRoot = new_root;
@@ -550,10 +533,6 @@ MitosisBackend::onThreadScheduled(pt::RootSet &roots, ProcId owner,
     if (setReplicationMask(roots, owner, mask, cost)) {
         ++stats_.scheduleReplications;
         bump(mSchedRepl);
-        if (trc_)
-            trc_->instant(obs::TraceCat::Replica, "schedule_replicate",
-                          owner, 0, "socket",
-                          static_cast<std::uint64_t>(socket));
     }
 }
 

@@ -31,7 +31,6 @@
 #include "src/base/socket_mask.h"
 #include "src/mem/physical_memory.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/pvops/pvops.h"
 
 namespace mitosim::core
@@ -215,13 +214,12 @@ class MitosisBackend : public pvops::PvOps
     const MitosisConfig &config() const { return cfg; }
 
     /**
-     * Attach the owning machine's observability sinks. The backend is
+     * Attach the owning machine's metrics registry. The backend is
      * constructed from a PhysicalMemory alone (no Machine in reach),
      * so snapshot::Universe wires this after construction; a detached
-     * backend (nulls, e.g. one built by hand in a test or bench) skips
-     * every metric/trace emission.
+     * backend (e.g. one built by hand in a test) skips every metric.
      */
-    void attachObs(obs::MetricsRegistry *metrics, obs::Tracer *tracer);
+    void attachObs(obs::MetricsRegistry &metrics);
 
     /**
      * Snapshot restore: adopt the cumulative counters of @p src (the
@@ -247,16 +245,16 @@ class MitosisBackend : public pvops::PvOps
 
     /**
      * Allocate a level-@p level page on @p socket and link it into
-     * @p base's replica ring, charging, counting and tracing it.
+     * @p base's replica ring, charging and counting it.
      * @return the new replica, or InvalidPfn (a degraded allocation).
      */
     Pfn createReplica(Pfn base, int level, SocketId socket, ProcId owner,
                       pvops::KernelCost *cost);
 
     /**
-     * Unlink and free replica page @p replica, charging, counting and
-     * tracing it. Every replica free goes through here (release, mask
-     * shrink, eager migration), which is what the lazy backend hooks.
+     * Unlink and free replica page @p replica, charging and counting
+     * it. Every replica free goes through here (release, mask shrink,
+     * eager migration), which is what the lazy backend hooks.
      */
     virtual void freeReplica(Pfn replica, pvops::KernelCost *cost);
 
@@ -299,7 +297,6 @@ class MitosisBackend : public pvops::PvOps
 
     /// @name Observability handles (null until attachObs)
     /// @{
-    obs::Tracer *trc_ = nullptr;
     obs::Counter *mReplCreated = nullptr;
     obs::Counter *mReplFreed = nullptr;
     obs::Gauge *gReplLive = nullptr;

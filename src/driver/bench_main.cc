@@ -1,7 +1,6 @@
 #include "bench_main.h"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -76,38 +75,6 @@ emitGeneric(const JobRegistry &registry,
         if (!res.text.empty())
             std::printf("%s", res.text.c_str());
     }
-}
-
-/**
- * Write one job's exported trace to TRACE_<bench>_<job>.json next to
- * the report (same $MITOSIM_BENCH_DIR rule as BenchReport::outputPath;
- * non-alphanumeric job-name characters become '_' so names like
- * "canneal/F+M" stay filesystem-safe). Best-effort: an I/O failure
- * warns and keeps going — the trace is diagnostic, not a result.
- */
-void
-writeTraceFile(const std::string &bench, const std::string &job,
-               const std::string &json)
-{
-    std::string path;
-    if (const char *dir = std::getenv("MITOSIM_BENCH_DIR");
-        dir && *dir) {
-        path = dir;
-        if (path.back() != '/')
-            path += '/';
-    }
-    path += "TRACE_" + bench + "_";
-    for (char c : job)
-        path += std::isalnum(static_cast<unsigned char>(c)) ? c : '_';
-    path += ".json";
-    std::FILE *f = std::fopen(path.c_str(), "w");
-    if (!f) {
-        std::fprintf(stderr, "[trace] cannot open %s\n", path.c_str());
-        return;
-    }
-    std::fwrite(json.data(), 1, json.size(), f);
-    std::fclose(f);
-    std::printf("[trace] %s\n", path.c_str());
 }
 
 } // namespace
@@ -217,16 +184,11 @@ benchMain(int argc, char **argv, const BenchSpec &spec)
                 report.wallMsHostStat(registry.job(index).name, key, value);
         }
         // Observability: flattened metrics registry + walk-cycle
-        // attribution into the excluded "metrics" section; any
-        // exported trace goes to its own TRACE_*.json file, never into
-        // the report, so traced runs keep identical BENCH_*.json.
+        // attribution into the "metrics" section, which report
+        // comparisons check like the per-run metrics.
         for (std::size_t index : selected) {
-            const JobResult &res = *results[index];
-            const std::string &job = registry.job(index).name;
-            for (const auto &[key, value] : res.metrics)
-                report.metricStat(job, key, value);
-            if (!res.traceJson.empty())
-                writeTraceFile(spec.name, job, res.traceJson);
+            for (const auto &[key, value] : results[index]->metrics)
+                report.metricStat(registry.job(index).name, key, value);
         }
         if (selected.size() == registry.size()) {
             std::vector<JobResult> full;

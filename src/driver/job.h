@@ -98,15 +98,6 @@ struct JobResult
      */
     std::vector<std::pair<std::string, double>> metrics;
 
-    /**
-     * Chrome/Perfetto trace-event JSON exported from the job machine's
-     * tracer; empty unless MITOSIM_TRACE enabled categories. The
-     * driver writes it to TRACE_<bench>_<job>.json next to the report
-     * — never *into* the report, so traced runs keep byte-identical
-     * BENCH_*.json metrics.
-     */
-    std::string traceJson;
-
     JobResult &
     hostStat(std::string key, double v)
     {

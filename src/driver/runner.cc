@@ -20,7 +20,8 @@ defaultThreads()
         long n = std::strtol(env, &end, 10);
         if (end && *end == '\0' && n > 0)
             return static_cast<unsigned>(n);
-        warn("ignoring invalid MITOSIM_JOBS='%s'", env);
+        fatal("MITOSIM_JOBS: invalid value '%s' (want a positive integer)",
+              env);
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw ? hw : 1;

@@ -21,8 +21,8 @@ namespace mitosim::driver
 
 /**
  * Worker count to use when none was requested: $MITOSIM_JOBS when set
- * to a positive integer, else std::thread::hardware_concurrency()
- * (minimum 1).
+ * (fatal unless a positive integer), else
+ * std::thread::hardware_concurrency() (minimum 1).
  */
 unsigned defaultThreads();
 

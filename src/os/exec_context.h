@@ -98,18 +98,14 @@ class ExecContext
     {
         auto &pc = counters[static_cast<std::size_t>(tid)];
         Scheduler &sched = k.scheduler();
-        Cycles c;
-        if (sched.timeShared()) {
-            // Running a step makes the thread resident (context
-            // switching if a competitor holds the core) and advances
-            // the core's timeslice clock by the simulated cycles.
-            CoreId core = sched.dispatch(proc_, tid, pc);
-            c = k.machine().core(core).access(va, is_write, pc);
-            sched.tick(core, c);
-        } else {
-            c = k.machine().core(coreOf(tid)).access(va, is_write, pc);
-        }
-        k.machine().tracer().advance(c);
+        if (!sched.timeShared())
+            return k.machine().core(coreOf(tid)).access(va, is_write, pc);
+        // Running a step makes the thread resident (context switching
+        // if a competitor holds the core) and advances the core's
+        // timeslice clock by the simulated cycles.
+        CoreId core = sched.dispatch(proc_, tid, pc);
+        Cycles c = k.machine().core(core).access(va, is_write, pc);
+        sched.tick(core, c);
         return c;
     }
 
@@ -125,29 +121,27 @@ class ExecContext
         }
         pc.cycles += c;
         pc.computeCycles += c;
-        k.machine().tracer().advance(c);
     }
 
     /**
      * Replay @p n generated ops for thread @p tid.
      *
      * Semantically identical to calling access()/compute() once per op
-     * in order — and when time-sharing, event tracing, or with batching
-     * or fusion switched off (MITOSIM_BATCH=0, MITOSIM_FUSE=0) it
-     * literally does that, so scheduler dispatch points and the
-     * tracer's event stream stay byte-identical. Otherwise it fuses
-     * each maximal run of same-page ops into one Core::accessRun call,
-     * with the counter and core lookups hoisted out of the loop:
-     * nothing hoisted can change mid-batch there (threads never migrate
-     * cores in pinned mode, and fault handlers do not flip scheduler
-     * modes), and fusion itself is exact, so the simulated outcome is
-     * unchanged.
+     * in order — and when time-sharing, or with batching or fusion
+     * switched off (MITOSIM_BATCH=0, MITOSIM_FUSE=0) it literally does
+     * that, so scheduler dispatch points stay byte-identical. Otherwise
+     * it fuses each maximal run of same-page ops into one
+     * Core::accessRun call, with the counter and core lookups hoisted
+     * out of the loop: nothing hoisted can change mid-batch there
+     * (threads never migrate cores in pinned mode, and fault handlers
+     * do not flip scheduler modes), and fusion itself is exact, so the
+     * simulated outcome is unchanged.
      */
     void
     runBatch(int tid, const BatchOp *ops, std::size_t n)
     {
-        if (k.scheduler().timeShared() || k.machine().tracer().enabled() ||
-            !sim::batchEnabled() || !sim::fuseEnabled()) {
+        if (k.scheduler().timeShared() || !sim::batchEnabled() ||
+            !sim::fuseEnabled()) {
             for (std::size_t i = 0; i < n; ++i) {
                 if (ops[i].isCompute)
                     compute(tid, ops[i].cycles);

@@ -620,8 +620,6 @@ Kernel::shootdown(Process &proc, VirtAddr va, KernelCost *cost)
     if (cost)
         cost->charge(pvops::TlbShootdownCost);
     mShootdowns->inc();
-    mach.tracer().instant(obs::TraceCat::Shootdown, "tlb_shootdown",
-                          proc.id(), 0, "va", va);
 }
 
 void
@@ -645,8 +643,6 @@ Kernel::flushProcess(Process &proc, KernelCost *cost)
         // Uncosted calls are subsumed by a caller that reports its own
         // shootdown (e.g. shootdownRange's full-flush escalation).
         mShootdowns->inc();
-        mach.tracer().instant(obs::TraceCat::Shootdown,
-                              "tlb_flush_process", proc.id(), 0);
     }
 }
 
@@ -679,9 +675,6 @@ Kernel::shootdownRange(Process &proc, const std::vector<VirtAddr> &vas,
     if (cost)
         cost->charge(pvops::TlbShootdownCost);
     mShootdowns->inc();
-    mach.tracer().instant(obs::TraceCat::Shootdown,
-                          "tlb_shootdown_range", proc.id(), 0, "pages",
-                          pages);
 }
 
 SocketId
@@ -806,6 +799,7 @@ Kernel::handleFault(CoreId core, const sim::FaultRequest &req)
     // at return, so a future fault path cannot silently go uncharged.
     switch (req.kind) {
       case sim::WalkFault::NotPresent:
+        mFaultNotPresent->inc();
         if (pv->onTranslationFault(proc->roots(), fault_socket, req.va,
                                    &cost)) {
             if (chk)
@@ -821,6 +815,7 @@ Kernel::handleFault(CoreId core, const sim::FaultRequest &req)
         break;
 
       case sim::WalkFault::NumaHint:
+        mFaultNumaHint->inc();
         cost.charge(autonuma.onHintFault(*proc, core, req.va));
         if (chk)
             chk->noteFaultCharge(check::FaultCharge::NumaHint,
@@ -828,6 +823,7 @@ Kernel::handleFault(CoreId core, const sim::FaultRequest &req)
         break;
 
       case sim::WalkFault::Protection: {
+        mFaultProtection->inc();
         if (pv->onTranslationFault(proc->roots(), fault_socket, req.va,
                                    &cost)) {
             if (chk)
@@ -855,26 +851,7 @@ Kernel::handleFault(CoreId core, const sim::FaultRequest &req)
     }
     if (chk)
         chk->noteFaultTotal(cost.cycles);
-    const char *ev = nullptr;
-    switch (req.kind) {
-      case sim::WalkFault::NotPresent:
-        mFaultNotPresent->inc();
-        ev = "fault_not_present";
-        break;
-      case sim::WalkFault::NumaHint:
-        mFaultNumaHint->inc();
-        ev = "fault_numa_hint";
-        break;
-      case sim::WalkFault::Protection:
-        mFaultProtection->inc();
-        ev = "fault_protection";
-        break;
-      case sim::WalkFault::None:
-        break;
-    }
     mFaultCycles->observe(cost.cycles);
-    mach.tracer().complete(obs::TraceCat::Fault, ev, cost.cycles,
-                           proc->id(), core, "va", req.va);
     return cost.cycles;
 }
 

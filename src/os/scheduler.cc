@@ -97,7 +97,6 @@ Scheduler::admitThread(Process &proc, int tid)
     const Thread &t = proc.threads().at(static_cast<std::size_t>(tid));
     CoreState &cs = state(t.core);
     ++cs.assigned;
-    ++stats_.enqueues;
     mEnqueues->inc();
     if (cfg.timeShared) {
         cs.queue.push_back(ThreadRef{proc.id(), tid});
@@ -181,11 +180,7 @@ Scheduler::migrateThreads(Process &proc, SocketId target)
         ++new_cs.assigned;
         new_cs.queue.push_back(me);
         threads[i].core = fresh;
-        ++stats_.migrations;
         mMigrations->inc();
-        mach.tracer().instant(obs::TraceCat::Sched, "sched_migrate",
-                              proc.id(), static_cast<int>(i), "core",
-                              static_cast<std::uint64_t>(fresh));
     }
     return true;
 }
@@ -241,25 +236,15 @@ Scheduler::dispatch(Process &proc, int tid, sim::PerfCounters &pc)
     if (cs.resident == me)
         return core; // already running; no cost
 
-    ++stats_.contextSwitches;
     ++pc.contextSwitches;
     mSwitches->inc();
-    mach.tracer().instant(obs::TraceCat::Sched, "sched_dispatch",
-                          proc.id(), tid, "core",
-                          static_cast<std::uint64_t>(core));
     // Linux's prev->mm == next->mm fast path: switching between two
     // threads of one process keeps CR3 — no flush even with PCID off,
     // no CR3 write, no replica work; only the fixed switch cost.
     bool same_space = cs.resident.valid() && cs.resident.pid == proc.id();
     if (cs.resident.valid()) {
-        if (cs.sliceExpired) {
-            ++stats_.preemptions;
+        if (cs.sliceExpired)
             mPreemptions->inc();
-            mach.tracer().instant(obs::TraceCat::Sched, "sched_preempt",
-                                  cs.resident.pid, cs.resident.tid,
-                                  "core",
-                                  static_cast<std::uint64_t>(core));
-        }
         cs.queue.push_back(cs.resident);
     }
     // Take our queue slot. Round-robin order is advisory in this
@@ -304,11 +289,7 @@ Scheduler::dispatch(Process &proc, int tid, sim::PerfCounters &pc)
         std::uint64_t &seen = cs.seenGen[proc.asid];
         if (seen != 0 && seen != proc.asidGeneration) {
             hw.flushAsid(proc.asid);
-            ++stats_.asidRecycleFlushes;
             mAsidRecycles->inc();
-            mach.tracer().instant(obs::TraceCat::Asid,
-                                  "asid_recycle_flush", proc.id(), tid,
-                                  "asid", proc.asid);
         }
         seen = proc.asidGeneration;
         cost += hw.loadCr3(root, proc.asid, true);

@@ -76,19 +76,6 @@ struct SchedulerConfig
     int maxAsids = 4096;
 };
 
-/**
- * Scheduling activity counters; each also feeds a sched_* counter in
- * the machine's metrics registry.
- */
-struct SchedulerStats
-{
-    std::uint64_t contextSwitches = 0; //!< CR3 loads for a new thread
-    std::uint64_t preemptions = 0;     //!< switches off an expired slice
-    std::uint64_t migrations = 0;      //!< thread moved to another core
-    std::uint64_t asidRecycleFlushes = 0; //!< selective flushes on reuse
-    std::uint64_t enqueues = 0;        //!< threads admitted to run queues
-};
-
 /** Per-core run queues + residency; owned by the Kernel. */
 class Scheduler
 {
@@ -110,7 +97,6 @@ class Scheduler
 
     bool timeShared() const { return cfg.timeShared; }
     const SchedulerConfig &config() const { return cfg; }
-    const SchedulerStats &stats() const { return stats_; }
 
     /// @name Address-space identifiers
     /// @{
@@ -201,10 +187,11 @@ class Scheduler
     /// @}
 
     /**
-     * Snapshot restore: adopt the run queues, residencies, ASID
-     * generations and activity counters of @p src. Both schedulers
-     * must have been built from the same config over the same machine
-     * shape; the late-bound backend/hook of *this* kernel stay.
+     * Snapshot restore: adopt the run queues, residencies and ASID
+     * generations of @p src (its sched_* counters live in the metrics
+     * registry, which a fork does not copy). Both schedulers must have
+     * been built from the same config over the same machine shape; the
+     * late-bound backend/hook of *this* kernel stay.
      */
     void
     cloneStateFrom(const Scheduler &src)
@@ -215,7 +202,6 @@ class Scheduler
         cores = src.cores;
         asidGen = src.asidGen;
         nextAsid = src.nextAsid;
-        stats_ = src.stats_;
     }
 
   private:
@@ -252,7 +238,6 @@ class Scheduler
     std::vector<CoreState> cores;
     std::vector<std::uint64_t> asidGen; //!< generation per ASID
     int nextAsid = 1; //!< round-robin cursor; 0 is the kernel/boot space
-    SchedulerStats stats_;
 
     /// @name Observability handles (registered once in the ctor)
     /// @{

@@ -302,10 +302,6 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
             if (drained) {
                 ++stats_.compactionBlocksReclaimed;
                 mBlocksReclaimed->inc();
-                machine.tracer().instant(
-                    obs::TraceCat::Thp, "kcompactd_reclaim", 0, 0,
-                    "socket", static_cast<std::uint64_t>(s), "block",
-                    b);
             }
         }
     }

@@ -165,9 +165,6 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
     ++stats_.collapses;
     ensureObs();
     mCollapses->inc();
-    k.machine().tracer().instant(obs::TraceCat::Thp,
-                                 "khugepaged_collapse", proc.id(), 0,
-                                 "va", va2m);
     return true;
 }
 
@@ -196,8 +193,6 @@ ThpManager::splitAt(Process &proc, VirtAddr va, KernelCost *cost)
     ++stats_.splits;
     ensureObs();
     mSplits->inc();
-    k.machine().tracer().instant(obs::TraceCat::Thp, "thp_split",
-                                 proc.id(), 0, "va", base);
     return true;
 }
 

@@ -4,7 +4,7 @@
  *
  * Workloads generate short runs of BatchOp into a buffer
  * (Workload::stepBatch) and ExecContext::runBatch replays them. On the
- * pinned, untraced path the replay *fuses* maximal runs of consecutive
+ * pinned path the replay *fuses* maximal runs of consecutive
  * same-page accesses (Core::accessRun): one real TLB probe and one
  * real cache probe per distinct line, with the remainder charged in
  * bulk. Fusion is exact — see accessRun — and MITOSIM_BATCH=0 or

@@ -12,7 +12,6 @@ Machine::Machine(const MachineConfig &config)
     for (CoreId c = 0; c < topo.numCores(); ++c)
         cores.push_back(
             std::make_unique<Core>(c, hier, mem_, cfg.tlb, cfg.pwc));
-    tracer_.initFromEnv();
 }
 
 Core &

@@ -14,7 +14,6 @@
 #include "src/mem/physical_memory.h"
 #include "src/numa/topology.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
 #include "src/sim/core.h"
 #include "src/sim/memory_hierarchy.h"
 #include "src/tlb/paging_structure_cache.h"
@@ -57,13 +56,12 @@ class Machine
 
     /**
      * Observability (src/obs): per-machine — and therefore per-job —
-     * metrics registry and event tracer. Deliberately NOT part of
-     * cloneStateFrom: observability is host telemetry, not simulated
-     * hardware state, so a fork starts with an empty registry and
+     * metrics registry. Deliberately NOT part of cloneStateFrom:
+     * observability is host telemetry, not simulated hardware state,
+     * so a fork starts with an empty registry and
      * bench::preparePopulated resets it after populate.
      */
     obs::MetricsRegistry &metrics() { return metrics_; }
-    obs::Tracer &tracer() { return tracer_; }
 
     int numCores() const { return topo.numCores(); }
     int numSockets() const { return topo.numSockets(); }
@@ -90,7 +88,6 @@ class Machine
     MemoryHierarchy hier;
     std::vector<std::unique_ptr<Core>> cores;
     obs::MetricsRegistry metrics_;
-    obs::Tracer tracer_;
 };
 
 } // namespace mitosim::sim

@@ -31,7 +31,7 @@ Universe::Universe(const sim::MachineConfig &machine_cfg, BackendKind k,
       kernel(machine, *backend_, kernel_cfg)
 {
     if (kind == BackendKind::Mitosis)
-        mitosis().attachObs(&machine.metrics(), &machine.tracer());
+        mitosis().attachObs(machine.metrics());
 }
 
 void

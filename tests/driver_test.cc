@@ -129,12 +129,13 @@ tinySimJob(bool remote_pt, std::uint64_t seed)
     out.totals = ctx.totals();
     kernel.destroyProcess(proc);
     JobResult result = JobResult::of(out);
-    // Simulated telemetry lands in the report's "metrics" section
-    // (excluded from metric comparisons, like wall_ms) — deterministic,
-    // so serial and parallel runs must still emit it identically.
-    result.metricStat("sched_enqueues",
-                      static_cast<double>(
-                          kernel.scheduler().stats().enqueues));
+    // Simulated telemetry lands in the report's "metrics" section,
+    // which report comparisons check like the per-run metrics — it is
+    // deterministic, so serial and parallel runs emit it identically.
+    result.metricStat(
+        "sched_enqueues",
+        static_cast<double>(
+            kernel.machine().metrics().counter("sched_enqueues").value));
     result.metricStat("check_violations", 0.0);
     return result;
 }
@@ -500,8 +501,32 @@ TEST(DriverRunner, DefaultThreadsHonorsEnvironment)
     EXPECT_EQ(Runner(0).threads(), 3u);
     EXPECT_EQ(Runner(5).threads(), 5u); // explicit flag wins
 
-    ::setenv("MITOSIM_JOBS", "garbage", 1);
-    EXPECT_GE(defaultThreads(), 1u);
+    if (prev)
+        ::setenv("MITOSIM_JOBS", saved.c_str(), 1);
+    else
+        ::unsetenv("MITOSIM_JOBS");
+}
+
+TEST(DriverRunner, InvalidJobsEnvironmentIsFatal)
+{
+    // A malformed worker count is a usage error, like --jobs=abc: it
+    // must not silently fall back to the host's core count. fatal()
+    // throws SimError, which is how the simulator dies.
+    const char *prev = std::getenv("MITOSIM_JOBS");
+    std::string saved = prev ? prev : "";
+
+    for (const char *bad : {"abc", "0"}) {
+        ::setenv("MITOSIM_JOBS", bad, 1);
+        try {
+            defaultThreads();
+            ADD_FAILURE() << "MITOSIM_JOBS='" << bad << "' was accepted";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("'") + bad +
+                                                 "'"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 
     if (prev)
         ::setenv("MITOSIM_JOBS", saved.c_str(), 1);

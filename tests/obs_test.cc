@@ -1,13 +1,9 @@
 /**
  * @file
  * Observability subsystem tests (src/obs): metrics registry semantics
- * (log2-histogram percentiles, label rendering, reset-keeps-handles),
- * tracer ring behavior (overflow keeps the newest events and counts
- * the overwritten ones), the trace-identity contract (an enabled tracer forces the per-op
- * simulation path, so the exported JSON is byte-identical across
- * MITOSIM_FUSE={0,1} and MITOSIM_BATCH={0,1}), and the walk-cycle
- * attribution invariant (the per-level x local/remote buckets sum
- * exactly to walkCycles, native and mitosis).
+ * (log2-histogram percentiles, label rendering, reset-keeps-handles)
+ * and the walk-cycle attribution invariant (the per-level x
+ * local/remote buckets sum exactly to walkCycles, native and mitosis).
  */
 
 #include <gtest/gtest.h>
@@ -17,16 +13,12 @@
 
 #include "bench/harness.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
-#include "src/sim/batch_op.h"
 #include "src/workloads/workload.h"
 
 namespace mitosim
 {
 namespace
 {
-
-constexpr unsigned AllCats = (1u << obs::NumTraceCats) - 1;
 
 TEST(MetricsTest, HistogramPercentilesAreBucketFloors)
 {
@@ -77,61 +69,8 @@ TEST(MetricsTest, RegistryFlattensInRegistrationOrder)
     EXPECT_EQ(reg.flatten()[1].second, 0.0);
 }
 
-TEST(TraceTest, RingOverflowKeepsNewestAndCountsDropped)
-{
-    obs::Tracer t;
-    t.configure(AllCats, 4);
-    for (std::uint64_t i = 0; i < 10; ++i) {
-        t.instant(obs::TraceCat::Sched, "ev", 1, 0, "i", i);
-        t.advance(1);
-    }
-    EXPECT_EQ(t.dropped(), 6u);
-    auto evs = t.events();
-    ASSERT_EQ(evs.size(), 4u);
-    // The newest four, in chronological order.
-    for (std::uint64_t i = 0; i < 4; ++i) {
-        EXPECT_EQ(evs[i].arg0, 6 + i);
-        EXPECT_EQ(evs[i].ts, 6 + i);
-    }
-}
-
-TEST(TraceTest, ResetClearsStateButKeepsConfiguration)
-{
-    obs::Tracer t;
-    t.configure(AllCats, 4);
-    t.advance(7);
-    for (int i = 0; i < 6; ++i)
-        t.instant(obs::TraceCat::Thp, "ev", 0, 0);
-    ASSERT_FALSE(t.events().empty());
-    t.reset();
-    EXPECT_TRUE(t.events().empty());
-    EXPECT_EQ(t.dropped(), 0u);
-    EXPECT_EQ(t.now(), 0u);
-    EXPECT_TRUE(t.enabled());
-    t.instant(obs::TraceCat::Thp, "ev", 0, 0);
-    EXPECT_EQ(t.events().size(), 1u);
-}
-
-/// @name End-to-end fixtures (mirrors batched_step_test.cc)
-/// @{
-
-struct FuseModeGuard
-{
-    explicit FuseModeGuard(int mode) { sim::setFuseEnabledForTest(mode); }
-    ~FuseModeGuard() { sim::setFuseEnabledForTest(-1); }
-};
-
-struct BatchModeGuard
-{
-    explicit BatchModeGuard(int mode)
-    {
-        workloads::setBatchEnabledForTest(mode);
-    }
-    ~BatchModeGuard() { workloads::setBatchEnabledForTest(-1); }
-};
-
 bench::PopulateSpec
-testSpec(const std::string &workload, bool mitosis, bool time_shared)
+testSpec(const std::string &workload, bool mitosis)
 {
     bench::PopulateSpec spec;
     spec.machine = bench::benchMachine();
@@ -140,53 +79,9 @@ testSpec(const std::string &workload, bool mitosis, bool time_shared)
     spec.workload = workload;
     spec.params.footprint = 32ull << 20;
     spec.params.seed = 77;
-    spec.kernelCfg.sched.timeShared = time_shared;
     for (SocketId s = 0; s < spec.machine.topo.numSockets; ++s)
         spec.threadSockets.push_back(s);
     return spec;
-}
-
-/** Run one traced measurement and return the exported trace JSON. */
-std::string
-tracedRun(const bench::PopulateSpec &spec)
-{
-    auto u = bench::preparePopulated(spec);
-    u->machine.tracer().configure(AllCats, 65536);
-    if (spec.backend != snapshot::BackendKind::Native) {
-        u->mitosis().setReplicationMask(
-            u->proc->roots(), u->proc->id(),
-            SocketMask::all(u->machine.numSockets()));
-        u->kernel.reloadContexts(*u->proc);
-    }
-    workloads::runInterleaved(*u->ctx, *u->workload, 600);
-    std::string json = u->machine.tracer().exportJson();
-    EXPECT_FALSE(u->machine.tracer().events().empty());
-    u->finalize();
-    return json;
-}
-
-/// @}
-
-TEST(TraceTest, ExportIsByteIdenticalAcrossEnginePaths)
-{
-    auto spec = testSpec("memcached", true, true);
-    std::string ref;
-    {
-        FuseModeGuard fuse(0);
-        ref = tracedRun(spec);
-    }
-    ASSERT_FALSE(ref.empty());
-    // Perfetto-parseable shape, at minimum.
-    EXPECT_NE(ref.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(ref.find("\"ph\""), std::string::npos);
-    {
-        FuseModeGuard fuse(1);
-        EXPECT_EQ(ref, tracedRun(spec));
-    }
-    {
-        BatchModeGuard batch(0);
-        EXPECT_EQ(ref, tracedRun(spec));
-    }
 }
 
 void
@@ -204,7 +99,7 @@ TEST(AttributionTest, BucketsSumToWalkCycles)
 {
     for (bool mitosis : {false, true}) {
         SCOPED_TRACE(mitosis ? "mitosis" : "native");
-        auto u = bench::preparePopulated(testSpec("gups", mitosis, false));
+        auto u = bench::preparePopulated(testSpec("gups", mitosis));
         if (mitosis) {
             u->mitosis().setReplicationMask(
                 u->proc->roots(), u->proc->id(),

@@ -2,7 +2,7 @@
  * @file
  * Tests for the time-sharing scheduler: run queues and oversubscription,
  * context-switch costing, PCID retention vs flush-all switching, slice
- * expiry and preemption stats, thread migration, ASID recycling, and
+ * expiry and preemption counters, thread migration, ASID recycling, and
  * the §5.3 schedule-driven replica path of the Mitosis backend.
  */
 
@@ -29,6 +29,13 @@ timeSharedConfig(bool pcid, Cycles timeslice = 50000)
     cfg.sched.pcid = pcid;
     cfg.sched.timeslice = timeslice;
     return cfg;
+}
+
+/** A counter of @p kernel's machine registry (each test's is fresh). */
+std::uint64_t
+schedCounter(Kernel &kernel, const char *name)
+{
+    return kernel.machine().metrics().counter(name).value;
 }
 
 class SchedulerTest : public ::testing::Test
@@ -91,7 +98,7 @@ TEST_F(SchedulerTest, DispatchSwitchesResidencyAndChargesCosts)
     EXPECT_LT(ctx_b.threadCounters(0).cycles - b_before,
               pvops::ContextSwitchCost);
 
-    EXPECT_EQ(kernel.scheduler().stats().contextSwitches, 2u);
+    EXPECT_EQ(schedCounter(kernel, "sched_context_switches"), 2u);
     kernel.destroyProcess(a);
     kernel.destroyProcess(b);
 }
@@ -147,7 +154,7 @@ TEST_F(SchedulerTest, SliceExpiryCountsPreemptions)
     ctx_a.access(0, ra.start, false); // A in, slice expires
     ctx_b.access(0, rb.start, false); // B preempts A
     ctx_a.access(0, ra.start, false); // A preempts B
-    EXPECT_EQ(kernel.scheduler().stats().preemptions, 2u);
+    EXPECT_EQ(schedCounter(kernel, "sched_preemptions"), 2u);
 
     kernel.destroyProcess(a);
     kernel.destroyProcess(b);
@@ -163,7 +170,7 @@ TEST_F(SchedulerTest, MigrateReassignsQueuesAndCounts)
     EXPECT_TRUE(kernel.migrateProcess(p, 1, /*migrate_data=*/false));
     for (const auto &t : p.threads())
         EXPECT_EQ(machine.topology().socketOfCore(t.core), 1);
-    EXPECT_EQ(kernel.scheduler().stats().migrations, 2u);
+    EXPECT_EQ(schedCounter(kernel, "sched_migrations"), 2u);
     EXPECT_EQ(kernel.homeSocket(p), 1);
     kernel.destroyProcess(p);
 }
@@ -205,7 +212,7 @@ TEST_F(SchedulerTest, RecycledAsidGetsSelectiveFlush)
     ctx_b.access(0, rb.start, false);
     // B shares A's ASID: its first dispatch selectively flushed, and
     // its access walked B's own tree (no stale hit).
-    EXPECT_EQ(kernel.scheduler().stats().asidRecycleFlushes, 1u);
+    EXPECT_EQ(schedCounter(kernel, "sched_asid_recycle_flushes"), 1u);
     EXPECT_EQ(ctx_b.threadCounters(0).tlbMisses, 1u);
     kernel.destroyProcess(b);
 }
@@ -280,7 +287,7 @@ TEST_F(SchedulerTest, LiveAsidAliasingForcesFlushOnHandover)
     ctx_a.access(0, ra.start, false); // and A's survivor must be gone
     EXPECT_EQ(ctx_b.threadCounters(0).tlbMisses, 1u);
     EXPECT_EQ(ctx_a.threadCounters(0).tlbMisses, 2u);
-    EXPECT_GE(kernel.scheduler().stats().asidRecycleFlushes, 2u);
+    EXPECT_GE(schedCounter(kernel, "sched_asid_recycle_flushes"), 2u);
     kernel.destroyProcess(a);
     kernel.destroyProcess(b);
 }

@@ -3,14 +3,14 @@
 
 The simulated metrics in a BENCH_<name>.json report are deterministic:
 they must be byte-identical across MITOSIM_BATCH={0,1} and
-MITOSIM_FUSE={0,1}, across MITOSIM_TRACE, across --jobs values, and
-(unless the model changed) across commits.
+MITOSIM_FUSE={0,1}, across --jobs values, and (unless the model
+changed) across commits.
 
 The command line strips only the top-level "wall_ms" section (host
 wall-clock telemetry) and requires everything else to be equal: every
 per-run metric and the "metrics" section (the src/obs registry flatten).
 CI uses it as the determinism wall for the batched and fused replay
-paths and the tracer.
+paths.
 
 strip_host_telemetry() also drops "metrics": the vmcheck CI steps import
 it to compare a MITOSIM_CHECK=1 run with an unchecked one, and vmcheck
