@@ -73,8 +73,9 @@ run(const std::string &workload, Mode mode)
     driver::JobResult result;
     result.value("runtime_cycles", static_cast<double>(ctx.runtime()));
     result.value("replicated", proc.roots().replicated() ? 1.0 : 0.0);
-    recordCheckStats(kernel, result);
+    recordWalkAttribution(result, proc.id(), ctx.totals());
     kernel.finalizeProcess(proc);
+    recordJobStats(kernel, result);
     return result;
 }
 

@@ -105,7 +105,8 @@ run(bool gpt_replicated, bool npt_replicated)
     }
     driver::JobResult res = driver::JobResult::of(out);
     phases.stamp(res);
-    recordCheckStats(kernel, res);
+    recordWalkAttribution(res, vm.process().id(), out.totals);
+    recordJobStats(kernel, res);
     return res;
 }
 

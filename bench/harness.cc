@@ -195,14 +195,16 @@ analyzePlacement(const ScenarioConfig &scenario, bool interleave,
     auto snap = analyzer.snapshot(u->proc->roots());
 
     PlacementAnalysis out;
-    out.wallPopulateMs = phases.populateMs();
-    out.wallRunMs = phases.runMs();
     for (SocketId s = 0; s < u->machine.numSockets(); ++s)
         out.remoteLeafFraction.push_back(snap.remoteLeafFractionFrom(s));
     out.figure3Dump = snap.str();
     if (sink)
-        recordCheckStats(u->kernel, *sink);
+        recordWalkAttribution(*sink, u->proc->id(), u->ctx->totals());
     u->finalize();
+    if (sink) {
+        recordJobStats(u->kernel, *sink);
+        phases.stamp(*sink);
+    }
     return out;
 }
 
@@ -318,8 +320,6 @@ placementJob(const ScenarioConfig &scenario, bool interleave)
         result.value("remote_leaf_socket" + std::to_string(s),
                      analysis.remoteLeafFraction[s]);
     result.text = analysis.figure3Dump;
-    result.wallPopulateMs = analysis.wallPopulateMs;
-    result.wallRunMs = analysis.wallRunMs;
     return result;
 }
 
@@ -685,8 +685,6 @@ recordHostStats(sim::Machine &machine, driver::JobResult &res)
                                      pool.tableRecycles));
 }
 
-} // namespace
-
 // The check_* counters stay out of the machine registry because a
 // standalone Checker (built outside a kernel) has no registry to feed.
 void
@@ -710,6 +708,8 @@ recordCheckStats(os::Kernel &kernel, driver::JobResult &res)
     res.metricStat("check_frames_accounted",
                    static_cast<double>(s.framesAccounted));
 }
+
+} // namespace
 
 void
 recordJobStats(os::Kernel &kernel, driver::JobResult &res)

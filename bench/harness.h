@@ -20,6 +20,7 @@
 #ifndef MITOSIM_BENCH_HARNESS_H
 #define MITOSIM_BENCH_HARNESS_H
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -57,48 +58,57 @@ struct ScenarioConfig
 using RunOutcome = driver::RunOutcome;
 
 /**
- * Host wall-clock phase stamps for the report's wall_ms breakdown.
- * Construct at job entry, call populateDone() once the simulated
- * machine is built and populated (setup complete, replication applied),
- * runDone() after the last simulated operation, then stamp() the
- * result. Whatever wall-clock the job spends after runDone() —
- * teardown, end-of-run checks, analysis — lands in the derived
- * "report" phase (total - populate - run).
+ * Host phase stamps for the report's wall_ms breakdown, in wall-clock
+ * and in the job thread's CPU time (driver::threadCpuMs). Construct at
+ * job entry, call populateDone() once the simulated machine is built
+ * and populated (setup complete, replication applied), runDone() after
+ * the last simulated operation, then stamp() the result. Whatever time
+ * the job spends after runDone() — teardown, end-of-run checks,
+ * analysis — lands in the derived "report" phase (total - populate -
+ * run).
  */
 class PhaseTimer
 {
   public:
-    PhaseTimer() : start_(std::chrono::steady_clock::now()) {}
-
-    void populateDone() { populateMs_ = elapsedMs(); }
-    void runDone() { runMs_ = elapsedMs(); }
-
-    double populateMs() const { return populateMs_; }
-    double
-    runMs() const
+    PhaseTimer()
+        : start_(std::chrono::steady_clock::now()),
+          cpuStart_(driver::threadCpuMs())
     {
-        return runMs_ > populateMs_ ? runMs_ - populateMs_ : 0.0;
     }
+
+    void populateDone() { populate_ = now(); }
+    void runDone() { run_ = now(); }
 
     void
     stamp(driver::JobResult &res) const
     {
-        res.wallPopulateMs = populateMs();
-        res.wallRunMs = runMs();
+        res.wallPopulateMs = populate_.wall;
+        res.wallRunMs = std::max(run_.wall - populate_.wall, 0.0);
+        res.cpuPopulateMs = populate_.cpu;
+        res.cpuRunMs = std::max(run_.cpu - populate_.cpu, 0.0);
     }
 
   private:
-    double
-    elapsedMs() const
+    /** Milliseconds since construction, both clocks. */
+    struct Stamp
     {
-        return std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - start_)
-            .count();
+        double wall = 0.0;
+        double cpu = 0.0;
+    };
+
+    Stamp
+    now() const
+    {
+        return {std::chrono::duration<double, std::milli>(
+                    std::chrono::steady_clock::now() - start_)
+                    .count(),
+                driver::threadCpuMs() - cpuStart_};
     }
 
     std::chrono::steady_clock::time_point start_;
-    double populateMs_ = 0.0;
-    double runMs_ = 0.0;
+    double cpuStart_;
+    Stamp populate_;
+    Stamp run_;
 };
 
 /// @name Shared populate path
@@ -178,11 +188,12 @@ struct PlacementAnalysis
 {
     std::vector<double> remoteLeafFraction; //!< per observing socket
     std::string figure3Dump;
-    double wallPopulateMs = 0.0; //!< host phase stamps (see PhaseTimer)
-    double wallRunMs = 0.0;
 };
 
-/** With @p sink, vmcheck's counters land there (see recordCheckStats). */
+/**
+ * With @p sink, the job's metrics, walk-cycle attribution and host
+ * phase stamps land there (see recordJobStats).
+ */
 PlacementAnalysis analyzePlacement(const ScenarioConfig &scenario,
                                    bool interleave = false,
                                    driver::JobResult *sink = nullptr);
@@ -331,14 +342,6 @@ BenchRun &recordOutcome(BenchReport &report, const std::string &label,
  * Call once per job, after Universe::finalize() / finalizeProcess().
  */
 void recordJobStats(os::Kernel &kernel, driver::JobResult &res);
-
-/**
- * The check_* part of recordJobStats alone, for jobs whose reports
- * carry no registry metrics: runs the kernel's end-of-run vmcheck
- * battery and records its counters. A no-op without a checker, so an
- * unchecked report is unchanged.
- */
-void recordCheckStats(os::Kernel &kernel, driver::JobResult &res);
 
 /**
  * Record @p totals' walk-cycle attribution (PerfCounters::walkCyclesAttr)

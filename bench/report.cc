@@ -570,24 +570,22 @@ BenchReport::wallMs(const std::string &label, double ms)
 }
 
 void
-BenchReport::wallMsPhases(const std::string &label, double total,
-                          double populate, double run,
-                          std::uint64_t sim_accesses)
+BenchReport::wallMsPhases(const std::string &label, const PhaseMs &wall,
+                          const PhaseMs &cpu, std::uint64_t sim_accesses)
 {
-    if (populate <= 0.0 && run <= 0.0 && sim_accesses == 0) {
-        wallMs(label, total);
-        return;
-    }
-    double report = total - populate - run;
+    double report = wall.total - wall.populate - wall.run;
     JsonValue entry = JsonValue::object();
-    entry.set("total", JsonValue::number(total));
-    entry.set("populate", JsonValue::number(populate));
-    entry.set("run", JsonValue::number(run));
+    entry.set("total", JsonValue::number(wall.total));
+    entry.set("populate", JsonValue::number(wall.populate));
+    entry.set("run", JsonValue::number(wall.run));
     entry.set("report", JsonValue::number(report > 0.0 ? report : 0.0));
+    entry.set("total_cpu", JsonValue::number(cpu.total));
+    entry.set("populate_cpu", JsonValue::number(cpu.populate));
+    entry.set("run_cpu", JsonValue::number(cpu.run));
     if (sim_accesses) {
         entry.set("sim_accesses",
                   JsonValue::number(static_cast<double>(sim_accesses)));
-        double denom_ms = run > 0.0 ? run : total;
+        double denom_ms = wall.run > 0.0 ? wall.run : wall.total;
         if (denom_ms > 0.0)
             entry.set("host_ops_per_sec",
                       JsonValue::number(static_cast<double>(sim_accesses) /

@@ -149,6 +149,14 @@ class BenchRun
     std::vector<std::pair<std::string, double>> metrics_;
 };
 
+/** One job's host time in ms: the whole thunk and two of its phases. */
+struct PhaseMs
+{
+    double total = 0.0;
+    double populate = 0.0;
+    double run = 0.0;
+};
+
 /** Accumulates a bench binary's results and writes BENCH_<name>.json. */
 class BenchReport
 {
@@ -176,10 +184,11 @@ class BenchReport
     /**
      * Record a job's wall-clock with its phase breakdown: the entry
      * becomes {"total", "populate", "run", "report"} where "report" is
-     * the remainder (teardown + end-of-run checks + analysis). Jobs
-     * that never stamped phases (populate == run == 0) fall back to
-     * the scalar form. The whole section stays excluded from metric
-     * comparisons either way.
+     * the remainder (teardown + end-of-run checks + analysis), plus
+     * the same spans in the job thread's CPU time as "total_cpu",
+     * "populate_cpu" and "run_cpu". A job that never stamped phases
+     * reads populate = run = 0. The whole section stays excluded from
+     * metric comparisons.
      *
      * When @p sim_accesses is non-zero (a timed run), the entry also
      * carries "sim_accesses" (the job's simulated memory accesses —
@@ -189,9 +198,8 @@ class BenchReport
      * host throughput for this job, the number the hot-path work in
      * EXPERIMENTS.md optimizes.
      */
-    void wallMsPhases(const std::string &label, double total,
-                      double populate, double run,
-                      std::uint64_t sim_accesses = 0);
+    void wallMsPhases(const std::string &label, const PhaseMs &wall,
+                      const PhaseMs &cpu, std::uint64_t sim_accesses = 0);
 
     /**
      * Extend job @p label's wall_ms entry with one host-side hot-path

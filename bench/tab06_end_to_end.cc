@@ -52,8 +52,9 @@ endToEnd(bool mitosis_backend, const std::string &workload)
     workloads::runInterleaved(ctx, *w, 20000);
     driver::JobResult result;
     result.value("runtime_cycles", static_cast<double>(ctx.runtime()));
-    recordCheckStats(kernel, result);
+    recordWalkAttribution(result, proc.id(), ctx.totals());
     kernel.finalizeProcess(proc);
+    recordJobStats(kernel, result);
     return result;
 }
 

@@ -163,17 +163,19 @@ benchMain(int argc, char **argv, const BenchSpec &spec)
         if (spec.describe)
             spec.describe(report);
         // Host telemetry, outside "metrics" (see report.h): per-job
-        // thunk wall-clock (with the populate/run/report phase split
-        // when the job stamped one), the job's simulated access count
-        // and resulting host ops/sec, plus this invocation's total.
+        // thunk wall-clock and thread CPU time (with the
+        // populate/run/report phase split when the job stamped one),
+        // the job's simulated access count and resulting host ops/sec,
+        // plus this invocation's total.
         // Recorded before emit() moves the results out.
         for (std::size_t index : selected) {
             const JobResult &res = *results[index];
             std::uint64_t sim_accesses =
                 res.outcome ? res.outcome->totals.accesses : 0;
-            report.wallMsPhases(registry.job(index).name, res.wallMs,
-                                res.wallPopulateMs, res.wallRunMs,
-                                sim_accesses);
+            report.wallMsPhases(
+                registry.job(index).name,
+                {res.wallMs, res.wallPopulateMs, res.wallRunMs},
+                {res.cpuMs, res.cpuPopulateMs, res.cpuRunMs}, sim_accesses);
         }
         report.wallMs("total", total_wall_ms);
         // Host-side hot-path telemetry (fused replay, table arena):

@@ -1,5 +1,6 @@
 #include "job.h"
 
+#include <ctime>
 #include <regex>
 
 #include "src/base/logging.h"
@@ -61,6 +62,15 @@ selectJobs(const JobRegistry &registry, const std::string &filter)
             selected.push_back(i);
     }
     return selected;
+}
+
+double
+threadCpuMs()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) * 1e3 +
+           static_cast<double>(ts.tv_nsec) * 1e-6;
 }
 
 } // namespace mitosim::driver

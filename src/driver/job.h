@@ -69,6 +69,16 @@ struct JobResult
     double wallPopulateMs = 0.0;
     double wallRunMs = 0.0;
 
+    /**
+     * The same three spans in CPU time of the thread that ran the job
+     * (threadCpuMs): the Runner stamps cpuMs, bench::PhaseTimer the
+     * phases. Unlike wall-clock, CPU time leaves out the time the job
+     * waited for a core. Host telemetry like wallMs.
+     */
+    double cpuMs = 0.0;
+    double cpuPopulateMs = 0.0;
+    double cpuRunMs = 0.0;
+
     JobResult &
     value(std::string key, double v)
     {
@@ -162,6 +172,9 @@ class JobRegistry
  */
 std::vector<std::size_t> selectJobs(const JobRegistry &registry,
                                     const std::string &filter);
+
+/** CPU time consumed by the calling thread (CLOCK_THREAD_CPUTIME_ID), ms. */
+double threadCpuMs();
 
 } // namespace mitosim::driver
 

@@ -52,7 +52,9 @@ Runner::run(const JobRegistry &registry,
             setLogThreadTag(job.name);
             try {
                 auto t0 = std::chrono::steady_clock::now();
+                double cpu0 = threadCpuMs();
                 results[selected[k]] = job.run();
+                results[selected[k]]->cpuMs = threadCpuMs() - cpu0;
                 results[selected[k]]->wallMs =
                     std::chrono::duration<double, std::milli>(
                         std::chrono::steady_clock::now() - t0)

@@ -14,6 +14,14 @@
  * 512 frames of a 2 MB data page, described by one per-block record
  * (PhysicalMemory::largeOwner), and fragmentation fillers, described by
  * the pin bitmap (PhysicalMemory::isFragPinned).
+ *
+ * Layout: 16 bytes per frame — the ring link (4), owner (4), tableSlot
+ * (4), type (1) and level (1), padded to 4-byte alignment. The ring
+ * link is a 32-bit frame number (Pfn32), not a 64-bit Pfn, which is
+ * what keeps a metadata chunk at 64 KiB rather than 96 KiB. It is also
+ * why a machine is capped below 2^32 frames (16 TiB): 0xffffffff is the
+ * link's "no frame" sentinel, so every real pfn must sit below it, and
+ * PhysicalMemory's constructor fatal()s on a larger topology.
  */
 
 #ifndef MITOSIM_MEM_PAGE_META_H
@@ -22,6 +30,7 @@
 #include <cstdint>
 #include <type_traits>
 
+#include "src/base/logging.h"
 #include "src/base/types.h"
 
 namespace mitosim::mem
@@ -40,6 +49,36 @@ enum class FrameType : std::uint8_t
 inline constexpr std::uint32_t NoTableSlot = 0xffffffffu;
 
 /**
+ * A frame number stored in 4 bytes: converts implicitly to and from
+ * Pfn, so code reads and writes it like a Pfn. InvalidPfn is stored as
+ * Pfn32::Sentinel and reads back as InvalidPfn; every other storable
+ * pfn is below the sentinel (the machine-size cap, see the file
+ * comment).
+ */
+class Pfn32
+{
+  public:
+    static constexpr std::uint32_t Sentinel = 0xffffffffu;
+
+    Pfn32() = default;
+
+    // Truncation maps InvalidPfn onto the sentinel exactly.
+    constexpr Pfn32(Pfn pfn) : v_(static_cast<std::uint32_t>(pfn))
+    {
+        MITOSIM_DASSERT(pfn < Sentinel || pfn == InvalidPfn,
+                        "Pfn32: pfn does not fit in 32 bits");
+    }
+
+    constexpr operator Pfn() const
+    {
+        return v_ == Sentinel ? InvalidPfn : v_;
+    }
+
+  private:
+    std::uint32_t v_ = Sentinel;
+};
+
+/**
  * Metadata for one 4 KB physical frame.
  *
  * Trivially copyable by design: metadata chunks are copied by forks and
@@ -55,7 +94,7 @@ inline constexpr std::uint32_t NoTableSlot = 0xffffffffu;
 struct PageMeta
 {
     /** Next frame in the circular replica list (self if unreplicated). */
-    Pfn replicaNext = InvalidPfn;
+    Pfn32 replicaNext = InvalidPfn;
 
     /** Owning process, or -1 for kernel/none. */
     ProcId owner = -1;
@@ -80,6 +119,8 @@ struct PageMeta
 
 static_assert(std::is_trivially_copyable_v<PageMeta>,
               "metadata chunks are copied and scrubbed wholesale");
+static_assert(sizeof(PageMeta) == 16,
+              "16 B per frame: a metadata chunk is 64 KiB");
 
 } // namespace mitosim::mem
 

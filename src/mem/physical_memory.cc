@@ -132,10 +132,30 @@ template class ChunkStore<PageMeta, PhysicalMemory::MetaChunkSize,
 template class ChunkStore<std::uint64_t, PhysicalMemory::TableChunkElems,
                           PhysicalMemory::TableSlabChunks>;
 
+namespace
+{
+
+/**
+ * @p topo's frame count, which must leave every pfn below Pfn32's
+ * sentinel: fatal() otherwise, before any frame-scaled storage exists.
+ */
+std::uint64_t
+checkedFrameCount(const numa::Topology &topo)
+{
+    std::uint64_t frames = topo.totalFrames();
+    if (frames > Pfn32::Sentinel)
+        fatal("machine has %llu frames, but PageMeta's 32-bit replica "
+              "link caps it below 2^32 frames (16 TiB)",
+              static_cast<unsigned long long>(frames));
+    return frames;
+}
+
+} // namespace
+
 PhysicalMemory::PhysicalMemory(const numa::Topology &topology)
     : topo(topology),
-      totalFrames_(topo.totalFrames()),
-      metaChunks((topo.totalFrames() + MetaChunkSize - 1) >> MetaChunkShift),
+      totalFrames_(checkedFrameCount(topo)),
+      metaChunks((totalFrames_ + MetaChunkSize - 1) >> MetaChunkShift),
       perSocket(static_cast<std::size_t>(topo.numSockets())),
       ptCache(static_cast<std::size_t>(topo.numSockets())),
       ptCacheTarget(static_cast<std::size_t>(topo.numSockets()), 0),

@@ -52,7 +52,7 @@ struct MemStats
  */
 struct SlabPoolStats
 {
-    std::uint64_t metaSlabs = 0;     //!< 6 MiB metadata slabs minted
+    std::uint64_t metaSlabs = 0;     //!< 4 MiB metadata slabs minted
     std::uint64_t metaRecycles = 0;  //!< metadata chunks scrubbed + reused
     std::uint64_t tableSlabs = 0;    //!< 2 MiB table slabs minted
     std::uint64_t tableRecycles = 0; //!< table chunks scrubbed + reused
@@ -334,11 +334,11 @@ class PhysicalMemory
 
     /**
      * 4096 frames (16 MiB of simulated memory) per metadata chunk —
-     * the materialization granule. Kept small so a sparse touch
-     * initializes (and a fork copies) roughly what is used rather than
-     * a 128 MiB-of-memory span, while staying large enough that the
-     * chunk pointer table is trivial. 64 chunks (6 MiB) per slab, the
-     * host-fault granule.
+     * the materialization granule: 64 KiB of 16-byte PageMeta. Kept
+     * small so a sparse touch initializes (and a fork copies) roughly
+     * what is used rather than a 128 MiB-of-memory span, while staying
+     * large enough that the chunk pointer table is trivial. 64 chunks
+     * (4 MiB) per slab, the host-fault granule.
      */
     static constexpr unsigned MetaChunkShift = 12;
     static constexpr std::uint64_t MetaChunkSize = 1ull << MetaChunkShift;

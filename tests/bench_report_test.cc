@@ -309,7 +309,7 @@ TEST(BenchReport, WallMsSectionIsSeparateFromMetrics)
 TEST(BenchReport, WallMsHostStatExtendsPhaseObjectEntries)
 {
     BenchReport report = sampleReport();
-    report.wallMsPhases("canneal F", 20.0, 8.0, 10.0,
+    report.wallMsPhases("canneal F", {20.0, 8.0, 10.0}, {16.0, 7.0, 8.5},
                         /*sim_accesses=*/1000);
     report.wallMsHostStat("canneal F", "fused_runs", 42.0);
     report.wallMsHostStat("canneal F", "fused_ops", 99.0);
@@ -323,7 +323,18 @@ TEST(BenchReport, WallMsHostStatExtendsPhaseObjectEntries)
     // Phase breakdown written first survives the host-stat appends.
     ASSERT_NE(entry->find("total"), nullptr);
     EXPECT_EQ(entry->find("total")->asNumber(), 20.0);
+    EXPECT_EQ(entry->find("populate")->asNumber(), 8.0);
+    EXPECT_EQ(entry->find("run")->asNumber(), 10.0);
+    EXPECT_EQ(entry->find("report")->asNumber(), 2.0);
+    // The thread-CPU twins of total / populate / run sit beside them.
+    ASSERT_NE(entry->find("total_cpu"), nullptr);
+    EXPECT_EQ(entry->find("total_cpu")->asNumber(), 16.0);
+    ASSERT_NE(entry->find("populate_cpu"), nullptr);
+    EXPECT_EQ(entry->find("populate_cpu")->asNumber(), 7.0);
+    ASSERT_NE(entry->find("run_cpu"), nullptr);
+    EXPECT_EQ(entry->find("run_cpu")->asNumber(), 8.5);
     ASSERT_NE(entry->find("host_ops_per_sec"), nullptr);
+    EXPECT_DOUBLE_EQ(entry->find("host_ops_per_sec")->asNumber(), 1e5);
     ASSERT_NE(entry->find("fused_runs"), nullptr);
     EXPECT_EQ(entry->find("fused_runs")->asNumber(), 42.0);
     EXPECT_EQ(entry->find("fused_ops")->asNumber(), 99.0);

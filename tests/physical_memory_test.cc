@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -455,6 +456,47 @@ TEST_F(PhysicalMemoryTest, RetiredTableChunksReturnToSlabPool)
         PhysicalMemory other(topo);
         ASSERT_TRUE(other.allocPt(0, 1, 1).has_value());
         EXPECT_EQ(slabPoolStats().tableSlabs, after.tableSlabs);
+    }
+}
+
+TEST(PageMetaTest, RingLinkRoundTripsSentinelAndLargestFrame)
+{
+    // The 32-bit link keeps its Pfn meaning at both ends of its range.
+    PageMeta m;
+    EXPECT_TRUE(m.replicaNext == InvalidPfn);
+    m.replicaNext = 5;
+    m.replicaNext = InvalidPfn;
+    Pfn back = m.replicaNext;
+    EXPECT_EQ(back, InvalidPfn);
+
+    constexpr Pfn Largest = Pfn32::Sentinel - 1; // 0xfffffffe
+    m.replicaNext = Largest;
+    back = m.replicaNext;
+    EXPECT_EQ(back, Largest);
+    EXPECT_FALSE(m.replicaNext == InvalidPfn);
+
+    m.replicaNext = 0;
+    back = m.replicaNext;
+    EXPECT_EQ(back, 0u);
+}
+
+TEST(PhysicalMemoryCapTest, TwoToThe32FramesIsFatal)
+{
+    // 2 sockets x 8 TiB is 2^32 frames: the last pfn would be the ring
+    // link's sentinel. The constructor must refuse before it builds any
+    // frame-scaled state (an 8 TiB FrameAllocator is ~270 MiB).
+    numa::TopologyConfig cfg;
+    cfg.numSockets = 2;
+    cfg.coresPerSocket = 1;
+    cfg.memPerSocket = 8ull << 40;
+    numa::Topology topo(cfg);
+    ASSERT_EQ(topo.totalFrames(), 1ull << 32);
+    try {
+        PhysicalMemory pm(topo);
+        ADD_FAILURE() << "a 2^32-frame machine was accepted";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find("2^32"), std::string::npos)
+            << e.what();
     }
 }
 

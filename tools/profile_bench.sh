@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Profile one bench binary: gprof by default and in --diff mode, a
-# SIGPROF line sampler in --lines mode.
+# SIGPROF sampler in --lines, --incl and --pcs modes.
 #
 # Maintains a dedicated instrumented build tree (build-pg/: Release
 # codegen + -pg) so profiling never dirties the main build, rebuilds
@@ -53,8 +53,17 @@
 # scan's samples). When a line looks too hot for what it does, read
 # the instructions just before its hot PCs.
 #
-# PC mode does that: same build and sampler as --lines, but it lists
-# the hottest sampled PCs inside functions whose name contains FUNC
+# Inclusive mode says which layer owns the time under one function,
+# which a flat --lines profile hides. Same build and sampler as
+# --lines; of the samples whose stack (inlined frames included) holds a
+# function whose name contains ROOT, it prints each callee's inclusive
+# share (the share of those samples with that function anywhere below
+# ROOT) and the self share by source line:
+#   tools/profile_bench.sh --incl Workload::populateRegion hostbench \
+#       --workload populate-4k --seed 42 --seconds 2 --trace 0
+#
+# PC mode reads those instructions: same build and sampler as --lines,
+# but it lists the hottest sampled PCs inside functions whose name contains FUNC
 # (the function that holds the machine code, after inlining), each
 # with its instruction, the instruction before it (the likely stalled
 # one, given the skid above) and its innermost repository source line:
@@ -66,20 +75,23 @@ set -euo pipefail
 repo=$(cd "$(dirname "$0")/.." && pwd)
 lines=${LINES:-40}
 
-if [ "${1:-}" = --lines ] || [ "${1:-}" = --pcs ]; then
+if [ "${1:-}" = --lines ] || [ "${1:-}" = --pcs ] ||
+    [ "${1:-}" = --incl ]; then
     mode=$1
     shift
     func=
-    if [ "$mode" = --pcs ]; then
+    if [ "$mode" != --lines ]; then
         if [ $# -lt 2 ]; then
-            echo "usage: $0 --pcs FUNC <bench|hostbench> [args...]" >&2
+            arg=FUNC
+            [ "$mode" = --incl ] && arg=ROOT
+            echo "usage: $0 $mode $arg <bench|hostbench> [args...]" >&2
             exit 2
         fi
         func=$1
         shift
     fi
     if [ $# -lt 1 ]; then
-        echo "usage: $0 --lines <bench|hostbench> [args...]" >&2
+        echo "usage: $0 $mode <bench|hostbench> [args...]" >&2
         exit 2
     fi
     bench=$1
@@ -101,14 +113,16 @@ if [ "${1:-}" = --lines ] || [ "${1:-}" = --pcs ]; then
     samples="$tree/pc_samples.txt"
     (cd "$tree" && PC_SAMPLER_OUT="$samples" \
         LD_PRELOAD="$tree/pc_sampler.so" "./$bench" "$@" >/dev/null)
-    python3 - "$tree/$bench" "$samples" "$repo/" "$lines" "$func" <<'EOF'
+    python3 - "$tree/$bench" "$samples" "$repo/" "$lines" "$mode" "$func" \
+        <<'EOF'
 import collections
 import re
 import subprocess
 import sys
 
-exe, path, prefix, top, func = (sys.argv[1], sys.argv[2], sys.argv[3],
-                                int(sys.argv[4]), sys.argv[5])
+exe, path, prefix, top, mode, func = (sys.argv[1], sys.argv[2],
+                                      sys.argv[3], int(sys.argv[4]),
+                                      sys.argv[5], sys.argv[6])
 # One sample per line: the PC, then its callers' return addresses.
 # A return address points past its call, so look up the byte before.
 samples = [[int(a, 16) - (k > 0) for k, a in enumerate(line.split())]
@@ -154,7 +168,36 @@ def source(pc):
     ours = [f for f in frames[pc] if not f[1].startswith(("/", "?"))]
     return (ours or frames[pc])[0]
 
-if func:
+if mode == "--incl":
+    under = 0
+    callees = collections.Counter()
+    self_lines = collections.Counter()
+    for s in samples:
+        # Every frame of the sample, innermost first, inlined included.
+        stack = [f for a in s for f, _ in frames[a]]
+        roots = [i for i, f in enumerate(stack) if func in f]
+        if not roots:
+            continue
+        under += 1
+        # Below the outermost ROOT frame, each function counts once per
+        # sample, so recursion cannot push a share past 100 %.
+        callees.update({f for f in stack[:roots[-1]] if func not in f})
+        fn, where = source(s[0])
+        self_lines[f"{where}  {fn}"] += 1
+    if not under:
+        sys.exit(f"no samples with a function matching {func!r} on the "
+                 "stack")
+    print(f"{under} of {n} samples ({100 * under / n:.1f}%) have a "
+          f"function matching {func!r} on the stack; shares below are "
+          "of those samples")
+    for title, counts in (("inclusive share by callee", callees),
+                          ("self share by source line", self_lines)):
+        print(f"\n{'share':>6}  {title}")
+        for key, c in counts.most_common(top):
+            print(f"{100 * c / under:5.1f}%  {key}")
+    sys.exit(0)
+
+if mode == "--pcs":
     # The function holding the code is the outermost inlined frame.
     hits = collections.Counter(s[0] for s in samples
                                if func in frames[s[0]][-1][0])
