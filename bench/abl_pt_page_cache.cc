@@ -42,20 +42,13 @@ runWithReserve(std::uint64_t reserve_frames)
     kernel.mmap(proc, bulk * PageSize, os::MmapOptions{.populate = true});
 
     for (int i = 0; i < 48; ++i) {
-        // One page in its own 1 GiB-aligned slice: needs new L2+L1 (and
-        // sometimes L3) page-table pages every time.
+        // Map and unmap one untouched page, then map one populated
+        // page. mmap bump-allocates 2 MB-aligned ranges and never
+        // reuses an unmapped one, so each populated page lands 4 MB
+        // past the last and needs a fresh leaf page-table page.
         auto region = kernel.mmap(proc, PageSize, os::MmapOptions{});
-        VirtAddr sparse = alignUp(region.start, 1ull << 30) +
-                          static_cast<VirtAddr>(i) * (1ull << 30);
         kernel.munmap(proc, region.start, region.length);
-        os::MmapOptions opts;
-        opts.populate = false;
-        (void)sparse;
-        // Directly drive the fault path at a sparse address by mapping
-        // a fresh region each time (the bump allocator spaces them).
-        auto r2 = kernel.mmap(proc, PageSize,
-                              os::MmapOptions{.populate = true});
-        (void)r2;
+        kernel.mmap(proc, PageSize, os::MmapOptions{.populate = true});
     }
 
     driver::JobResult result;

@@ -4,15 +4,18 @@
  * and the replacement policy under the per-core TLB (src/tlb/tlb.h),
  * the paging-structure cache (src/tlb/paging_structure_cache.h) and
  * the L1D/L3 data caches (set_assoc_cache.h). The wrappers keep only
- * what differs between them: key decoding and lookup memos.
+ * what differs between them: key decoding and, in the TLB and the
+ * PWC, guaranteed-miss skips.
  *
  * A slot holds a tag, a one-byte fingerprint of the tag, a qualifier
- * and a payload, stored struct-of-arrays and set-major. A lookup
- * compares its set's fingerprints eight at a time, as one 64-bit word,
- * and checks the tag and then the qualifier only at ways whose
- * fingerprint matches; a miss in a 16-way set usually reads two words
- * and no tag. The qualifier is Nothing for cache lines, the ASID for
- * TLB entries and (CR3, ASID) for paging-structure entries.
+ * and a payload, stored struct-of-arrays and set-major. A probe first
+ * compares the set's head (its most recently used way) by tag and
+ * qualifier; past that, it compares the set's fingerprints eight at a
+ * time, as one 64-bit word, and checks the tag and then the qualifier
+ * only at ways whose fingerprint matches; a miss in a 16-way set
+ * usually reads two words and no tag. The qualifier is Nothing for
+ * cache lines, the ASID for TLB entries and (CR3, ASID) for
+ * paging-structure entries.
  *
  * Replacement. Each set keeps a free-way mask and a circular doubly
  * linked recency list of its valid ways, most recently used at the
@@ -22,10 +25,15 @@
  * otherwise it fills the lowest free way; otherwise it evicts the
  * tail. Every step is O(1) past the fingerprint scan. That is exact
  * true LRU, and the set never holds two copies of one key, even when
- * an invalidation left a free way before a resident copy. The
- * wrappers' MRU memos and guaranteed-miss skips rely on the same
- * order: a memo names its set's head, touching the head changes
- * nothing, and a probe that must miss changes no slot.
+ * an invalidation left a free way before a resident copy.
+ *
+ * Head first. A probe whose key sits at its set's head is served
+ * without the scan and without a move, and that is exact: the head is
+ * the most recently used way, so touching it changes no order, and a
+ * head that is free (an empty set's stale head, or a way dropped by
+ * invalidate, invalidateIf or flush) holds InvalidTag, which no probe
+ * tag equals. The wrappers' guaranteed-miss skips rest on the same
+ * order: a probe that must miss changes no slot.
  */
 
 #ifndef MITOSIM_CACHE_LRU_ARRAY_H
@@ -90,11 +98,6 @@ class LruArray
         setStates.assign(sets, SetState{allFree, 0});
     }
 
-    std::size_t setOf(std::uint64_t tag) const
-    {
-        return static_cast<std::size_t>(tag & (sets - 1));
-    }
-
     /**
      * Find (@p tag, @p qual) and make it its set's most recently used
      * entry. @return its payload, or nullptr on a miss.
@@ -104,10 +107,11 @@ class LruArray
     {
         std::size_t set = setOf(tag);
         std::size_t base = set * numWays;
-        unsigned w = wayOf(base, tag, qual);
+        SetState &st = setStates[set];
+        unsigned w = wayOf(st, base, tag, qual);
         if (w == numWays)
             return nullptr;
-        moveToHead(setStates[set], base, w);
+        moveToHead(st, base, w);
         return &payloads[base + w];
     }
 
@@ -123,7 +127,7 @@ class LruArray
         std::size_t set = setOf(tag);
         std::size_t base = set * numWays;
         SetState &st = setStates[set];
-        if (unsigned w = wayOf(base, tag, qual); w != numWays) {
+        if (unsigned w = wayOf(st, base, tag, qual); w != numWays) {
             payloads[base + w] = payload;
             moveToHead(st, base, w);
             return true;
@@ -223,6 +227,11 @@ class LruArray
         std::uint8_t head;
     };
 
+    std::size_t setOf(std::uint64_t tag) const
+    {
+        return static_cast<std::size_t>(tag & (sets - 1));
+    }
+
     /** Eight tag bits, mixed so tags of one set spread over them. */
     static std::uint8_t
     fingerprint(std::uint64_t tag)
@@ -249,13 +258,17 @@ class LruArray
     }
 
     /**
-     * Way of the set at @p base holding (@p tag, @p qual), or numWays.
-     * One word compare filters eight fingerprints; only ways whose
-     * fingerprint matches compare their tag and qualifier.
+     * Way of set @p st (at @p base) holding (@p tag, @p qual), or
+     * numWays. The head is checked first (see the file comment); past
+     * it, one word compare filters eight fingerprints, and only ways
+     * whose fingerprint matches compare their tag and qualifier.
      */
     unsigned
-    wayOf(std::size_t base, std::uint64_t tag, const Qual &qual) const
+    wayOf(const SetState &st, std::size_t base, std::uint64_t tag,
+          const Qual &qual) const
     {
+        if (tags[base + st.head] == tag && quals[base + st.head] == qual)
+            return st.head;
         std::uint64_t pattern = 0x0101010101010101ull * fingerprint(tag);
         for (unsigned w0 = 0; w0 < numWays; w0 += 8) {
             std::uint64_t m =

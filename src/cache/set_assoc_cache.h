@@ -10,16 +10,17 @@
  * reference to PerfCounters from the probe results.
  *
  * Storage and true-LRU replacement are the shared LruArray (one line
- * address per slot, no qualifier or payload); this class adds line
- * addressing and a per-set MRU memo.
+ * address per slot, no qualifier or payload), which serves a repeat
+ * probe of a set's most recently used line without a scan, so
+ * interleaved streams (a walker's PTE-line reads alternating with data
+ * lines) that use different sets each keep their fast path; this class
+ * adds line addressing.
  */
 
 #ifndef MITOSIM_CACHE_SET_ASSOC_CACHE_H
 #define MITOSIM_CACHE_SET_ASSOC_CACHE_H
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "src/base/types.h"
 #include "src/cache/lru_array.h"
@@ -39,8 +40,7 @@ class SetAssocCache
      * @param ways associativity
      */
     SetAssocCache(std::uint64_t capacity_bytes, unsigned ways)
-        : lines(capacity_bytes / LineSize, ways),
-          memoMru_(lines.numSets(), Lines::InvalidTag)
+        : lines(capacity_bytes / LineSize, ways)
     {
     }
 
@@ -51,21 +51,7 @@ class SetAssocCache
     bool
     lookup(PhysAddr pa)
     {
-        std::uint64_t line = pa >> LineShift;
-        // Per-set MRU memo: the line most recently used in this set
-        // (hit, fill or refresh; cleared by every invalidation path),
-        // so the head of the set's recency list. A repeat probe skips
-        // the set scan and the touch, which could not change the set's
-        // LRU order (see lru_array.h). Per set, so interleaved streams
-        // — a walker's PTE-line reads alternating with data lines —
-        // keep their memos apart.
-        std::uint64_t &memo = memoMru_[lines.setOf(line)];
-        if (line == memo)
-            return true;
-        if (!lines.lookup(line, {}))
-            return false;
-        memo = line;
-        return true;
+        return lines.lookup(pa >> LineShift, {}) != nullptr;
     }
 
     /**
@@ -78,23 +64,14 @@ class SetAssocCache
     bool
     probeInsert(PhysAddr pa)
     {
-        std::uint64_t line = pa >> LineShift;
-        std::uint64_t &memo = memoMru_[lines.setOf(line)];
-        if (line == memo)
-            return true;
-        memo = line;
-        return lines.insert(line, {}, {});
+        return lines.insert(pa >> LineShift, {}, {});
     }
 
     /** Drop the line containing @p pa if present. */
     void
     invalidateLine(PhysAddr pa)
     {
-        std::uint64_t line = pa >> LineShift;
-        std::uint64_t &memo = memoMru_[lines.setOf(line)];
-        if (memo == line)
-            memo = Lines::InvalidTag;
-        lines.invalidate(line);
+        lines.invalidate(pa >> LineShift);
     }
 
     /** Drop everything. */
@@ -102,7 +79,6 @@ class SetAssocCache
     flush()
     {
         lines.flush();
-        std::fill(memoMru_.begin(), memoMru_.end(), Lines::InvalidTag);
     }
 
     std::uint64_t capacityBytes() const { return lines.slots() * LineSize; }
@@ -113,11 +89,6 @@ class SetAssocCache
     using Lines = LruArray<Nothing, Nothing>;
 
     Lines lines; //!< tag = full line address
-    /**
-     * Per-set lookup memo: the line most recently used in each set.
-     * InvalidTag is "empty"; no real line address equals it.
-     */
-    std::vector<std::uint64_t> memoMru_;
 };
 
 } // namespace mitosim::cache

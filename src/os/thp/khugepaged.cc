@@ -5,7 +5,7 @@
  * Linux's khugepaged keeps a scan cursor per mm and examines a bounded
  * number of pages per wakeup (pages_to_scan), collapsing readily
  * collapsible ranges and resuming where it left off. The reproduction
- * mirrors that: per tick and per process, up to scanRangesPerTick 2 MB
+ * mirrors that: per tick and per process, up to ScanRangesPerTick 2 MB
  * candidate ranges are examined from the saved cursor (wrapping once),
  * and at most collapsesPerTick of them are promoted. The scan itself is
  * raw and uncharged — like the AutoNUMA scanner — while every collapse
@@ -21,6 +21,15 @@
 
 namespace mitosim::os::thp
 {
+
+namespace
+{
+
+/** 2 MB candidate ranges examined per process, per tick (Linux's
+ *  pages_to_scan analogue). */
+constexpr std::uint64_t ScanRangesPerTick = 512;
+
+} // namespace
 
 void
 ThpManager::scanProcess(Process &proc, pvops::KernelCost *cost)
@@ -58,7 +67,7 @@ ThpManager::scanProcess(Process &proc, pvops::KernelCost *cost)
                 stop = std::min(stop, cursor);
             for (VirtAddr base = first; base + LargePageSize <= stop;
                  base += LargePageSize) {
-                if (scanned >= cfg.scanRangesPerTick ||
+                if (scanned >= ScanRangesPerTick ||
                     collapsed >= cfg.collapsesPerTick) {
                     scanCursor[proc.id()] = base;
                     return;

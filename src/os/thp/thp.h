@@ -64,10 +64,6 @@ struct ThpConfig
      */
     bool splitPartial = false;
 
-    /** khugepaged: 2 MB candidate ranges examined per process, per
-     *  tick (Linux's pages_to_scan analogue). */
-    std::uint64_t scanRangesPerTick = 512;
-
     /** khugepaged: collapse budget per process, per tick. */
     unsigned collapsesPerTick = 64;
 

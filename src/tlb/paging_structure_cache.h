@@ -20,8 +20,10 @@
  * upper-level entries.
  *
  * Each level is a fully-associative LruArray (one set) qualified by
- * (root pfn, ASID); this class adds the level decoding and a
- * pde-level MRU memo.
+ * (root pfn, ASID), which serves a repeat probe of its most recently
+ * used entry without a scan (sequential walk streams, as in populate
+ * or a range sweep, hit one 2 MB prefix for 512 walks in a row); this
+ * class adds the level decoding.
  *
  * The cache keeps no counters of its own: lookup() returns where the
  * walk starts, and the walker charges the table reads it then issues
@@ -83,15 +85,6 @@ class PagingStructureCache
     Probe
     lookup(Pfn cr3, VirtAddr va)
     {
-        // MRU memo over the pde level (the first and longest scan of
-        // every probe): the most recently used pde entry, so the
-        // level's head, cleared by every invalidation path. Skipping
-        // its touch cannot change the level's LRU order (see
-        // lru_array.h). Sequential walk streams (populate, range
-        // sweeps) hit the same 2 MB prefix for 512 walks in a row.
-        if ((va >> tagShift(1)) == memoTag_ && cr3 == memoCr3_ &&
-            asid_ == memoAsid_)
-            return {1, memoTablePfn_};
         // Deepest level first. A level never filled is skipped: a
         // 2 MB-mapped address space never fills the pde level.
         for (int level = 1; level <= 3; ++level) {
@@ -99,11 +92,8 @@ class PagingStructureCache
             if (!l.everInserted())
                 continue;
             const Pfn *table = l.lookup(va >> tagShift(level), {cr3, asid_});
-            if (!table)
-                continue;
-            if (level == 1)
-                noteMru(cr3, va, *table);
-            return {level, *table};
+            if (table)
+                return {level, *table};
         }
         return {4, cr3};
     }
@@ -120,15 +110,12 @@ class PagingStructureCache
             panic("PWC fill with bad level %d", level);
         levels[level - 1].insert(va >> tagShift(level), {cr3, asid_},
                                  table_pfn);
-        if (level == 1)
-            noteMru(cr3, va, table_pfn); // the level's new head
     }
 
     /** Invalidate all entries covering @p va, any ASID (shootdowns). */
     void
     invalidate(VirtAddr va)
     {
-        clearMemo();
         for (int level = 1; level <= 3; ++level)
             levels[level - 1].invalidate(va >> tagShift(level));
     }
@@ -137,7 +124,6 @@ class PagingStructureCache
     void
     flushAll()
     {
-        clearMemo();
         for (Level &l : levels)
             l.flush();
     }
@@ -146,7 +132,6 @@ class PagingStructureCache
     void
     flushAsid(Asid asid)
     {
-        clearMemo();
         for (Level &l : levels)
             l.invalidateIf([&](const Root &r) { return r.asid == asid; });
     }
@@ -185,24 +170,9 @@ class PagingStructureCache
         return PageShift + PtIndexBits * static_cast<unsigned>(level);
     }
 
-    void
-    noteMru(Pfn cr3, VirtAddr va, Pfn table_pfn)
-    {
-        memoTag_ = va >> tagShift(1);
-        memoCr3_ = cr3;
-        memoAsid_ = asid_;
-        memoTablePfn_ = table_pfn;
-    }
-    void clearMemo() { memoTag_ = ~0ull; }
-
     /** levels[i] caches the tables of level i + 1 (pde, pdpte, pml4e). */
     Level levels[3];
     Asid asid_ = 0;
-    /** pde-level memo: ~0 tag = empty (no shifted VA can produce it). */
-    std::uint64_t memoTag_ = ~0ull;
-    Pfn memoCr3_ = InvalidPfn;
-    Asid memoAsid_ = 0;
-    Pfn memoTablePfn_ = InvalidPfn;
 };
 
 } // namespace mitosim::tlb

@@ -16,8 +16,9 @@
  * ASID is recycled. A single-ASID user (the pinned default: one process
  * per core, full flush on every CR3 load) behaves exactly as before.
  *
- * Each array is a shared LruArray qualified by ASID; this class adds
- * the size classes, a decoded MRU memo and a single-ASID early-out.
+ * Each array is a shared LruArray qualified by ASID, which serves a
+ * repeat probe of its set's most recently used entry without a scan;
+ * this class adds the size classes and the guaranteed-miss skips.
  * The TLB keeps no counters of its own: lookup() reports the hit level
  * and latency, and sim::Core charges them to PerfCounters, the one
  * hardware-event channel every report reads.
@@ -101,15 +102,6 @@ class TwoLevelTlb
     TlbLookupResult
     lookup(VirtAddr va)
     {
-        // MRU memo: a decoded copy of the most recently used L1 entry
-        // (set by every L1 hit, promote and insert; cleared by every
-        // invalidation path), so the head of its set. A repeat probe
-        // of the same page under the same ASID skips the set scan and
-        // the touch, which could not change the set's LRU order (see
-        // lru_array.h), and returns exactly the L1-hit result.
-        if ((va & memoMask_) == memoBase_ && asid_ == memoAsid_)
-            return {true, 1, cfg.l1HitLatency, memoEntry_};
-
         // Guaranteed misses change no state, so their probes are
         // skipped: every entry ever installed carries one other ASID,
         // or a size class was never installed (the sticky
@@ -122,21 +114,21 @@ class TwoLevelTlb
         const TlbEntry *e;
         if (l1Small.everInserted() &&
             (e = l1Small.lookup(tag4K(va), asid_)))
-            return hit(*e, 1, va);
+            return hit(*e, 1);
         if (l1Large.everInserted() &&
             (e = l1Large.lookup(tag2M(va), asid_)))
-            return hit(*e, 1, va);
+            return hit(*e, 1);
 
         // Unified L2: try the 4 KB-granule tag, then the 2 MB-granule
         // tag; a hit promotes into its L1 size class.
         if (l1Small.everInserted() && (e = l2.lookup(tag4K(va), asid_))) {
-            TlbLookupResult res = hit(*e, 2, va);
+            TlbLookupResult res = hit(*e, 2);
             l1Small.insert(tag4K(va), asid_, res.entry);
             return res;
         }
         if (cfg.l2Holds2M && l1Large.everInserted() &&
             (e = l2.lookup(tag2M(va) | LargeTagBit, asid_))) {
-            TlbLookupResult res = hit(*e, 2, va);
+            TlbLookupResult res = hit(*e, 2);
             l1Large.insert(tag2M(va), asid_, res.entry);
             return res;
         }
@@ -144,11 +136,12 @@ class TwoLevelTlb
     }
 
     /**
-     * lookup() of @p va where the caller knows it misses: nothing has
-     * been inserted since @p va last missed or was invalidated (the
-     * retry after a serviced fault). A miss changes no state, so
-     * returning its latency directly is exact; the same
-     * licence as the guaranteed-miss skips inside lookup(). Debug
+     * lookup() of @p va where the caller knows it misses: no
+     * translation has been installed since @p va last missed or was
+     * invalidated (the retry after a serviced fault; the fault handler
+     * installs none). A probe that misses moves no slot (see
+     * lru_array.h), so charging the miss latency without probing is
+     * exact, as for the guaranteed-miss skips inside lookup(). Debug
      * builds run the real probe and assert that it missed.
      */
     Cycles
@@ -182,7 +175,6 @@ class TwoLevelTlb
             if (cfg.l2Holds2M)
                 l2.insert(tag2M(va) | LargeTagBit, asid_, entry);
         }
-        noteMru(va, entry);
     }
 
     /**
@@ -197,7 +189,6 @@ class TwoLevelTlb
         l1Large.invalidate(tag2M(va));
         l2.invalidate(tag4K(va));
         l2.invalidate(tag2M(va) | LargeTagBit);
-        clearMemo();
     }
 
     /** Full flush, e.g. on CR3 load without PCID. */
@@ -206,7 +197,6 @@ class TwoLevelTlb
     {
         for (Array *a : {&l1Small, &l1Large, &l2})
             a->flush();
-        clearMemo();
     }
 
     /** Selective flush of every entry tagged @p asid (INVPCID type 1). */
@@ -215,7 +205,6 @@ class TwoLevelTlb
     {
         for (Array *a : {&l1Small, &l1Large, &l2})
             a->invalidateIf([&](Asid tagged) { return tagged == asid; });
-        clearMemo();
     }
 
     const TlbConfig &config() const { return cfg; }
@@ -251,39 +240,14 @@ class TwoLevelTlb
 
     /** The hit at @p level on @p entry (already made MRU). */
     TlbLookupResult
-    hit(const TlbEntry &entry, int level, VirtAddr va)
+    hit(const TlbEntry &entry, int level) const
     {
-        noteMru(va, entry);
         return {true, level,
                 level == 1 ? cfg.l1HitLatency : cfg.l2HitLatency, entry};
     }
 
     /** A miss pays the full probe. */
     TlbLookupResult miss() const { return {false, 0, cfg.l2HitLatency, {}}; }
-
-    /**
-     * Remember @p entry (just used in its L1 array, so the head of its
-     * set) as the lookup memo. The base/mask pair makes the memo hit
-     * test one AND+compare regardless of page size.
-     */
-    void
-    noteMru(VirtAddr va, const TlbEntry &entry)
-    {
-        memoMask_ = (entry.size == PageSizeKind::Large2M)
-                        ? ~(LargePageSize - 1)
-                        : ~(PageSize - 1);
-        memoBase_ = va & memoMask_;
-        memoAsid_ = asid_;
-        memoEntry_ = entry;
-    }
-
-    /** Drop the memo (any invalidation: mask 0 can never match ~0). */
-    void
-    clearMemo()
-    {
-        memoBase_ = ~0ull;
-        memoMask_ = 0;
-    }
 
     /** Granularity marker mixed into unified-L2 tags (no collisions). */
     static constexpr std::uint64_t LargeTagBit = 1ull << 63;
@@ -304,13 +268,6 @@ class TwoLevelTlb
     bool anyInsert_ = false;
     bool multiAsid_ = false;
     Asid asid_ = 0;
-    // Lookup memo (see lookup()/noteMru): decoded copy of the most
-    // recently used L1 entry. memoBase_ = ~0 with memoMask_ = 0 is
-    // the "empty" state — no canonical address matches it.
-    std::uint64_t memoBase_ = ~0ull;
-    std::uint64_t memoMask_ = 0;
-    Asid memoAsid_ = 0;
-    TlbEntry memoEntry_;
 };
 
 } // namespace mitosim::tlb

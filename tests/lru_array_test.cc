@@ -289,6 +289,80 @@ TEST(LruArray, InvalidateDropsATagUnderEveryQualifier)
     EXPECT_EQ(resident, 16u);
 }
 
+TEST(LruArray, HeadFirstComparesTheQualifier)
+{
+    // One 4-way set. Tag 5 sits under qualifiers 1 and 2, with (5, 2)
+    // at the head: the head check must not serve the other qualifier.
+    LruArray<std::uint16_t, unsigned> arr(4, 4);
+    ASSERT_FALSE(arr.insert(5, 1, 10));
+    ASSERT_FALSE(arr.insert(5, 2, 20));
+    EXPECT_EQ(arr.lookup(5, 3), nullptr);
+    const unsigned *p = arr.lookup(5, 1);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 10u);
+    // (5, 1) is the head now; an insert under qualifier 2 updates its
+    // own slot, not the head's.
+    EXPECT_TRUE(arr.insert(5, 2, 21));
+    p = arr.lookup(5, 1);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 10u);
+    p = arr.lookup(5, 2);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 21u);
+}
+
+/**
+ * The drop tests leave tag 1 under qualifier 0 (payload 10) behind the
+ * dropped head, so a head check that trusts any valid head with a
+ * matching qualifier serves it for a dropped or absent key.
+ */
+LruArray<std::uint16_t, unsigned>
+oneSetHolding1()
+{
+    LruArray<std::uint16_t, unsigned> arr(4, 4);
+    EXPECT_FALSE(arr.insert(1, 0, 10));
+    return arr;
+}
+
+void
+expect1Resident(LruArray<std::uint16_t, unsigned> &arr)
+{
+    const unsigned *p = arr.lookup(1, 0);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 10u);
+}
+
+TEST(LruArray, HeadFirstMissesAHeadDroppedByInvalidate)
+{
+    auto arr = oneSetHolding1();
+    ASSERT_FALSE(arr.insert(2, 0, 20));
+    arr.invalidate(2);
+    EXPECT_EQ(arr.lookup(2, 0), nullptr);
+    expect1Resident(arr);
+}
+
+TEST(LruArray, HeadFirstMissesAHeadDroppedByInvalidateIf)
+{
+    auto arr = oneSetHolding1();
+    ASSERT_FALSE(arr.insert(2, 1, 20));
+    arr.invalidateIf([](std::uint16_t q) { return q == 1; });
+    EXPECT_EQ(arr.lookup(2, 1), nullptr);
+    EXPECT_EQ(arr.lookup(2, 0), nullptr);
+    expect1Resident(arr);
+}
+
+TEST(LruArray, HeadFirstMissesAHeadDroppedByFlush)
+{
+    auto arr = oneSetHolding1();
+    arr.flush();
+    EXPECT_EQ(arr.lookup(1, 0), nullptr);
+    ASSERT_FALSE(arr.insert(2, 0, 20));
+    EXPECT_EQ(arr.lookup(1, 0), nullptr);
+    const unsigned *p = arr.lookup(2, 0);
+    ASSERT_NE(p, nullptr);
+    EXPECT_EQ(*p, 20u);
+}
+
 TEST(LruArray, RejectsMoreWaysThanTheFreeMaskHolds)
 {
     EXPECT_NO_THROW((LruArray<Nothing, Nothing>(64, 64)));

@@ -131,14 +131,59 @@ if not samples:
     sys.exit("no samples: the run was too short")
 
 def short(name):
-    # Drop template and parameter lists, keep Class::function.
+    # Drop template and parameter lists, keep Class::function. A
+    # lambda is its enclosing Class::function plus {lambda#N}: its
+    # operator() (or the _FUN thunk of a captureless one) is dropped.
+    name = name.replace("(anonymous namespace)::", "")
     kept, depth = [], 0
-    for c in name:
+    for c in name.replace("operator()", "operator@"):
         depth += c in "<("
         if depth == 0:
             kept.append(c)
         depth -= c in ">)" and depth > 0
-    return "::".join("".join(kept).split("::")[-2:])
+    flat = re.sub(r" const\b| \[clone [^]]*\]", "", "".join(kept))
+    parts = flat.replace("operator@", "operator()").split("::")
+    parts[0] = parts[0].split(" ")[-1]  # a template's return type
+    lambdas = [k for k, p in enumerate(parts) if p.startswith("{lambda")]
+    if not lambdas:
+        return "::".join(parts[-2:])
+    parts = [p for k, p in enumerate(parts)
+             if p not in ("operator()", "_FUN")
+             or not parts[k - 1].startswith("{lambda")]
+    return "::".join(parts[max(lambdas[0] - 2, 0):])
+
+def lambda_scope(caller):
+    # The debug info names an inlined lambda body just "operator()".
+    # A caller that takes the lambda (std::function's invoker, a
+    # template) spells the closure type as "Class::function(...)::
+    # <lambda(...)>" or "...::{lambda(...)#N}": the last one it names
+    # is the innermost, and its scope runs back to the template
+    # argument's start.
+    found = list(re.finditer(r"::(<|\{)lambda\(", caller))
+    if not found:
+        return None
+    end = found[-1].start()
+    tag = "{lambda}"
+    if found[-1].group(1) == "{":
+        tag = caller[end + 2:caller.index("}", end) + 1]
+    start, depth = end, 0
+    while start > 0:
+        c = caller[start - 1]
+        if depth == 0 and c in "<, ":
+            break
+        depth += (c in ")>") - (c in "(<")
+        start -= 1
+    return short(caller[start:end] + "::" + tag)
+
+def frame_name(chain, k):
+    # Short name of chain[k]. A bare "operator()" is a lambda inlined
+    # into chain[k + 1]: into a template or invoker that names its
+    # closure type, or else into the function that defines it.
+    name = chain[k][0]
+    if name == "operator()" and k + 1 < len(chain):
+        caller = chain[k + 1][0]
+        return lambda_scope(caller) or short(caller) + "::{lambda}"
+    return short(name)
 
 def symbolize(addrs):
     # addr2line -a: an address line, then (function, file:line) pairs,
@@ -147,15 +192,18 @@ def symbolize(addrs):
         ["addr2line", "-e", exe, "-i", "-f", "-C", "-a"],
         input="\n".join(map(hex, sorted(addrs))), capture_output=True,
         text=True, check=True).stdout.splitlines()
-    frames, cur, i = {}, None, 0
+    frames, raw, i = {}, {}, 0
     while i < len(out):
         if out[i].startswith("0x"):
-            cur = frames.setdefault(int(out[i], 16), [])
+            cur = raw.setdefault(int(out[i], 16), [])
             i += 1
         else:
             where = out[i + 1].split(" (discriminator")[0]
-            cur.append((short(out[i]), where.replace(prefix, "")))
+            cur.append((out[i], where.replace(prefix, "")))
             i += 2
+    for pc, chain in raw.items():
+        frames[pc] = [(frame_name(chain, k), where)
+                      for k, (_, where) in enumerate(chain)]
     return frames
 
 frames = symbolize({a for s in samples for a in s})
