@@ -42,12 +42,11 @@ runWithReserve(std::uint64_t reserve_frames)
     kernel.mmap(proc, bulk * PageSize, os::MmapOptions{.populate = true});
 
     for (int i = 0; i < 48; ++i) {
-        // Map and unmap one untouched page, then map one populated
-        // page. mmap bump-allocates 2 MB-aligned ranges and never
-        // reuses an unmapped one, so each populated page lands 4 MB
+        // Map one untouched page, then one populated page. mmap
+        // bump-allocates 2 MB-aligned ranges, so the untouched page
+        // only advances the allocator: each populated page lands 4 MB
         // past the last and needs a fresh leaf page-table page.
-        auto region = kernel.mmap(proc, PageSize, os::MmapOptions{});
-        kernel.munmap(proc, region.start, region.length);
+        kernel.mmap(proc, PageSize, os::MmapOptions{});
         kernel.mmap(proc, PageSize, os::MmapOptions{.populate = true});
     }
 

@@ -76,6 +76,41 @@ runMeasured(os::Kernel &kernel, os::ExecContext &ctx,
     }
 }
 
+/** A Table 2 placement of the workload-migration scenario. */
+struct WmPlacement
+{
+    const char *name = "LP-LD";
+    bool remotePt = false;      //!< page-tables forced on socket B
+    bool remoteData = false;    //!< data forced on socket B
+    bool interference = false;  //!< STREAM-style hog on socket B
+    bool mitosisMigrate = false; //!< +M: migrate PTs back to A
+};
+
+/** The Table 2 placements by name: LP-LD ... RPI-RDI, RPI-LD+M, TRPI-LD+M. */
+WmPlacement
+wmPlacement(const std::string &name)
+{
+    if (name == "LP-LD")
+        return {"LP-LD", false, false, false, false};
+    if (name == "LP-RD")
+        return {"LP-RD", false, true, false, false};
+    if (name == "LP-RDI")
+        return {"LP-RDI", false, true, true, false};
+    if (name == "RP-LD")
+        return {"RP-LD", true, false, false, false};
+    if (name == "RPI-LD")
+        return {"RPI-LD", true, false, true, false};
+    if (name == "RP-RD")
+        return {"RP-RD", true, true, false, false};
+    if (name == "RPI-RDI")
+        return {"RPI-RDI", true, true, true, false};
+    if (name == "RPI-LD+M")
+        return {"RPI-LD+M", true, false, true, true};
+    if (name == "TRPI-LD+M")
+        return {"TRPI-LD+M", true, false, true, true};
+    fatal("unknown workload-migration placement '%s'", name.c_str());
+}
+
 } // namespace
 
 std::unique_ptr<snapshot::Universe>
@@ -104,9 +139,11 @@ preparePopulated(const PopulateSpec &spec)
     return u;
 }
 
-RunOutcome
-runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
-               driver::JobResult *sink)
+/// @name Job factories
+/// @{
+
+driver::JobResult
+multiSocketJob(const ScenarioConfig &scenario, MsConfig config)
 {
     PhaseTimer phases;
 
@@ -152,22 +189,19 @@ runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
                 autonuma, scenario.seed + 1);
     phases.runDone();
 
-    RunOutcome out;
+    driver::JobResult result;
+    RunOutcome &out = result.outcome.emplace();
     out.runtime = u->ctx->runtime();
     out.totals = u->ctx->totals();
-    if (sink)
-        recordWalkAttribution(*sink, proc.id(), out.totals);
+    recordWalkAttribution(result, proc.id(), out.totals);
     u->finalize();
-    if (sink) {
-        recordJobStats(kernel, *sink);
-        phases.stamp(*sink);
-    }
-    return out;
+    recordJobStats(kernel, result);
+    phases.stamp(result);
+    return result;
 }
 
-PlacementAnalysis
-analyzePlacement(const ScenarioConfig &scenario, bool interleave,
-                 driver::JobResult *sink)
+driver::JobResult
+placementJob(const ScenarioConfig &scenario, bool interleave)
 {
     PhaseTimer phases;
 
@@ -194,49 +228,23 @@ analyzePlacement(const ScenarioConfig &scenario, bool interleave,
                                   u->kernel.ptOps());
     auto snap = analyzer.snapshot(u->proc->roots());
 
-    PlacementAnalysis out;
-    for (SocketId s = 0; s < u->machine.numSockets(); ++s)
-        out.remoteLeafFraction.push_back(snap.remoteLeafFractionFrom(s));
-    out.figure3Dump = snap.str();
-    if (sink)
-        recordWalkAttribution(*sink, u->proc->id(), u->ctx->totals());
+    driver::JobResult result;
+    recordWalkAttribution(result, u->proc->id(), u->ctx->totals());
     u->finalize();
-    if (sink) {
-        recordJobStats(u->kernel, *sink);
-        phases.stamp(*sink);
-    }
-    return out;
+    recordJobStats(u->kernel, result);
+    phases.stamp(result);
+    for (SocketId s = 0; s < u->machine.numSockets(); ++s)
+        result.value("remote_leaf_socket" + std::to_string(s),
+                     snap.remoteLeafFractionFrom(s));
+    result.text = snap.str();
+    return result;
 }
 
-WmPlacement
-wmPlacement(const std::string &name)
-{
-    if (name == "LP-LD")
-        return {"LP-LD", false, false, false, false};
-    if (name == "LP-RD")
-        return {"LP-RD", false, true, false, false};
-    if (name == "LP-RDI")
-        return {"LP-RDI", false, true, true, false};
-    if (name == "RP-LD")
-        return {"RP-LD", true, false, false, false};
-    if (name == "RPI-LD")
-        return {"RPI-LD", true, false, true, false};
-    if (name == "RP-RD")
-        return {"RP-RD", true, true, false, false};
-    if (name == "RPI-RDI")
-        return {"RPI-RDI", true, true, true, false};
-    if (name == "RPI-LD+M")
-        return {"RPI-LD+M", true, false, true, true};
-    if (name == "TRPI-LD+M")
-        return {"TRPI-LD+M", true, false, true, true};
-    fatal("unknown workload-migration placement '%s'", name.c_str());
-}
-
-RunOutcome
-runWorkloadMigration(const ScenarioConfig &scenario, const WmPlacement &wm,
-                     driver::JobResult *sink)
+driver::JobResult
+migrationJob(const ScenarioConfig &scenario, const std::string &placement)
 {
     PhaseTimer phases;
+    const WmPlacement wm = wmPlacement(placement);
 
     constexpr SocketId SocketA = 0;
     constexpr SocketId SocketB = 1;
@@ -275,51 +283,16 @@ runWorkloadMigration(const ScenarioConfig &scenario, const WmPlacement &wm,
     workloads::runInterleaved(*u->ctx, *u->workload, scenario.measureOps);
     phases.runDone();
 
-    RunOutcome out;
+    driver::JobResult result;
+    RunOutcome &out = result.outcome.emplace();
     out.runtime = u->ctx->runtime();
     out.totals = u->ctx->totals();
     if (wm.interference)
         u->machine.topology().removeInterferer(SocketB);
-    if (sink)
-        recordWalkAttribution(*sink, proc.id(), out.totals);
+    recordWalkAttribution(result, proc.id(), out.totals);
     u->finalize();
-    if (sink) {
-        recordJobStats(kernel, *sink);
-        phases.stamp(*sink);
-    }
-    return out;
-}
-
-/// @name Job factories
-/// @{
-
-driver::JobResult
-multiSocketJob(const ScenarioConfig &scenario, MsConfig config)
-{
-    driver::JobResult result;
-    result.outcome = runMultiSocket(scenario, config, &result);
-    return result;
-}
-
-driver::JobResult
-migrationJob(const ScenarioConfig &scenario, const std::string &placement)
-{
-    driver::JobResult result;
-    result.outcome =
-        runWorkloadMigration(scenario, wmPlacement(placement), &result);
-    return result;
-}
-
-driver::JobResult
-placementJob(const ScenarioConfig &scenario, bool interleave)
-{
-    driver::JobResult result;
-    PlacementAnalysis analysis =
-        analyzePlacement(scenario, interleave, &result);
-    for (std::size_t s = 0; s < analysis.remoteLeafFraction.size(); ++s)
-        result.value("remote_leaf_socket" + std::to_string(s),
-                     analysis.remoteLeafFraction[s]);
-    result.text = analysis.figure3Dump;
+    recordJobStats(kernel, result);
+    phases.stamp(result);
     return result;
 }
 

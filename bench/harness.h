@@ -170,70 +170,33 @@ enum class MsConfig
 
 const char *msConfigName(MsConfig config, bool thp);
 
-/**
- * Threads on every socket; returns aggregate counters + runtime. When
- * @p sink is non-null and the kernel ran with vmcheck enabled
- * (MITOSIM_CHECK=1), the end-of-run invariant battery fires and its
- * counters land in @p sink's "metrics" section (see recordJobStats).
- */
-RunOutcome runMultiSocket(const ScenarioConfig &scenario, MsConfig config,
-                          driver::JobResult *sink = nullptr);
-
-/**
- * Remote-leaf-PTE percentages per observing socket for a multi-socket
- * workload after setup with first-touch placement (Figures 1/4), and the
- * full snapshot (Figure 3).
- */
-struct PlacementAnalysis
-{
-    std::vector<double> remoteLeafFraction; //!< per observing socket
-    std::string figure3Dump;
-};
-
-/**
- * With @p sink, the job's metrics, walk-cycle attribution and host
- * phase stamps land there (see recordJobStats).
- */
-PlacementAnalysis analyzePlacement(const ScenarioConfig &scenario,
-                                   bool interleave = false,
-                                   driver::JobResult *sink = nullptr);
-
-/// @}
-/// @name Workload migration scenario (Table 2 configs)
-/// @{
-
-struct WmPlacement
-{
-    const char *name = "LP-LD";
-    bool remotePt = false;      //!< page-tables forced on socket B
-    bool remoteData = false;    //!< data forced on socket B
-    bool interference = false;  //!< STREAM-style hog on socket B
-    bool mitosisMigrate = false; //!< +M: migrate PTs back to A
-};
-
-/** The seven Table 2 placements by name: LP-LD ... RPI-RDI. */
-WmPlacement wmPlacement(const std::string &name);
-
-/** Single thread on socket A; placement per @p wm. @p sink as above. */
-RunOutcome runWorkloadMigration(const ScenarioConfig &scenario,
-                                const WmPlacement &wm,
-                                driver::JobResult *sink = nullptr);
-
 /// @}
 /// @name Job factories (the scenario runs as driver jobs)
 /// @{
+///
+/// Each job records its metrics, walk-cycle attribution and host phase
+/// stamps in the JobResult it returns (see recordJobStats); when the
+/// kernel runs with vmcheck enabled (MITOSIM_CHECK=1) the end-of-run
+/// invariant battery fires and its counters land there too.
 
-/** runMultiSocket as a JobResult-returning config point. */
+/**
+ * Multi-socket scenario: threads on every socket under Table 3 config
+ * @p config; the outcome holds aggregate counters + runtime.
+ */
 driver::JobResult multiSocketJob(const ScenarioConfig &scenario,
                                  MsConfig config);
 
-/** runWorkloadMigration for the Table 2 placement named @p placement. */
+/**
+ * Workload-migration scenario: a single thread on socket A under the
+ * Table 2 placement named @p placement (LP-LD ... TRPI-LD+M).
+ */
 driver::JobResult migrationJob(const ScenarioConfig &scenario,
                                const std::string &placement);
 
 /**
- * analyzePlacement as a job: one remote_leaf_socket<N> value per
- * observing socket (in socket order) plus the Figure 3 dump as text.
+ * Page-table placement after setup and a short run (Figures 1/3/4):
+ * one remote_leaf_socket<N> value (remote-leaf-PTE fraction) per
+ * observing socket, in socket order, plus the Figure 3 dump as text.
  */
 driver::JobResult placementJob(const ScenarioConfig &scenario,
                                bool interleave = false);

@@ -3,6 +3,30 @@
 namespace mitosim::core
 {
 
+namespace
+{
+
+/** Enable replication above this walk-cycle fraction. */
+constexpr double EnableWalkFraction = 0.15;
+
+/** Tear replicas down below this fraction (hysteresis band). */
+constexpr double DisableWalkFraction = 0.05;
+
+/** Ignore windows with fewer accesses (no signal). */
+constexpr std::uint64_t MinAccessesPerSample = 5000;
+
+/** Never replicate processes smaller than this (4 KB pages). */
+constexpr std::uint64_t MinResidentPages = 1024; // 4 MiB
+
+/**
+ * Consecutive qualifying samples required before acting — filters
+ * short-running processes, whose replication cost cannot be amortized
+ * (§6.1).
+ */
+constexpr int SamplesBeforeAction = 2;
+
+} // namespace
+
 SocketMask
 AutoPolicyEngine::runningSockets(os::Kernel &kernel,
                                  const os::Process &proc)
@@ -21,12 +45,12 @@ AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
 {
     ++stats_.samples;
 
-    if (window.accesses < cfg.minAccessesPerSample) {
+    if (window.accesses < MinAccessesPerSample) {
         ++stats_.skippedNoSignal;
         streak[proc.id()] = 0;
         return AutoPolicyAction::None;
     }
-    if (proc.residentPages < cfg.minResidentPages) {
+    if (proc.residentPages < MinResidentPages) {
         // Small footprints fit the TLB; replication cost would dominate
         // (§8.3: the 1 MB case is 23% memory overhead for nothing).
         ++stats_.skippedSmall;
@@ -37,9 +61,9 @@ AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
     double walk_fraction = window.walkFraction();
     bool replicated = proc.roots().replicated();
 
-    if (!replicated && walk_fraction >= cfg.enableWalkFraction) {
+    if (!replicated && walk_fraction >= EnableWalkFraction) {
         int &run = streak[proc.id()];
-        if (++run < cfg.samplesBeforeAction)
+        if (++run < SamplesBeforeAction)
             return AutoPolicyAction::None;
         run = 0;
         SocketMask mask = runningSockets(kernel, proc);
@@ -55,9 +79,9 @@ AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
         return AutoPolicyAction::Enabled;
     }
 
-    if (replicated && walk_fraction <= cfg.disableWalkFraction) {
+    if (replicated && walk_fraction <= DisableWalkFraction) {
         int &run = streak[proc.id()];
-        if (++run < cfg.samplesBeforeAction)
+        if (++run < SamplesBeforeAction)
             return AutoPolicyAction::None;
         run = 0;
         if (!mitosis.setReplicationMask(proc.roots(), proc.id(),

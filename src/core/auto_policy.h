@@ -14,7 +14,9 @@
  * and, with hysteresis, enables replication onto the sockets the
  * process runs on (or tears it down again). Small processes are never
  * replicated: their working set fits the TLB anyway (§8.3's 1 MB
- * argument) and the relative memory overhead is largest there.
+ * argument) and the relative memory overhead is largest there. The
+ * thresholds (walk-fraction band, minimum window and footprint, samples
+ * before acting) are constants in auto_policy.cc.
  */
 
 #ifndef MITOSIM_CORE_AUTO_POLICY_H
@@ -31,29 +33,6 @@
 namespace mitosim::core
 {
 
-/** Thresholds for the automatic policy. */
-struct AutoPolicyConfig
-{
-    /** Enable replication above this walk-cycle fraction. */
-    double enableWalkFraction = 0.15;
-
-    /** Tear replicas down below this fraction (hysteresis band). */
-    double disableWalkFraction = 0.05;
-
-    /** Ignore windows with fewer accesses (no signal). */
-    std::uint64_t minAccessesPerSample = 5000;
-
-    /** Never replicate processes smaller than this (4 KB pages). */
-    std::uint64_t minResidentPages = 1024; // 4 MiB
-
-    /**
-     * Consecutive qualifying samples required before acting — filters
-     * short-running processes, whose replication cost cannot be
-     * amortized (§6.1).
-     */
-    int samplesBeforeAction = 2;
-};
-
 /** What a sample decided. */
 enum class AutoPolicyAction
 {
@@ -68,7 +47,7 @@ struct AutoPolicyStats
     std::uint64_t samples = 0;
     std::uint64_t enables = 0;
     std::uint64_t disables = 0;
-    std::uint64_t skippedSmall = 0;   //!< below minResidentPages
+    std::uint64_t skippedSmall = 0;   //!< below MinResidentPages
     std::uint64_t skippedNoSignal = 0; //!< too few accesses
 };
 
@@ -80,11 +59,7 @@ struct AutoPolicyStats
 class AutoPolicyEngine
 {
   public:
-    AutoPolicyEngine(MitosisBackend &backend,
-                     const AutoPolicyConfig &config = AutoPolicyConfig{})
-        : mitosis(backend), cfg(config)
-    {
-    }
+    explicit AutoPolicyEngine(MitosisBackend &backend) : mitosis(backend) {}
 
     /**
      * Feed one measurement window for @p proc.
@@ -100,7 +75,6 @@ class AutoPolicyEngine
     void forget(ProcId pid) { streak.erase(pid); }
 
     const AutoPolicyStats &stats() const { return stats_; }
-    const AutoPolicyConfig &config() const { return cfg; }
 
   private:
     /** Sockets on which @p proc currently has threads. */
@@ -108,7 +82,6 @@ class AutoPolicyEngine
                                      const os::Process &proc);
 
     MitosisBackend &mitosis;
-    AutoPolicyConfig cfg;
     AutoPolicyStats stats_;
     std::map<ProcId, int> streak; //!< consecutive qualifying samples
 };

@@ -39,13 +39,6 @@ MitosisBackend::attachObs(obs::MetricsRegistry &metrics)
     mSchedRepl = &metrics.counter("mitosis_schedule_replications");
 }
 
-void
-MitosisBackend::setSystemPolicy(SystemPolicy policy, SocketId fixed_socket)
-{
-    cfg.policy = policy;
-    cfg.fixedSocket = fixed_socket;
-}
-
 SocketMask
 MitosisBackend::effectiveMask(const pt::RootSet &roots) const
 {
@@ -496,8 +489,6 @@ MitosisBackend::onProcessMigrated(pt::RootSet &roots, ProcId owner,
                                   KernelCost *cost)
 {
     (void)from;
-    if (!cfg.migrateOnProcessMove)
-        return;
     if (cfg.policy == SystemPolicy::Disabled ||
         cfg.policy == SystemPolicy::FixedSocket) {
         return;

@@ -17,7 +17,8 @@
  *    replica (§5.3);
  *  - implements page-table *migration* as replicate-to-target followed by
  *    eager (or lazy) release of the source copies (§5.5);
- *  - carries the policy surface of §6: a system-wide 4-state knob and the
+ *  - carries the policy surface of §6: a system-wide 4-state policy
+ *    (the paper's sysctl, fixed here when the backend is built) and the
  *    per-process replication bitmask behind
  *    numa_set_pgtable_replication_mask().
  */
@@ -36,7 +37,7 @@
 namespace mitosim::core
 {
 
-/** §6.1: the system-wide policy states exposed via sysctl. */
+/** §6.1: the system-wide policy states the paper exposes via sysctl. */
 enum class SystemPolicy
 {
     Disabled,     //!< Mitosis off: behave exactly like the native backend
@@ -62,7 +63,7 @@ enum class UpdateMode
     Batched,
 };
 
-/** Tunables. */
+/** Tunables, fixed when the backend is built. */
 struct MitosisConfig
 {
     SystemPolicy policy = SystemPolicy::PerProcess;
@@ -74,9 +75,6 @@ struct MitosisConfig
      * it consistent for a cheap migrate-back (§5.5).
      */
     bool eagerFreeOnMigration = true;
-
-    /** Migrate page-tables when the kernel migrates a process. */
-    bool migrateOnProcessMove = true;
 
     /**
      * §5.3 schedule-driven replication: instead of replicating to every
@@ -117,10 +115,6 @@ class MitosisBackend : public pvops::PvOps
 
     /// @name Policy surface (§6)
     /// @{
-
-    /** sysctl: change the system-wide state. */
-    void setSystemPolicy(SystemPolicy policy, SocketId fixed_socket = 0);
-    SystemPolicy systemPolicy() const { return cfg.policy; }
 
     /**
      * The numa_set_pgtable_replication_mask() syscall: replicate the
@@ -197,6 +191,11 @@ class MitosisBackend : public pvops::PvOps
 
     Pfn cr3For(const pt::RootSet &roots, SocketId socket) const override;
 
+    /**
+     * §5.5: the kernel moved the process to @p to; migrate its tree
+     * there unless the policy is Disabled or FixedSocket or a replica
+     * on @p to already exists.
+     */
     void onProcessMigrated(pt::RootSet &roots, ProcId owner, SocketId from,
                            SocketId to, pvops::KernelCost *cost) override;
 
@@ -210,7 +209,6 @@ class MitosisBackend : public pvops::PvOps
     /// @}
 
     const MitosisStats &stats() const { return stats_; }
-    void resetStats() { stats_ = MitosisStats{}; }
     const MitosisConfig &config() const { return cfg; }
 
     /**

@@ -60,7 +60,6 @@ class AutoNuma
     Cycles onHintFault(Process &proc, CoreId core, VirtAddr va);
 
     const Stats &stats() const { return stats_; }
-    void resetStats() { stats_ = Stats{}; }
 
     /** Snapshot restore: adopt the cumulative counters of @p src. */
     void cloneStateFrom(const AutoNuma &src) { stats_ = src.stats_; }

@@ -174,20 +174,18 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
     // turn. Nearly-free blocks, emptiest first (the cheapest
     // reclaims), ties by block index for determinism: a counting sort
     // on the used count, with the blocks ascending inside each count.
-    const std::uint32_t max_used =
-        std::min<std::uint32_t>(cfg.compactMaxUsed, FramesPerLargePage);
     std::vector<std::vector<std::uint64_t>> cands(machine.numSockets());
     std::vector<bool> candidate(
         machine.topology().totalFrames() / FramesPerLargePage);
     // next[u]: where the next block with used count u goes.
-    std::vector<std::uint32_t> next(max_used + 2);
+    std::vector<std::uint32_t> next(CompactMaxUsed + 2);
     for (SocketId s = 0; s < machine.numSockets(); ++s) {
         const mem::FrameAllocator &alloc = physmem.allocator(s);
         std::uint64_t first_block = alloc.firstPfn() / FramesPerLargePage;
         std::fill(next.begin(), next.end(), 0);
         for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
             std::uint32_t used = alloc.blockUsedCount(b);
-            if (used > 0 && used <= max_used) {
+            if (used > 0 && used <= CompactMaxUsed) {
                 ++next[used + 1];
                 candidate[first_block + b] = true;
             }
@@ -208,14 +206,14 @@ ThpManager::compactTick(const std::vector<Process *> &procs,
     for (SocketId s = 0; s < machine.numSockets(); ++s) {
         const mem::FrameAllocator &alloc = physmem.allocator(s);
 
-        unsigned budget = cfg.compactBlocksPerTick;
+        unsigned budget = CompactBlocksPerTick;
         for (std::uint64_t b : cands[s]) {
             if (!budget)
                 break;
             // Earlier relocations may have drained or refilled this
             // block; re-check before working on it.
             std::uint32_t used = alloc.blockUsedCount(b);
-            if (used == 0 || used > cfg.compactMaxUsed)
+            if (used == 0 || used > CompactMaxUsed)
                 continue;
 
             frames.clear();

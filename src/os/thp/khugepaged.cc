@@ -7,7 +7,7 @@
  * collapsible ranges and resuming where it left off. The reproduction
  * mirrors that: per tick and per process, up to ScanRangesPerTick 2 MB
  * candidate ranges are examined from the saved cursor (wrapping once),
- * and at most collapsesPerTick of them are promoted. The scan itself is
+ * and at most CollapsesPerTick of them are promoted. The scan itself is
  * raw and uncharged — like the AutoNUMA scanner — while every collapse
  * charges its full work (backend PTE re-reads with A/D merge, the 2 MB
  * allocation, the copy, replica-coherent leaf rewrite, frees and one
@@ -68,7 +68,7 @@ ThpManager::scanProcess(Process &proc, pvops::KernelCost *cost)
             for (VirtAddr base = first; base + LargePageSize <= stop;
                  base += LargePageSize) {
                 if (scanned >= ScanRangesPerTick ||
-                    collapsed >= cfg.collapsesPerTick) {
+                    collapsed >= CollapsesPerTick) {
                     scanCursor[proc.id()] = base;
                     return;
                 }

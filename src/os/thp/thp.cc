@@ -67,8 +67,8 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
 
     // Raw eligibility pre-check (uncharged, like the AutoNUMA scan):
     // a run of present 4 KB PTEs with uniform flags, no pending NUMA
-    // hints, plain data frames, and at most maxPtesNone holes
-    // (Linux's max_ptes_none — holes become zero-filled subpages).
+    // hints, plain data frames, and at least one resident page (Linux's
+    // default max_ptes_none of 511 — holes become zero-filled subpages).
     // The collapse target is the socket holding the most resident
     // frames (Linux's find_target_node); minority frames migrate
     // there as a side effect of the copy.
@@ -101,8 +101,7 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
         resident[i] = true;
         ++present;
     }
-    if (present == 0 ||
-        PtEntriesPerPage - present > cfg.maxPtesNone)
+    if (present == 0)
         return false;
     SocketId socket = 0;
     for (SocketId s = 1; s < k.machine().numSockets(); ++s) {

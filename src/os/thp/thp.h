@@ -47,6 +47,16 @@ class Kernel;
 namespace mitosim::os::thp
 {
 
+/** khugepaged: collapse budget per process, per tick. */
+constexpr unsigned CollapsesPerTick = 64;
+
+/** kcompactd: source blocks drained per socket, per tick. */
+constexpr unsigned CompactBlocksPerTick = 64;
+
+/** kcompactd: only drain blocks with at most this many allocated frames
+ *  (cheap wins first; Linux's fragmentation-index role). */
+constexpr std::uint32_t CompactMaxUsed = 64;
+
 /** Construction-time knobs (Kernel::KernelConfig::thp). */
 struct ThpConfig
 {
@@ -63,25 +73,6 @@ struct ThpConfig
      * huge pages (it is new API with no legacy callers).
      */
     bool splitPartial = false;
-
-    /** khugepaged: collapse budget per process, per tick. */
-    unsigned collapsesPerTick = 64;
-
-    /**
-     * khugepaged: how many of a candidate range's 512 PTEs may be
-     * *empty* and still collapse, the holes becoming zero-filled
-     * subpages of the huge mapping (Linux's max_ptes_none; 511 is the
-     * Linux default — one resident page suffices). 0 restricts
-     * collapse to fully-populated runs.
-     */
-    unsigned maxPtesNone = 511;
-
-    /** kcompactd: source blocks drained per socket, per tick. */
-    unsigned compactBlocksPerTick = 64;
-
-    /** kcompactd: only drain blocks with at most this many allocated
-     *  frames (cheap wins first; Linux's fragmentation-index role). */
-    std::uint32_t compactMaxUsed = 64;
 };
 
 /**
@@ -129,7 +120,8 @@ class ThpManager
      * Collapse [va2m, va2m + 2 MB) into one huge mapping if eligible:
      * THP-enabled VMA containing the whole range, a same-socket run of
      * present 4 KB PTEs with uniform flags (A/D ignored, NUMA hints
-     * disqualify, at most maxPtesNone holes), and a free 2 MB block
+     * disqualify, any number of holes but at least one resident page:
+     * Linux's default max_ptes_none of 511), and a free 2 MB block
      * available on that socket. Copies the resident data, zero-fills
      * the holes, rewrites the leaf level in every replica, frees the
      * old frames, one shootdown per range.
@@ -153,7 +145,6 @@ class ThpManager
     double coverage(const Process &proc) const;
 
     const ThpStats &stats() const { return stats_; }
-    void resetStats() { stats_ = ThpStats{}; }
 
     /**
      * kcompactd reverse-map lookups that Debug builds checked against

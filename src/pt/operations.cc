@@ -36,7 +36,7 @@ PageTableOps::createRoot(RootSet &roots, ProcId owner, SocketId socket,
 {
     MITOSIM_ASSERT(roots.primaryRoot == InvalidPfn,
                    "createRoot: process already has a root");
-    Pfn root = pv->allocPtPage(roots, owner, 4, socket, cost);
+    Pfn root = pv.allocPtPage(roots, owner, 4, socket, cost);
     if (root == InvalidPfn)
         return false;
     roots.primaryRoot = root;
@@ -54,17 +54,17 @@ PageTableOps::descendAlloc(RootSet &roots, ProcId owner, VirtAddr va,
     Pfn table = roots.primaryRoot;
     for (int level = 4; level > target_level; --level) {
         unsigned idx = ptIndex(va, ptLevel(level));
-        Pte entry = pv->readPte(roots, PteLoc{table, idx}, cost);
+        Pte entry = pv.readPte(roots, PteLoc{table, idx}, cost);
         if (!entry.present()) {
             SocketId target = pt_policy.chooseSocket(
                 faulting_socket, mem.topology().numSockets());
-            Pfn child = pv->allocPtPage(roots, owner, level - 1, target,
-                                        cost);
+            Pfn child = pv.allocPtPage(roots, owner, level - 1, target,
+                                       cost);
             if (child == InvalidPfn)
                 return InvalidPfn;
             Pte new_entry = Pte::make(child, PtePresent | PteWrite |
                                                  PteUser);
-            pv->setPte(roots, PteLoc{table, idx}, new_entry, level, cost);
+            pv.setPte(roots, PteLoc{table, idx}, new_entry, level, cost);
             table = child;
         } else {
             MITOSIM_ASSERT(!entry.huge(),
@@ -161,7 +161,7 @@ PageTableOps::map4K(RootSet &roots, ProcId owner, VirtAddr va, Pfn data_pfn,
     }
     unsigned idx = ptIndex(va, PtLevel::L1);
     Pte value = Pte::make(data_pfn, flags | PtePresent);
-    pv->setPte(roots, PteLoc{leaf_table, idx}, value, 1, cost);
+    pv.setPte(roots, PteLoc{leaf_table, idx}, value, 1, cost);
     return true;
 }
 
@@ -180,7 +180,7 @@ PageTableOps::map2M(RootSet &roots, ProcId owner, VirtAddr va, Pfn head_pfn,
         return false;
     unsigned idx = ptIndex(va, PtLevel::L2);
     Pte value = Pte::make(head_pfn, flags | PtePresent | PteHuge);
-    pv->setPte(roots, PteLoc{dir_table, idx}, value, 2, cost);
+    pv.setPte(roots, PteLoc{dir_table, idx}, value, 2, cost);
     return true;
 }
 
@@ -216,17 +216,6 @@ PageTableOps::walk(const RootSet &roots, VirtAddr va) const
     return res;
 }
 
-WalkResult
-PageTableOps::unmap(RootSet &roots, VirtAddr va, pvops::KernelCost *cost)
-{
-    WalkResult res = walk(roots, va);
-    if (!res.mapped)
-        return res;
-    int level = (res.size == PageSizeKind::Large2M) ? 2 : 1;
-    pv->setPte(roots, res.loc, Pte{}, level, cost);
-    return res;
-}
-
 bool
 PageTableOps::protect(RootSet &roots, VirtAddr va, std::uint64_t set_flags,
                       std::uint64_t clear_flags, pvops::KernelCost *cost)
@@ -236,9 +225,9 @@ PageTableOps::protect(RootSet &roots, VirtAddr va, std::uint64_t set_flags,
         return false;
     int level = (res.size == PageSizeKind::Large2M) ? 2 : 1;
     // Read-modify-write through the hook interface.
-    Pte cur = pv->readPte(roots, res.loc, cost);
+    Pte cur = pv.readPte(roots, res.loc, cost);
     Pte updated = cur.withFlags(set_flags, clear_flags);
-    pv->setPte(roots, res.loc, updated, level, cost);
+    pv.setPte(roots, res.loc, updated, level, cost);
     return true;
 }
 
@@ -345,8 +334,8 @@ PageTableOps::mapRange4K(RootSet &roots, ProcId owner, VirtAddr start,
         std::uint64_t filled = 0;
         auto flushRun = [&] {
             if (run_len) {
-                pv->setPtes(roots, PteLoc{leaf_table, run_start},
-                            run.data(), run_len, 1, cost);
+                pv.setPtes(roots, PteLoc{leaf_table, run_start},
+                           run.data(), run_len, 1, cost);
                 run_len = 0;
             }
         };
@@ -370,16 +359,16 @@ PageTableOps::mapRange4K(RootSet &roots, ProcId owner, VirtAddr start,
                     PteLoc parent = path[3 - level];
                     SocketId target = pt_policy.chooseSocket(
                         faulting_socket, num_sockets);
-                    Pfn child = pv->allocPtPage(roots, owner, level,
-                                                target, cost);
+                    Pfn child = pv.allocPtPage(roots, owner, level,
+                                               target, cost);
                     if (child == InvalidPfn)
                         fatal("mapRange4K: out of memory for a "
                               "level-%d table",
                               level);
-                    pv->setPte(roots, parent,
-                               Pte::make(child, PtePresent | PteWrite |
-                                                    PteUser),
-                               level + 1, cost);
+                    pv.setPte(roots, parent,
+                              Pte::make(child, PtePresent | PteWrite |
+                                                   PteUser),
+                              level + 1, cost);
                     if (level > 1) {
                         path[4 - level] =
                             PteLoc{child, ptIndex(va, ptLevel(level))};
@@ -404,8 +393,8 @@ PageTableOps::mapRange4K(RootSet &roots, ProcId owner, VirtAddr start,
         // reads in one backend call each.
         if (filled) {
             for (const PteLoc &slot : path)
-                pv->readPteMany(roots, slot,
-                                static_cast<unsigned>(filled), cost);
+                pv.readPteMany(roots, slot,
+                               static_cast<unsigned>(filled), cost);
         }
     }
     return mapped;
@@ -434,8 +423,8 @@ PageTableOps::unmapRange(
             for (unsigned k = 0; k < n; ++k)
                 olds[k] = Pte{tbl[first + k]};
             // One batched clear through the backend per run.
-            pv->setPtes(roots, PteLoc{table, first}, zeros.data(), n,
-                        level, cost);
+            pv.setPtes(roots, PteLoc{table, first}, zeros.data(), n,
+                       level, cost);
             for (unsigned k = 0; k < n; ++k)
                 freed(base + (first + k) * span, olds[k], size);
             cleared += n;
@@ -465,12 +454,12 @@ PageTableOps::protectRange(
             // Read-modify-write the run; reads go through the backend
             // (OR-ed A/D bits), the store is one batched setPtes.
             for (unsigned k = 0; k < n; ++k) {
-                Pte cur = pv->readPte(roots, PteLoc{table, first + k},
-                                      cost);
+                Pte cur = pv.readPte(roots, PteLoc{table, first + k},
+                                     cost);
                 values[k] = cur.withFlags(set_flags, clear_flags);
             }
-            pv->setPtes(roots, PteLoc{table, first}, values.data(), n,
-                        level, cost);
+            pv.setPtes(roots, PteLoc{table, first}, values.data(), n,
+                       level, cost);
             if (touched) {
                 for (unsigned k = 0; k < n; ++k)
                     touched(base + (first + k) * span, size);
@@ -501,8 +490,8 @@ PageTableOps::collapse2M(RootSet &roots, VirtAddr va, Pte huge,
     Pte entry{mem.tableView(dir_table)[idx]};
     if (!entry.present() || entry.huge())
         return false; // nothing to collapse (hole, or already huge)
-    pv->collapseRange(roots, PteLoc{dir_table, idx}, huge, entry.pfn(),
-                      cost);
+    pv.collapseRange(roots, PteLoc{dir_table, idx}, huge, entry.pfn(),
+                     cost);
     return true;
 }
 
@@ -529,18 +518,8 @@ PageTableOps::split2M(RootSet &roots, ProcId owner, VirtAddr va,
     SocketId target =
         pt_policy.chooseSocket(faulting_socket,
                                mem.topology().numSockets());
-    return pv->splitHuge(roots, owner, PteLoc{dir_table, idx},
-                         values.data(), target, cost);
-}
-
-WalkResult
-PageTableOps::readLeaf(const RootSet &roots, VirtAddr va,
-                       pvops::KernelCost *cost) const
-{
-    WalkResult res = walk(roots, va);
-    if (res.mapped)
-        res.leaf = pv->readPte(roots, res.loc, cost); // OR-ed A/D
-    return res;
+    return pv.splitHuge(roots, owner, PteLoc{dir_table, idx},
+                        values.data(), target, cost);
 }
 
 bool
@@ -551,7 +530,7 @@ PageTableOps::clearAccessedDirty(RootSet &roots, VirtAddr va,
     WalkResult res = walk(roots, va);
     if (!res.mapped)
         return false;
-    pv->clearAccessedDirty(roots, res.loc, bits, cost);
+    pv.clearAccessedDirty(roots, res.loc, bits, cost);
     return true;
 }
 
@@ -575,7 +554,7 @@ PageTableOps::destroyLevel(RootSet &roots, Pfn table, int level,
                 destroyLevel(roots, entry.pfn(), level - 1, cost);
         }
     }
-    pv->releasePtPage(roots, table, cost);
+    pv.releasePtPage(roots, table, cost);
 }
 
 void

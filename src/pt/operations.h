@@ -118,22 +118,12 @@ class PageTableOps
 {
   public:
     PageTableOps(mem::PhysicalMemory &physmem, pvops::PvOps &backend)
-        : mem(physmem), pv(&backend)
+        : mem(physmem), pv(backend)
     {
     }
 
-    /**
-     * Swap the PV-Ops backend (native <-> mitosis). Drops the map4K
-     * cursor: the read charges it recorded are the old backend's.
-     */
-    void
-    setBackend(pvops::PvOps &backend)
-    {
-        pv = &backend;
-        cursor_ = LeafCursor{};
-    }
-    pvops::PvOps &backend() { return *pv; }
-    const pvops::PvOps &backend() const { return *pv; }
+    pvops::PvOps &backend() { return pv; }
+    const pvops::PvOps &backend() const { return pv; }
 
     /**
      * Count every map4K descent into @p cursor (the leaf-table cursor
@@ -180,15 +170,10 @@ class PageTableOps
     /**
      * Software walk of the *primary* tree (used by the OS; the hardware
      * walker in sim/walker.h walks per-socket replicas with timing).
-     * A/D bits in the result are OR-ed across replicas by the backend.
+     * Raw and uncharged: the leaf is the primary copy's. The backend's
+     * readPte at the result's loc ORs A/D bits across replicas.
      */
     WalkResult walk(const RootSet &roots, VirtAddr va) const;
-
-    /**
-     * Clear the leaf mapping at @p va. Intermediate tables are retained
-     * (as Linux does for non-exit unmaps). Returns the former leaf.
-     */
-    WalkResult unmap(RootSet &roots, VirtAddr va, pvops::KernelCost *cost);
 
     /**
      * Rewrite the leaf flags at @p va: set @p set_flags, clear
@@ -196,10 +181,6 @@ class PageTableOps
      */
     bool protect(RootSet &roots, VirtAddr va, std::uint64_t set_flags,
                  std::uint64_t clear_flags, pvops::KernelCost *cost);
-
-    /** OR-read A/D bits of the leaf at @p va; InvalidPfn leaf if absent. */
-    WalkResult readLeaf(const RootSet &roots, VirtAddr va,
-                        pvops::KernelCost *cost) const;
 
     /** Clear A/D bits at @p va across all replicas. */
     bool clearAccessedDirty(RootSet &roots, VirtAddr va, std::uint64_t bits,
@@ -248,7 +229,8 @@ class PageTableOps
     /**
      * Clear every present leaf intersecting [start, end). @p freed is
      * invoked with each former leaf (entry-aligned va) after its slot
-     * run is cleared; intermediate tables are retained as in unmap().
+     * run is cleared; intermediate tables are retained (as Linux does
+     * for non-exit unmaps).
      *
      * @return the number of leaf entries cleared.
      */
@@ -460,7 +442,7 @@ class PageTableOps
                          Cycles cycles);
 
     mem::PhysicalMemory &mem;
-    pvops::PvOps *pv;
+    pvops::PvOps &pv;
     LeafCursor cursor_;
     obs::Counter *mDescentCursor = nullptr;
     obs::Counter *mDescentFull = nullptr;

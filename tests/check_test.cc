@@ -16,6 +16,7 @@
 #include "src/base/logging.h"
 #include "src/check/vmcheck.h"
 #include "src/core/mitosis.h"
+#include "src/os/exec_context.h"
 #include "src/os/kernel.h"
 #include "src/pvops/native_backend.h"
 #include "src/sim/machine.h"
@@ -755,6 +756,54 @@ TEST_F(TimeSharedCheckTest, StaleTlbTranslationTrips)
 
     tlb.flushAsid(p.asid);
     kernel->destroyProcess(p);
+}
+
+/**
+ * Dispatch-level checking: two processes share core 0 on a time-shared
+ * kernel, so each access switches address space. The battery must run
+ * on every 64th of those switches, and find nothing on a healthy
+ * machine.
+ */
+TEST(DispatchCheckpoint, RunsEvery64thRealSwitchAndFindsNothing)
+{
+    sim::Machine machine(tinyNoEnvCheck());
+    pvops::NativeBackend native(machine.physmem());
+    os::KernelConfig kc;
+    kc.sched.timeShared = true;
+    kc.check = collectAll();
+    kc.check.atDispatch = true;
+    unsetenv("MITOSIM_CHECK_LEVEL");
+    os::Kernel kernel(machine, native, kc);
+    const Checker *chk = kernel.checker();
+    ASSERT_NE(chk, nullptr);
+    ASSERT_TRUE(chk->config().atDispatch);
+
+    os::Process &a = kernel.createProcess("a", 0);
+    os::Process &b = kernel.createProcess("b", 0);
+    auto ra = kernel.mmap(a, 4 * PageSize, os::MmapOptions{.populate = true});
+    auto rb = kernel.mmap(b, 4 * PageSize, os::MmapOptions{.populate = true});
+    os::ExecContext ctx_a(kernel, a);
+    os::ExecContext ctx_b(kernel, b);
+    ctx_a.addThreadOnCore(0);
+    ctx_b.addThreadOnCore(0);
+
+    const obs::Counter &switches =
+        machine.metrics().counter("sched_context_switches");
+    const std::uint64_t base = chk->stats().checkpoints;
+    ASSERT_EQ(switches.value, 0u);
+    for (int i = 0; i < 3 * 64 + 5; ++i) {
+        if (i % 2 == 0)
+            ctx_a.access(0, ra.start, false);
+        else
+            ctx_b.access(0, rb.start, false);
+        ASSERT_EQ(switches.value, static_cast<std::uint64_t>(i + 1));
+        ASSERT_EQ(chk->stats().checkpoints - base, switches.value / 64)
+            << "after switch " << switches.value;
+    }
+    EXPECT_EQ(chk->stats().violations, 0u);
+    EXPECT_TRUE(chk->violations().empty());
+    kernel.destroyProcess(a);
+    kernel.destroyProcess(b);
 }
 
 } // namespace

@@ -108,6 +108,26 @@ class MitosisBackendTest : public ::testing::Test
     pt::PtPlacementPolicy policy;
 };
 
+/** A second process (pid 2) on a backend built with @p policy, over the
+ *  fixture's memory. */
+struct PolicyRig
+{
+    PolicyRig(mem::PhysicalMemory &pm, SystemPolicy policy,
+              SocketId fixed_socket = 0)
+        : backend(pm, MitosisConfig{.policy = policy,
+                                    .fixedSocket = fixed_socket}),
+          ops(pm, backend)
+    {
+        EXPECT_TRUE(ops.createRoot(roots, 2, 0, nullptr));
+    }
+
+    ~PolicyRig() { ops.destroy(roots, nullptr); }
+
+    MitosisBackend backend;
+    pt::PageTableOps ops;
+    pt::RootSet roots;
+};
+
 TEST_F(MitosisBackendTest, UnreplicatedBehavesLikeNative)
 {
     auto vas = mapSpread(4);
@@ -177,7 +197,8 @@ TEST_F(MitosisBackendTest, UnmapPropagatesToAllReplicas)
 {
     auto vas = mapSpread(2);
     ASSERT_TRUE(backend.setReplicationMask(roots, 1, SocketMask::all(4)));
-    ops.unmap(roots, vas[0], nullptr);
+    ops.unmapRange(roots, vas[0], vas[0] + PageSize,
+                   [](VirtAddr, pt::Pte, PageSizeKind) {}, nullptr);
     for (SocketId s = 0; s < 4; ++s) {
         EXPECT_FALSE(walkFrom(roots.rootFor(s), vas[0]).present());
         EXPECT_TRUE(walkFrom(roots.rootFor(s), vas[1]).present());
@@ -210,9 +231,10 @@ TEST_F(MitosisBackendTest, AccessedDirtyBitsAreOredAcrossReplicas)
     pm.table(table)[leaf_idx] |= pt::PteAccessed | pt::PteDirty;
 
     // The OS reads through PV-Ops: bits must be visible (OR-ed, §5.4)...
-    auto merged = ops.readLeaf(roots, vas[0], nullptr);
-    EXPECT_TRUE(merged.leaf.accessed());
-    EXPECT_TRUE(merged.leaf.dirty());
+    pt::PteLoc loc = ops.walk(roots, vas[0]).loc;
+    pt::Pte merged = backend.readPte(roots, loc, nullptr);
+    EXPECT_TRUE(merged.accessed());
+    EXPECT_TRUE(merged.dirty());
 
     // ...even though the primary copy alone does not have them.
     pt::Pte primary_leaf = walkFrom(roots.primaryRoot, vas[0]);
@@ -221,8 +243,8 @@ TEST_F(MitosisBackendTest, AccessedDirtyBitsAreOredAcrossReplicas)
     // Clearing resets every replica.
     ops.clearAccessedDirty(roots, vas[0], pt::PteAdMask, nullptr);
     EXPECT_FALSE(pt::Pte{pm.table(table)[leaf_idx]}.accessed());
-    merged = ops.readLeaf(roots, vas[0], nullptr);
-    EXPECT_FALSE(merged.leaf.accessed());
+    merged = backend.readPte(roots, loc, nullptr);
+    EXPECT_FALSE(merged.accessed());
     EXPECT_GT(backend.stats().adMergedReads, 0u);
 }
 
@@ -296,29 +318,31 @@ TEST_F(MitosisBackendTest, ReplicatedAllocCreatesLinkedSets)
 
 TEST_F(MitosisBackendTest, DisabledPolicyRefusesMask)
 {
-    backend.setSystemPolicy(SystemPolicy::Disabled);
-    mapSpread(1);
-    EXPECT_FALSE(backend.setReplicationMask(roots, 1, SocketMask::all(4)));
-    EXPECT_FALSE(roots.replicated());
+    PolicyRig rig(pm, SystemPolicy::Disabled);
+    ASSERT_TRUE(rig.ops.map4K(rig.roots, 2, 0x100000000ull, dataFrame(0),
+                              pt::PteWrite, policy, 0, nullptr));
+    EXPECT_FALSE(
+        rig.backend.setReplicationMask(rig.roots, 2, SocketMask::all(4)));
+    EXPECT_FALSE(rig.roots.replicated());
 }
 
 TEST_F(MitosisBackendTest, FixedSocketPolicyForcesPtAllocations)
 {
-    backend.setSystemPolicy(SystemPolicy::FixedSocket, 3);
+    PolicyRig rig(pm, SystemPolicy::FixedSocket, 3);
     VirtAddr va = 0x400000000ull;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), pt::PteWrite,
-                          policy, 0, nullptr));
-    auto res = ops.walk(roots, va);
+    ASSERT_TRUE(rig.ops.map4K(rig.roots, 2, va, dataFrame(0), pt::PteWrite,
+                              policy, 0, nullptr));
+    auto res = rig.ops.walk(rig.roots, va);
     EXPECT_EQ(pm.socketOf(res.loc.ptPfn), 3);
 }
 
 TEST_F(MitosisBackendTest, AllProcessesPolicyReplicatesNewTables)
 {
-    backend.setSystemPolicy(SystemPolicy::AllProcesses);
+    PolicyRig rig(pm, SystemPolicy::AllProcesses);
     VirtAddr va = 0x500000000ull;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), pt::PteWrite,
-                          policy, 0, nullptr));
-    auto res = ops.walk(roots, va);
+    ASSERT_TRUE(rig.ops.map4K(rig.roots, 2, va, dataFrame(0), pt::PteWrite,
+                              policy, 0, nullptr));
+    auto res = rig.ops.walk(rig.roots, va);
     EXPECT_EQ(pm.replicaCount(res.loc.ptPfn), 4);
 }
 

@@ -87,7 +87,9 @@ TEST_F(MigrationTest, LazyMigrationKeepsSourceAsReplica)
 
     // Migrating back is cheap: the old tree is still consistent.
     VirtAddr probe = p.vmas().begin()->second.start;
-    k2.ptOps().unmap(p.roots(), probe, nullptr); // mutate while lazy
+    k2.ptOps().unmapRange(p.roots(), probe, probe + PageSize,
+                          [](VirtAddr, pt::Pte, PageSizeKind) {},
+                          nullptr); // mutate while lazy
     ASSERT_TRUE(lazy.migratePageTables(p.roots(), p.id(), 0));
     EXPECT_FALSE(k2.ptOps().walk(p.roots(), probe).mapped);
     EXPECT_TRUE(
@@ -116,21 +118,6 @@ TEST_F(MigrationTest, KernelMigrationTriggersPtMigrationViaHook)
     ctx.access(0, region.start, true);
     ctx.access(0, region.start + 100 * PageSize, false);
     kernel.destroyProcess(p);
-}
-
-TEST_F(MigrationTest, MigrationDisabledLeavesTablesBehind)
-{
-    MitosisConfig cfg;
-    cfg.migrateOnProcessMove = false;
-    MitosisBackend off(machine.physmem(), cfg);
-    os::Kernel k2(machine, off);
-    os::Process &p = k2.createProcess("off", 0);
-    k2.mmap(p, 64 * PageSize, os::MmapOptions{.populate = true});
-    ASSERT_GE(k2.spawnThreadOnSocket(p, 0), 0);
-    std::uint64_t on0 = ptPagesOn(0);
-    ASSERT_TRUE(k2.migrateProcess(p, 1, true));
-    EXPECT_EQ(ptPagesOn(0), on0); // stock behaviour: PTs stranded
-    k2.destroyProcess(p);
 }
 
 TEST_F(MigrationTest, FullyReplicatedProcessNeedsNoMigration)

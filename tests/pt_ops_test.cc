@@ -34,6 +34,12 @@ smallTopo()
     return cfg;
 }
 
+/** unmapRange callback for frames the test frees itself. */
+void
+keepFrames(VirtAddr, Pte, PageSizeKind)
+{
+}
+
 class PtOpsTest : public ::testing::Test
 {
   protected:
@@ -134,7 +140,7 @@ TEST_F(PtOpsTest, Map2MSetsHugeLeafAtL2)
     EXPECT_TRUE(mid.mapped);
     EXPECT_EQ(mid.leaf.pfn(), *head);
     pm.freeDataLarge(*head);
-    ops.unmap(roots, va, nullptr);
+    ops.unmapRange(roots, va, va + PageSize, keepFrames, nullptr);
 }
 
 TEST_F(PtOpsTest, Map2MRejectsUnaligned)
@@ -152,8 +158,15 @@ TEST_F(PtOpsTest, UnmapClearsLeafOnly)
     VirtAddr va = 0x5000;
     ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), PteWrite, policy, 0,
                           nullptr));
-    WalkResult res = ops.unmap(roots, va, nullptr);
-    EXPECT_TRUE(res.mapped); // returns the old leaf
+    Pfn data = ops.walk(roots, va).leaf.pfn();
+    std::vector<Pfn> cleared;
+    EXPECT_EQ(ops.unmapRange(roots, va, va + PageSize,
+                             [&](VirtAddr, Pte old, PageSizeKind) {
+                                 cleared.push_back(old.pfn());
+                             },
+                             nullptr),
+              1u);
+    EXPECT_EQ(cleared, std::vector<Pfn>{data}); // reports the old leaf
     EXPECT_FALSE(ops.walk(roots, va).mapped);
     // Intermediate tables are retained (Linux-style).
     std::uint64_t total = 0;
@@ -165,8 +178,9 @@ TEST_F(PtOpsTest, UnmapClearsLeafOnly)
 
 TEST_F(PtOpsTest, UnmapMissingIsNoop)
 {
-    WalkResult res = ops.unmap(roots, 0x7777000, nullptr);
-    EXPECT_FALSE(res.mapped);
+    EXPECT_EQ(ops.unmapRange(roots, 0x7777000, 0x7778000, keepFrames,
+                             nullptr),
+              0u);
 }
 
 TEST_F(PtOpsTest, ProtectTogglesWritable)
@@ -187,9 +201,9 @@ TEST_F(PtOpsTest, ClearAccessedDirty)
                           PteWrite | PteAccessed | PteDirty, policy, 0,
                           nullptr));
     ASSERT_TRUE(ops.clearAccessedDirty(roots, va, PteAdMask, nullptr));
-    WalkResult res = ops.readLeaf(roots, va, nullptr);
-    EXPECT_FALSE(res.leaf.accessed());
-    EXPECT_FALSE(res.leaf.dirty());
+    Pte leaf = native.readPte(roots, ops.walk(roots, va).loc, nullptr);
+    EXPECT_FALSE(leaf.accessed());
+    EXPECT_FALSE(leaf.dirty());
 }
 
 TEST_F(PtOpsTest, ForEachLeafVisitsAllMappings)
@@ -338,7 +352,7 @@ TEST_F(PtOpsTest, ForRangeVisitsIntersectingLeavesInOrder)
                      ++huge_seen;
                  });
     EXPECT_EQ(huge_seen, 1);
-    ops.unmap(roots, huge_va, nullptr);
+    ops.unmapRange(roots, huge_va, huge_va + PageSize, keepFrames, nullptr);
     pm.freeDataLarge(*head);
 }
 

@@ -107,11 +107,13 @@ class RefExecutor
             cost->charge(pvops::VmaOpFixedCost);
         std::uint64_t pages_touched = 0;
         for (VirtAddr va = start; va < end;) {
-            pt::WalkResult res = ops.unmap(p.roots(), va, cost);
+            pt::WalkResult res = ops.walk(p.roots(), va);
             if (!res.mapped) {
                 va += PageSize;
                 continue;
             }
+            ops.unmapRange(p.roots(), va, va + PageSize,
+                           [](VirtAddr, pt::Pte, PageSizeKind) {}, cost);
             if (res.size == PageSizeKind::Large2M)
                 pm.freeDataLarge(res.leaf.pfn());
             else
@@ -548,7 +550,7 @@ descents(Side &side, const char *path)
  * from the root. Faults come from real Core::access calls (so the
  * known-miss TLB retry after each serviced fault runs too), interleaved
  * with munmap, mprotect, madvise splits, khugepaged collapses,
- * page-table migration, replication-mask flips and backend swaps.
+ * page-table migration and replication-mask flips.
  * Every access must cost the same, and the page tables, memory
  * accounting and MitosisStats must stay identical.
  */
@@ -600,7 +602,6 @@ runCursorProperty(std::uint64_t seed)
     for (const Region &r : regions)
         mapFresh(r, r.start, r.pages * PageSize);
 
-    bool on_native = false;
     for (int step = 0; step < 240; ++step) {
         std::string what = "step " + std::to_string(step);
         Region &r = regions[rng.below(regions.size())];
@@ -638,15 +639,8 @@ runCursorProperty(std::uint64_t seed)
           case 3: // khugepaged collapses
             both([&](Side &s) { s.kernel.thpTick(); });
             break;
-          case 4: // replication flip, page-table migration or backend swap
-            if (on_native || (!replicated && rng.chance(0.3))) {
-                on_native = !on_native;
-                both([&](Side &s) {
-                    s.kernel.ptOps().setBackend(
-                        on_native ? static_cast<pvops::PvOps &>(s.native)
-                                  : static_cast<pvops::PvOps &>(s.mitosis));
-                });
-            } else if (!replicated && rng.chance(0.5)) {
+          case 4: // replication flip or page-table migration
+            if (!replicated && rng.chance(0.5)) {
                 SocketId target = static_cast<SocketId>(rng.below(2));
                 both([&](Side &s) {
                     EXPECT_TRUE(s.mitosis.migratePageTables(

@@ -175,8 +175,11 @@ TEST_P(ReplicationProperty, RandomOpsPreserveInvariants)
             if (shadow.empty())
                 break;
             VirtAddr va = random_mapped_va();
-            auto res = ops.unmap(roots, va, nullptr);
+            auto res = ops.walk(roots, va);
             ASSERT_TRUE(res.mapped);
+            ops.unmapRange(roots, va, va + PageSize,
+                           [](VirtAddr, pt::Pte, PageSizeKind) {},
+                           nullptr);
             pm.freeData(res.leaf.pfn());
             data_frames.erase(std::find(data_frames.begin(),
                                         data_frames.end(),
@@ -232,8 +235,9 @@ TEST_P(ReplicationProperty, RandomOpsPreserveInvariants)
                     pm.table(table)[ptIndex(va, PtLevel::L1)] |=
                         pt::PteAccessed;
                     // The OS must see it from any replica.
-                    auto merged = ops.readLeaf(roots, va, nullptr);
-                    ASSERT_TRUE(merged.leaf.accessed());
+                    pt::Pte merged = backend.readPte(
+                        roots, ops.walk(roots, va).loc, nullptr);
+                    ASSERT_TRUE(merged.accessed());
                     ops.clearAccessedDirty(roots, va, pt::PteAdMask,
                                            nullptr);
                 }

@@ -43,6 +43,12 @@ namespace
 
 constexpr VirtAddr Base = 0x10000000000ull;
 
+/** unmapRange callback: the reference executor frees frames itself. */
+void
+keepFrames(VirtAddr, pt::Pte, PageSizeKind)
+{
+}
+
 enum class BackendKind
 {
     Native,
@@ -134,11 +140,13 @@ class RefExecutor
         auto &ops = k.ptOps();
         auto &pm = m.physmem();
         for (VirtAddr va = start; va < end;) {
-            pt::WalkResult res = ops.unmap(p.roots(), va, nullptr);
+            pt::WalkResult res = ops.walk(p.roots(), va);
             if (!res.mapped) {
                 va += PageSize;
                 continue;
             }
+            ops.unmapRange(p.roots(), va, va + PageSize, keepFrames,
+                           nullptr);
             if (res.size == PageSizeKind::Large2M)
                 pm.freeDataLarge(res.leaf.pfn());
             else
@@ -220,8 +228,11 @@ class RefExecutor
         // without Present (a 4 KB run never carries Huge).
         auto head = pm.allocDataLarge(target, p.id());
         ASSERT_TRUE(head.has_value()) << "ref collapse: no block";
-        for (const auto &[idx, pfn] : old_frames)
-            ops.unmap(p.roots(), base + idx * PageSize, nullptr);
+        for (const auto &[idx, pfn] : old_frames) {
+            VirtAddr va = base + idx * PageSize;
+            ops.unmapRange(p.roots(), va, va + PageSize, keepFrames,
+                           nullptr);
+        }
         k.backend().releasePtPage(p.roots(), leaf_table, nullptr);
         ASSERT_TRUE(ops.map2M(p.roots(), p.id(), base, *head,
                               uniform & ~std::uint64_t{pt::PtePresent},
@@ -247,7 +258,8 @@ class RefExecutor
                               ~static_cast<std::uint64_t>(pt::PteHuge);
         SocketId hint = pm.socketOf(res.loc.ptPfn);
 
-        ops.unmap(p.roots(), base, nullptr);
+        ops.unmapRange(p.roots(), base, base + PageSize, keepFrames,
+                       nullptr);
         pm.splitLargeData(head);
         for (unsigned i = 0; i < FramesPerLargePage; ++i) {
             ASSERT_TRUE(ops.map4K(p.roots(), p.id(),
@@ -515,8 +527,6 @@ runRecoveryProperty(BackendKind kind, std::uint64_t seed)
     cfg.thp.splitPartial = true;
     cfg.thp.khugepaged = true;
     cfg.thp.kcompactd = true;
-    cfg.thp.compactBlocksPerTick = 16;
-    cfg.thp.collapsesPerTick = 4;
     Kernel kernel(machine,
                   kind == BackendKind::Native
                       ? static_cast<pvops::PvOps &>(native)

@@ -41,8 +41,10 @@ struct Fixture
     };
 
     explicit Fixture(Backend kind = Backend::Native,
-                     thp::ThpConfig thp_cfg = thp::ThpConfig{})
-        : machine(sim::MachineConfig::tiny()),
+                     thp::ThpConfig thp_cfg = thp::ThpConfig{},
+                     const sim::MachineConfig &machine_cfg =
+                         sim::MachineConfig::tiny())
+        : machine(machine_cfg),
           native(machine.physmem()),
           mitosis(machine.physmem()),
           lazy(machine.physmem()),
@@ -169,22 +171,40 @@ TEST(ThpCollapse, SparseRunZeroFillsHoles)
     EXPECT_EQ(res.size, PageSizeKind::Large2M);
 }
 
-TEST(ThpCollapse, MaxPtesNoneZeroRequiresFullPopulation)
+/** tiny() with 128 2 MB blocks per socket: room for more candidates
+ *  than one daemon tick may take. */
+sim::MachineConfig
+budgetMachine()
+{
+    sim::MachineConfig cfg = sim::MachineConfig::tiny();
+    cfg.topo.memPerSocket = 256ull << 20;
+    return cfg;
+}
+
+TEST(ThpCollapse, OneTickCollapsesTheBudgetAndResumes)
 {
     thp::ThpConfig cfg;
-    cfg.maxPtesNone = 0;
-    Fixture f(Fixture::Backend::Native, cfg);
+    cfg.khugepaged = true;
+    Fixture f(Fixture::Backend::Native, cfg, budgetMachine());
+    constexpr std::uint64_t Ranges = thp::CollapsesPerTick + 16;
     Rng rng(7);
     for (SocketId s = 0; s < f.machine.numSockets(); ++s)
         f.machine.physmem().fragment(s, 1.0, rng);
-    f.kernel.mmapFixed(f.proc, Base, LargePageSize,
+    f.kernel.mmapFixed(f.proc, Base, Ranges * LargePageSize,
                        MmapOptions{.thp = true});
-    f.kernel.populate(f.proc, Base, 511 * PageSize, 0); // one hole
+    // One resident 4 KB page per range: each is a collapse candidate.
+    for (std::uint64_t r = 0; r < Ranges; ++r)
+        f.kernel.populate(f.proc, Base + r * LargePageSize, PageSize, 0);
     for (SocketId s = 0; s < f.machine.numSockets(); ++s)
         f.machine.physmem().defragment(s);
-    EXPECT_FALSE(f.kernel.thp().collapseAt(f.proc, Base, nullptr));
-    f.kernel.populate(f.proc, Base + 511 * PageSize, PageSize, 0);
-    EXPECT_TRUE(f.kernel.thp().collapseAt(f.proc, Base, nullptr));
+
+    const thp::ThpStats &ts = f.kernel.thp().stats();
+    f.kernel.thpTick();
+    EXPECT_EQ(ts.collapses, thp::CollapsesPerTick);
+    EXPECT_EQ(ts.rangesScanned, thp::CollapsesPerTick);
+    f.kernel.thpTick(); // resumes at the first range left over
+    EXPECT_EQ(ts.collapses, Ranges);
+    EXPECT_EQ(f.kernel.thp().coverage(f.proc), 1.0);
 }
 
 TEST(ThpCollapse, TargetsMajoritySocket)
@@ -396,7 +416,6 @@ TEST(ThpCompaction, ReclaimsBlocksAndPreservesMappings)
 {
     thp::ThpConfig cfg;
     cfg.kcompactd = true;
-    cfg.compactBlocksPerTick = 64;
     Fixture f(Fixture::Backend::Native, cfg);
     auto &pm = f.machine.physmem();
 
@@ -452,6 +471,27 @@ TEST(ThpCompaction, MakesCollapsePossibleAgain)
     EXPECT_EQ(f.kernel.ptOps().walk(f.proc.roots(), Base).size,
               PageSizeKind::Large2M);
     EXPECT_GT(f.kernel.thp().stats().daemonCycles, 0u);
+}
+
+TEST(ThpCompaction, OneTickDrainsTheBudgetPerSocket)
+{
+    thp::ThpConfig cfg;
+    cfg.kcompactd = true;
+    Fixture f(Fixture::Backend::Native, cfg, budgetMachine());
+    auto &pm = f.machine.physmem();
+    Rng rng(11);
+    // One filler in every free block: each is a drainable candidate.
+    for (SocketId s = 0; s < f.machine.numSockets(); ++s) {
+        pm.fragment(s, 1.0, rng);
+        ASSERT_EQ(pm.freeLargeBlocks(s), 0u);
+        ASSERT_GT(pm.allocator(s).numBlocks(), thp::CompactBlocksPerTick);
+    }
+
+    f.kernel.thpTick();
+    for (SocketId s = 0; s < f.machine.numSockets(); ++s)
+        EXPECT_EQ(pm.freeLargeBlocks(s), thp::CompactBlocksPerTick) << s;
+    EXPECT_EQ(f.kernel.thp().stats().compactionBlocksReclaimed,
+              2u * thp::CompactBlocksPerTick);
 }
 
 TEST(ThpCoverage, TracksPromotionAndDemotion)
@@ -637,7 +677,7 @@ compactMixedOwners(Fixture::Backend kind)
             const mem::FrameAllocator &alloc = pm.allocator(s);
             for (std::uint64_t b = 0; b < alloc.numBlocks(); ++b) {
                 std::uint32_t used = alloc.blockUsedCount(b);
-                if (used == 0 || used > cfg.compactMaxUsed)
+                if (used == 0 || used > thp::CompactMaxUsed)
                     continue;
                 bool ours = true;
                 alloc.forEachAllocatedInBlock(b, [&](Pfn p) {

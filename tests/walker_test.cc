@@ -177,7 +177,8 @@ TEST_F(WalkerTest, HugeLeafStopsAtL2)
     EXPECT_EQ(out.entry.size, PageSizeKind::Large2M);
     EXPECT_EQ(out.memRefs, 3u); // L4, L3, L2
     machine.physmem().freeDataLarge(*head);
-    ops.unmap(roots, va, nullptr);
+    ops.unmapRange(roots, va, va + PageSize,
+                   [](VirtAddr, pt::Pte, PageSizeKind) {}, nullptr);
 }
 
 TEST_F(WalkerTest, AdBitsBypassPvOpsIndirection)
@@ -189,10 +190,10 @@ TEST_F(WalkerTest, AdBitsBypassPvOpsIndirection)
     mapPage(va, 0, pt::PteWrite);
     PerfCounters pc;
     walker.walk(0, roots.primaryRoot, va, true, pwc, &pc);
-    // readLeaf via PV-Ops still observes the bits.
-    auto res = ops.readLeaf(roots, va, nullptr);
-    EXPECT_TRUE(res.leaf.accessed());
-    EXPECT_TRUE(res.leaf.dirty());
+    // A read via PV-Ops still observes the bits.
+    pt::Pte leaf = native.readPte(roots, ops.walk(roots, va).loc, nullptr);
+    EXPECT_TRUE(leaf.accessed());
+    EXPECT_TRUE(leaf.dirty());
 }
 
 } // namespace
