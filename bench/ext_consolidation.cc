@@ -104,11 +104,10 @@ run(bool use_mitosis, bool pcid)
     std::unique_ptr<pvops::PvOps> backend;
     core::MitosisBackend *mitosis = nullptr;
     if (use_mitosis) {
-        core::MitosisConfig mcfg;
-        mcfg.policy = core::SystemPolicy::AllProcesses;
-        mcfg.scheduleDriven = true; // §5.3: replicate at first timeslice
+        // §5.3: each tenant replicates at its first timeslice on a socket.
         auto owned = std::make_unique<core::MitosisBackend>(
-            machine.physmem(), mcfg);
+            machine.physmem(),
+            core::MitosisConfig{.policy = core::SystemPolicy::AllProcesses});
         mitosis = owned.get();
         mitosis->attachObs(machine.metrics());
         backend = std::move(owned);

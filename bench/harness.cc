@@ -117,7 +117,8 @@ std::unique_ptr<snapshot::Universe>
 preparePopulated(const PopulateSpec &spec)
 {
     auto u = std::make_unique<snapshot::Universe>(
-        spec.machine, spec.backend, spec.mitosisCfg, spec.kernelCfg);
+        spec.machine, spec.backend, core::MitosisConfig{},
+        spec.kernelCfg);
     if (spec.fragmentation > 0.0) {
         Rng frag_rng(spec.fragSeed);
         for (SocketId s = 0; s < u->machine.numSockets(); ++s)

@@ -131,7 +131,6 @@ struct PopulateSpec
 {
     sim::MachineConfig machine;
     snapshot::BackendKind backend = snapshot::BackendKind::Mitosis;
-    core::MitosisConfig mitosisCfg;
     os::KernelConfig kernelCfg;
     std::string workload;
     workloads::WorkloadParams params;

@@ -34,8 +34,8 @@ AutoPolicyEngine::runningSockets(os::Kernel &kernel,
     // Sockets the scheduler has the process's threads assigned to —
     // pinned cores, or run-queue homes under time sharing. Replicating
     // onto exactly these is the counter-driven analogue of the §5.3
-    // schedule-driven path (which the Mitosis backend also walks per
-    // first timeslice when configured scheduleDriven).
+    // schedule-driven path (which the Mitosis backend walks per first
+    // timeslice under SystemPolicy::AllProcesses).
     return kernel.socketsOf(proc);
 }
 
@@ -72,8 +72,7 @@ AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
             // future extension could trigger migration health checks.
             return AutoPolicyAction::None;
         }
-        if (!mitosis.setReplicationMask(proc.roots(), proc.id(), mask))
-            return AutoPolicyAction::None;
+        mitosis.setReplicationMask(proc.roots(), proc.id(), mask);
         kernel.reloadContexts(proc);
         ++stats_.enables;
         return AutoPolicyAction::Enabled;
@@ -84,9 +83,8 @@ AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
         if (++run < SamplesBeforeAction)
             return AutoPolicyAction::None;
         run = 0;
-        if (!mitosis.setReplicationMask(proc.roots(), proc.id(),
-                                        SocketMask::none()))
-            return AutoPolicyAction::None;
+        mitosis.setReplicationMask(proc.roots(), proc.id(),
+                                   SocketMask::none());
         kernel.reloadContexts(proc);
         ++stats_.disables;
         return AutoPolicyAction::Disabled;

@@ -76,7 +76,7 @@ LazyMitosisBackend::releasePtPage(pt::RootSet &roots, Pfn pfn,
                                   pvops::KernelCost *cost)
 {
     // The primary page may itself be a message target (a replica that
-    // a lazy migration promoted); the base frees the rest of the set
+    // migratePageTables promoted); the base frees the rest of the set
     // through freeReplica.
     dropUpdatesTo(pfn);
     MitosisBackend::releasePtPage(roots, pfn, cost);

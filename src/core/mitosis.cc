@@ -7,6 +7,7 @@
 #include "src/pt/operations.h"
 #include "src/pt/pte.h"
 #include "src/pvops/costs.h"
+#include "src/pvops/native_backend.h"
 
 namespace mitosim::core
 {
@@ -39,43 +40,6 @@ MitosisBackend::attachObs(obs::MetricsRegistry &metrics)
     mSchedRepl = &metrics.counter("mitosis_schedule_replications");
 }
 
-SocketMask
-MitosisBackend::effectiveMask(const pt::RootSet &roots) const
-{
-    if (cfg.policy == SystemPolicy::Disabled ||
-        cfg.policy == SystemPolicy::FixedSocket) {
-        return SocketMask::none();
-    }
-    if (cfg.policy == SystemPolicy::AllProcesses && !cfg.scheduleDriven)
-        return SocketMask::all(mem.topology().numSockets());
-    // Schedule-driven: new page-table pages replicate only onto the
-    // sockets the process has actually been scheduled on so far (the
-    // mask onThreadScheduled grows) — §5.3's lazy allocation.
-    return roots.replicaMask;
-}
-
-Pfn
-MitosisBackend::allocSingle(ProcId owner, int level, SocketId hint,
-                            KernelCost *cost)
-{
-    if (cfg.policy == SystemPolicy::FixedSocket)
-        hint = cfg.fixedSocket;
-    auto pfn = mem.allocPt(hint, level, owner);
-    if (!pfn) {
-        for (SocketId s = 0; s < mem.topology().numSockets() && !pfn; ++s) {
-            if (s != hint)
-                pfn = mem.allocPt(s, level, owner);
-        }
-    }
-    if (!pfn)
-        return InvalidPfn;
-    if (cost) {
-        cost->charge(pvops::PtPageSetupCost);
-        ++cost->ptPagesAllocated;
-    }
-    return *pfn;
-}
-
 Pfn
 MitosisBackend::allocPtPage(pt::RootSet &roots, ProcId owner, int level,
                             SocketId hint_socket, KernelCost *cost)
@@ -83,9 +47,12 @@ MitosisBackend::allocPtPage(pt::RootSet &roots, ProcId owner, int level,
     if (cost)
         cost->charge(IndirectionCost);
 
-    SocketMask mask = effectiveMask(roots);
+    // New page-table pages replicate onto the process's mask: the
+    // sockets it opted into, or (AllProcesses) the ones it has been
+    // scheduled on so far — §5.3's lazy allocation.
+    SocketMask mask = roots.replicaMask;
     if (mask.empty())
-        return allocSingle(owner, level, hint_socket, cost);
+        return pvops::allocPtFrame(mem, owner, level, hint_socket, cost);
 
     // Replicated allocation: one page per socket in the mask, linked into
     // a circular list. The primary copy lives on the hint socket when the
@@ -96,7 +63,8 @@ MitosisBackend::allocPtPage(pt::RootSet &roots, ProcId owner, int level,
     // Only the non-primary copies count as replica pages (createReplica
     // here, freeReplica on the free side) — the counters must conserve
     // against the live ring population (vmcheck class 5).
-    Pfn primary = allocSingle(owner, level, primary_socket, cost);
+    Pfn primary =
+        pvops::allocPtFrame(mem, owner, level, primary_socket, cost);
     if (primary == InvalidPfn)
         return InvalidPfn;
 
@@ -382,10 +350,6 @@ bool
 MitosisBackend::setReplicationMask(pt::RootSet &roots, ProcId owner,
                                    SocketMask mask, KernelCost *cost)
 {
-    if (cfg.policy == SystemPolicy::Disabled ||
-        cfg.policy == SystemPolicy::FixedSocket) {
-        return false;
-    }
     MITOSIM_ASSERT(roots.primaryRoot != InvalidPfn,
                    "setReplicationMask: process has no page-table");
 
@@ -437,10 +401,6 @@ bool
 MitosisBackend::migratePageTables(pt::RootSet &roots, ProcId owner,
                                   SocketId target, KernelCost *cost)
 {
-    if (cfg.policy == SystemPolicy::Disabled ||
-        cfg.policy == SystemPolicy::FixedSocket) {
-        return false;
-    }
     MITOSIM_ASSERT(roots.primaryRoot != InvalidPfn,
                    "migratePageTables: process has no page-table");
     MITOSIM_ASSERT(target >= 0 && target < mem.topology().numSockets());
@@ -454,45 +414,22 @@ MitosisBackend::migratePageTables(pt::RootSet &roots, ProcId owner,
     ++stats_.treeMigrations;
     bump(mTreeMigr);
 
-    Pfn old_root = roots.primaryRoot;
     roots.primaryRoot = new_root;
 
-    if (cfg.eagerFreeOnMigration) {
-        // Step 2 (eager): free every non-target copy. Sweep the *new*
-        // tree; its replica lists still link the old copies.
-        pt::forEachTableUnder(mem, new_root, [&](Pfn table, int) {
-            while (nextReplica(table) != table)
-                freeReplica(nextReplica(table), cost);
-        });
-        roots.resetToPrimary();
-    } else {
-        // Lazy: keep the old copies as live replicas; the old home
-        // socket keeps a local tree in case the process migrates back.
-        SocketMask mask = roots.replicaMask;
-        mask.set(target);
-        mask.set(mem.socketOf(old_root));
-        roots.replicaMask = mask;
-        for (SocketId s = 0; s < pt::MaxSockets; ++s) {
-            Pfn root = (s < mem.topology().numSockets())
-                           ? mem.replicaOnSocket(new_root, s)
-                           : InvalidPfn;
-            roots.perSocketRoot[static_cast<std::size_t>(s)] =
-                (root != InvalidPfn) ? root : new_root;
-        }
-    }
+    // Step 2: free every non-target copy. Sweep the *new* tree; its
+    // replica lists still link the old copies.
+    pt::forEachTableUnder(mem, new_root, [&](Pfn table, int) {
+        while (nextReplica(table) != table)
+            freeReplica(nextReplica(table), cost);
+    });
+    roots.resetToPrimary();
     return true;
 }
 
 void
 MitosisBackend::onProcessMigrated(pt::RootSet &roots, ProcId owner,
-                                  SocketId from, SocketId to,
-                                  KernelCost *cost)
+                                  SocketId to, KernelCost *cost)
 {
-    (void)from;
-    if (cfg.policy == SystemPolicy::Disabled ||
-        cfg.policy == SystemPolicy::FixedSocket) {
-        return;
-    }
     if (roots.replicated()) {
         // Fully replicated processes already have a local tree wherever
         // they land; nothing to migrate.
@@ -506,25 +443,16 @@ void
 MitosisBackend::onThreadScheduled(pt::RootSet &roots, ProcId owner,
                                   SocketId socket, KernelCost *cost)
 {
-    if (!cfg.scheduleDriven)
+    // PerProcess: a process's mask is what it set, never the schedule.
+    if (cfg.policy != SystemPolicy::AllProcesses)
         return;
-    if (cfg.policy == SystemPolicy::Disabled ||
-        cfg.policy == SystemPolicy::FixedSocket) {
-        return;
-    }
-    // PerProcess: only processes that opted in (non-empty mask) grow.
-    if (cfg.policy == SystemPolicy::PerProcess &&
-        roots.replicaMask.empty()) {
-        return;
-    }
     if (roots.replicaMask.contains(socket))
         return; // not the first timeslice here: the replica exists
     SocketMask mask = roots.replicaMask;
     mask.set(socket);
-    if (setReplicationMask(roots, owner, mask, cost)) {
-        ++stats_.scheduleReplications;
-        bump(mSchedRepl);
-    }
+    setReplicationMask(roots, owner, mask, cost);
+    ++stats_.scheduleReplications;
+    bump(mSchedRepl);
 }
 
 } // namespace mitosim::core

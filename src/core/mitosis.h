@@ -16,11 +16,15 @@
  *  - supplies per-socket CR3 values so a scheduled thread walks its local
  *    replica (§5.3);
  *  - implements page-table *migration* as replicate-to-target followed by
- *    eager (or lazy) release of the source copies (§5.5);
- *  - carries the policy surface of §6: a system-wide 4-state policy
- *    (the paper's sysctl, fixed here when the backend is built) and the
+ *    eager release of the source copies (§5.5);
+ *  - carries the policy surface of §6: a system-wide policy (the
+ *    paper's sysctl, fixed here when the backend is built) and the
  *    per-process replication bitmask behind
  *    numa_set_pgtable_replication_mask().
+ *
+ * "Mitosis off" is the native backend, and pinning page-table pages to
+ * one socket is the per-process pt::PtPlacement::Fixed
+ * (Kernel::setPtPlacement); neither is a policy state here.
  */
 
 #ifndef MITOSIM_CORE_MITOSIS_H
@@ -40,10 +44,17 @@ namespace mitosim::core
 /** §6.1: the system-wide policy states the paper exposes via sysctl. */
 enum class SystemPolicy
 {
-    Disabled,     //!< Mitosis off: behave exactly like the native backend
-    PerProcess,   //!< replicate only for processes with a non-empty mask
-    FixedSocket,  //!< force all PT allocations onto one socket (analysis)
-    AllProcesses, //!< replicate to all sockets for every process
+    /** Replicate only for processes that set a non-empty mask. */
+    PerProcess,
+
+    /**
+     * Replicate every process, where it is scheduled (§5.3): the first
+     * timeslice a thread gets on a socket the process has no replica
+     * on (onThreadScheduled) grows its mask by that socket. The policy
+     * acts only through that hook, which only the time-shared
+     * scheduler fires, so a pinned kernel never replicates under it.
+     */
+    AllProcesses,
 };
 
 /** §5.2: how replica locations are found on an update. */
@@ -67,27 +78,7 @@ enum class UpdateMode
 struct MitosisConfig
 {
     SystemPolicy policy = SystemPolicy::PerProcess;
-    SocketId fixedSocket = 0; //!< for SystemPolicy::FixedSocket
     UpdateMode updateMode = UpdateMode::CircularList;
-
-    /**
-     * After migration, free the source replica eagerly (default) or keep
-     * it consistent for a cheap migrate-back (§5.5).
-     */
-    bool eagerFreeOnMigration = true;
-
-    /**
-     * §5.3 schedule-driven replication: instead of replicating to every
-     * socket up front, grow the replica set lazily — the first timeslice
-     * a thread gets on a new socket (onThreadScheduled) replicates the
-     * tree there. Under SystemPolicy::AllProcesses this narrows the
-     * eager "replicate everywhere" to "replicate where scheduled";
-     * under PerProcess it extends an explicitly opted-in process's
-     * mask to sockets the scheduler actually uses. Off by default:
-     * the pinned kernel never fires the hook and eager benches keep
-     * their up-front replica sets.
-     */
-    bool scheduleDriven = false;
 };
 
 /** Replication activity counters. */
@@ -120,9 +111,9 @@ class MitosisBackend : public pvops::PvOps
      * The numa_set_pgtable_replication_mask() syscall: replicate the
      * process's page-table onto every socket in @p mask (walking and
      * copying the existing tree), or tear replicas down for an empty
-     * mask. No-op under SystemPolicy::Disabled.
+     * mask.
      *
-     * @return true if the mask was applied.
+     * @return true: the mask is always applied.
      */
     bool setReplicationMask(pt::RootSet &roots, ProcId owner,
                             SocketMask mask,
@@ -136,8 +127,9 @@ class MitosisBackend : public pvops::PvOps
 
     /**
      * §5.5: migrate the page-table to @p target. Implemented as
-     * replicate-to-target; source copies are freed eagerly or kept
-     * (lazily releasable) per configuration.
+     * replicate-to-target, then every non-target copy is freed.
+     *
+     * @return false if the target root could not be allocated.
      */
     bool migratePageTables(pt::RootSet &roots, ProcId owner,
                            SocketId target,
@@ -193,13 +185,15 @@ class MitosisBackend : public pvops::PvOps
 
     /**
      * §5.5: the kernel moved the process to @p to; migrate its tree
-     * there unless the policy is Disabled or FixedSocket or a replica
-     * on @p to already exists.
+     * there unless a replica on @p to already exists.
      */
-    void onProcessMigrated(pt::RootSet &roots, ProcId owner, SocketId from,
-                           SocketId to, pvops::KernelCost *cost) override;
+    void onProcessMigrated(pt::RootSet &roots, ProcId owner, SocketId to,
+                           pvops::KernelCost *cost) override;
 
-    /** §5.3: first timeslice on a new socket grows the replica set. */
+    /**
+     * §5.3: under SystemPolicy::AllProcesses, the first timeslice on a
+     * socket outside the mask grows the replica set; a no-op otherwise.
+     */
     void onThreadScheduled(pt::RootSet &roots, ProcId owner,
                            SocketId socket,
                            pvops::KernelCost *cost) override;
@@ -227,13 +221,6 @@ class MitosisBackend : public pvops::PvOps
     void cloneStateFrom(const MitosisBackend &src) { stats_ = src.stats_; }
 
   protected:
-    /** Mask in force for new PT pages of a process. */
-    SocketMask effectiveMask(const pt::RootSet &roots) const;
-
-    /** Allocate one PT page honoring the FixedSocket analysis policy. */
-    Pfn allocSingle(ProcId owner, int level, SocketId hint,
-                    pvops::KernelCost *cost);
-
     /**
      * Ensure a replica of the subtree rooted at @p src exists on
      * @p target; returns the target-socket copy of @p src.
@@ -252,7 +239,7 @@ class MitosisBackend : public pvops::PvOps
     /**
      * Unlink and free replica page @p replica, charging and counting
      * it. Every replica free goes through here (release, mask shrink,
-     * eager migration), which is what the lazy backend hooks.
+     * migration), which is what the lazy backend hooks.
      */
     virtual void freeReplica(Pfn replica, pvops::KernelCost *cost);
 

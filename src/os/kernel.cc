@@ -22,6 +22,9 @@ Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend,
       autonuma(*this), sched(machine, config.sched),
       thpMgr(*this, config.thp)
 {
+    if (mach.hasFaultHandler())
+        fatal("machine already has a kernel (one kernel per machine)");
+
     obs::MetricsRegistry &mr = mach.metrics();
     mFaultNotPresent = &mr.counter("kernel_faults", {{"kind", "not_present"}});
     mFaultNumaHint = &mr.counter("kernel_faults", {{"kind", "numa_hint"}});
@@ -54,6 +57,7 @@ Kernel::~Kernel()
     // Tear down any still-live processes so physical memory balances.
     while (!procs.empty())
         destroyProcess(*procs.back());
+    mach.setFaultHandler(nullptr, nullptr);
 }
 
 Process &
@@ -492,7 +496,6 @@ Kernel::migrateProcess(Process &proc, SocketId target, bool migrate_data,
                        KernelCost *cost)
 {
     MITOSIM_ASSERT(target >= 0 && target < mach.numSockets());
-    SocketId from = homeSocket(proc);
 
     // Move the threads (pinned: re-pin, seed core-choice order;
     // time-shared: re-queue on the target's cores). A full target
@@ -540,7 +543,7 @@ Kernel::migrateProcess(Process &proc, SocketId target, bool migrate_data,
     }
 
     // Tell the backend (Mitosis migrates the page-tables here, §5.5).
-    pv->onProcessMigrated(proc.roots(), proc.id(), from, target, cost);
+    pv->onProcessMigrated(proc.roots(), proc.id(), target, cost);
 
     // Fresh CR3 on the new cores (full flush on the old ones is implicit:
     // nothing runs there any more).

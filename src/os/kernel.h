@@ -123,6 +123,11 @@ struct KernelConfig
 class Kernel
 {
   public:
+    /**
+     * Boot on @p machine: the kernel binds itself as the machine's fault
+     * handler, so fatal() if another live kernel already has. The
+     * destructor unbinds it, and a new kernel may then boot there.
+     */
     Kernel(sim::Machine &machine, pvops::PvOps &backend);
     Kernel(sim::Machine &machine, pvops::PvOps &backend,
            const KernelConfig &config);

@@ -6,13 +6,11 @@ namespace mitosim::pvops
 {
 
 Pfn
-NativeBackend::allocPtPage(pt::RootSet &roots, ProcId owner, int level,
-                           SocketId hint_socket, KernelCost *cost)
+allocPtFrame(mem::PhysicalMemory &mem, ProcId owner, int level,
+             SocketId hint_socket, KernelCost *cost)
 {
-    (void)roots;
     auto pfn = mem.allocPt(hint_socket, level, owner);
     if (!pfn) {
-        // Fall back to any socket, as Linux does under node pressure.
         for (SocketId s = 0; s < mem.topology().numSockets() && !pfn; ++s) {
             if (s != hint_socket)
                 pfn = mem.allocPt(s, level, owner);
@@ -25,6 +23,14 @@ NativeBackend::allocPtPage(pt::RootSet &roots, ProcId owner, int level,
         ++cost->ptPagesAllocated;
     }
     return *pfn;
+}
+
+Pfn
+NativeBackend::allocPtPage(pt::RootSet &roots, ProcId owner, int level,
+                           SocketId hint_socket, KernelCost *cost)
+{
+    (void)roots;
+    return allocPtFrame(mem, owner, level, hint_socket, cost);
 }
 
 void
@@ -81,20 +87,6 @@ NativeBackend::cr3For(const pt::RootSet &roots, SocketId socket) const
 {
     (void)socket;
     return roots.primaryRoot;
-}
-
-void
-NativeBackend::onProcessMigrated(pt::RootSet &roots, ProcId owner,
-                                 SocketId from, SocketId to,
-                                 KernelCost *cost)
-{
-    // Stock kernels do not migrate page-tables (§3.2: "page-table
-    // migration is not supported"). Nothing to do.
-    (void)roots;
-    (void)owner;
-    (void)from;
-    (void)to;
-    (void)cost;
 }
 
 } // namespace mitosim::pvops

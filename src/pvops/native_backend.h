@@ -17,6 +17,17 @@
 namespace mitosim::pvops
 {
 
+/**
+ * One level-@p level page-table page for @p owner: on @p hint_socket,
+ * else on the first other socket with room (Linux's fallback under
+ * node pressure), charged the page setup. The native backend's pages
+ * and the Mitosis backend's primary copies come from here.
+ *
+ * @return the page, or InvalidPfn when every socket is full.
+ */
+Pfn allocPtFrame(mem::PhysicalMemory &mem, ProcId owner, int level,
+                 SocketId hint_socket, KernelCost *cost);
+
 /** Stock, replication-free backend. */
 class NativeBackend : public PvOps
 {
@@ -41,9 +52,6 @@ class NativeBackend : public PvOps
                             std::uint64_t bits, KernelCost *cost) override;
 
     Pfn cr3For(const pt::RootSet &roots, SocketId socket) const override;
-
-    void onProcessMigrated(pt::RootSet &roots, ProcId owner, SocketId from,
-                           SocketId to, KernelCost *cost) override;
 
     const char *name() const override { return "native"; }
 

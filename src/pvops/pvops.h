@@ -186,13 +186,20 @@ class PvOps
     virtual Pfn cr3For(const pt::RootSet &roots, SocketId socket) const = 0;
 
     /**
-     * Notification that the process has been migrated between sockets.
-     * The native backend ignores it; the Mitosis backend migrates the
-     * page-tables per its policy (§5.5).
+     * Notification that the process has been migrated to socket @p to.
+     * The default — and the native backend, as stock kernels do (§3.2)
+     * — leaves the page-tables where they are; the Mitosis backend
+     * migrates them (§5.5).
      */
-    virtual void onProcessMigrated(pt::RootSet &roots, ProcId owner,
-                                   SocketId from, SocketId to,
-                                   KernelCost *cost) = 0;
+    virtual void
+    onProcessMigrated(pt::RootSet &roots, ProcId owner, SocketId to,
+                      KernelCost *cost)
+    {
+        (void)roots;
+        (void)owner;
+        (void)to;
+        (void)cost;
+    }
 
     /**
      * Notification that a thread of the process owning @p roots has

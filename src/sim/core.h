@@ -307,13 +307,19 @@ class Core
     /** Host telemetry: repeats absorbed by fused runs. */
     std::uint64_t fusedOps() const { return fusedOps_; }
 
-    /** OS hook for fault servicing; validity checked here, once. */
+    /**
+     * OS hook for fault servicing: bound once by the machine's kernel,
+     * unbound (null @p fn) when that kernel dies. Checked here, at the binding,
+     * not per fault: a core with no handler must not fault.
+     */
     void setFaultHandler(FaultHandler fn, void *ctx)
     {
-        MITOSIM_ASSERT(fn, "null fault handler registered");
+        MITOSIM_ASSERT(!fn || !faultFn_, "fault handler bound twice");
         faultFn_ = fn;
         faultCtx_ = ctx;
     }
+
+    bool hasFaultHandler() const { return faultFn_ != nullptr; }
 
     tlb::TwoLevelTlb &tlb() { return tlb_; }
     tlb::PagingStructureCache &pwc() { return pwc_; }

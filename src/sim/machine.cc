@@ -39,7 +39,6 @@ Machine::cloneStateFrom(const Machine &src)
 void
 Machine::setFaultHandler(FaultHandler fn, void *ctx)
 {
-    MITOSIM_ASSERT(fn, "null fault handler registered");
     for (auto &c : cores)
         c->setFaultHandler(fn, ctx);
 }

@@ -67,8 +67,14 @@ class Machine
     int numSockets() const { return topo.numSockets(); }
     Core &core(CoreId id);
 
-    /** Register the OS fault service routine (fanned out to all cores). */
+    /**
+     * Bind the OS fault service routine (fanned out to all cores), or
+     * unbind it with a null @p fn. One kernel per machine: os::Kernel
+     * binds in its constructor, which refuses a machine that already
+     * has a handler, and unbinds in its destructor.
+     */
     void setFaultHandler(FaultHandler fn, void *ctx);
+    bool hasFaultHandler() const { return cores.front()->hasFaultHandler(); }
 
     /**
      * Snapshot restore: adopt the complete hardware state of @p src —

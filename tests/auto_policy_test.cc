@@ -53,16 +53,10 @@ class AutoPolicyTest : public ::testing::Test
     os::Process &
     bigProcess(int sockets)
     {
-        return bigProcess(kernel, sockets);
-    }
-
-    static os::Process &
-    bigProcess(os::Kernel &k, int sockets)
-    {
-        os::Process &p = k.createProcess("p", 0);
-        k.mmap(p, 8ull << 20, os::MmapOptions{.populate = true});
+        os::Process &p = kernel.createProcess("p", 0);
+        kernel.mmap(p, 8ull << 20, os::MmapOptions{.populate = true});
         for (SocketId s = 0; s < sockets; ++s)
-            EXPECT_GE(k.spawnThreadOnSocket(p, s), 0);
+            EXPECT_GE(kernel.spawnThreadOnSocket(p, s), 0);
         return p;
     }
 
@@ -171,21 +165,6 @@ TEST_F(AutoPolicyTest, SingleSocketProcessNotReplicated)
               AutoPolicyAction::None);
     EXPECT_FALSE(p.roots().replicated());
     kernel.destroyProcess(p);
-}
-
-TEST_F(AutoPolicyTest, DisabledSystemPolicyBlocksEngine)
-{
-    // A kernel of its own on the fixture's machine; the fixture's kernel
-    // holds no process.
-    MitosisBackend off(machine.physmem(),
-                       MitosisConfig{.policy = SystemPolicy::Disabled});
-    os::Kernel k2(machine, off);
-    AutoPolicyEngine e2(off);
-    os::Process &p = bigProcess(k2, 4);
-    e2.sample(k2, p, window(0.5));
-    EXPECT_EQ(e2.sample(k2, p, window(0.5)), AutoPolicyAction::None);
-    EXPECT_FALSE(p.roots().replicated());
-    k2.destroyProcess(p);
 }
 
 TEST_F(AutoPolicyTest, EndToEndEnablesForTlbHostileWorkload)

@@ -547,9 +547,12 @@ TEST_F(CheckTest, UnknownCheckLevelIsFatal)
 
 TEST_F(CheckTest, KernelRunsCheckpointsWhenConfigured)
 {
+    // A machine of its own: the fixture's already has a kernel.
+    sim::Machine own(tinyNoEnvCheck());
+    pvops::NativeBackend own_native(own.physmem());
     os::KernelConfig kc;
     kc.check.enabled = true;
-    os::Kernel checked(machine, native, kc);
+    os::Kernel checked(own, own_native, kc);
     ASSERT_NE(checked.checker(), nullptr);
     os::Process &p = checked.createProcess("ok", 0);
     checked.mmap(p, 4 * PageSize, os::MmapOptions{.populate = true});

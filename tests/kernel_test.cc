@@ -90,6 +90,35 @@ TEST_F(KernelTest, DemandFaultThroughCoreAccess)
     kernel.destroyProcess(p);
 }
 
+/**
+ * One kernel per machine: a second kernel refuses to boot while the
+ * first lives (which keeps servicing faults); once the first is gone,
+ * a new kernel binds and services them.
+ */
+TEST(KernelBinding, OneKernelPerMachine)
+{
+    sim::Machine machine(sim::MachineConfig::tiny());
+    pvops::NativeBackend native(machine.physmem());
+    auto demand_fault = [](Kernel &k) {
+        Process &p = k.createProcess("test", 0);
+        auto region = k.mmap(p, PageSize, MmapOptions{});
+        ExecContext ctx(k, p);
+        int tid = ctx.addThread(0);
+        ctx.access(tid, region.start, true);
+        EXPECT_TRUE(k.ptOps().walk(p.roots(), region.start).mapped);
+        EXPECT_GT(ctx.threadCounters(tid).kernelCycles, 0u);
+        k.destroyProcess(p);
+    };
+    {
+        Kernel first(machine, native);
+        EXPECT_THROW({ Kernel second(machine, native); }, SimError);
+        demand_fault(first);
+    }
+    EXPECT_FALSE(machine.hasFaultHandler());
+    Kernel next(machine, native);
+    demand_fault(next);
+}
+
 TEST_F(KernelTest, SegfaultPanics)
 {
     Process &p = kernel.createProcess("test", 0);

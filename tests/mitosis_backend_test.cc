@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the Mitosis backend (§5): replica-set allocation, eager
  * propagation with semantic child fixup, A/D OR-reads, per-socket CR3,
- * replication mask lifecycle, and policy states (§6).
+ * and the replication mask lifecycle (§6).
  */
 
 #include <gtest/gtest.h>
@@ -106,26 +106,6 @@ class MitosisBackendTest : public ::testing::Test
     pt::PageTableOps ops;
     pt::RootSet roots;
     pt::PtPlacementPolicy policy;
-};
-
-/** A second process (pid 2) on a backend built with @p policy, over the
- *  fixture's memory. */
-struct PolicyRig
-{
-    PolicyRig(mem::PhysicalMemory &pm, SystemPolicy policy,
-              SocketId fixed_socket = 0)
-        : backend(pm, MitosisConfig{.policy = policy,
-                                    .fixedSocket = fixed_socket}),
-          ops(pm, backend)
-    {
-        EXPECT_TRUE(ops.createRoot(roots, 2, 0, nullptr));
-    }
-
-    ~PolicyRig() { ops.destroy(roots, nullptr); }
-
-    MitosisBackend backend;
-    pt::PageTableOps ops;
-    pt::RootSet roots;
 };
 
 TEST_F(MitosisBackendTest, UnreplicatedBehavesLikeNative)
@@ -313,36 +293,6 @@ TEST_F(MitosisBackendTest, ReplicatedAllocCreatesLinkedSets)
                           policy, 0, nullptr));
     // The leaf table allocated by this mapping has 4 linked replicas.
     auto res = ops.walk(roots, va);
-    EXPECT_EQ(pm.replicaCount(res.loc.ptPfn), 4);
-}
-
-TEST_F(MitosisBackendTest, DisabledPolicyRefusesMask)
-{
-    PolicyRig rig(pm, SystemPolicy::Disabled);
-    ASSERT_TRUE(rig.ops.map4K(rig.roots, 2, 0x100000000ull, dataFrame(0),
-                              pt::PteWrite, policy, 0, nullptr));
-    EXPECT_FALSE(
-        rig.backend.setReplicationMask(rig.roots, 2, SocketMask::all(4)));
-    EXPECT_FALSE(rig.roots.replicated());
-}
-
-TEST_F(MitosisBackendTest, FixedSocketPolicyForcesPtAllocations)
-{
-    PolicyRig rig(pm, SystemPolicy::FixedSocket, 3);
-    VirtAddr va = 0x400000000ull;
-    ASSERT_TRUE(rig.ops.map4K(rig.roots, 2, va, dataFrame(0), pt::PteWrite,
-                              policy, 0, nullptr));
-    auto res = rig.ops.walk(rig.roots, va);
-    EXPECT_EQ(pm.socketOf(res.loc.ptPfn), 3);
-}
-
-TEST_F(MitosisBackendTest, AllProcessesPolicyReplicatesNewTables)
-{
-    PolicyRig rig(pm, SystemPolicy::AllProcesses);
-    VirtAddr va = 0x500000000ull;
-    ASSERT_TRUE(rig.ops.map4K(rig.roots, 2, va, dataFrame(0), pt::PteWrite,
-                              policy, 0, nullptr));
-    auto res = rig.ops.walk(rig.roots, va);
     EXPECT_EQ(pm.replicaCount(res.loc.ptPfn), 4);
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for page-table migration (§5.5): replicate-to-target plus eager
- * or lazy release, the onProcessMigrated hook, and the end-to-end
+ * Tests for page-table migration (§5.5): replicate-to-target plus release
+ * of the source copies, the onProcessMigrated hook, and the end-to-end
  * kernel.migrateProcess path under the Mitosis backend.
  */
 
@@ -64,37 +64,6 @@ TEST_F(MigrationTest, MigratePageTablesMovesWholeTree)
             EXPECT_TRUE(kernel.ptOps().walk(p.roots(), va).mapped);
     }
     kernel.destroyProcess(p);
-}
-
-TEST_F(MigrationTest, LazyMigrationKeepsSourceAsReplica)
-{
-    MitosisConfig cfg;
-    cfg.eagerFreeOnMigration = false;
-    MitosisBackend lazy(machine.physmem(), cfg);
-    os::Kernel k2(machine, lazy);
-    os::Process &p = k2.createProcess("lazy", 0);
-    k2.mmap(p, 256 * PageSize, os::MmapOptions{.populate = true});
-    std::uint64_t on0 = ptPagesOn(0);
-
-    ASSERT_TRUE(lazy.migratePageTables(p.roots(), p.id(), 1));
-
-    // Both sockets now hold a full copy; the process is replicated.
-    EXPECT_EQ(ptPagesOn(0), on0);
-    EXPECT_EQ(ptPagesOn(1), on0);
-    EXPECT_TRUE(p.roots().replicated());
-    EXPECT_TRUE(p.roots().replicaMask.contains(0));
-    EXPECT_TRUE(p.roots().replicaMask.contains(1));
-
-    // Migrating back is cheap: the old tree is still consistent.
-    VirtAddr probe = p.vmas().begin()->second.start;
-    k2.ptOps().unmapRange(p.roots(), probe, probe + PageSize,
-                          [](VirtAddr, pt::Pte, PageSizeKind) {},
-                          nullptr); // mutate while lazy
-    ASSERT_TRUE(lazy.migratePageTables(p.roots(), p.id(), 0));
-    EXPECT_FALSE(k2.ptOps().walk(p.roots(), probe).mapped);
-    EXPECT_TRUE(
-        k2.ptOps().walk(p.roots(), probe + PageSize).mapped);
-    k2.destroyProcess(p);
 }
 
 TEST_F(MigrationTest, KernelMigrationTriggersPtMigrationViaHook)

@@ -315,10 +315,9 @@ TEST_F(SchedulerTest, MigrateParksTheDescheduledCore)
 /** §5.3: the first timeslice on a new socket builds the local replica. */
 TEST_F(SchedulerTest, ScheduleDrivenReplicaOnFirstTimeslice)
 {
-    core::MitosisConfig mcfg;
-    mcfg.policy = core::SystemPolicy::AllProcesses;
-    mcfg.scheduleDriven = true;
-    core::MitosisBackend mitosis(machine.physmem(), mcfg);
+    core::MitosisBackend mitosis(
+        machine.physmem(),
+        core::MitosisConfig{.policy = core::SystemPolicy::AllProcesses});
     Kernel kernel(machine, mitosis, timeSharedConfig(true));
 
     Process &p = kernel.createProcess("tenant", 0);
@@ -340,6 +339,30 @@ TEST_F(SchedulerTest, ScheduleDrivenReplicaOnFirstTimeslice)
     // Re-dispatching there does not replicate again.
     ctx.access(0, r.start + PageSize, false);
     EXPECT_EQ(mitosis.stats().scheduleReplications, 1u);
+    kernel.destroyProcess(p);
+}
+
+/**
+ * The same scenario under the default PerProcess policy: an opted-in
+ * process keeps the mask it set, wherever it is scheduled.
+ */
+TEST_F(SchedulerTest, PerProcessMaskIgnoresTheSchedule)
+{
+    core::MitosisBackend mitosis(machine.physmem());
+    Kernel kernel(machine, mitosis, timeSharedConfig(true));
+
+    Process &p = kernel.createProcess("tenant", 0);
+    auto r = kernel.mmap(p, 8 * PageSize, MmapOptions{.populate = true});
+    SocketMask home;
+    home.set(0);
+    ASSERT_TRUE(mitosis.setReplicationMask(p.roots(), p.id(), home));
+
+    ExecContext ctx(kernel, p);
+    ctx.addThread(1);
+    ctx.access(0, r.start, false);
+
+    EXPECT_EQ(p.roots().replicaMask, home);
+    EXPECT_EQ(mitosis.stats().scheduleReplications, 0u);
     kernel.destroyProcess(p);
 }
 
