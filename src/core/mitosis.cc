@@ -195,6 +195,8 @@ MitosisBackend::writePrimaryEntries(pt::PteLoc loc, const pt::Pte *values,
     for (unsigned k = 0; k < count; ++k)
         primary[k] = localizedValue(loc.ptPfn, values[k], level).raw();
     if (cost) {
+        bool batched = cfg.updateMode == UpdateMode::Batched;
+        cost->charge(batched ? IndirectionCost : IndirectionCost * count);
         cost->charge(pvops::PteWriteCost * count);
         cost->pteWrites += count;
     }
@@ -207,9 +209,6 @@ MitosisBackend::setPtes(pt::RootSet &roots, pt::PteLoc loc,
 {
     (void)roots;
     bool batched = cfg.updateMode == UpdateMode::Batched;
-    if (cost)
-        cost->charge(batched ? IndirectionCost : IndirectionCost * count);
-
     writePrimaryEntries(loc, values, count, level, cost);
 
     // Eager propagation along the circular list (Figure 8): one ring

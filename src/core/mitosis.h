@@ -263,7 +263,12 @@ class MitosisBackend : public pvops::PvOps
      */
     pt::Pte localizedValue(Pfn table, pt::Pte value, int level) const;
 
-    /** Primary store of @p values[0..count) at @p loc, localized. */
+    /**
+     * Primary store of @p values[0..count) at @p loc, localized,
+     * charging the page-meta indirection (per entry, or once per call
+     * under UpdateMode::Batched) and the stores. Every setPtes of a
+     * Mitosis backend, eager or lazy, calls it once.
+     */
     void writePrimaryEntries(pt::PteLoc loc, const pt::Pte *values,
                              unsigned count, int level,
                              pvops::KernelCost *cost);

@@ -305,8 +305,10 @@ class PhysicalMemory
      * Page-table structure epoch: bumped by every allocPt, freePt,
      * linkReplica, unlinkReplica and cloneStateFrom. While it is
      * unchanged no PT frame was created or freed and no replica ring
-     * changed, which is what lets PageTableOps::map4K reuse a
-     * remembered descent.
+     * changed, so a remembered primary path names live, unreplicated
+     * tables. A store that rewrites an entry in place does not bump
+     * it: PageTableOps::map4K's leaf cursor re-reads each link of a
+     * remembered path before it reuses it.
      */
     std::uint64_t ptEpoch() const { return ptEpoch_; }
 

@@ -39,7 +39,8 @@ AutoNuma::scan(Process &proc, double fraction, Rng &rng)
 
     pvops::KernelCost cost;
     for (VirtAddr va : sampled) {
-        k.ptOps().protect(proc.roots(), va, pt::PteNumaHint, 0, &cost);
+        k.ptOps().protectRange(proc.roots(), va, va + PageSize,
+                               pt::PteNumaHint, 0, {}, &cost);
         k.shootdown(proc, va, &cost);
         ++stats_.hintsPlaced;
     }
@@ -60,7 +61,9 @@ AutoNuma::onHintFault(Process &proc, CoreId core, VirtAddr va)
     }
 
     // Clear the hint so the retry proceeds.
-    ops.protect(proc.roots(), va, 0, pt::PteNumaHint, &cost);
+    VirtAddr page = alignDown(va, PageSize);
+    ops.protectRange(proc.roots(), page, page + PageSize, 0,
+                     pt::PteNumaHint, {}, &cost);
     k.shootdown(proc, va, &cost);
 
     // Migrate the *data* page towards the accessor if it is remote.

@@ -11,6 +11,18 @@ namespace mitosim::os
 
 using pvops::KernelCost;
 
+namespace
+{
+
+/** Leaf flags of a page mapped under @p vma (PteUser, PteWrite). */
+std::uint64_t
+leafFlags(const Vma &vma)
+{
+    return vma.prot & ProtWrite ? pt::PteUser | pt::PteWrite : pt::PteUser;
+}
+
+} // namespace
+
 Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend)
     : Kernel(machine, backend, KernelConfig{})
 {
@@ -18,8 +30,8 @@ Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend)
 
 Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend,
                const KernelConfig &config)
-    : mach(machine), pv(&backend), ops(machine.physmem(), backend),
-      autonuma(*this), sched(machine, config.sched),
+    : mach(machine), ops(machine.physmem(), backend), autonuma(*this),
+      sched(machine, backend, config.sched),
       thpMgr(*this, config.thp)
 {
     if (mach.hasFaultHandler())
@@ -38,7 +50,6 @@ Kernel::Kernel(sim::Machine &machine, pvops::PvOps &backend,
         &mr.counter("kernel_populate_pages", {{"path", "stream"}});
     mPopulateFault = &mr.counter("kernel_populate_pages", {{"path", "fault"}});
 
-    sched.attachBackend(backend);
     mach.setFaultHandler(
         [](void *ctx, CoreId core, const sim::FaultRequest &req) {
             return static_cast<Kernel *>(ctx)->handleFault(core, req);
@@ -226,31 +237,41 @@ Kernel::mmapFixed(Process &proc, VirtAddr start, std::uint64_t length,
     return Region{start, rounded};
 }
 
+// Inline: it sits on the demand-fault path, where an out-of-line call
+// measured slower (EXPERIMENTS.md, "One entry point per job").
+inline std::optional<Pfn>
+Kernel::allocDataPage(Process &proc, VirtAddr va, SocketId faulting_socket,
+                      KernelCost &cost)
+{
+    auto &physmem = mach.physmem();
+    SocketId target = chooseDataSocket(proc, va, faulting_socket, false);
+    auto pfn = physmem.allocData(target, proc.id());
+    if (!pfn)
+        pfn = physmem.allocDataAny(target, proc.id());
+    if (pfn)
+        cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
+    return pfn;
+}
+
 void
 Kernel::populateVmaRange(Process &proc, const Vma &vma, VirtAddr start,
                          VirtAddr end, CoreId core, KernelCost &cost)
 {
     // 4 KB pages go through the leaf-table cursor: one descent per
     // table instead of three per page, with the mapping streamed
-    // through the backend's batched hook. The fill reproduces faultIn's
-    // 4 KB branch (charges, data frame before missing tables, counters).
+    // through the backend's batched hook. The fill is faultIn's 4 KB
+    // branch: the fault charge, then allocDataPage, then the counter;
+    // mapRange4K allocates any missing table after the data frame.
     SocketId faulting_socket = mach.topology().socketOfCore(core);
-    auto &physmem = mach.physmem();
-    std::uint64_t flags = pt::PteUser;
-    if (vma.prot & ProtWrite)
-        flags |= pt::PteWrite;
+    std::uint64_t flags = leafFlags(vma) | pt::PtePresent;
     const std::function<pt::Pte(VirtAddr)> fill = [&](VirtAddr va) {
         cost.charge(pvops::FaultFixedCost);
-        SocketId target = chooseDataSocket(proc, va, faulting_socket, false);
-        auto pfn = physmem.allocData(target, proc.id());
-        if (!pfn)
-            pfn = physmem.allocDataAny(target, proc.id());
+        auto pfn = allocDataPage(proc, va, faulting_socket, cost);
         if (!pfn)
             fatal("populate: out of memory at va=0x%llx",
                   (unsigned long long)va);
-        cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
         ++proc.residentPages;
-        return pt::Pte::make(*pfn, flags | pt::PtePresent);
+        return pt::Pte::make(*pfn, flags);
     };
     auto stream = [&](VirtAddr from, VirtAddr to) {
         mPopulateStream->inc(ops.mapRange4K(proc.roots(), proc.id(), from,
@@ -296,25 +317,11 @@ Kernel::populate(Process &proc, VirtAddr start, std::uint64_t length,
     KernelCost &c = cost ? *cost : local;
     VirtAddr end = start + length;
 
-    // A VMA-less gap is tolerated only if fully mapped (e.g. by hand
-    // through ptOps), as the per-page path would have skipped it; the
-    // first unmapped page in it is a segfault, as it was for faultIn.
-    auto checkGapMapped = [&](VirtAddr from, VirtAddr to) {
-        VirtAddr expect = from;
-        ops.forRange(proc.roots(), from, to,
-                     [&](VirtAddr va, pt::PteLoc, pt::Pte,
-                         PageSizeKind size) {
-                         if (std::max(va, from) > expect)
-                             return; // keep the *first* hole
-                         VirtAddr span =
-                             size == PageSizeKind::Large2M
-                                 ? LargePageSize
-                                 : PageSize;
-                         expect = std::max(expect, va + span);
-                     });
-        if (expect < to)
-            panic("segfault: pid %d touched unmapped va=0x%llx",
-                  proc.id(), (unsigned long long)expect);
+    // Touching a page no VMA covers is a segfault, as it is for
+    // faultIn: populate stops at the first page of such a gap.
+    auto segfault = [&](VirtAddr va) {
+        panic("segfault: pid %d touched unmapped va=0x%llx", proc.id(),
+              (unsigned long long)va);
     };
 
     // Collect the VMA-covered subranges first (populate never mutates
@@ -334,12 +341,12 @@ Kernel::populate(Process &proc, VirtAddr start, std::uint64_t length,
     VirtAddr at = start;
     for (const Segment &seg : segments) {
         if (at < seg.start)
-            checkGapMapped(at, seg.start);
+            segfault(at);
         populateVmaRange(proc, *seg.vma, seg.start, seg.end, core, c);
         at = seg.end;
     }
     if (at < end)
-        checkGapMapped(at, end);
+        segfault(at);
     checkpoint("populate");
 }
 
@@ -531,8 +538,8 @@ Kernel::migrateProcess(Process &proc, SocketId target, bool migrate_data,
             pt::WalkResult cur = ops.walk(proc.roots(), it.va);
             MITOSIM_ASSERT(cur.mapped);
             int level = (it.size == PageSizeKind::Large2M) ? 2 : 1;
-            pv->setPte(proc.roots(), cur.loc, cur.leaf.withPfn(*fresh),
-                       level, cost);
+            backend().setPte(proc.roots(), cur.loc,
+                             cur.leaf.withPfn(*fresh), level, cost);
             if (cost) {
                 std::uint64_t frames =
                     (it.size == PageSizeKind::Large2M) ? FramesPerLargePage
@@ -543,7 +550,7 @@ Kernel::migrateProcess(Process &proc, SocketId target, bool migrate_data,
     }
 
     // Tell the backend (Mitosis migrates the page-tables here, §5.5).
-    pv->onProcessMigrated(proc.roots(), proc.id(), target, cost);
+    backend().onProcessMigrated(proc.roots(), proc.id(), target, cost);
 
     // Fresh CR3 on the new cores (full flush on the old ones is implicit:
     // nothing runs there any more).
@@ -561,7 +568,7 @@ Kernel::reloadContexts(Process &proc)
         // Pinned: each thread owns its core; flush-all load, as seeded.
         for (const auto &t : proc.threads()) {
             SocketId s = mach.topology().socketOfCore(t.core);
-            mach.core(t.core).loadCr3(pv->cr3For(proc.roots(), s),
+            mach.core(t.core).loadCr3(backend().cr3For(proc.roots(), s),
                                       proc.asid, false);
         }
         return;
@@ -577,7 +584,7 @@ Kernel::reloadContexts(Process &proc)
     flushProcess(proc, nullptr);
     for (CoreId c : sched.residentCores(proc)) {
         SocketId s = mach.topology().socketOfCore(c);
-        mach.core(c).loadCr3(pv->cr3For(proc.roots(), s), proc.asid,
+        mach.core(c).loadCr3(backend().cr3For(proc.roots(), s), proc.asid,
                              sched.config().pcid);
     }
 }
@@ -713,7 +720,7 @@ Kernel::hugeFits(const Process &proc, const Vma &vma, VirtAddr va) const
     if (!vma.thpEnabled || huge_base < vma.start ||
         huge_base + LargePageSize > vma.end)
         return false;
-    Pfn dir = ops.tableFor(proc.roots(), huge_base, 2);
+    Pfn dir = ops.descend(proc.roots(), huge_base, 2);
     return dir == InvalidPfn ||
            !pt::Pte{mach.physmem().tableView(
                         dir)[ptIndex(huge_base, PtLevel::L2)]}
@@ -735,9 +742,7 @@ Kernel::faultIn(Process &proc, CoreId core, VirtAddr va, KernelCost &cost,
     SocketId faulting_socket = mach.topology().socketOfCore(core);
     auto &physmem = mach.physmem();
 
-    std::uint64_t flags = pt::PteUser;
-    if (vma->prot & ProtWrite)
-        flags |= pt::PteWrite;
+    std::uint64_t flags = leafFlags(*vma);
 
     // THP path: map a whole 2 MB page when one fits (falls back under
     // fragmentation, the Figure 11 effect).
@@ -761,13 +766,9 @@ Kernel::faultIn(Process &proc, CoreId core, VirtAddr va, KernelCost &cost,
         // Fall through to a 4 KB mapping.
     }
 
-    SocketId target = chooseDataSocket(proc, va, faulting_socket, false);
-    auto pfn = physmem.allocData(target, proc.id());
-    if (!pfn)
-        pfn = physmem.allocDataAny(target, proc.id());
+    auto pfn = allocDataPage(proc, va, faulting_socket, cost);
     if (!pfn)
         return false;
-    cost.charge(pvops::PageAllocCost + pvops::PageZeroCost);
     VirtAddr page_va = alignDown(va, PageSize);
     if (!ops.map4K(proc.roots(), proc.id(), page_va, *pfn, flags,
                    proc.ptPolicy, faulting_socket, &cost)) {
@@ -803,8 +804,8 @@ Kernel::handleFault(CoreId core, const sim::FaultRequest &req)
     switch (req.kind) {
       case sim::WalkFault::NotPresent:
         mFaultNotPresent->inc();
-        if (pv->onTranslationFault(proc->roots(), fault_socket, req.va,
-                                   &cost)) {
+        if (backend().onTranslationFault(proc->roots(), fault_socket,
+                                         req.va, &cost)) {
             if (chk)
                 chk->noteFaultCharge(check::FaultCharge::LazyDrain,
                                      cost.cycles);
@@ -827,8 +828,8 @@ Kernel::handleFault(CoreId core, const sim::FaultRequest &req)
 
       case sim::WalkFault::Protection: {
         mFaultProtection->inc();
-        if (pv->onTranslationFault(proc->roots(), fault_socket, req.va,
-                                   &cost)) {
+        if (backend().onTranslationFault(proc->roots(), fault_socket,
+                                         req.va, &cost)) {
             if (chk)
                 chk->noteFaultCharge(check::FaultCharge::LazyDrain,
                                      cost.cycles);
@@ -841,7 +842,9 @@ Kernel::handleFault(CoreId core, const sim::FaultRequest &req)
         // VMA allows writing but the PTE lagged (e.g. after mprotect
         // round-trip): upgrade the leaf.
         cost.charge(pvops::FaultFixedCost);
-        ops.protect(proc->roots(), req.va, pt::PteWrite, 0, &cost);
+        VirtAddr page = alignDown(req.va, PageSize);
+        ops.protectRange(proc->roots(), page, page + PageSize, pt::PteWrite,
+                         0, {}, &cost);
         shootdown(*proc, req.va, &cost);
         if (chk)
             chk->noteFaultCharge(check::FaultCharge::Upgrade,

@@ -14,6 +14,7 @@
 #define MITOSIM_OS_KERNEL_H
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -308,7 +309,7 @@ class Kernel
     /// @name Internals exposed for the Mitosis manager and analysis
     /// @{
     pt::PageTableOps &ptOps() { return ops; }
-    pvops::PvOps &backend() { return *pv; }
+    pvops::PvOps &backend() { return ops.backend(); }
     sim::Machine &machine() { return mach; }
     AutoNuma &autoNuma() { return autonuma; }
 
@@ -367,6 +368,17 @@ class Kernel
     SocketId chooseDataSocket(Process &proc, VirtAddr va,
                               SocketId faulting_socket, bool large);
 
+    /**
+     * Allocate the 4 KB data page a fault at @p va maps: on the data
+     * policy's socket, else on any socket. Charges the allocation and
+     * the zeroing. Shared by faultIn's 4 KB branch and populate's
+     * stream, so the two allocate and charge alike.
+     * @return the frame, or nothing when memory is exhausted.
+     */
+    std::optional<Pfn> allocDataPage(Process &proc, VirtAddr va,
+                                     SocketId faulting_socket,
+                                     pvops::KernelCost &cost);
+
     /** Free the data frame behind a leaf (4 KB or 2 MB). */
     void freeLeafData(pt::Pte leaf, PageSizeKind size);
 
@@ -408,7 +420,6 @@ class Kernel
     }
 
     sim::Machine &mach;
-    pvops::PvOps *pv;
     pt::PageTableOps ops;
     AutoNuma autonuma;
     Scheduler sched;

@@ -8,8 +8,9 @@
 namespace mitosim::os
 {
 
-Scheduler::Scheduler(sim::Machine &machine, const SchedulerConfig &config)
-    : mach(machine), cfg(config),
+Scheduler::Scheduler(sim::Machine &machine, pvops::PvOps &backend,
+                     const SchedulerConfig &config)
+    : mach(machine), cfg(config), pv(backend),
       cores(static_cast<std::size_t>(machine.numCores())),
       asidGen(static_cast<std::size_t>(std::max(2, config.maxAsids)), 0)
 {
@@ -106,7 +107,7 @@ Scheduler::admitThread(Process &proc, int tid)
     // exactly the seed's CR3 semantics).
     cs.resident = ThreadRef{proc.id(), tid};
     SocketId socket = mach.topology().socketOfCore(t.core);
-    mach.core(t.core).loadCr3(pv->cr3For(proc.roots(), socket), proc.asid,
+    mach.core(t.core).loadCr3(pv.cr3For(proc.roots(), socket), proc.asid,
                               false);
 }
 
@@ -272,10 +273,10 @@ Scheduler::dispatch(Process &proc, int tid, sim::PerfCounters &pc)
     // §5.3: first timeslice on a new socket builds the local replica.
     SocketId socket = mach.topology().socketOfCore(core);
     pvops::KernelCost kc;
-    pv->onThreadScheduled(proc.roots(), proc.id(), socket, &kc);
+    pv.onThreadScheduled(proc.roots(), proc.id(), socket, &kc);
     cost += kc.cycles;
 
-    Pfn root = pv->cr3For(proc.roots(), socket);
+    Pfn root = pv.cr3For(proc.roots(), socket);
     sim::Core &hw = mach.core(core);
     if (!cfg.pcid) {
         cost += hw.loadCr3(root, proc.asid, false); // flush everything

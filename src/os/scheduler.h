@@ -80,10 +80,12 @@ struct SchedulerConfig
 class Scheduler
 {
   public:
-    Scheduler(sim::Machine &machine, const SchedulerConfig &config);
-
-    /** Late-bound: the Kernel's PV-Ops backend (CR3 values, §5.3 hook). */
-    void attachBackend(pvops::PvOps &backend) { pv = &backend; }
+    /**
+     * Run @p machine's cores over the Kernel's PV-Ops @p backend, which
+     * supplies the CR3 values and the §5.3 onThreadScheduled hook.
+     */
+    Scheduler(sim::Machine &machine, pvops::PvOps &backend,
+              const SchedulerConfig &config);
 
     /**
      * Invoked after every real (cross-address-space) context switch,
@@ -233,7 +235,7 @@ class Scheduler
 
     sim::Machine &mach;
     SchedulerConfig cfg;
-    pvops::PvOps *pv = nullptr;
+    pvops::PvOps &pv;
     std::function<void()> dispatchHook;
     std::vector<CoreState> cores;
     std::vector<std::uint64_t> asidGen; //!< generation per ASID

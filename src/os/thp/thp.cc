@@ -72,7 +72,7 @@ ThpManager::collapseAt(Process &proc, VirtAddr va2m, KernelCost *cost)
     // The collapse target is the socket holding the most resident
     // frames (Linux's find_target_node); minority frames migrate
     // there as a side effect of the copy.
-    Pfn leaf_table = ops.tableFor(proc.roots(), va2m, 1);
+    Pfn leaf_table = ops.descend(proc.roots(), va2m, 1);
     if (leaf_table == InvalidPfn)
         return false; // no leaf table (vacant range, or already huge)
     const std::uint64_t *tbl = physmem.tableView(leaf_table);

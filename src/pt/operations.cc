@@ -75,21 +75,34 @@ PageTableOps::descendAlloc(RootSet &roots, ProcId owner, VirtAddr va,
     return table;
 }
 
-Pfn
-PageTableOps::descend(const RootSet &roots, VirtAddr va,
-                      int target_level) const
+PageTableOps::PrimaryPath
+PageTableOps::primaryPath(const RootSet &roots, VirtAddr va,
+                          int stop_level) const
 {
-    if (roots.primaryRoot == InvalidPfn)
-        return InvalidPfn;
+    PrimaryPath path;
+    path.va = va;
     Pfn table = roots.primaryRoot;
-    for (int level = 4; level > target_level; --level) {
-        unsigned idx = ptIndex(va, ptLevel(level));
-        Pte entry{mem.tableView(table)[idx]};
-        if (!entry.present() || entry.huge())
-            return InvalidPfn;
-        table = entry.pfn();
+    if (table == InvalidPfn)
+        return path;
+    for (int level = 4;; --level) {
+        path.table[4 - level] = table;
+        path.level = level;
+        path.entry = Pte{mem.tableView(table)[ptIndex(va, ptLevel(level))]};
+        if (!path.entry.present() || isLeafAt(path.entry, level))
+            return path;
+        table = path.entry.pfn();
+        if (level == stop_level) {
+            path.table[5 - level] = table; // reached, not read
+            return path;
+        }
     }
-    return table;
+}
+
+Pfn
+PageTableOps::descend(const RootSet &roots, VirtAddr va, int level) const
+{
+    MITOSIM_ASSERT(level >= 1 && level <= 3, "descend: level out of range");
+    return primaryPath(roots, va, level + 1).table[4 - level];
 }
 
 Pfn
@@ -102,7 +115,10 @@ PageTableOps::cursorLeaf(const RootSet &roots, VirtAddr va,
         return InvalidPfn;
     // An unchanged epoch already rules out a path table being freed,
     // reused or replicated; re-reading the path entries (raw, like
-    // walk()) also catches a rewrite of an entry in place.
+    // walk()) also catches a rewrite of an entry in place. This checks
+    // known links rather than descending through primaryPath: the
+    // three reads do not wait on one another, and the descent measured
+    // slower (EXPERIMENTS.md, "One entry point per job").
     for (int level = 4; level >= 2; --level) {
         Pte entry{mem.tableView(c.path[4 - level])[ptIndex(
             va, ptLevel(level))]};
@@ -122,22 +138,16 @@ PageTableOps::rememberDescent(const RootSet &roots, VirtAddr va, Pfn leaf,
                               Cycles cycles)
 {
     const mem::PhysicalMemory &pm = mem;
-    LeafCursor c;
-    c.path[0] = roots.primaryRoot;
-    for (int level = 4; level >= 2; --level) {
-        Pfn table = c.path[4 - level];
-        // A replicated table's readPte also ORs A/D bits across its
-        // ring and counts adMergedReads: not reproducible from cycles.
-        if (pm.meta(table).replicaNext != table)
+    PrimaryPath path = primaryPath(roots, va, 2);
+    MITOSIM_ASSERT(path.table[3] == leaf, "rememberDescent: path mismatch");
+    // A replicated table's readPte also ORs A/D bits across its ring
+    // and counts adMergedReads: not reproducible from cycles.
+    for (int i = 0; i < 3; ++i) {
+        if (pm.meta(path.table[i]).replicaNext != path.table[i])
             return;
-        c.path[5 - level] =
-            Pte{pm.tableView(table)[ptIndex(va, ptLevel(level))]}.pfn();
     }
-    MITOSIM_ASSERT(c.path[3] == leaf, "rememberDescent: path mismatch");
-    c.region = va >> LargePageShift;
-    c.epoch = pm.ptEpoch();
-    c.readCycles = cycles;
-    cursor_ = c;
+    cursor_ = LeafCursor{path.table, va >> LargePageShift, pm.ptEpoch(),
+                         cycles};
 }
 
 bool
@@ -187,48 +197,16 @@ PageTableOps::map2M(RootSet &roots, ProcId owner, VirtAddr va, Pfn head_pfn,
 WalkResult
 PageTableOps::walk(const RootSet &roots, VirtAddr va) const
 {
+    PrimaryPath path = primaryPath(roots, va, 1);
     WalkResult res;
-    if (roots.primaryRoot == InvalidPfn)
+    if (!isLeafAt(path.entry, path.level))
         return res;
-    Pfn table = roots.primaryRoot;
-    for (int level = 4; level >= 1; --level) {
-        unsigned idx = ptIndex(va, ptLevel(level));
-        Pte entry{mem.tableView(table)[idx]};
-        ++res.depth;
-        if (!entry.present())
-            return res;
-        if (level == 2 && entry.huge()) {
-            res.mapped = true;
-            res.leaf = entry;
-            res.loc = PteLoc{table, idx};
-            res.size = PageSizeKind::Large2M;
-            return res;
-        }
-        if (level == 1) {
-            res.mapped = true;
-            res.leaf = entry;
-            res.loc = PteLoc{table, idx};
-            res.size = PageSizeKind::Base4K;
-            return res;
-        }
-        table = entry.pfn();
-    }
+    res.mapped = true;
+    res.leaf = path.entry;
+    res.loc = path.slot(path.level);
+    res.size = path.level == 1 ? PageSizeKind::Base4K
+                               : PageSizeKind::Large2M;
     return res;
-}
-
-bool
-PageTableOps::protect(RootSet &roots, VirtAddr va, std::uint64_t set_flags,
-                      std::uint64_t clear_flags, pvops::KernelCost *cost)
-{
-    WalkResult res = walk(roots, va);
-    if (!res.mapped)
-        return false;
-    int level = (res.size == PageSizeKind::Large2M) ? 2 : 1;
-    // Read-modify-write through the hook interface.
-    Pte cur = pv.readPte(roots, res.loc, cost);
-    Pte updated = cur.withFlags(set_flags, clear_flags);
-    pv.setPte(roots, res.loc, updated, level, cost);
-    return true;
 }
 
 void
@@ -260,28 +238,6 @@ PageTableOps::forEachLeafRun(
     }
 }
 
-void
-PageTableOps::forRange(
-    const RootSet &roots, VirtAddr start, VirtAddr end,
-    const std::function<void(VirtAddr, PteLoc, Pte, PageSizeKind)> &fn)
-    const
-{
-    if (roots.primaryRoot == InvalidPfn || start >= end)
-        return;
-    forEachLeafRun(
-        roots.primaryRoot, 4, 0, start, end,
-        [&](Pfn table, int level, VirtAddr base, unsigned first,
-            unsigned n) {
-            const std::uint64_t *tbl = mem.tableView(table);
-            std::uint64_t span = bytesPerEntry(ptLevel(level));
-            for (unsigned k = first; k < first + n; ++k) {
-                fn(base + k * span, PteLoc{table, k}, Pte{tbl[k]},
-                   level == 1 ? PageSizeKind::Base4K
-                              : PageSizeKind::Large2M);
-            }
-        });
-}
-
 std::uint64_t
 PageTableOps::mapRange4K(RootSet &roots, ProcId owner, VirtAddr start,
                          VirtAddr end, PtPlacementPolicy &pt_policy,
@@ -303,31 +259,17 @@ PageTableOps::mapRange4K(RootSet &roots, ProcId owner, VirtAddr start,
         // slots are shared by every page of the chunk and are re-read
         // through the backend per mapped page below, reproducing the
         // per-page descendAlloc charges.
-        PteLoc path[3];
-        Pfn leaf_table = InvalidPfn;
-        int missing_level = 0; //!< levels missing_level..1 need tables
-        bool huge = false;
-        Pfn table = roots.primaryRoot;
-        for (int level = 4; level >= 2; --level) {
-            unsigned idx = ptIndex(va, ptLevel(level));
-            path[4 - level] = PteLoc{table, idx};
-            Pte entry{mem.tableView(table)[idx]};
-            if (!entry.present()) {
-                missing_level = level - 1;
-                break;
-            }
-            if (level == 2 && entry.huge()) {
-                huge = true;
-                break;
-            }
-            table = entry.pfn();
-        }
-        if (huge) {
+        PrimaryPath descent = primaryPath(roots, va, 2);
+        if (isLeafAt(descent.entry, descent.level)) {
             va = chunk_end; // whole chunk mapped by a 2 MB leaf
             continue;
         }
-        if (!missing_level)
-            leaf_table = table;
+        PteLoc path[3];
+        for (int level = 4; level >= descent.level; --level)
+            path[4 - level] = descent.slot(level);
+        Pfn leaf_table = descent.table[3];
+        // Levels missing_level..1 need tables (none if leaf_table).
+        int missing_level = descent.entry.present() ? 0 : descent.level - 1;
 
         unsigned run_start = 0;
         unsigned run_len = 0;
@@ -469,12 +411,6 @@ PageTableOps::protectRange(
     return rewritten;
 }
 
-Pfn
-PageTableOps::tableFor(const RootSet &roots, VirtAddr va, int level) const
-{
-    return descend(roots, va, level);
-}
-
 bool
 PageTableOps::collapse2M(RootSet &roots, VirtAddr va, Pte huge,
                          pvops::KernelCost *cost)
@@ -483,15 +419,10 @@ PageTableOps::collapse2M(RootSet &roots, VirtAddr va, Pte huge,
                    "collapse2M: va not 2MB aligned");
     MITOSIM_ASSERT(huge.present() && huge.huge(),
                    "collapse2M: replacement is not a huge leaf");
-    Pfn dir_table = descend(roots, va, 2);
-    if (dir_table == InvalidPfn)
-        return false;
-    unsigned idx = ptIndex(va, PtLevel::L2);
-    Pte entry{mem.tableView(dir_table)[idx]};
-    if (!entry.present() || entry.huge())
+    PrimaryPath path = primaryPath(roots, va, 2);
+    if (path.table[3] == InvalidPfn)
         return false; // nothing to collapse (hole, or already huge)
-    pv.collapseRange(roots, PteLoc{dir_table, idx}, huge, entry.pfn(),
-                     cost);
+    pv.collapseRange(roots, path.slot(2), huge, path.table[3], cost);
     return true;
 }
 
@@ -500,14 +431,10 @@ PageTableOps::split2M(RootSet &roots, ProcId owner, VirtAddr va,
                       PtPlacementPolicy &pt_policy,
                       SocketId faulting_socket, pvops::KernelCost *cost)
 {
-    VirtAddr base = alignDown(va, LargePageSize);
-    Pfn dir_table = descend(roots, base, 2);
-    if (dir_table == InvalidPfn)
-        return false;
-    unsigned idx = ptIndex(base, PtLevel::L2);
-    Pte huge{mem.tableView(dir_table)[idx]};
-    if (!huge.present() || !huge.huge())
-        return false;
+    PrimaryPath path = primaryPath(roots, alignDown(va, LargePageSize), 2);
+    if (!isLeafAt(path.entry, path.level))
+        return false; // no huge leaf here
+    Pte huge = path.entry;
 
     std::uint64_t flags = huge.raw() & ~PtePfnMask &
                           ~static_cast<std::uint64_t>(PteHuge);
@@ -518,20 +445,8 @@ PageTableOps::split2M(RootSet &roots, ProcId owner, VirtAddr va,
     SocketId target =
         pt_policy.chooseSocket(faulting_socket,
                                mem.topology().numSockets());
-    return pv.splitHuge(roots, owner, PteLoc{dir_table, idx},
-                        values.data(), target, cost);
-}
-
-bool
-PageTableOps::clearAccessedDirty(RootSet &roots, VirtAddr va,
-                                 std::uint64_t bits,
-                                 pvops::KernelCost *cost)
-{
-    WalkResult res = walk(roots, va);
-    if (!res.mapped)
-        return false;
-    pv.clearAccessedDirty(roots, res.loc, bits, cost);
-    return true;
+    return pv.splitHuge(roots, owner, path.slot(2), values.data(), target,
+                        cost);
 }
 
 void

@@ -5,8 +5,9 @@
  * This is the kernel-side view of the radix tree. All mutation goes
  * through the PV-Ops backend so that replication is transparent to the
  * callers (the OS layer), exactly as in the paper's Linux implementation.
- * Reads used for tree navigation go through readPte() as well, which is
- * how the Mitosis backend guarantees OR-ed Accessed/Dirty bits.
+ * Every charged read goes through the backend's readPte as well, which
+ * is how the Mitosis backend guarantees OR-ed Accessed/Dirty bits; the
+ * uncharged lookups (walk, descend) read the primary copy raw.
  */
 
 #ifndef MITOSIM_PT_OPERATIONS_H
@@ -62,10 +63,9 @@ forEachTableUnder(const mem::PhysicalMemory &mem, Pfn root, Fn &&fn)
 struct WalkResult
 {
     bool mapped = false;       //!< leaf present
-    Pte leaf;                  //!< leaf entry value (possibly OR-ed A/D)
+    Pte leaf;                  //!< the primary copy's leaf, read raw
     PteLoc loc;                //!< where the leaf lives (primary tree)
     PageSizeKind size = PageSizeKind::Base4K;
-    int depth = 0;             //!< levels traversed (diagnostics)
 };
 
 /** The default PageTableOps::forEachLeaf subtree predicate: all. */
@@ -108,7 +108,13 @@ struct PtPlacementPolicy
 };
 
 /**
- * Page-table operations bound to a physical memory and a PV-Ops backend.
+ * Page-table operations bound to a physical memory and a PV-Ops backend:
+ * one entry point per job. Mapping is map4K (the demand fault), map2M
+ * and mapRange4K (populate); rewriting is unmapRange and protectRange,
+ * whose one-page form is the range over that page; reading is walk,
+ * descend, forEachLeaf and forEachTable. Every uncharged descent of
+ * the primary tree is one loop (primaryPath).
+ *
  * All per-process state lives in RootSet. The one piece of state kept
  * here is map4K's leaf-table cursor: a memo of the last full descent,
  * re-validated on every use, that never changes what an operation
@@ -176,15 +182,11 @@ class PageTableOps
     WalkResult walk(const RootSet &roots, VirtAddr va) const;
 
     /**
-     * Rewrite the leaf flags at @p va: set @p set_flags, clear
-     * @p clear_flags. Returns false if @p va is unmapped.
+     * Primary-tree table holding @p va's entry at @p level (1 to 3),
+     * or InvalidPfn when the path is missing (or covered by a huge
+     * leaf above @p level). Raw and uncharged, like walk().
      */
-    bool protect(RootSet &roots, VirtAddr va, std::uint64_t set_flags,
-                 std::uint64_t clear_flags, pvops::KernelCost *cost);
-
-    /** Clear A/D bits at @p va across all replicas. */
-    bool clearAccessedDirty(RootSet &roots, VirtAddr va, std::uint64_t bits,
-                            pvops::KernelCost *cost);
+    Pfn descend(const RootSet &roots, VirtAddr va, int level) const;
 
     /// @name Range operations
     /// @{
@@ -199,15 +201,6 @@ class PageTableOps
     /// per-PTE charges) so that all reported metrics are unchanged;
     /// only host wall-clock improves. See EXPERIMENTS.md
     /// ("Range-based address-space operations").
-
-    /**
-     * Visit every present leaf whose entry intersects [start, end),
-     * in address order. Descends once per table (raw reads, uncharged,
-     * like walk()).
-     */
-    void forRange(const RootSet &roots, VirtAddr start, VirtAddr end,
-                  const std::function<void(VirtAddr, PteLoc, Pte,
-                                           PageSizeKind)> &fn) const;
 
     /**
      * Map every *unmapped* 4 KB slot in [start, end). @p fill(va)
@@ -244,6 +237,8 @@ class PageTableOps
      * Read-modify-write the flags of every present leaf intersecting
      * [start, end): set @p set_flags, clear @p clear_flags. @p touched
      * (may be empty) observes each rewritten leaf's entry-aligned va.
+     * Over one page it charges what a single-leaf rewrite would: one
+     * readPte and one one-entry store, a huge leaf rewritten whole.
      *
      * @return the number of leaf entries rewritten.
      */
@@ -258,13 +253,6 @@ class PageTableOps
 
     /// @name THP lifecycle (collapse / split)
     /// @{
-
-    /**
-     * Primary-tree table containing @p va's entry at @p level, or
-     * InvalidPfn when the path is missing (or covered by a huge leaf
-     * above @p level). Read-only, uncharged, like walk().
-     */
-    Pfn tableFor(const RootSet &roots, VirtAddr va, int level) const;
 
     /**
      * Collapse the fully-populated leaf table under @p va (2 MB
@@ -397,15 +385,46 @@ class PageTableOps
                      int target_level, PtPlacementPolicy &pt_policy,
                      SocketId faulting_socket, pvops::KernelCost *cost);
 
-    /** Read-only descend; InvalidPfn if a level is missing. */
-    Pfn descend(const RootSet &roots, VirtAddr va, int target_level) const;
+    /**
+     * A raw, uncharged descent of the primary tree towards one va: the
+     * tables on the path, the level of the last entry read and that
+     * entry.
+     */
+    struct PrimaryPath
+    {
+        VirtAddr va = 0;
+        /** table[4 - l]: the level-l table on the path; InvalidPfn
+         *  where the path ends above level l. */
+        std::array<Pfn, 4> table{InvalidPfn, InvalidPfn, InvalidPfn,
+                                 InvalidPfn};
+        int level = 4; //!< level of the last entry read
+        Pte entry;     //!< that entry (non-present: the path ends)
+
+        /** The slot read at @p l (l >= level). */
+        PteLoc
+        slot(int l) const
+        {
+            return PteLoc{table[4 - l], ptIndex(va, ptLevel(l))};
+        }
+    };
+
+    /**
+     * Descend the primary tree towards @p va, reading each level's
+     * entry raw, until an entry is not present, is a leaf (L1, or a
+     * huge L2 entry) or sits at @p stop_level; in the last case the
+     * table it points to is on the path, unread. No root: nothing
+     * read. walk, descend, mapRange4K, collapse2M, split2M and the
+     * recording of map4K's cursor all descend through this one loop.
+     */
+    PrimaryPath primaryPath(const RootSet &roots, VirtAddr va,
+                            int stop_level) const;
 
     /**
      * The shared range-cursor skeleton: recursively visit [start, end)
      * of the tree under @p table, invoking @p fn once per maximal run
      * of contiguous present leaf entries (L1 slots, or huge L2 slots)
      * with (table, level, table_base_va, first_slot, slot_count).
-     * forRange/unmapRange/protectRange all sit on this.
+     * unmapRange and protectRange both sit on this.
      */
     void forEachLeafRun(
         Pfn table, int level, VirtAddr base, VirtAddr start, VirtAddr end,
@@ -432,7 +451,9 @@ class PageTableOps
 
     /**
      * The cursor's leaf table if it serves @p va (charging the reads it
-     * stands for into @p cost), else InvalidPfn.
+     * stands for into @p cost), else InvalidPfn. It serves @p va when
+     * the PT-structure epoch is unchanged and every link of the
+     * remembered path still holds for @p va.
      */
     Pfn cursorLeaf(const RootSet &roots, VirtAddr va,
                    pvops::KernelCost *cost);

@@ -559,6 +559,26 @@ TEST_F(KernelTest, PopulateOverVmaHolePanics)
     // [base+2p, base+4p) has no VMA and no mappings: segfault.
     EXPECT_THROW(kernel.populate(p, base, 6 * PageSize, 0, nullptr),
                  SimError);
+
+    // Mapping the gap by hand (a state vmcheck reports as a VMA<->PTE
+    // violation) does not make it populatable: still a segfault.
+    auto &pm = machine.physmem();
+    pt::PageTableOps &ops = kernel.ptOps();
+    for (VirtAddr va = base + 2 * PageSize; va < base + 4 * PageSize;
+         va += PageSize) {
+        auto pfn = pm.allocData(0, p.id());
+        ASSERT_TRUE(pfn.has_value());
+        ASSERT_TRUE(ops.map4K(p.roots(), p.id(), va, *pfn,
+                              pt::PteUser | pt::PteWrite, p.ptPolicy, 0,
+                              nullptr));
+    }
+    EXPECT_THROW(kernel.populate(p, base, 6 * PageSize, 0, nullptr),
+                 SimError);
+    ops.unmapRange(p.roots(), base + 2 * PageSize, base + 4 * PageSize,
+                   [&](VirtAddr, pt::Pte old, PageSizeKind) {
+                       pm.freeData(old.pfn());
+                   },
+                   nullptr);
     kernel.destroyProcess(p);
 }
 
@@ -585,8 +605,9 @@ TEST_F(KernelTest, WriteAfterMprotectUpgradeViaVmaSucceeds)
     int tid = ctx.addThread(0);
     // Leaf loses write permission but the VMA still allows writing:
     // the protection fault upgrades the PTE.
-    kernel.ptOps().protect(p.roots(), region.start, 0, pt::PteWrite,
-                           nullptr);
+    kernel.ptOps().protectRange(p.roots(), region.start,
+                                region.start + PageSize, 0, pt::PteWrite,
+                                {}, nullptr);
     kernel.flushProcess(p, nullptr);
     ctx.access(tid, region.start, true);
     EXPECT_TRUE(

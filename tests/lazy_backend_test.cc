@@ -11,6 +11,7 @@
 #include "src/core/lazy_backend.h"
 #include "src/os/exec_context.h"
 #include "src/os/kernel.h"
+#include "src/pvops/costs.h"
 #include "src/sim/machine.h"
 
 namespace mitosim::core
@@ -219,6 +220,55 @@ TEST_F(LazyBackendTest, UnreplicatedProcessBehavesNormally)
     ctx.access(tid, region.start, true);
     EXPECT_EQ(backend.lazyStats().queued, 0u);
     kernel.destroyProcess(p);
+}
+
+/**
+ * Cycles @p backend charges to install one leaf into the vacant slot
+ * next to a mapped page, its leaf table replicated on @p mask.
+ */
+Cycles
+installCycles(mem::PhysicalMemory &pm, MitosisBackend &backend,
+              SocketMask mask)
+{
+    pt::PageTableOps ops(pm, backend);
+    pt::PtPlacementPolicy policy;
+    pt::RootSet roots;
+    EXPECT_TRUE(ops.createRoot(roots, 1, 0, nullptr));
+    VirtAddr va = 0x100000000ull;
+    EXPECT_TRUE(ops.map4K(roots, 1, va, *pm.allocData(0, 1), pt::PteWrite,
+                          policy, 0, nullptr));
+    EXPECT_TRUE(backend.setReplicationMask(roots, 1, mask));
+    pt::PteLoc loc = ops.walk(roots, va).loc;
+    ++loc.index;
+    pvops::KernelCost cost;
+    backend.setPte(roots, loc,
+                   pt::Pte::make(*pm.allocData(0, 1),
+                                 pt::PtePresent | pt::PteUser),
+                   1, &cost);
+    ops.destroy(roots, nullptr);
+    return cost.cycles;
+}
+
+TEST(LazyBackendCost, QueuedInstallChargesPrimaryStorePlusOneHopEach)
+{
+    // A lazy install into a 4-way replicated table writes the primary
+    // as the eager backend does (page-meta indirection and store) and
+    // queues one message per replica, each charged one ReplicaHopCost.
+    numa::TopologyConfig cfg;
+    cfg.numSockets = 4;
+    cfg.coresPerSocket = 1;
+    cfg.memPerSocket = 16ull << 20;
+    numa::Topology topo(cfg);
+
+    mem::PhysicalMemory eager_pm(topo);
+    MitosisBackend eager(eager_pm);
+    Cycles primary_store = installCycles(eager_pm, eager, SocketMask::none());
+
+    mem::PhysicalMemory lazy_pm(topo);
+    LazyMitosisBackend lazy(lazy_pm);
+    Cycles lazy_install = installCycles(lazy_pm, lazy, SocketMask::all(4));
+    ASSERT_EQ(lazy.lazyStats().queued, 3u);
+    EXPECT_EQ(lazy_install, primary_store + 3 * pvops::ReplicaHopCost);
 }
 
 } // namespace

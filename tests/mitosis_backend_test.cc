@@ -189,7 +189,8 @@ TEST_F(MitosisBackendTest, ProtectPropagatesFlags)
 {
     auto vas = mapSpread(1);
     ASSERT_TRUE(backend.setReplicationMask(roots, 1, SocketMask::all(4)));
-    ops.protect(roots, vas[0], 0, pt::PteWrite, nullptr);
+    ops.protectRange(roots, vas[0], vas[0] + PageSize, 0, pt::PteWrite, {},
+                     nullptr);
     for (SocketId s = 0; s < 4; ++s)
         EXPECT_FALSE(walkFrom(roots.rootFor(s), vas[0]).writable());
 }
@@ -221,7 +222,7 @@ TEST_F(MitosisBackendTest, AccessedDirtyBitsAreOredAcrossReplicas)
     EXPECT_FALSE(primary_leaf.accessed());
 
     // Clearing resets every replica.
-    ops.clearAccessedDirty(roots, vas[0], pt::PteAdMask, nullptr);
+    backend.clearAccessedDirty(roots, loc, pt::PteAdMask, nullptr);
     EXPECT_FALSE(pt::Pte{pm.table(table)[leaf_idx]}.accessed());
     merged = backend.readPte(roots, loc, nullptr);
     EXPECT_FALSE(merged.accessed());
@@ -333,10 +334,12 @@ TEST_F(MitosisBackendTest, WalkModeChargesMoreThanListMode)
         ASSERT_TRUE(
             backend.setReplicationMask(roots, 1, SocketMask::all(4)));
         mapSpread(1);
-        ops.protect(roots, 0x100000000ull, pt::PteNumaHint, 0,
-                    &list_cost);
+        VirtAddr list_va = 0x100000000ull;
+        ops.protectRange(roots, list_va, list_va + PageSize,
+                         pt::PteNumaHint, 0, {}, &list_cost);
     }
-    walk_ops.protect(walk_roots, va, pt::PteNumaHint, 0, &walk_cost);
+    walk_ops.protectRange(walk_roots, va, va + PageSize, pt::PteNumaHint, 0,
+                          {}, &walk_cost);
     EXPECT_GT(walk_cost.cycles, list_cost.cycles);
     walk_ops.destroy(walk_roots, nullptr);
 }

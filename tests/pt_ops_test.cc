@@ -188,9 +188,13 @@ TEST_F(PtOpsTest, ProtectTogglesWritable)
     VirtAddr va = 0x9000;
     ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0), PteWrite, policy, 0,
                           nullptr));
-    ASSERT_TRUE(ops.protect(roots, va, 0, PteWrite, nullptr));
+    ASSERT_EQ(ops.protectRange(roots, va, va + PageSize, 0, PteWrite, {},
+                               nullptr),
+              1u);
     EXPECT_FALSE(ops.walk(roots, va).leaf.writable());
-    ASSERT_TRUE(ops.protect(roots, va, PteWrite, 0, nullptr));
+    ASSERT_EQ(ops.protectRange(roots, va, va + PageSize, PteWrite, 0, {},
+                               nullptr),
+              1u);
     EXPECT_TRUE(ops.walk(roots, va).leaf.writable());
 }
 
@@ -200,8 +204,9 @@ TEST_F(PtOpsTest, ClearAccessedDirty)
     ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0),
                           PteWrite | PteAccessed | PteDirty, policy, 0,
                           nullptr));
-    ASSERT_TRUE(ops.clearAccessedDirty(roots, va, PteAdMask, nullptr));
-    Pte leaf = native.readPte(roots, ops.walk(roots, va).loc, nullptr);
+    PteLoc loc = ops.walk(roots, va).loc;
+    native.clearAccessedDirty(roots, loc, PteAdMask, nullptr);
+    Pte leaf = native.readPte(roots, loc, nullptr);
     EXPECT_FALSE(leaf.accessed());
     EXPECT_FALSE(leaf.dirty());
 }
@@ -314,7 +319,7 @@ TEST_F(PtOpsTest, CreateRootTwicePanics)
     ops.destroy(other, nullptr);
 }
 
-TEST_F(PtOpsTest, ForRangeVisitsIntersectingLeavesInOrder)
+TEST_F(PtOpsTest, ProtectRangeTouchesIntersectingLeavesInOrder)
 {
     // Sparse layout crossing an L1-table boundary (2 MB), with a hole.
     VirtAddr base = 0x40000000ull;
@@ -325,33 +330,42 @@ TEST_F(PtOpsTest, ForRangeVisitsIntersectingLeavesInOrder)
     }
 
     std::vector<VirtAddr> seen;
-    ops.forRange(roots, base + PageSize, base + 513 * PageSize,
-                 [&](VirtAddr va, PteLoc loc, Pte pte, PageSizeKind sz) {
-                     EXPECT_TRUE(pte.present());
-                     EXPECT_EQ(sz, PageSizeKind::Base4K);
-                     EXPECT_EQ(Pte{pm.table(loc.ptPfn)[loc.index]}, pte);
-                     seen.push_back(va);
-                 });
+    EXPECT_EQ(ops.protectRange(roots, base + PageSize,
+                               base + 513 * PageSize, 0, PteWrite,
+                               [&](VirtAddr va, PageSizeKind sz) {
+                                   EXPECT_EQ(sz, PageSizeKind::Base4K);
+                                   seen.push_back(va);
+                               },
+                               nullptr),
+              4u);
     EXPECT_EQ(seen, (std::vector<VirtAddr>{base + 1 * PageSize,
                                            base + 3 * PageSize,
                                            base + 511 * PageSize,
                                            base + 512 * PageSize}));
+    // The leaves outside the range keep their flags.
+    EXPECT_TRUE(ops.walk(roots, base).leaf.writable());
+    for (VirtAddr va : seen)
+        EXPECT_FALSE(ops.walk(roots, va).leaf.writable());
 
-    // A 2 MB leaf partially overlapped by the range is still visited.
+    // A 2 MB leaf partially overlapped by the range is rewritten once,
+    // whole.
     VirtAddr huge_va = 0x80000000ull;
     auto head = pm.allocDataLarge(1, 1);
     ASSERT_TRUE(head.has_value());
     ASSERT_TRUE(ops.map2M(roots, 1, huge_va, *head, PteWrite, policy, 0,
                           nullptr));
     int huge_seen = 0;
-    ops.forRange(roots, huge_va + LargePageSize / 2,
-                 huge_va + LargePageSize,
-                 [&](VirtAddr va, PteLoc, Pte, PageSizeKind sz) {
-                     EXPECT_EQ(va, huge_va);
-                     EXPECT_EQ(sz, PageSizeKind::Large2M);
-                     ++huge_seen;
-                 });
+    EXPECT_EQ(ops.protectRange(roots, huge_va + LargePageSize / 2,
+                               huge_va + LargePageSize, 0, PteWrite,
+                               [&](VirtAddr va, PageSizeKind sz) {
+                                   EXPECT_EQ(va, huge_va);
+                                   EXPECT_EQ(sz, PageSizeKind::Large2M);
+                                   ++huge_seen;
+                               },
+                               nullptr),
+              1u);
     EXPECT_EQ(huge_seen, 1);
+    EXPECT_FALSE(ops.walk(roots, huge_va).leaf.writable());
     ops.unmapRange(roots, huge_va, huge_va + PageSize, keepFrames, nullptr);
     pm.freeDataLarge(*head);
 }

@@ -117,7 +117,7 @@ struct World
     pt::PteLoc
     dirLoc(VirtAddr va) const
     {
-        Pfn dir = ops->tableFor(roots, va, 2);
+        Pfn dir = ops->descend(roots, va, 2);
         return pt::PteLoc{dir, ptIndex(va, ptLevel(2))};
     }
 

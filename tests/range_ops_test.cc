@@ -156,7 +156,12 @@ class RefExecutor
                 va += PageSize;
                 continue;
             }
-            ops.protect(p.roots(), va, set, clear, cost);
+            // The seed's per-page protect: re-read the leaf through
+            // the backend, store it back with the new flags.
+            int level = res.size == PageSizeKind::Large2M ? 2 : 1;
+            pt::Pte cur = k.backend().readPte(p.roots(), res.loc, cost);
+            k.backend().setPte(p.roots(), res.loc,
+                               cur.withFlags(set, clear), level, cost);
             ++pages_touched;
             if (pages_touched <= SeedFlushThreshold)
                 k.shootdown(p, va, nullptr);
@@ -196,7 +201,7 @@ class RefExecutor
         // khugepaged's job).
         VirtAddr huge_base = alignDown(va, LargePageSize);
         bool slot_vacant = true;
-        if (Pfn dir = k.ptOps().tableFor(p.roots(), huge_base, 2);
+        if (Pfn dir = k.ptOps().descend(p.roots(), huge_base, 2);
             dir != InvalidPfn) {
             pt::Pte slot{m.physmem().table(dir)[ptIndex(
                 huge_base, PtLevel::L2)]};

@@ -192,11 +192,12 @@ TEST_P(ReplicationProperty, RandomOpsPreserveInvariants)
                 break;
             VirtAddr va = random_mapped_va();
             bool writable = rng.chance(0.5);
-            ASSERT_TRUE(
-                ops.protect(roots, va,
-                            writable ? std::uint64_t{pt::PteWrite} : 0,
-                            writable ? 0 : std::uint64_t{pt::PteWrite},
-                            nullptr));
+            ASSERT_EQ(ops.protectRange(
+                          roots, va, va + PageSize,
+                          writable ? std::uint64_t{pt::PteWrite} : 0,
+                          writable ? 0 : std::uint64_t{pt::PteWrite}, {},
+                          nullptr),
+                      1u);
             shadow[va].writable = writable;
             break;
           }
@@ -235,11 +236,11 @@ TEST_P(ReplicationProperty, RandomOpsPreserveInvariants)
                     pm.table(table)[ptIndex(va, PtLevel::L1)] |=
                         pt::PteAccessed;
                     // The OS must see it from any replica.
-                    pt::Pte merged = backend.readPte(
-                        roots, ops.walk(roots, va).loc, nullptr);
+                    pt::PteLoc loc = ops.walk(roots, va).loc;
+                    pt::Pte merged = backend.readPte(roots, loc, nullptr);
                     ASSERT_TRUE(merged.accessed());
-                    ops.clearAccessedDirty(roots, va, pt::PteAdMask,
-                                           nullptr);
+                    backend.clearAccessedDirty(roots, loc, pt::PteAdMask,
+                                               nullptr);
                 }
             }
             break;

@@ -175,7 +175,12 @@ class RefExecutor
                 va += PageSize;
                 continue;
             }
-            ops.protect(p.roots(), va, set, clear, nullptr);
+            // Per-page protect: re-read the leaf through the backend,
+            // store it back with the new flags.
+            int level = res.size == PageSizeKind::Large2M ? 2 : 1;
+            pt::Pte cur = k.backend().readPte(p.roots(), res.loc, nullptr);
+            k.backend().setPte(p.roots(), res.loc,
+                               cur.withFlags(set, clear), level, nullptr);
             va += stepOf(res.size, va);
         }
         p.protectVmaRange(start, end, prot);
@@ -196,7 +201,7 @@ class RefExecutor
     {
         auto &ops = k.ptOps();
         auto &pm = m.physmem();
-        Pfn leaf_table = ops.tableFor(p.roots(), base, 1);
+        Pfn leaf_table = ops.descend(p.roots(), base, 1);
         ASSERT_NE(leaf_table, InvalidPfn) << "ref collapse: no table";
         const std::uint64_t *tbl = pm.table(leaf_table);
 
@@ -302,7 +307,7 @@ class RefExecutor
 
         VirtAddr huge_base = alignDown(va, LargePageSize);
         bool slot_vacant = true;
-        if (Pfn dir = k.ptOps().tableFor(p.roots(), huge_base, 2);
+        if (Pfn dir = k.ptOps().descend(p.roots(), huge_base, 2);
             dir != InvalidPfn) {
             pt::Pte slot{pm.table(dir)[ptIndex(huge_base,
                                                PtLevel::L2)]};

@@ -147,7 +147,9 @@ TEST_F(WalkerTest, NumaHintFaults)
 {
     VirtAddr va = 0x5000;
     mapPage(va, 0, pt::PteWrite);
-    ASSERT_TRUE(ops.protect(roots, va, pt::PteNumaHint, 0, nullptr));
+    ASSERT_EQ(ops.protectRange(roots, va, va + PageSize, pt::PteNumaHint,
+                               0, {}, nullptr),
+              1u);
     auto out = walker.walk(0, roots.primaryRoot, va, false, pwc, nullptr);
     EXPECT_EQ(out.fault, WalkFault::NumaHint);
 }
