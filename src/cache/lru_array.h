@@ -210,7 +210,6 @@ class LruArray
 
     std::uint64_t numSets() const { return sets; }
     unsigned ways() const { return numWays; }
-    std::size_t slots() const { return tags.size(); }
 
   private:
     /** A valid way's neighbours in its set's recency list. */

@@ -67,13 +67,6 @@ class SetAssocCache
         return lines.insert(pa >> LineShift, {}, {});
     }
 
-    /** Drop the line containing @p pa if present. */
-    void
-    invalidateLine(PhysAddr pa)
-    {
-        lines.invalidate(pa >> LineShift);
-    }
-
     /** Drop everything. */
     void
     flush()
@@ -81,7 +74,6 @@ class SetAssocCache
         lines.flush();
     }
 
-    std::uint64_t capacityBytes() const { return lines.slots() * LineSize; }
     unsigned associativity() const { return lines.ways(); }
     std::uint64_t numSets() const { return lines.numSets(); }
 

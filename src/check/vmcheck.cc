@@ -59,26 +59,15 @@ CheckConfig::fromEnv(CheckConfig base)
         base.enabled = !(v[0] == '0' && v[1] == '\0');
     if (const char *v = std::getenv("MITOSIM_CHECK_LEVEL")) {
         std::string level(v);
-        if (level == "end") {
-            base.atSyscalls = false;
-            base.atThpTicks = false;
+        if (level == "syscall")
             base.atDispatch = false;
-        } else if (level == "syscall") {
-            base.atSyscalls = true;
-            base.atThpTicks = true;
-            base.atDispatch = false;
-        } else if (level == "dispatch") {
-            base.atSyscalls = true;
-            base.atThpTicks = true;
+        else if (level == "dispatch")
             base.atDispatch = true;
-        } else {
+        else
             fatal("MITOSIM_CHECK_LEVEL: unknown level '%s' "
-                  "(want end|syscall|dispatch)",
+                  "(want syscall|dispatch)",
                   v);
-        }
     }
-    if (const char *v = std::getenv("MITOSIM_CHECK_FAILFAST"))
-        base.failFast = !(v[0] == '0' && v[1] == '\0');
     return base;
 }
 
@@ -100,15 +89,13 @@ Checker::report(Violation v)
 void
 Checker::atSyscall(const char *what)
 {
-    if (cfg.atSyscalls)
-        runAll(what);
+    runAll(what);
 }
 
 void
 Checker::atThpTick()
 {
-    if (cfg.atThpTicks)
-        runAll("thp-tick");
+    runAll("thp-tick");
 }
 
 void

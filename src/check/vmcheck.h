@@ -31,8 +31,8 @@
  *     population, and the kernel's per-fault-kind cycle buckets sum to
  *     the fault-path total.
  *
- * Checks run at configurable checkpoints (syscall boundaries, scheduler
- * dispatch, THP daemon ticks, end-of-run). A violation produces a
+ * Checks run at every syscall boundary and THP daemon tick, at the end
+ * of a run, and optionally at scheduler dispatch. A violation produces a
  * structured diagnostic (process, VA range, replica socket,
  * expected/actual) and, by default, fails the run via fatal().
  */
@@ -76,23 +76,21 @@ struct CheckConfig
     /** Master switch; nothing below matters while false. */
     bool enabled = false;
 
-    /// @name Checkpoint granularity
-    /// @{
-    bool atSyscalls = true;  //!< end of every mutating VMA syscall
-    bool atThpTicks = true;  //!< after each THP daemon period
-    bool atDispatch = false; //!< every 64th real context switch (costly)
-    /// @}
+    /**
+     * Also check at every 64th real context switch (costly). Every
+     * mutating VMA syscall and THP daemon period is a checkpoint
+     * whenever the checker is enabled.
+     */
+    bool atDispatch = false;
 
     /** fatal() on the first violation (tests turn this off to inspect). */
     bool failFast = true;
 
     /**
      * Apply the MITOSIM_CHECK environment on top of @p base:
-     *   MITOSIM_CHECK=1            enable (0 force-disables)
-     *   MITOSIM_CHECK_LEVEL=end    end-of-run only
-     *                     =syscall syscalls + THP ticks (default)
-     *                     =dispatch syscalls + THP ticks + dispatch
-     *   MITOSIM_CHECK_FAILFAST=0   collect violations instead of dying
+     *   MITOSIM_CHECK=1                enable (0 force-disables)
+     *   MITOSIM_CHECK_LEVEL=syscall    syscalls + THP ticks (default)
+     *                      =dispatch   syscalls + THP ticks + dispatch
      * Any other MITOSIM_CHECK_LEVEL is fatal().
      */
     static CheckConfig fromEnv(CheckConfig base);
@@ -147,7 +145,7 @@ class Checker
 
     const CheckConfig &config() const { return cfg; }
 
-    /// @name Checkpoint entry points (granularity-gated)
+    /// @name Checkpoint entry points (atDispatch is gated and sampled)
     /// @{
     void atSyscall(const char *what);
     void atThpTick();
@@ -156,9 +154,8 @@ class Checker
     /// @}
 
     /**
-     * Run every check class once, regardless of granularity
-     * gates. @p where tags diagnostics. Returns violations found *by
-     * this sweep*.
+     * Run every check class once. @p where tags diagnostics. Returns
+     * violations found *by this sweep*.
      */
     std::size_t runAll(const char *where);
 

@@ -43,17 +43,13 @@ AutoPolicyAction
 AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
                          const sim::PerfCounters &window)
 {
-    ++stats_.samples;
-
     if (window.accesses < MinAccessesPerSample) {
-        ++stats_.skippedNoSignal;
         streak[proc.id()] = 0;
         return AutoPolicyAction::None;
     }
     if (proc.residentPages < MinResidentPages) {
         // Small footprints fit the TLB; replication cost would dominate
         // (§8.3: the 1 MB case is 23% memory overhead for nothing).
-        ++stats_.skippedSmall;
         streak[proc.id()] = 0;
         return AutoPolicyAction::None;
     }
@@ -74,7 +70,6 @@ AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
         }
         mitosis.setReplicationMask(proc.roots(), proc.id(), mask);
         kernel.reloadContexts(proc);
-        ++stats_.enables;
         return AutoPolicyAction::Enabled;
     }
 
@@ -86,7 +81,6 @@ AutoPolicyEngine::sample(os::Kernel &kernel, os::Process &proc,
         mitosis.setReplicationMask(proc.roots(), proc.id(),
                                    SocketMask::none());
         kernel.reloadContexts(proc);
-        ++stats_.disables;
         return AutoPolicyAction::Disabled;
     }
 

@@ -22,7 +22,6 @@
 #ifndef MITOSIM_CORE_AUTO_POLICY_H
 #define MITOSIM_CORE_AUTO_POLICY_H
 
-#include <cstdint>
 #include <map>
 
 #include "src/core/mitosis.h"
@@ -39,16 +38,6 @@ enum class AutoPolicyAction
     None,
     Enabled,
     Disabled,
-};
-
-/** Engine statistics. */
-struct AutoPolicyStats
-{
-    std::uint64_t samples = 0;
-    std::uint64_t enables = 0;
-    std::uint64_t disables = 0;
-    std::uint64_t skippedSmall = 0;   //!< below MinResidentPages
-    std::uint64_t skippedNoSignal = 0; //!< too few accesses
 };
 
 /**
@@ -71,18 +60,12 @@ class AutoPolicyEngine
     AutoPolicyAction sample(os::Kernel &kernel, os::Process &proc,
                             const sim::PerfCounters &window);
 
-    /** Forget per-process history (e.g. after process exit). */
-    void forget(ProcId pid) { streak.erase(pid); }
-
-    const AutoPolicyStats &stats() const { return stats_; }
-
   private:
     /** Sockets on which @p proc currently has threads. */
     static SocketMask runningSockets(os::Kernel &kernel,
                                      const os::Process &proc);
 
     MitosisBackend &mitosis;
-    AutoPolicyStats stats_;
     std::map<ProcId, int> streak; //!< consecutive qualifying samples
 };
 

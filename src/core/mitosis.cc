@@ -282,24 +282,6 @@ MitosisBackend::readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
     return pt::Pte{raw};
 }
 
-void
-MitosisBackend::clearAccessedDirty(pt::RootSet &roots, pt::PteLoc loc,
-                                   std::uint64_t bits, KernelCost *cost)
-{
-    (void)roots;
-    if (cost)
-        cost->charge(IndirectionCost);
-    Pfn p = loc.ptPfn;
-    do {
-        mem.table(p)[loc.index] &= ~bits;
-        if (cost) {
-            cost->charge(pvops::PteWriteCost);
-            ++cost->pteWrites;
-        }
-        p = nextReplica(p);
-    } while (p != loc.ptPfn);
-}
-
 Pfn
 MitosisBackend::cr3For(const pt::RootSet &roots, SocketId socket) const
 {

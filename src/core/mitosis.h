@@ -119,12 +119,6 @@ class MitosisBackend : public pvops::PvOps
                             SocketMask mask,
                             pvops::KernelCost *cost = nullptr);
 
-    /** numa_get_pgtable_replication_mask(). */
-    SocketMask replicationMask(const pt::RootSet &roots) const
-    {
-        return roots.replicaMask;
-    }
-
     /**
      * §5.5: migrate the page-table to @p target. Implemented as
      * replicate-to-target, then every non-target copy is freed.
@@ -176,10 +170,6 @@ class MitosisBackend : public pvops::PvOps
     /** One ring traversal, n-fold read charges (A/D merge incl.). */
     pt::Pte readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
                         unsigned n, pvops::KernelCost *cost) const override;
-
-    void clearAccessedDirty(pt::RootSet &roots, pt::PteLoc loc,
-                            std::uint64_t bits,
-                            pvops::KernelCost *cost) override;
 
     Pfn cr3For(const pt::RootSet &roots, SocketId socket) const override;
 

@@ -135,8 +135,6 @@ class Topology
         return base;
     }
 
-    bool isRemote(SocketId from, SocketId to) const { return from != to; }
-
     /** Register/unregister a bandwidth hog on @p socket. */
     void addInterferer(SocketId socket);
     void removeInterferer(SocketId socket);

@@ -12,13 +12,13 @@ Scheduler::Scheduler(sim::Machine &machine, pvops::PvOps &backend,
                      const SchedulerConfig &config)
     : mach(machine), cfg(config), pv(backend),
       cores(static_cast<std::size_t>(machine.numCores())),
-      asidGen(static_cast<std::size_t>(std::max(2, config.maxAsids)), 0)
+      asidGen(static_cast<std::size_t>(MaxAsids), 0)
 {
     // Lower bound: {0 = kernel/boot, 1} must exist. Upper bound: the
     // Asid type is 16 bits; a larger space would truncate back onto
     // the reserved ASID 0.
-    MITOSIM_ASSERT(cfg.maxAsids >= 2 && cfg.maxAsids <= 65536,
-                   "maxAsids must be in [2, 65536]");
+    static_assert(MaxAsids >= 2 && MaxAsids <= 65536,
+                  "MaxAsids must be in [2, 65536]");
     for (auto &cs : cores)
         cs.seenGen.assign(asidGen.size(), 0);
 
@@ -48,7 +48,7 @@ Asid
 Scheduler::assignAsid()
 {
     Asid asid = static_cast<Asid>(nextAsid);
-    if (++nextAsid >= static_cast<int>(asidGen.size()))
+    if (++nextAsid >= MaxAsids)
         nextAsid = 1; // 0 stays the kernel/boot space
     std::uint64_t &gen = asidGen[asid];
     // First use is generation 1 (no core can hold entries yet); reuse
@@ -307,7 +307,7 @@ Scheduler::tick(CoreId core, Cycles spent)
 {
     CoreState &cs = state(core);
     cs.sliceUsed += spent;
-    if (cs.sliceUsed >= cfg.timeslice)
+    if (cs.sliceUsed >= Timeslice)
         cs.sliceExpired = true;
 }
 

@@ -31,7 +31,7 @@
  *
  * The scheduler clock is virtual: ExecContext reports the simulated
  * cycles each access/compute step consumed (tick()), and a thread whose
- * accumulated slice exceeds the configured timeslice is marked expired —
+ * accumulated slice reaches Scheduler::Timeslice is marked expired —
  * the next dispatch of a competitor counts as a preemption. Waiting
  * time is not charged to waiting threads (runtimes stay per-thread
  * cycle counts; consolidation benches report the shared-core pressure
@@ -65,21 +65,22 @@ struct SchedulerConfig
      * seed's flush-everything CR3 load on every switch.
      */
     bool pcid = true;
-
-    /** Timeslice in simulated cycles before a thread is preemptible. */
-    Cycles timeslice = 50000;
-
-    /**
-     * ASID space size (x86: 12-bit PCID = 4096). Small values force
-     * recycling, which costs a selective flush per generation bump.
-     */
-    int maxAsids = 4096;
 };
 
 /** Per-core run queues + residency; owned by the Kernel. */
 class Scheduler
 {
   public:
+    /** Timeslice in simulated cycles before a thread is preemptible. */
+    static constexpr Cycles Timeslice = 50000;
+
+    /**
+     * ASID space size (x86: 12-bit PCID = 4096). Once every ASID is
+     * taken, assignment wraps and bumps the ASID's generation, which
+     * costs a selective flush on the next handover.
+     */
+    static constexpr int MaxAsids = 4096;
+
     /**
      * Run @p machine's cores over the Kernel's PV-Ops @p backend, which
      * supplies the CR3 values and the §5.3 onThreadScheduled hook.

@@ -85,12 +85,6 @@ struct PteLoc
     Pfn ptPfn = InvalidPfn;
     unsigned index = 0;
 
-    PhysAddr
-    physAddr() const
-    {
-        return pfnToAddr(ptPfn) + index * sizeof(std::uint64_t);
-    }
-
     bool operator==(const PteLoc &o) const = default;
 };
 

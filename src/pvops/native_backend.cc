@@ -70,18 +70,6 @@ NativeBackend::readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
     return pt::Pte{mem.tableView(loc.ptPfn)[loc.index]};
 }
 
-void
-NativeBackend::clearAccessedDirty(pt::RootSet &roots, pt::PteLoc loc,
-                                  std::uint64_t bits, KernelCost *cost)
-{
-    (void)roots;
-    mem.table(loc.ptPfn)[loc.index] &= ~bits;
-    if (cost) {
-        cost->charge(PteWriteCost);
-        ++cost->pteWrites;
-    }
-}
-
 Pfn
 NativeBackend::cr3For(const pt::RootSet &roots, SocketId socket) const
 {

@@ -48,9 +48,6 @@ class NativeBackend : public PvOps
     pt::Pte readPteMany(const pt::RootSet &roots, pt::PteLoc loc,
                         unsigned n, KernelCost *cost) const override;
 
-    void clearAccessedDirty(pt::RootSet &roots, pt::PteLoc loc,
-                            std::uint64_t bits, KernelCost *cost) override;
-
     Pfn cr3For(const pt::RootSet &roots, SocketId socket) const override;
 
     const char *name() const override { return "native"; }

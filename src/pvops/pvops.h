@@ -7,8 +7,8 @@
  * through this indirection, which lets the Mitosis backend propagate the
  * update to all replicas. We reproduce the same seam. The OS layer never
  * touches a PTE directly; the hardware page-walker *does* (A/D bits),
- * which is why readPte()/clearAccessedDirty() exist — the Mitosis backend
- * must consult every replica to return correct flags (§5.4).
+ * which is why readPte() exists — the Mitosis backend must consult
+ * every replica to return correct flags (§5.4).
  *
  * Stores and reads have one virtual hook each, setPtes and readPteMany.
  * setPte and readPte are their one-entry forms, as Linux's set_pte_at
@@ -50,7 +50,7 @@ struct KernelCost
  * Page-table hook interface (excerpt mirroring the paper's Listing 1:
  * write_cr3 -> cr3For, paravirt_alloc_pte -> allocPtPage,
  * paravirt_release_pte -> releasePtPage, set_pte -> setPte ->
- * setPtes(..., 1), plus the get-side functions the paper had to add for
+ * setPtes(..., 1), plus the get-side readPte the paper had to add for
  * A/D correctness).
  */
 class PvOps
@@ -173,11 +173,6 @@ class PvOps
     {
         return readPteMany(roots, loc, 1, cost);
     }
-
-    /** Clear Accessed/Dirty at @p loc in *all* replicas. */
-    virtual void clearAccessedDirty(pt::RootSet &roots, pt::PteLoc loc,
-                                    std::uint64_t bits,
-                                    KernelCost *cost) = 0;
 
     /**
      * write_cr3: the root the MMU of a core on @p socket must load when

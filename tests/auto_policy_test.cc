@@ -75,7 +75,11 @@ TEST_F(AutoPolicyTest, EnablesAfterSustainedHighWalkFraction)
               AutoPolicyAction::Enabled);
     EXPECT_TRUE(p.roots().replicated());
     EXPECT_EQ(p.roots().replicaMask.count(), 4);
-    EXPECT_EQ(engine.stats().enables, 1u);
+    // Enabled once: later high samples leave the mask alone.
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(engine.sample(kernel, p, window(0.4)),
+                  AutoPolicyAction::None);
+    EXPECT_EQ(p.roots().replicaMask.count(), 4);
     kernel.destroyProcess(p);
 }
 
@@ -130,7 +134,11 @@ TEST_F(AutoPolicyTest, HysteresisDisablesOnlyBelowLowerBand)
     EXPECT_EQ(engine.sample(kernel, p, window(0.02)),
               AutoPolicyAction::Disabled);
     EXPECT_FALSE(p.roots().replicated());
-    EXPECT_EQ(engine.stats().disables, 1u);
+    // Disabled once: further low samples have nothing to tear down.
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(engine.sample(kernel, p, window(0.02)),
+                  AutoPolicyAction::None);
+    EXPECT_FALSE(p.roots().replicated());
     kernel.destroyProcess(p);
 }
 
@@ -140,10 +148,11 @@ TEST_F(AutoPolicyTest, SmallProcessesAreNeverReplicated)
     kernel.mmap(p, 64 * PageSize, os::MmapOptions{.populate = true});
     ASSERT_GE(kernel.spawnThreadOnSocket(p, 0), 0);
     ASSERT_GE(kernel.spawnThreadOnSocket(p, 1), 0);
+    // A window far above the enable band, skipped every time.
     for (int i = 0; i < 4; ++i)
-        engine.sample(kernel, p, window(0.9));
+        EXPECT_EQ(engine.sample(kernel, p, window(0.9)),
+                  AutoPolicyAction::None);
     EXPECT_FALSE(p.roots().replicated());
-    EXPECT_GE(engine.stats().skippedSmall, 4u);
     kernel.destroyProcess(p);
 }
 
@@ -151,9 +160,9 @@ TEST_F(AutoPolicyTest, QuietWindowsAreIgnored)
 {
     os::Process &p = bigProcess(4);
     for (int i = 0; i < 4; ++i)
-        engine.sample(kernel, p, window(0.9, /*accesses=*/10));
+        EXPECT_EQ(engine.sample(kernel, p, window(0.9, /*accesses=*/10)),
+                  AutoPolicyAction::None);
     EXPECT_FALSE(p.roots().replicated());
-    EXPECT_GE(engine.stats().skippedNoSignal, 4u);
     kernel.destroyProcess(p);
 }
 

@@ -506,41 +506,49 @@ TEST_F(CheckTest, FailFastThrowsOnViolation)
 TEST_F(CheckTest, EnvConfigParsing)
 {
     setenv("MITOSIM_CHECK", "1", 1);
-    setenv("MITOSIM_CHECK_LEVEL", "end", 1);
-    setenv("MITOSIM_CHECK_FAILFAST", "0", 1);
-    CheckConfig cfg = CheckConfig::fromEnv(CheckConfig{});
+    setenv("MITOSIM_CHECK_LEVEL", "syscall", 1);
+    setenv("MITOSIM_CHECK_FAILFAST", "0", 1); // retired: not read
+    CheckConfig base;
+    base.atDispatch = true;
+    CheckConfig cfg = CheckConfig::fromEnv(base);
     EXPECT_TRUE(cfg.enabled);
-    EXPECT_FALSE(cfg.atSyscalls);
-    EXPECT_FALSE(cfg.atThpTicks);
     EXPECT_FALSE(cfg.atDispatch);
-    EXPECT_FALSE(cfg.failFast);
+    EXPECT_TRUE(cfg.failFast);
+    unsetenv("MITOSIM_CHECK_FAILFAST");
 
     setenv("MITOSIM_CHECK_LEVEL", "dispatch", 1);
     cfg = CheckConfig::fromEnv(CheckConfig{});
-    EXPECT_TRUE(cfg.atSyscalls);
+    EXPECT_TRUE(cfg.enabled);
     EXPECT_TRUE(cfg.atDispatch);
 
     setenv("MITOSIM_CHECK", "0", 1);
-    cfg = CheckConfig::fromEnv(CheckConfig{});
+    unsetenv("MITOSIM_CHECK_LEVEL");
+    base = CheckConfig{};
+    base.enabled = true;
+    cfg = CheckConfig::fromEnv(base);
     EXPECT_FALSE(cfg.enabled);
+    EXPECT_FALSE(cfg.atDispatch);
 
     unsetenv("MITOSIM_CHECK");
-    unsetenv("MITOSIM_CHECK_LEVEL");
-    unsetenv("MITOSIM_CHECK_FAILFAST");
 }
 
 TEST_F(CheckTest, UnknownCheckLevelIsFatal)
 {
-    // A misspelt level must not silently check at the default one.
-    // fatal() throws SimError, which is how the simulator dies.
-    setenv("MITOSIM_CHECK_LEVEL", "syscalls", 1);
-    try {
-        CheckConfig::fromEnv(CheckConfig{});
-        ADD_FAILURE() << "unknown MITOSIM_CHECK_LEVEL was accepted";
-    } catch (const SimError &e) {
-        EXPECT_NE(std::string(e.what()).find("'syscalls'"),
-                  std::string::npos)
-            << e.what();
+    // A misspelt or retired level must not silently check at the
+    // default one. fatal() throws SimError, which is how the simulator
+    // dies.
+    for (const char *level : {"syscalls", "end"}) {
+        setenv("MITOSIM_CHECK_LEVEL", level, 1);
+        try {
+            CheckConfig::fromEnv(CheckConfig{});
+            ADD_FAILURE() << "MITOSIM_CHECK_LEVEL=" << level
+                          << " was accepted";
+        } catch (const SimError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          std::string("'") + level + "'"),
+                      std::string::npos)
+                << e.what();
+        }
     }
     unsetenv("MITOSIM_CHECK_LEVEL");
 }

@@ -220,12 +220,6 @@ TEST_F(MitosisBackendTest, AccessedDirtyBitsAreOredAcrossReplicas)
     // ...even though the primary copy alone does not have them.
     pt::Pte primary_leaf = walkFrom(roots.primaryRoot, vas[0]);
     EXPECT_FALSE(primary_leaf.accessed());
-
-    // Clearing resets every replica.
-    backend.clearAccessedDirty(roots, loc, pt::PteAdMask, nullptr);
-    EXPECT_FALSE(pt::Pte{pm.table(table)[leaf_idx]}.accessed());
-    merged = backend.readPte(roots, loc, nullptr);
-    EXPECT_FALSE(merged.accessed());
     EXPECT_GT(backend.stats().adMergedReads, 0u);
 }
 

@@ -198,19 +198,6 @@ TEST_F(PtOpsTest, ProtectTogglesWritable)
     EXPECT_TRUE(ops.walk(roots, va).leaf.writable());
 }
 
-TEST_F(PtOpsTest, ClearAccessedDirty)
-{
-    VirtAddr va = 0xa000;
-    ASSERT_TRUE(ops.map4K(roots, 1, va, dataFrame(0),
-                          PteWrite | PteAccessed | PteDirty, policy, 0,
-                          nullptr));
-    PteLoc loc = ops.walk(roots, va).loc;
-    native.clearAccessedDirty(roots, loc, PteAdMask, nullptr);
-    Pte leaf = native.readPte(roots, loc, nullptr);
-    EXPECT_FALSE(leaf.accessed());
-    EXPECT_FALSE(leaf.dirty());
-}
-
 TEST_F(PtOpsTest, ForEachLeafVisitsAllMappings)
 {
     std::set<VirtAddr> expect;

@@ -80,12 +80,6 @@ TEST(Pte, AdMaskCoversExactlyAccessedDirty)
     EXPECT_EQ(PteAdMask, (PteAccessed | PteDirty));
 }
 
-TEST(PteLoc, PhysAddrPointsIntoFrame)
-{
-    PteLoc loc{10, 3};
-    EXPECT_EQ(loc.physAddr(), 10 * PageSize + 3 * 8);
-}
-
 TEST(RootSet, DefaultIsInvalid)
 {
     RootSet r;

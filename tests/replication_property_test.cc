@@ -233,14 +233,16 @@ TEST_P(ReplicationProperty, RandomOpsPreserveInvariants)
                         table = e.pfn();
                 }
                 if (ok) {
-                    pm.table(table)[ptIndex(va, PtLevel::L1)] |=
-                        pt::PteAccessed;
+                    std::uint64_t &hw =
+                        pm.table(table)[ptIndex(va, PtLevel::L1)];
+                    hw |= pt::PteAccessed;
                     // The OS must see it from any replica.
                     pt::PteLoc loc = ops.walk(roots, va).loc;
                     pt::Pte merged = backend.readPte(roots, loc, nullptr);
                     ASSERT_TRUE(merged.accessed());
-                    backend.clearAccessedDirty(roots, loc, pt::PteAdMask,
-                                               nullptr);
+                    // Undo the walker's write, so the next such step
+                    // starts from a clear bit.
+                    hw &= ~std::uint64_t{pt::PteAccessed};
                 }
             }
             break;

@@ -22,13 +22,24 @@ namespace
 {
 
 KernelConfig
-timeSharedConfig(bool pcid, Cycles timeslice = 50000)
+timeSharedConfig(bool pcid)
 {
     KernelConfig cfg;
     cfg.sched.timeShared = true;
     cfg.sched.pcid = pcid;
-    cfg.sched.timeslice = timeslice;
     return cfg;
+}
+
+/**
+ * After a kernel's first process (ASID 1), create and destroy one
+ * process on each of ASIDs 2 .. MaxAsids - 1, so the next process
+ * created wraps back onto ASID 1 with a bumped generation.
+ */
+void
+wrapAsidSpace(Kernel &kernel)
+{
+    for (int i = 0; i < Scheduler::MaxAsids - 2; ++i)
+        kernel.destroyProcess(kernel.createProcess("filler", 0));
 }
 
 /** A counter of @p kernel's machine registry (each test's is fresh). */
@@ -140,8 +151,7 @@ TEST_F(SchedulerTest, PcidPreservesTranslationsAcrossSwitches)
 
 TEST_F(SchedulerTest, SliceExpiryCountsPreemptions)
 {
-    // timeslice=1: every access expires the resident thread's slice.
-    Kernel kernel(machine, native, timeSharedConfig(true, 1));
+    Kernel kernel(machine, native, timeSharedConfig(true));
     Process &a = kernel.createProcess("a", 0);
     Process &b = kernel.createProcess("b", 0);
     auto ra = kernel.mmap(a, PageSize, MmapOptions{.populate = true});
@@ -151,9 +161,13 @@ TEST_F(SchedulerTest, SliceExpiryCountsPreemptions)
     ctx_a.addThreadOnCore(0);
     ctx_b.addThreadOnCore(0);
 
-    ctx_a.access(0, ra.start, false); // A in, slice expires
-    ctx_b.access(0, rb.start, false); // B preempts A
-    ctx_a.access(0, ra.start, false); // A preempts B
+    ctx_a.access(0, ra.start, false);         // A in, slice running
+    ctx_b.access(0, rb.start, false);         // B switches in: no preemption
+    EXPECT_EQ(schedCounter(kernel, "sched_preemptions"), 0u);
+    ctx_b.compute(0, Scheduler::Timeslice);   // B's slice expires
+    ctx_a.access(0, ra.start, false);         // A preempts B
+    ctx_a.compute(0, Scheduler::Timeslice);   // A's slice expires
+    ctx_b.access(0, rb.start, false);         // B preempts A
     EXPECT_EQ(schedCounter(kernel, "sched_preemptions"), 2u);
 
     kernel.destroyProcess(a);
@@ -192,9 +206,7 @@ TEST_F(SchedulerTest, DestroyedTenantLeavesNoResidue)
 
 TEST_F(SchedulerTest, RecycledAsidGetsSelectiveFlush)
 {
-    KernelConfig cfg = timeSharedConfig(true);
-    cfg.sched.maxAsids = 2; // only ASID 1 exists: every process recycles
-    Kernel kernel(machine, native, cfg);
+    Kernel kernel(machine, native, timeSharedConfig(true));
 
     Process &a = kernel.createProcess("a", 0);
     auto ra = kernel.mmap(a, PageSize, MmapOptions{.populate = true});
@@ -203,6 +215,7 @@ TEST_F(SchedulerTest, RecycledAsidGetsSelectiveFlush)
     ctx_a.access(0, ra.start, false);
     Asid recycled = a.asid;
     kernel.destroyProcess(a);
+    wrapAsidSpace(kernel);
 
     Process &b = kernel.createProcess("b", 0);
     EXPECT_EQ(b.asid, recycled);
@@ -264,14 +277,14 @@ TEST_F(SchedulerTest, DataMigrationShootsDownStaleTranslations)
 
 TEST_F(SchedulerTest, LiveAsidAliasingForcesFlushOnHandover)
 {
-    // maxAsids=2 with two *live* processes: both get ASID 1, different
-    // generations. Every handover must selectively flush, so neither
-    // tenant can ever hit the other's identically-tagged entries.
-    KernelConfig cfg = timeSharedConfig(true);
-    cfg.sched.maxAsids = 2;
-    Kernel kernel(machine, native, cfg);
+    // A stays alive while the ASID space wraps, so A and B are two
+    // *live* processes on ASID 1 with different generations. Every
+    // handover must selectively flush, so neither tenant can ever hit
+    // the other's identically-tagged entries.
+    Kernel kernel(machine, native, timeSharedConfig(true));
 
     Process &a = kernel.createProcess("a", 0);
+    wrapAsidSpace(kernel);
     Process &b = kernel.createProcess("b", 0);
     EXPECT_EQ(a.asid, b.asid);
     EXPECT_NE(a.asidGeneration, b.asidGeneration);

@@ -84,13 +84,6 @@ TEST(Topology, RemoveWithoutAddPanics)
     EXPECT_THROW(t.removeInterferer(0), SimError);
 }
 
-TEST(Topology, IsRemote)
-{
-    Topology t(smallConfig());
-    EXPECT_FALSE(t.isRemote(1, 1));
-    EXPECT_TRUE(t.isRemote(0, 1));
-}
-
 TEST(Topology, RejectsBadConfigs)
 {
     TopologyConfig cfg = smallConfig();
